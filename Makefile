@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench bench-smoke bench-scaling tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
+.PHONY: check lint vet build test race bench tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
 
 check: lint vet build race ## everything CI runs
 
@@ -31,17 +31,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# Short seeded polybench runs (in-process + 3-process TCP) gated against
-# the checked-in baseline — the same job CI runs.
-bench-smoke:
-	scripts/bench_smoke.sh
-
-# Lane scaling matrix (ISSUE 9): seeded durable bank runs across
-# GOMAXPROCS 1/4/16 with lanes off vs 16, merged into one BENCH JSON and
-# gated on lanes@16 beating lanes-off by at least 2x at the same width.
-bench-scaling:
-	scripts/bench_scaling.sh
 
 tables:
 	$(GO) run ./cmd/polytables

@@ -7,12 +7,10 @@
 //	polybench -mode inproc -sites 3 -workers 16 -txns 2000 -seed 7
 //	polybench -mode procs  -sites 3 -txns 500 -out BENCH_head.json
 //	polybench -batch=false ...            # disable transport coalescing
-//	polybench -compare bench_baseline.json ...   # CI regression gate
 //	polybench -workload overload -admission 4    # admission-gated run
 //	polybench -durable -lanes 16 -group-commit-window 1ms ...
 //	                  # synchronous WAL durability on temp dirs, with
 //	                  # key-sharded execution lanes + group commit
-//	                  # (scripts/bench_scaling.sh runs the gated matrix)
 //
 // The overload workload is the bank mix pushed through admission-gated
 // sites: workers outnumber the per-site in-flight credit cap, so a
@@ -24,12 +22,11 @@
 // because a shed attempt never starts.
 //
 // Every run appends one named "setting" to a machine-readable BENCH
-// JSON file (schema documented in DESIGN.md §9); -compare then fails
-// the process if this run's committed-transaction throughput fell more
-// than -regress (default 30%) below the same-named setting in the
-// baseline file.  The workload is deterministic for a seed: the same
-// flag set replays the identical transaction programs, so two runs
-// differ only by scheduling and the knob under test (e.g. -batch).
+// JSON file (schema documented in DESIGN.md §9).  The workload is
+// deterministic for a seed: the same flag set replays the identical
+// transaction programs, so two runs differ only by scheduling and the
+// knob under test (e.g. -batch).  Regressions are judged by the fixed
+// benchmark in benchmark/ (see benchmark/README.md), not here.
 package main
 
 import (
@@ -80,8 +77,6 @@ type options struct {
 	batchLng time.Duration
 	label    string
 	out      string
-	compare  string
-	regress  float64
 	waitTxn  time.Duration
 	settle   time.Duration
 	admit    int
@@ -118,8 +113,6 @@ func main() {
 	flag.DurationVar(&opt.batchLng, "batch-delay", 0, "writer linger when batching (0: transport default)")
 	flag.StringVar(&opt.label, "label", "", "setting name in the BENCH file (default derived from flags)")
 	flag.StringVar(&opt.out, "out", "", "BENCH JSON path; existing settings are merged by name (default BENCH_<rev>.json)")
-	flag.StringVar(&opt.compare, "compare", "", "baseline BENCH JSON; exit 1 on throughput regression")
-	flag.Float64Var(&opt.regress, "regress", 0.30, "allowed fractional throughput drop vs baseline before failing")
 	flag.DurationVar(&opt.waitTxn, "txn-timeout", 15*time.Second, "per-transaction client wait bound")
 	flag.DurationVar(&opt.settle, "settle", 15*time.Second, "post-run bound for polyvalues to drain before the audit")
 	flag.IntVar(&opt.admit, "admission", 0, "per-site in-flight transaction cap; over it submissions shed (0: unlimited, overload workload defaults to 4)")
@@ -135,9 +128,9 @@ func main() {
 	flag.StringVar(&opt.telAddr, "telemetry", "", "serve /metrics, /healthz, /trace and pprof on this address during the run (inproc mode)")
 	flag.IntVar(&opt.spansN, "spans", 0, "per-run structured span retention; enables span tracing on every site so the overhead shows up in the numbers (0: disabled)")
 	flag.IntVar(&opt.gogc, "gogc", 400, "GC target percentage for every process (0: leave the runtime default); throughput runs are allocation-heavy and the default 100 spends a fifth of CPU in mark assists")
-	flag.IntVar(&opt.lanes, "lanes", 0, "key-sharded execution lanes per site (0/1: classic single event loop)")
-	flag.BoolVar(&opt.durable, "durable", false, "run every node on a temp WAL dir with synchronous durability: each site event fsyncs (lanes off) or group-commits (lanes on) before its outputs leave the site")
-	flag.DurationVar(&opt.gcWindow, "group-commit-window", 0, "group-commit accumulation window with -durable (0: flush as soon as the flusher is free)")
+	flag.IntVar(&opt.lanes, "lanes", 0, "key-sharded execution lanes per site: extra event queues, routed by transaction ID, that overlap the group-commit wait (0/1: one queue)")
+	flag.BoolVar(&opt.durable, "durable", false, "run every node on a temp WAL dir with synchronous durability: each site event waits for the group commit covering its WAL records before its outputs leave the site")
+	flag.DurationVar(&opt.gcWindow, "group-commit-window", 0, "group-commit accumulation window with -durable (0: flush as soon as the flusher is free); with one lane it is a per-event delay")
 	flag.StringVar(&opt.diskFlts, "disk-faults", "", "disk-fault plan applied to every site's WAL filesystem (storage plan grammar, e.g. 'slow p=0.1 min=1ms max=5ms'); needs -durable")
 	flag.Int64Var(&opt.diskSd, "disk-fault-seed", 1, "base PRNG seed for the per-site disk-fault injectors")
 	flag.Parse()
@@ -261,10 +254,6 @@ func run(opt options) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", out)
-
-	if opt.compare != "" {
-		return compareBaseline(opt.compare, s, opt.regress)
-	}
 	return nil
 }
 
@@ -408,10 +397,10 @@ type setting struct {
 	Shed            int     `json:"shed,omitempty"`
 	ShedRate        float64 `json:"shed_rate,omitempty"`
 
-	// Lane / durability geometry (ISSUE 9): lanes-off durable runs pay a
-	// serialized fsync per WAL-writing event, lanes-on runs share one
-	// group-commit fsync per flush batch.  GOMAXPROCS records the
-	// scheduler width the run actually had, for the scaling curve.
+	// Lane / durability geometry: a durable run's events wait for the
+	// group-commit fsync covering their WAL records; lanes let several
+	// wait on one fsync.  GOMAXPROCS records the scheduler width the run
+	// actually had.
 	Lanes               int     `json:"lanes,omitempty"`
 	Durable             bool    `json:"durable,omitempty"`
 	GroupCommitWindowMS float64 `json:"group_commit_window_ms,omitempty"`
@@ -1241,7 +1230,7 @@ func runChild(opt options) error {
 }
 
 // ---------------------------------------------------------------------
-// BENCH file + baseline comparison
+// BENCH file
 // ---------------------------------------------------------------------
 
 type benchFile struct {
@@ -1285,33 +1274,4 @@ func writeBench(path string, s setting) error {
 		return err
 	}
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// compareBaseline fails when s regressed more than allowed vs the
-// same-named setting in the baseline file; an absent setting passes (new
-// benchmarks get a baseline on the next refresh).
-func compareBaseline(path string, s setting, allowed float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base benchFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	for _, b := range base.Settings {
-		if b.Name != s.Name {
-			continue
-		}
-		floor := b.ThroughputTPS * (1 - allowed)
-		if s.ThroughputTPS < floor {
-			return fmt.Errorf("throughput regression: %s ran %.0f tps, baseline %.0f tps (floor %.0f, -regress %.0f%%)",
-				s.Name, s.ThroughputTPS, b.ThroughputTPS, floor, allowed*100)
-		}
-		fmt.Printf("baseline check ok: %s %.0f tps vs baseline %.0f tps (floor %.0f)\n",
-			s.Name, s.ThroughputTPS, b.ThroughputTPS, floor)
-		return nil
-	}
-	fmt.Printf("baseline check skipped: no setting %q in %s\n", s.Name, path)
-	return nil
 }

@@ -127,11 +127,7 @@ func (s *Site) buildDigest() ([]protocol.OutcomeRec, map[string]uint64) {
 			byLogical[logical] = ver
 		}
 	}
-	logicals := make([]string, 0, len(byLogical))
-	for logical := range byLogical {
-		logicals = append(logicals, logical)
-	}
-	sort.Strings(logicals)
+	logicals := sortedKeys(byLogical)
 	logicals = rotateWindow(logicals, ae.MaxItems, s.aeRound)
 	vers := make(map[string]uint64, len(logicals))
 	for _, logical := range logicals {
@@ -183,12 +179,7 @@ func (s *Site) onAEDigest(msg protocol.Message) {
 	vers := map[string]uint64{}
 	vals := map[string]polyvalue.Poly{}
 	var wants []string
-	logicals := make([]string, 0, len(msg.Versions))
-	for logical := range msg.Versions {
-		logicals = append(logicals, logical)
-	}
-	sort.Strings(logicals)
-	for _, logical := range logicals {
+	for _, logical := range sortedKeys(msg.Versions) {
 		theirs := msg.Versions[logical]
 		val, mine, hosted := s.hostedReplica(logical)
 		if !hosted {
@@ -268,12 +259,7 @@ func (s *Site) learnOutcomes(recs []protocol.OutcomeRec) {
 // local replicas that may accept them (see the guards on the package
 // comment above).
 func (s *Site) applyReplicaValues(msg protocol.Message) {
-	logicals := make([]string, 0, len(msg.Values))
-	for logical := range msg.Values {
-		logicals = append(logicals, logical)
-	}
-	sort.Strings(logicals)
-	for _, logical := range logicals {
+	for _, logical := range sortedKeys(msg.Values) {
 		val := msg.Values[logical]
 		ver := msg.Versions[logical]
 		if ver == 0 {

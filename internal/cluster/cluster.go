@@ -40,7 +40,8 @@ type Stats struct {
 // plus simulated network) and the wall-clock node (NewNode: real time
 // plus a caller-supplied transport, typically TCP).  clk and fab are the
 // seams all protocol code schedules and sends through; sched and net are
-// the simulation concretions behind them and are nil in node mode.
+// the simulation concretions behind them and are nil in node mode.  The
+// sites run one event engine (engine.go) on both.
 type Cluster struct {
 	cfg Config
 	clk vclock.Clock
@@ -50,15 +51,19 @@ type Cluster struct {
 	// Message per send/receive just to discard it.
 	tracing bool
 	// wall is set in node mode only; Close stops it.
-	wall  *vclock.Wall
-	sched *vclock.Scheduler
-	net   *network.Network
-	sites map[protocol.SiteID]*Site
-	order []protocol.SiteID
-	logs  []*storage.FileLog
-	glogs []*storage.GroupLog
-	ids   *txn.IDGen
-	qids  *txn.IDGen
+	wall *vclock.Wall
+	// deliver is how transport deliveries enqueue at a site: the
+	// scheduler's delivery events wait for the handler (determinism),
+	// TCP read loops queue the message and move on.
+	deliver enqueueMode
+	sched   *vclock.Scheduler
+	net     *network.Network
+	sites   map[protocol.SiteID]*Site
+	order   []protocol.SiteID
+	logs    []*storage.FileLog
+	glogs   []*storage.GroupLog
+	ids     *txn.IDGen
+	qids    *txn.IDGen
 
 	// reg is the metrics registry every layer reports into; the named
 	// fields below cache the hot-path instruments (see metrics.go for the
@@ -101,17 +106,11 @@ type Cluster struct {
 	residency map[protocol.SiteID]*metrics.Histogram
 }
 
-// New builds a cluster; sites start up immediately.
-func New(cfg Config) (*Cluster, error) {
+// newCluster validates and defaults cfg and builds what both runtimes
+// share; the constructors add the clock, the transport and the sites.
+func newCluster(cfg Config) (*Cluster, error) {
 	if len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("cluster: no sites configured")
-	}
-	seen := map[protocol.SiteID]bool{}
-	for _, s := range cfg.Sites {
-		if seen[s] {
-			return nil, fmt.Errorf("cluster: duplicate site %q", s)
-		}
-		seen[s] = true
 	}
 	if err := validDecisionPlane(cfg.DecisionPlane); err != nil {
 		return nil, err
@@ -126,17 +125,37 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:     cfg,
 		tracing: tracingEnabled(cfg.Tracer),
-		sched:   vclock.NewScheduler(),
 		sites:   map[protocol.SiteID]*Site{},
 		order:   append([]protocol.SiteID{}, cfg.Sites...),
-		ids:     txn.NewIDGen("t"),
-		qids:    txn.NewIDGen("q"),
 	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	c.initMetrics(reg)
+	return c, nil
+}
+
+// New builds a cluster; sites start up immediately.
+func New(cfg Config) (*Cluster, error) {
+	seen := map[protocol.SiteID]bool{}
+	for _, s := range cfg.Sites {
+		if seen[s] {
+			return nil, fmt.Errorf("cluster: duplicate site %q", s)
+		}
+		seen[s] = true
+	}
+	// The scheduler runs one event at a time and simulated time does not
+	// pass during an fsync, so there is nothing for lanes or a
+	// group-commit stage to overlap: one queue, synchronous WAL writes.
+	cfg.Lanes, cfg.SyncWAL = 0, false
+	c, err := newCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg, reg := c.cfg, c.reg
+	c.sched = vclock.NewScheduler()
+	c.ids, c.qids = txn.NewIDGen("t"), txn.NewIDGen("q")
 	c.net = network.New(c.sched, cfg.Net)
 	c.net.Instrument(reg)
 	c.clk = c.sched
@@ -149,29 +168,10 @@ func New(cfg Config) (*Cluster, error) {
 		c.fab = transport.NewBatcher(c.fab, c.sched, p)
 	}
 	for _, id := range cfg.Sites {
-		store := storage.NewStore()
-		if cfg.DataDir != "" {
-			var log *storage.FileLog
-			var err error
-			var stats storage.RecoverStats
-			store, log, stats, err = storage.OpenFileStoreFS(cfg.DiskFS, filepath.Join(cfg.DataDir, string(id)+".wal"))
-			if err != nil {
-				return nil, fmt.Errorf("cluster: site %s: %w", id, err)
-			}
-			if stats.CorruptReads > 0 {
-				reg.Counter("storage.corrupt.reads", metrics.L("site", string(id))).Add(int64(stats.CorruptReads))
-			}
-			c.logs = append(c.logs, log)
-			// Polyvalues recovered from a previous process join the
-			// population gauge with install time = this cluster's epoch.
-			c.seedLifecycle(id, store.PolyItems())
+		s, err := c.openSite(id)
+		if err != nil {
+			return nil, err
 		}
-		store.Instrument(reg, string(id))
-		s := newSite(c, id, store, nil)
-		if len(c.logs) > 0 && cfg.DataDir != "" {
-			s.flog = c.logs[len(c.logs)-1]
-		}
-		c.sites[id] = s
 		c.fab.Register(id, s.onMessage)
 	}
 	// Process-restart semantics for persistent clusters: any site that
@@ -180,12 +180,46 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.DataDir != "" {
 		for _, id := range cfg.Sites {
 			site := c.sites[id]
-			c.clk.At(0, func() {
-				site.do(func() { site.recoverDurableState() })
-			})
+			c.dispatch(site, "", site.recoverDurableState, wait)
 		}
 	}
 	return c, nil
+}
+
+// openSite builds one site's store — file-backed when DataDir is set,
+// with the group-commit stage in front of the file when SyncWAL asks for
+// one — and starts the site over it.
+func (c *Cluster) openSite(id protocol.SiteID) (*Site, error) {
+	store := storage.NewStore()
+	var flog *storage.FileLog
+	var glog *storage.GroupLog
+	if c.cfg.DataDir != "" {
+		var stats storage.RecoverStats
+		var err error
+		store, flog, stats, err = storage.OpenFileStoreFS(c.cfg.DiskFS, filepath.Join(c.cfg.DataDir, string(id)+".wal"))
+		if err != nil {
+			return nil, fmt.Errorf("cluster: site %s: %w", id, err)
+		}
+		if stats.CorruptReads > 0 {
+			c.reg.Counter("storage.corrupt.reads", metrics.L("site", string(id))).Add(int64(stats.CorruptReads))
+		}
+		c.logs = append(c.logs, flog)
+		// Polyvalues recovered from a previous process join the
+		// population gauge with install time = this cluster's epoch.
+		c.seedLifecycle(id, store.PolyItems())
+		if c.cfg.SyncWAL {
+			// Durable mode: WAL frames route through the group-commit
+			// stage and each site event waits for its records before its
+			// outputs leave the site.
+			glog = storage.NewGroupLog(flog, c.cfg.GroupCommitWindow)
+			store.SetWALSink(glog)
+			c.glogs = append(c.glogs, glog)
+		}
+	}
+	store.Instrument(c.reg, string(id))
+	s := newSite(c, id, store, flog, glog)
+	c.sites[id] = s
+	return s, nil
 }
 
 // Close stops every site goroutine, stops the wall clock and transport
@@ -283,59 +317,31 @@ func (c *Cluster) SubmitProgram(coord protocol.SiteID, p expr.Program) (*Handle,
 		TID: t.ID, submitted: c.clk.Now(), done: make(chan struct{}),
 		release: site.admission.Release,
 	}
-	c.dispatch(site, t.ID, func() { site.beginTxn(t, h) })
+	c.dispatch(site, t.ID, func() { site.beginTxn(t, h) }, wait)
 	return h, nil
 }
 
-// dispatch hands fn to a site's serialized loop "now".  The simulated
-// runtime routes it through the scheduler so it interleaves
-// deterministically with every other event; on a wall clock the site
-// mailbox is already the serialization point and a zero-delay timer per
+// dispatch hands fn to a site as an event "now".  The simulated runtime
+// routes it through the scheduler, and waits for it there, so it
+// interleaves deterministically with every other event (and never sheds:
+// determinism must not depend on queue depth).  On a wall clock the site
+// queue is already the serialization point and a zero-delay timer per
 // submit would be pure overhead (lock + map churn + an extra goroutine
-// on the submit hot path).
-func (c *Cluster) dispatch(site *Site, tid txn.ID, fn func()) {
-	if c.wall != nil {
-		site.doLane(site.laneFor(tid), fn)
-		return
+// on the submit hot path).  Reports false only when a shed-mode event
+// was shed.
+func (c *Cluster) dispatch(site *Site, tid txn.ID, fn func(), mode enqueueMode) bool {
+	if c.wall == nil {
+		c.clk.At(c.clk.Now(), func() { site.enqueue(tid, siteEvent{fn: fn}, wait) })
+		return true
 	}
-	c.clk.At(c.clk.Now(), func() { site.do(fn) })
-}
-
-// dispatchShed is dispatch for sheddable work (queries): on a wall
-// clock, a full site inbox sheds with ErrOverload instead of blocking
-// the caller behind a backlog of protocol traffic.  The simulated
-// runtime never sheds — its scheduler serializes everything anyway, and
-// determinism must not depend on queue depth.
-func (c *Cluster) dispatchShed(site *Site, tid txn.ID, fn func()) error {
-	if c.wall != nil {
-		if !site.tryDoLane(site.laneFor(tid), fn) {
-			site.inboxShed.Inc()
-			return ErrOverload
-		}
-		return nil
-	}
-	c.clk.At(c.clk.Now(), func() { site.do(fn) })
-	return nil
+	return site.enqueue(tid, siteEvent{fn: fn}, mode)
 }
 
 // Query starts a read-only query (an expression over items) with the
 // given site as coordinator.  The result may be a polyvalue; per §3.4
 // the caller chooses whether to present the uncertainty or wait.
 func (c *Cluster) Query(coord protocol.SiteID, exprSrc string) (*QueryHandle, error) {
-	site, ok := c.sites[coord]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown site %q", coord)
-	}
-	node, err := expr.ParseExpr(exprSrc)
-	if err != nil {
-		return nil, err
-	}
-	qh := newQueryHandle()
-	qid := c.qids.Next()
-	if err := c.dispatchShed(site, qid, func() { site.beginQuery(qid, node, qh, 0) }); err != nil {
-		return nil, err
-	}
-	return qh, nil
+	return c.query(coord, exprSrc, 0)
 }
 
 // QueryCertain is §3.4's second option: "withhold those outputs until
@@ -344,12 +350,18 @@ func (c *Cluster) Query(coord protocol.SiteID, exprSrc string) (*QueryHandle, er
 // time), the handle completes with ErrStillUncertain alongside the
 // uncertain answer, letting the caller decide what to do with it.
 func (c *Cluster) QueryCertain(coord protocol.SiteID, exprSrc string, wait vclock.Time) (*QueryHandle, error) {
+	if wait <= 0 {
+		return nil, fmt.Errorf("cluster: QueryCertain needs a positive wait, got %v", wait)
+	}
+	return c.query(coord, exprSrc, wait)
+}
+
+// query starts a query that withholds an uncertain answer for up to
+// wait (zero: answer at once, polyvalue or not).
+func (c *Cluster) query(coord protocol.SiteID, exprSrc string, wait vclock.Time) (*QueryHandle, error) {
 	site, ok := c.sites[coord]
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown site %q", coord)
-	}
-	if wait <= 0 {
-		return nil, fmt.Errorf("cluster: QueryCertain needs a positive wait, got %v", wait)
 	}
 	node, err := expr.ParseExpr(exprSrc)
 	if err != nil {
@@ -357,9 +369,14 @@ func (c *Cluster) QueryCertain(coord protocol.SiteID, exprSrc string, wait vcloc
 	}
 	qh := newQueryHandle()
 	qid := c.qids.Next()
-	deadline := c.clk.Now() + wait
-	if err := c.dispatchShed(site, qid, func() { site.beginQuery(qid, node, qh, deadline) }); err != nil {
-		return nil, err
+	var certainBy vclock.Time
+	if wait > 0 {
+		certainBy = c.clk.Now() + wait
+	}
+	// Queries are sheddable: a full site queue answers ErrOverload
+	// instead of blocking the caller behind protocol traffic.
+	if !c.dispatch(site, qid, func() { site.beginQuery(qid, node, qh, certainBy) }, shed) {
+		return nil, ErrOverload
 	}
 	return qh, nil
 }

@@ -242,25 +242,29 @@ type Config struct {
 	// not wasted on peers whose messages a breaker would drop anyway.
 	// Must be safe for concurrent use.
 	Suspected func(protocol.SiteID) bool
-	// Lanes > 1 splits each site's event execution across that many
-	// key-sharded lanes (goroutines), routed by transaction ID.  Lanes
-	// are a wall-clock-mode (NewNode) optimization only: protocol state
-	// stays under a single per-site mutex, so lanes overlap only the
-	// blocking group-commit fsync waits, never protocol logic.
-	// Simulated clusters (New) ignore Lanes entirely and remain
-	// single-threaded and seed-reproducible.
+	// Lanes > 1 gives each site that many extra event queues (one
+	// goroutine each), an event with a transaction identity going to the
+	// queue its ID hashes to.  Protocol state stays under a single
+	// per-site mutex, so lanes overlap only the group-commit waits of
+	// SyncWAL, never protocol logic; without SyncWAL they buy nothing.
+	// Lanes <= 1 is the same engine with its one queue.  Simulated
+	// clusters (New) always run one queue and stay seed-reproducible.
 	Lanes int
 	// SyncWAL, with DataDir set, makes every site event durable before
 	// its outputs (protocol sends, client decisions) leave the site:
 	// WAL frames route through a group-commit stage and each event
-	// waits for its records to be fsynced before externalizing.  With
-	// Lanes <= 1 the fsync is paid inline per event (serialized); with
-	// Lanes > 1 concurrent events share one fsync per flush batch.
+	// waits for the flush that covers its records before externalizing.
+	// One fsync retires every event waiting at that moment, so the cost
+	// per event falls as Lanes lets more of them wait at once.
+	// Simulated clusters (New) ignore it: simulated time does not pass
+	// during an fsync.
 	SyncWAL bool
 	// GroupCommitWindow adds a fixed accumulation delay before each
 	// group-commit flush (larger batches, higher latency).  Zero — the
 	// default — flushes as soon as the flusher is free, which still
-	// groups every frame that arrived during the previous fsync.
+	// groups every frame that arrived during the previous fsync.  With
+	// Lanes <= 1 only one event waits at a time, so the window is a
+	// plain per-event delay.
 	GroupCommitWindow time.Duration
 	// DiskFS, with DataDir set, is the filesystem the site's WAL lives
 	// on.  Nil means the real filesystem (storage.OSFS); tests and

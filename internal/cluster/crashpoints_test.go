@@ -79,127 +79,6 @@ func TestCrashBeforePrepare(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeReady: a participant dies after durably logging its
-// prepared record but before its ready message leaves.  The coordinator
-// aborts on ready timeout; the restarted participant recovers the
-// in-doubt record from its WAL, installs polyvalues, and its inquiry
-// learns the abort — values end unchanged.
-func TestCrashBeforeReady(t *testing.T) {
-	c := newTestCluster(t, PolicyPolyvalue)
-	loadInt(t, c, "bsrc", 100)
-	loadInt(t, c, "cdst", 0)
-	if err := c.ArmCrash("B", CrashBeforeReady); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
-	c.RunFor(2 * time.Second)
-
-	if !c.IsDown("B") {
-		t.Fatal("failpoint did not crash the participant")
-	}
-	if h.Status() != StatusAborted {
-		t.Fatalf("status = %v, want aborted on ready timeout", h.Status())
-	}
-	if got := readInt(t, c, "cdst"); got != 0 {
-		t.Errorf("cdst = %d, want 0 (aborted)", got)
-	}
-	// B recovers its prepared record from the WAL, goes in doubt, and
-	// the inquiry resolves to abort.
-	c.Restart("B")
-	c.RunFor(15 * time.Second)
-	if got := readInt(t, c, "bsrc"); got != 100 {
-		t.Errorf("bsrc = %d, want 100 after learned abort", got)
-	}
-	if polys := c.PolyItems(); len(polys) != 0 {
-		t.Errorf("polyvalues survived recovery: %v", polys)
-	}
-	if v := c.CheckInvariants(); len(v) != 0 {
-		t.Errorf("invariant violations: %v", v)
-	}
-}
-
-// TestCrashAfterReady: a participant dies the instant after sending
-// ready — the paper's wait-phase window with the prepared record
-// already durable.  The coordinator commits on the full ready set; the
-// restarted participant converts the recovered record to polyvalues and
-// the outcome inquiry reduces them to the committed values.
-func TestCrashAfterReady(t *testing.T) {
-	c := newTestCluster(t, PolicyPolyvalue)
-	loadInt(t, c, "bsrc", 100)
-	loadInt(t, c, "cdst", 0)
-	if err := c.ArmCrash("B", CrashAfterReady); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
-	c.RunFor(2 * time.Second)
-
-	if !c.IsDown("B") {
-		t.Fatal("failpoint did not crash the participant")
-	}
-	if h.Status() != StatusCommitted {
-		t.Fatalf("status = %v (%s), want committed — B's ready was sent", h.Status(), h.Reason())
-	}
-	if got := readInt(t, c, "cdst"); got != 40 {
-		t.Errorf("cdst = %d, want 40", got)
-	}
-	c.Restart("B")
-	c.RunFor(15 * time.Second)
-	if got := readInt(t, c, "bsrc"); got != 60 {
-		t.Errorf("bsrc = %d, want 60 after recovery", got)
-	}
-	if polys := c.PolyItems(); len(polys) != 0 {
-		t.Errorf("polyvalues survived recovery: %v", polys)
-	}
-	if v := c.CheckInvariants(); len(v) != 0 {
-		t.Errorf("invariant violations: %v", v)
-	}
-}
-
-// TestCrashAfterDecisionLog: the coordinator logs COMMIT durably and
-// dies before announcing it.  Participants time out into polyvalues;
-// when the coordinator restarts, their inquiries pull the outcome from
-// its recovered log and every polyvalue reduces to the committed value.
-// This is the window decision retransmission cannot cover (the resend
-// state is volatile) — the paper's §3.3 inquiry loop is the only way
-// home.
-func TestCrashAfterDecisionLog(t *testing.T) {
-	c := newTestCluster(t, PolicyPolyvalue)
-	loadInt(t, c, "bsrc", 100)
-	loadInt(t, c, "cdst", 0)
-	if err := c.ArmCrash("A", CrashAfterDecisionLog); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
-	c.RunFor(2 * time.Second)
-
-	if !c.IsDown("A") {
-		t.Fatal("failpoint did not crash the coordinator")
-	}
-	if h.Status() != StatusPending {
-		t.Fatalf("status = %v, want pending (decision logged, never announced)", h.Status())
-	}
-	if len(c.PolyItems()) != 2 {
-		t.Fatalf("participants should be in doubt: polys = %v", c.PolyItems())
-	}
-	c.Restart("A")
-	c.RunFor(15 * time.Second)
-	if got := readInt(t, c, "bsrc"); got != 60 {
-		t.Errorf("bsrc = %d, want 60 (commit was durable)", got)
-	}
-	if got := readInt(t, c, "cdst"); got != 40 {
-		t.Errorf("cdst = %d, want 40 (commit was durable)", got)
-	}
-	if polys := c.PolyItems(); len(polys) != 0 {
-		t.Errorf("polyvalues survived recovery: %v", polys)
-	}
-	if st := c.Stats(); st.InDoubt == 0 {
-		t.Error("no in-doubt windows counted — scenario did not exercise the wait phase")
-	}
-	if v := c.CheckInvariants(); len(v) != 0 {
-		t.Errorf("invariant violations: %v", v)
-	}
-}
-
 // TestCrashMidWALAppend: a participant's prepared-record append tears
 // half-way (file-backed WAL) and the site dies with the fragment on
 // disk.  The record never became durable, so the restarted site has no

@@ -1,0 +1,209 @@
+package cluster
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/network"
+	"repro/internal/protocol"
+	"repro/internal/transport"
+	"repro/internal/txn"
+)
+
+// crashRig runs one crash-point scenario on one runtime.  nodes maps each
+// site to the Cluster hosting it: the one simulated cluster for all
+// three, or one wall-clock node each.
+type crashRig struct {
+	sim   *Cluster // nil on the wall-clock runtimes
+	nodes map[protocol.SiteID]*Cluster
+}
+
+// eventually gives cond up to within to become true: simulated time on
+// the scheduler, polled real time on a wall clock.
+func (r *crashRig) eventually(within time.Duration, cond func() bool) bool {
+	if r.sim != nil {
+		r.sim.RunFor(within)
+		return cond()
+	}
+	for deadline := time.Now().Add(within); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if cond() {
+			return true
+		}
+	}
+	return cond()
+}
+
+func simCrashRig(t *testing.T) *crashRig {
+	c := newTestCluster(t, PolicyPolyvalue)
+	return &crashRig{sim: c, nodes: map[protocol.SiteID]*Cluster{"A": c, "B": c, "C": c}}
+}
+
+// wallCrashRig boots sites A, B and C as three wall-clock nodes over
+// loopback TCP, each on its own WAL file.
+func wallCrashRig(t *testing.T, lanes int, syncWAL bool) *crashRig {
+	h := newTunedNodeHarness(t, func(cfg *Config) {
+		cfg.Placement, cfg.Lanes, cfg.SyncWAL = abcPlacement, lanes, syncWAL
+	})
+	return &crashRig{nodes: h.nodes}
+}
+
+// TestCrashPointsOnEveryRuntime pins what a crash point means — what has
+// left the site when it dies — once, for every runtime the one event
+// engine serves: the client outcome and the recovered balances must be
+// the same on the simulated cluster, on wall-clock nodes with a single
+// queue, and on wall-clock nodes with lanes and a group-commit WAL.
+//
+//   - before-ready: the participant's prepared record is durable, its
+//     ready never leaves.  The coordinator aborts on ready timeout; the
+//     restarted participant recovers in doubt and learns the abort.
+//   - after-ready: the paper's wait-phase window — the ready HAS left.
+//     The coordinator commits on the full ready set; the restarted
+//     participant converts the recovered record to polyvalues and the
+//     outcome inquiry reduces them to the committed values.
+//   - after-decision-log: COMMIT is durable at the coordinator and never
+//     announced; the client never hears.  Participants time out into
+//     polyvalues and pull the outcome from the restarted coordinator's
+//     log (the window decision retransmission cannot cover).
+func TestCrashPointsOnEveryRuntime(t *testing.T) {
+	runtimes := []struct {
+		name string
+		boot func(*testing.T) *crashRig
+	}{
+		{"sim", simCrashRig},
+		{"wall", func(t *testing.T) *crashRig { return wallCrashRig(t, 0, false) }},
+		{"wall-lanes-sync", func(t *testing.T) *crashRig { return wallCrashRig(t, 4, true) }},
+	}
+	points := []struct {
+		point      CrashPoint
+		victim     protocol.SiteID
+		client     Status
+		bsrc, cdst int64
+		inDoubt    bool // both participants must pass through polyvalues
+	}{
+		{CrashBeforeReady, "B", StatusAborted, 100, 0, false},
+		{CrashAfterReady, "B", StatusCommitted, 60, 40, false},
+		{CrashAfterDecisionLog, "A", StatusPending, 60, 40, true},
+	}
+	for _, rt := range runtimes {
+		for _, pt := range points {
+			t.Run(rt.name+"/"+string(pt.point), func(t *testing.T) {
+				r := rt.boot(t)
+				a, victim := r.nodes["A"], r.nodes[pt.victim]
+				loadInt(t, r.nodes["B"], "bsrc", 100)
+				loadInt(t, r.nodes["C"], "cdst", 0)
+				if err := victim.ArmCrash(pt.victim, pt.point); err != nil {
+					t.Fatal(err)
+				}
+				h, err := a.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !r.eventually(2*time.Second, func() bool {
+					return victim.IsDown(pt.victim) && (pt.client == StatusPending || h.Status() != StatusPending)
+				}) {
+					t.Fatalf("down=%v status=%v: crash point did not fire or client never heard",
+						victim.IsDown(pt.victim), h.Status())
+				}
+				if h.Status() != pt.client {
+					t.Fatalf("client saw %v (%s), want %v", h.Status(), h.Reason(), pt.client)
+				}
+				uncertain := func(item string, n *Cluster) bool {
+					_, certain := n.Read(item).IsCertain()
+					return !certain
+				}
+				if pt.inDoubt && !r.eventually(2*time.Second, func() bool {
+					return uncertain("bsrc", r.nodes["B"]) && uncertain("cdst", r.nodes["C"])
+				}) {
+					t.Fatal("participants never went in doubt")
+				}
+				victim.Restart(pt.victim)
+				settled := func(item string, n *Cluster, want int64) bool {
+					return !uncertain(item, n) && readInt(t, n, item) == want
+				}
+				if !r.eventually(15*time.Second, func() bool {
+					return settled("bsrc", r.nodes["B"], pt.bsrc) && settled("cdst", r.nodes["C"], pt.cdst)
+				}) {
+					t.Fatalf("recovered bsrc=%v cdst=%v, want %d/%d",
+						r.nodes["B"].Read("bsrc"), r.nodes["C"].Read("cdst"), pt.bsrc, pt.cdst)
+				}
+				for id, n := range r.nodes {
+					if v := n.CheckInvariants(); len(v) != 0 {
+						t.Errorf("site %s invariant violations: %v", id, v)
+					}
+					if r.sim != nil {
+						break // one cluster hosts all three
+					}
+				}
+			})
+		}
+	}
+}
+
+// slowPrepare is a transport that holds one transaction's prepare to
+// one site back by a fixed delay.
+type slowPrepare struct {
+	transport.Transport
+	c   *Cluster
+	tid txn.ID
+	to  protocol.SiteID
+	by  time.Duration
+}
+
+func (f *slowPrepare) Send(msg protocol.Message) {
+	if msg.Kind == protocol.MsgPrepare && msg.TID == f.tid && msg.To == f.to {
+		f.c.sched.After(f.by, func() { f.Transport.Send(msg) })
+		return
+	}
+	f.Transport.Send(msg)
+}
+
+// TestLatePrepareAfterLockLapse: a prepare that arrives after the lock
+// timeout abandoned the transaction's read locks must be refused.  The
+// coordinator computed from a snapshot those locks no longer protect; a
+// second transaction has updated the item in between, and preparing from
+// the snapshot would overwrite that update (a lost update: 30 units
+// minted from nothing).
+func TestLatePrepareAfterLockLapse(t *testing.T) {
+	c, err := New(Config{
+		Sites:       []protocol.SiteID{"A", "B", "C"},
+		Net:         network.Config{Latency: 10 * time.Millisecond, Seed: 1},
+		LockTimeout: 50 * time.Millisecond,
+		Placement:   abcPlacement,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	loadInt(t, c, "adst", 0)
+	loadInt(t, c, "bsrc", 100)
+	loadInt(t, c, "cdst", 0)
+	// T1 read-locks bsrc at B at 10ms and reads 100; its prepare to B is
+	// held from 20ms until 120ms, past B's lock timeout at 60ms.
+	slow := &slowPrepare{Transport: c.fab, c: c, to: "B", by: 100 * time.Millisecond}
+	c.fab = slow
+	h1, _ := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
+	slow.tid = h1.TID
+	// T2 moves 30 out of bsrc in the gap: locked at 80ms, settled at 120ms.
+	var h2 *Handle
+	c.sched.After(70*time.Millisecond, func() {
+		h2, _ = c.Submit("C", "bsrc = bsrc - 30; adst = adst + 30")
+	})
+	c.RunFor(5 * time.Second)
+
+	if h2 == nil || h2.Status() != StatusCommitted {
+		t.Fatalf("T2 should commit in the gap, got %+v", h2)
+	}
+	if h1.Status() != StatusAborted || h1.Reason() != "refused: read lock lapsed at B" {
+		t.Fatalf("T1 = %v (%q), want refused: read lock lapsed at B", h1.Status(), h1.Reason())
+	}
+	a, b, cc := readInt(t, c, "adst"), readInt(t, c, "bsrc"), readInt(t, c, "cdst")
+	if a != 30 || b != 70 || cc != 0 {
+		t.Errorf("adst=%d bsrc=%d cdst=%d, want 30/70/0", a, b, cc)
+	}
+	if a+b+cc != 100 {
+		t.Errorf("conservation violated: %d, want 100", a+b+cc)
+	}
+	if v := c.CheckInvariants(); len(v) != 0 {
+		t.Errorf("invariant violations: %v", v)
+	}
+}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
@@ -131,12 +130,7 @@ func (c *Cluster) CheckInvariants() []string {
 					rep{site: id, item: item, p: site.store.Get(item), ver: site.store.Version(item)})
 			}
 		}
-		logicals := make([]string, 0, len(byLogical))
-		for logical := range byLogical {
-			logicals = append(logicals, logical)
-		}
-		sort.Strings(logicals)
-		for _, logical := range logicals {
+		for _, logical := range sortedKeys(byLogical) {
 			reps := byLogical[logical]
 			ref := reps[0]
 			for _, r := range reps {

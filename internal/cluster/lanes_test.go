@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
-	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -26,97 +24,12 @@ func lanePlacement(item string) protocol.SiteID {
 	return "A"
 }
 
-// laneHarness is a nodeHarness variant booting every site with execution
+// newLaneHarness is a nodeHarness booting every site with execution
 // lanes and synchronous group-commit durability enabled.
-type laneHarness struct {
-	t     *testing.T
-	dir   string
-	peers map[protocol.SiteID]string
-	mu    sync.Mutex
-	nodes map[protocol.SiteID]*Cluster
-}
-
-func newLaneHarness(t *testing.T) *laneHarness {
-	t.Helper()
-	h := &laneHarness{
-		t:     t,
-		dir:   t.TempDir(),
-		peers: map[protocol.SiteID]string{},
-		nodes: map[protocol.SiteID]*Cluster{},
-	}
-	lns := map[protocol.SiteID]net.Listener{}
-	for _, id := range laneSites {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[id] = ln
-		h.peers[id] = ln.Addr().String()
-	}
-	for _, id := range laneSites {
-		h.start(id, lns[id])
-	}
-	t.Cleanup(func() {
-		for _, n := range h.nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
+func newLaneHarness(t *testing.T) *nodeHarness {
+	return newTunedNodeHarness(t, func(cfg *Config) {
+		cfg.Placement, cfg.Lanes, cfg.SyncWAL = lanePlacement, 8, true
 	})
-	return h
-}
-
-func (h *laneHarness) start(id protocol.SiteID, ln net.Listener) {
-	h.t.Helper()
-	if ln == nil {
-		var err error
-		for i := 0; i < 50; i++ {
-			ln, err = net.Listen("tcp", h.peers[id])
-			if err == nil {
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		if err != nil {
-			h.t.Fatalf("rebind %s: %v", h.peers[id], err)
-		}
-	}
-	fab := transport.NewTCPWithListener(transport.TCPConfig{
-		Self:       id,
-		Peers:      h.peers,
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 100 * time.Millisecond,
-		Seed:       int64(len(id)),
-	}, ln)
-	node, err := NewNode(Config{
-		Sites:             laneSites,
-		WaitTimeout:       100 * time.Millisecond,
-		ReadyTimeout:      500 * time.Millisecond,
-		RetryInterval:     100 * time.Millisecond,
-		Placement:         lanePlacement,
-		DataDir:           h.dir,
-		Lanes:             8,
-		SyncWAL:           true,
-		GroupCommitWindow: 0,
-	}, id, fab)
-	if err != nil {
-		h.t.Fatalf("NewNode(%s): %v", id, err)
-	}
-	h.mu.Lock()
-	h.nodes[id] = node
-	h.mu.Unlock()
-}
-
-func (h *laneHarness) node(id protocol.SiteID) *Cluster {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.nodes[id]
-}
-
-func (h *laneHarness) restart(id protocol.SiteID) {
-	h.t.Helper()
-	h.node(id).Close()
-	h.start(id, nil)
 }
 
 func laneTransfer(from, to string, amount int) string {
@@ -128,7 +41,7 @@ func laneTransfer(from, to string, amount int) string {
 // workers — some on worker-private (disjoint) account pairs that land in
 // different lanes, some on a shared hot set that collides across lanes —
 // with a crash point armed and a kill/restart cycle in the middle.  Run
-// under -race this is the tentpole's data-race audit; the final
+// under -race this is the event engine's data-race audit; the final
 // conservation check is the correctness audit.  (The seeded simulated
 // harnesses stay single-threaded by design; this test is wall-clock on
 // purpose.)
@@ -144,7 +57,7 @@ func TestLaneStress(t *testing.T) {
 	const initial = 100
 	for i := 0; i < accounts; i++ {
 		item := fmt.Sprintf("la%d", i)
-		if err := h.node(lanePlacement(item)).Load(item, polyvalue.Simple(value.Int(initial))); err != nil {
+		if err := h.nodes[lanePlacement(item)].Load(item, polyvalue.Simple(value.Int(initial))); err != nil {
 			t.Fatalf("load %s: %v", item, err)
 		}
 	}
@@ -186,7 +99,7 @@ func TestLaneStress(t *testing.T) {
 			go func(w int, js []job) {
 				defer wg.Done()
 				for _, j := range js {
-					n := h.node(j.coord)
+					n := h.nodes[j.coord]
 					hd, err := n.Submit(j.coord, laneTransfer(j.from, j.to, 5))
 					if err != nil {
 						// Refused (admission, site down after the armed
@@ -206,50 +119,58 @@ func TestLaneStress(t *testing.T) {
 	// Arm the decided-but-unannounced crash window on B, push one more
 	// phase through it (B dies at its next commit decision, stranding
 	// its participants in doubt), then bring B back from its WAL.
-	if err := h.node("B").ArmCrash("B", CrashAfterDecisionLog); err != nil {
+	if err := h.nodes["B"].ArmCrash("B", CrashAfterDecisionLog); err != nil {
 		t.Fatalf("arm crash: %v", err)
 	}
 	runPhase("crash")
-	h.restart("B")
+	h.kill("B")
+	h.start("B", nil)
 	runPhase("recovered")
 
-	// Conservation audit: every account must settle certain and the
-	// total must still be exactly accounts*initial — committed transfers
-	// move money, aborted ones move none, nothing may be lost or minted
-	// across lanes, group commits, the crash, or recovery.
-	deadline := time.Now().Add(45 * time.Second)
-	for {
-		total := int64(0)
-		settled := true
-		for i := 0; i < accounts; i++ {
-			item := fmt.Sprintf("la%d", i)
-			v, ok := h.node(lanePlacement(item)).Read(item).IsCertain()
-			if !ok {
-				settled = false
-				break
+	// Conservation audit.  A handle decides before the complete messages
+	// fan out, so "the workers have drained" is not yet "the cluster is
+	// quiet": a committed transfer's credit can be installed while its
+	// debit is still in flight.  Wait for quiescence first — no locks, no
+	// prepared or awaited transactions, no polyvalues at any site — and
+	// only then read the accounts, once.  The total must be exactly
+	// accounts*initial: committed transfers move money, aborted ones move
+	// none, nothing may be lost or minted across lanes, group commits,
+	// the crash, or recovery.
+	quiet := func() bool {
+		for _, id := range laneSites {
+			info, err := h.nodes[id].SiteInfo(id)
+			if err != nil || info.Locks+info.Prepared+info.Awaits+info.PolyItems > 0 {
+				return false
 			}
-			iv, ok := v.(value.Int)
-			if !ok {
-				t.Fatalf("%s settled non-int %v", item, v)
-			}
-			total += int64(iv)
 		}
-		if settled {
-			if total != accounts*initial {
-				t.Fatalf("conservation violated: total %d, want %d", total, accounts*initial)
-			}
-			break
-		}
+		return true
+	}
+	for deadline := time.Now().Add(45 * time.Second); !quiet(); time.Sleep(20 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("accounts never all settled certain")
+			t.Fatalf("cluster never went quiet")
 		}
-		time.Sleep(20 * time.Millisecond)
+	}
+	total := int64(0)
+	for i := 0; i < accounts; i++ {
+		item := fmt.Sprintf("la%d", i)
+		v, ok := h.nodes[lanePlacement(item)].Read(item).IsCertain()
+		if !ok {
+			t.Fatalf("%s uncertain on a quiet cluster: %v", item, h.nodes[lanePlacement(item)].Read(item))
+		}
+		iv, ok := v.(value.Int)
+		if !ok {
+			t.Fatalf("%s settled non-int %v", item, v)
+		}
+		total += int64(iv)
+	}
+	if total != accounts*initial {
+		t.Fatalf("conservation violated: total %d, want %d", total, accounts*initial)
 	}
 
-	// The tentpole's reason to exist: with lanes on, group commit must
-	// actually have grouped — strictly fewer fsync batches than frames.
+	// What lanes are for: group commit must actually have grouped — no
+	// more fsync batches than frames.
 	for _, id := range laneSites {
-		n := h.node(id)
+		n := h.nodes[id]
 		for _, g := range n.glogs {
 			frames, syncs := g.SyncBatches()
 			if frames > 0 && syncs > frames {

@@ -120,13 +120,13 @@ func (c *Cluster) initMetrics(reg *metrics.Registry) {
 	c.aeItemsCopied = reg.Counter("antientropy.items.copied")
 	c.installAt = map[lifeKey]vclock.Time{}
 	c.residency = map[protocol.SiteID]*metrics.Histogram{}
-	if c.wall != nil && c.cfg.Lanes > 1 {
-		// Hot-path histograms are observed concurrently in lane mode:
-		// committed-latency lands in outbox flushes outside the site
-		// mutex, and an in-process bench shares one registry across
+	if c.cfg.Lanes > 1 {
+		// With lanes the hot-path histograms are observed concurrently:
+		// committed-latency lands when effects are released, outside the
+		// site mutex, and an in-process bench shares one registry across
 		// several node clusters.  Stripe them so the histogram mutex
-		// stops serializing lanes; sim clusters never reach here and
-		// keep the exact single-lock reservoir.
+		// stops serializing lanes; a single-queue site keeps the exact
+		// single-lock reservoir.
 		for _, h := range []*metrics.Histogram{
 			c.latency, c.lifetime,
 			c.phaseRead, c.phasePrepare, c.phaseWait, c.phaseSettle,

@@ -2,14 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/protocol"
-	"repro/internal/replica"
-	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/vclock"
@@ -37,28 +34,14 @@ func NewNode(cfg Config, self protocol.SiteID, fab transport.Transport) (*Cluste
 	if fab == nil {
 		return nil, fmt.Errorf("cluster: NewNode needs a transport")
 	}
-	if len(cfg.Sites) == 0 {
-		return nil, fmt.Errorf("cluster: no sites configured")
+	c, err := newCluster(cfg)
+	if err != nil {
+		return nil, err
 	}
-	found := false
-	for _, s := range cfg.Sites {
-		if s == self {
-			found = true
-		}
-	}
-	if !found {
+	cfg = c.cfg
+	if !slices.Contains(cfg.Sites, self) {
 		return nil, fmt.Errorf("cluster: self %q not in site list %v", self, cfg.Sites)
 	}
-	if err := validDecisionPlane(cfg.DecisionPlane); err != nil {
-		return nil, err
-	}
-	if err := validReplication(&cfg); err != nil {
-		return nil, err
-	}
-	if cfg.Replication != nil && cfg.Placement == nil {
-		cfg.Placement = replica.Placement(append([]protocol.SiteID{}, cfg.Sites...))
-	}
-	cfg.fillDefaults()
 	// Transaction IDs must never recur across incarnations of the same
 	// site: the WAL outlives the process, so a reborn in-memory counter
 	// would mint IDs that collide with an earlier life's durable outcome
@@ -70,72 +53,30 @@ func NewNode(cfg Config, self protocol.SiteID, fab transport.Transport) (*Cluste
 	if cfg.DataDir != "" {
 		prefix += strconv.FormatInt(time.Now().UnixNano(), 36)
 	}
-	wall := vclock.NewWall()
-	c := &Cluster{
-		cfg:     cfg,
-		tracing: tracingEnabled(cfg.Tracer),
-		clk:     wall,
-		wall:    wall,
-		fab:     fab,
-		sites:   map[protocol.SiteID]*Site{},
-		order:   append([]protocol.SiteID{}, cfg.Sites...),
-		ids:     txn.NewIDGen(prefix),
-		qids:    txn.NewIDGen(string(self) + ".q"),
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	c.initMetrics(reg)
+	c.wall = vclock.NewWall()
+	c.clk, c.fab, c.deliver = c.wall, fab, async
+	c.ids, c.qids = txn.NewIDGen(prefix), txn.NewIDGen(string(self)+".q")
 
-	store := storage.NewStore()
+	s, err := c.openSite(self)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.DataDir == "" {
 		// No durable medium: skip WAL record framing on every mutation
 		// (a real process crash loses the in-memory store regardless).
-		store.SetVolatile()
+		s.store.SetVolatile()
 	}
-	if cfg.DataDir != "" {
-		var log *storage.FileLog
-		var err error
-		var stats storage.RecoverStats
-		store, log, stats, err = storage.OpenFileStoreFS(cfg.DiskFS, filepath.Join(cfg.DataDir, string(self)+".wal"))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: site %s: %w", self, err)
-		}
-		if stats.CorruptReads > 0 {
-			reg.Counter("storage.corrupt.reads", metrics.L("site", string(self))).Add(int64(stats.CorruptReads))
-		}
-		c.logs = append(c.logs, log)
-		c.seedLifecycle(self, store.PolyItems())
-	}
-	store.Instrument(reg, string(self))
-	var glog *storage.GroupLog
-	if cfg.SyncWAL && cfg.DataDir != "" {
-		// Durable mode: WAL frames route through the group-commit stage
-		// and each site event waits for its records before its outputs
-		// leave the site (see lanes.go).  With lanes off the wait is an
-		// inline per-event fsync; with lanes on, one fsync retires every
-		// event parked in WaitSynced.
-		glog = storage.NewGroupLog(c.logs[0], cfg.GroupCommitWindow)
-		store.SetWALSink(glog)
-		c.glogs = append(c.glogs, glog)
-	}
-	s := newSite(c, self, store, glog)
-	if len(c.logs) > 0 {
-		s.flog = c.logs[0]
-	}
-	c.sites[self] = s
 	fab.Register(self, s.onMessage)
 	if br, ok := fab.(transport.BatchReceiver); ok {
-		// Whole decoded frames become one site event each instead of one
-		// per message.
+		// A whole decoded frame becomes one site event per queue it
+		// touches instead of one per message.
 		br.RegisterBatch(self, s.onMessageBatch)
 	}
 	// Recover durable state synchronously, before any network traffic can
 	// interleave: in-doubt transactions convert exactly as a site restart
 	// would, and their outcome-request loops start ticking on the wall.
 	if cfg.DataDir != "" {
-		s.do(func() { s.recoverDurableState() })
+		c.dispatch(s, "", s.recoverDurableState, wait)
 	}
 	return c, nil
 }

@@ -20,6 +20,9 @@ type nodeHarness struct {
 	dir   string
 	peers map[protocol.SiteID]string
 	nodes map[protocol.SiteID]*Cluster
+	// tune, when set, adjusts each node's Config before boot (placement,
+	// lanes, durability).
+	tune func(*Config)
 }
 
 var nodeSites = []protocol.SiteID{"A", "B", "C"}
@@ -36,10 +39,13 @@ func nodePlacement(item string) protocol.SiteID {
 	return "A"
 }
 
-func newNodeHarness(t *testing.T) *nodeHarness {
+func newNodeHarness(t *testing.T) *nodeHarness { return newTunedNodeHarness(t, nil) }
+
+func newTunedNodeHarness(t *testing.T, tune func(*Config)) *nodeHarness {
 	t.Helper()
 	h := &nodeHarness{
 		t:     t,
+		tune:  tune,
 		dir:   t.TempDir(),
 		peers: map[protocol.SiteID]string{},
 		nodes: map[protocol.SiteID]*Cluster{},
@@ -91,14 +97,18 @@ func (h *nodeHarness) start(id protocol.SiteID, ln net.Listener) *Cluster {
 		BackoffMax: 100 * time.Millisecond,
 		Seed:       int64(len(id)),
 	}, ln)
-	node, err := NewNode(Config{
+	cfg := Config{
 		Sites:         nodeSites,
 		WaitTimeout:   100 * time.Millisecond,
 		ReadyTimeout:  500 * time.Millisecond,
 		RetryInterval: 100 * time.Millisecond,
 		Placement:     nodePlacement,
 		DataDir:       h.dir,
-	}, id, fab)
+	}
+	if h.tune != nil {
+		h.tune(&cfg)
+	}
+	node, err := NewNode(cfg, id, fab)
 	if err != nil {
 		h.t.Fatalf("NewNode(%s): %v", id, err)
 	}

@@ -39,7 +39,6 @@ package cluster
 // chooses.
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -649,11 +648,7 @@ func siteIDs(sites []string) []protocol.SiteID {
 // acceptedInsts flattens a storage entry's accepted votes for the wire,
 // sorted by instance for deterministic encodings.
 func acceptedInsts(e storage.PaxosEntry) []protocol.PaxosInst {
-	insts := make([]string, 0, len(e.Accepted))
-	for inst := range e.Accepted {
-		insts = append(insts, inst)
-	}
-	sort.Strings(insts)
+	insts := sortedKeys(e.Accepted)
 	out := make([]protocol.PaxosInst, 0, len(insts))
 	for _, inst := range insts {
 		a := e.Accepted[inst]

@@ -81,12 +81,7 @@ func (q *quorumCtx) winner(logical string) (val polyvalue.Poly, idx int, ver uin
 
 // sortedLogicals returns the tracked logical names in sorted order.
 func (q *quorumCtx) sortedLogicals() []string {
-	out := make([]string, 0, len(q.needed))
-	for logical := range q.needed {
-		out = append(out, logical)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(q.needed)
 }
 
 // beginQuorumTxn is beginTxn for quorum replication: validate the
@@ -139,7 +134,7 @@ func (s *Site) beginQuorumTxn(t txn.T, h *Handle) {
 	}
 	// All probed sites are participants until prepare narrows the set:
 	// a read-phase abort then fans to every site that might hold locks.
-	ctx.participants = sortedSites(probe)
+	ctx.participants = sortedKeys(probe)
 	s.coords[t.ID] = ctx
 	if ctx.deadline > 0 {
 		ctx.deadlineTimer = s.after(s.c.cfg.TxnDeadline, func() { s.onTxnDeadline(t.ID) })
@@ -196,7 +191,7 @@ func (s *Site) beginQuorumQuery(qid txn.ID, node expr.Node, qh *QueryHandle, cer
 		s.finishQuery(ctx)
 		return
 	}
-	for _, site := range sortedSites(probe) {
+	for _, site := range sortedKeys(probe) {
 		items := probe[site]
 		sort.Strings(items)
 		ctx.readWait[site] = true
@@ -301,12 +296,7 @@ func (s *Site) sendQuorumPrepares(ctx *coordCtx) {
 	for site := range ctx.readWait {
 		s.send(protocol.Message{Kind: protocol.MsgReadRelease, TID: ctx.tid, To: site})
 	}
-	resp := make([]protocol.SiteID, 0, len(q.responded))
-	for site := range q.responded {
-		resp = append(resp, site)
-	}
-	sort.Slice(resp, func(i, j int) bool { return resp[i] < resp[j] })
-	ctx.participants = resp
+	ctx.participants = sortedKeys(q.responded)
 	ctx.machine = protocol.NewCoordinator(ctx.tid, ctx.participants)
 	ctx.machine.Instrument(s.c.reg)
 	if s.paxosPlane() {

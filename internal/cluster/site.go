@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,28 +20,25 @@ import (
 	"repro/internal/vclock"
 )
 
-// Site is one database node: a goroutine processing one event at a time.
-// All fields are owned by the site goroutine; the controller interacts
-// only through do().
+// Site is one database node.  Its protocol state — everything from down
+// on — is guarded by stateMu and touched only from inside a site event
+// (see engine.go); the controller interacts only through enqueue.
 type Site struct {
 	id    protocol.SiteID
 	c     *Cluster
 	store *storage.Store
 
-	inbox chan siteEvent
-	quit  chan struct{}
-	once  sync.Once
+	// queues are the event queues, one goroutine each: queues[0] alone
+	// with Config.Lanes <= 1, plus one per lane otherwise.
+	queues []chan siteEvent
+	quit   chan struct{}
+	once   sync.Once
 
-	// Lane engine (see lanes.go).  laneQs is nil when lanes are off —
-	// the seed single-goroutine path.  When set (wall-clock mode,
-	// Config.Lanes > 1), events route to laneQs[laneFor(tid)] and every
-	// event on every lane runs under stateMu; outbox stages the running
-	// event's outputs for post-durability release.  glog is the
-	// group-commit WAL stage (Config.SyncWAL with a DataDir); it also
-	// activates outbox mode with lanes off, paying the fsync inline.
-	laneQs  []chan siteEvent
+	// stateMu serializes events; fx is the running event's staged
+	// outputs.  glog is the group-commit WAL stage (Config.SyncWAL with a
+	// DataDir); when set, an event's outputs wait for its WAL bytes.
 	stateMu sync.Mutex
-	outbox  *outbox
+	fx      []effect
 	glog    *storage.GroupLog
 
 	down bool
@@ -108,8 +107,9 @@ type Site struct {
 	// size; while exhausted, in-doubt participants degrade to blocking
 	// 2PC instead of installing more polyvalues.
 	budget *guard.Budget
-	// inboxDepth/inboxHWM/inboxShed observe the event queue; hwm is the
-	// loop-goroutine-local high-water mark behind the gauge.
+	// inboxDepth/inboxHWM/inboxShed observe the event queues: events
+	// queued across all of them, the deepest any one has been at a
+	// dequeue (hwm is the value behind the gauge), and events shed.
 	inboxDepth *metrics.Gauge
 	inboxHWM   *metrics.Gauge
 	inboxShed  *metrics.Counter
@@ -138,19 +138,6 @@ type Site struct {
 	// ack arrives (the coordinator context is gone by then).
 	spanOf map[txn.ID]trace.SpanID
 }
-
-// siteEvent is one queued closure for the site goroutine; done, when
-// non-nil, is closed after fn runs (the synchronous do() path).
-type siteEvent struct {
-	fn   func()
-	done chan struct{}
-}
-
-// siteInboxDepth buffers the event queue so wall-clock posters (TCP
-// read loops, timers) hand off without a rendezvous.  The simulated
-// runtime's do() waits for completion regardless, so buffering does not
-// affect determinism.
-const siteInboxDepth = 256
 
 // retryState is one in-doubt transaction's outcome-request loop.
 type retryState struct {
@@ -243,10 +230,9 @@ type coordCtx struct {
 	span trace.SpanID
 }
 
-func newSite(c *Cluster, id protocol.SiteID, store *storage.Store, glog *storage.GroupLog) *Site {
+func newSite(c *Cluster, id protocol.SiteID, store *storage.Store, flog *storage.FileLog, glog *storage.GroupLog) *Site {
 	s := &Site{
-		id: id, c: c, store: store, glog: glog,
-		inbox:       make(chan siteEvent, siteInboxDepth),
+		id: id, c: c, store: store, flog: flog, glog: glog,
 		quit:        make(chan struct{}),
 		armed:       map[CrashPoint]bool{},
 		locks:       map[string]txn.ID{},
@@ -273,183 +259,27 @@ func newSite(c *Cluster, id protocol.SiteID, store *storage.Store, glog *storage
 	s.blockedLock = c.reg.Histogram("item.blocked.seconds", l, metrics.L("cause", causeLock))
 	s.blockedIndoubt = c.reg.Histogram("item.blocked.seconds", l, metrics.L("cause", causeInDoubt))
 	s.blockedDegraded = c.reg.Histogram("item.blocked.seconds", l, metrics.L("cause", causeDegraded))
-	if c.wall != nil && c.cfg.Lanes > 1 {
-		s.laneQs = make([]chan siteEvent, c.cfg.Lanes)
-		for i := range s.laneQs {
-			s.laneQs[i] = make(chan siteEvent, siteInboxDepth)
-			go s.laneLoop(s.laneQs[i])
-		}
+	s.queues = make([]chan siteEvent, 1)
+	if c.cfg.Lanes > 1 {
+		s.queues = make([]chan siteEvent, 1+c.cfg.Lanes)
 	}
-	go s.loop()
+	for i := range s.queues {
+		s.queues[i] = make(chan siteEvent, siteInboxDepth)
+	}
+	for _, q := range s.queues {
+		go s.loop(q)
+	}
 	if c.cfg.Replication != nil && len(c.cfg.Sites) > 1 {
-		// Serialize the timer-ID write onto the site goroutine, like
+		// The timer-ID write is site state: run it as an event, like
 		// every later re-arm.
 		s.do(func() { s.armGossip() })
 	}
 	return s
 }
 
-// loop is the site goroutine: it processes one event at a time and
-// acknowledges the synchronous ones, so a dispatching do() blocks until
-// the site is done — this serialization is what makes cluster runs
-// deterministic in the simulated runtime.  Asynchronous events (post)
-// carry no ack channel: the wall-clock runtime pipelines message
-// delivery through the buffered inbox without stalling TCP read loops
-// on handler completion, while the per-site goroutine still serializes
-// all state access.
-func (s *Site) loop() {
-	for {
-		select {
-		case <-s.quit:
-			return
-		case ev := <-s.inbox:
-			// Queue depth as observed at dequeue (this event included);
-			// the high-water mark is what overload post-mortems read.
-			if n := len(s.inbox) + 1; n > s.hwm {
-				s.hwm = n
-				s.inboxHWM.Set(int64(n))
-			}
-			s.exec(ev)
-			s.inboxDepth.Set(int64(len(s.inbox)))
-		}
-	}
-}
-
-// do runs fn on the site goroutine and waits for completion.  After
-// close, fn is silently dropped — late timers and deliveries racing a
-// wall-clock shutdown land here.
-func (s *Site) do(fn func()) {
-	done := make(chan struct{})
-	select {
-	case s.inbox <- siteEvent{fn: fn, done: done}:
-		select {
-		case <-done:
-		case <-s.quit:
-		}
-	case <-s.quit:
-	}
-}
-
-// post queues fn on the site goroutine WITHOUT waiting for it to run —
-// the wall-clock fast path.  Events still execute strictly in queue
-// order on the one site goroutine; only the caller's rendezvous is
-// gone.  Never used by the simulated runtime, whose determinism depends
-// on do()'s synchronous handoff.
-func (s *Site) post(fn func()) {
-	select {
-	case s.inbox <- siteEvent{fn: fn}:
-	case <-s.quit:
-	}
-}
-
-// tryDo queues fn like post but sheds instead of blocking when the
-// inbox is full: the overload path for non-protocol work (queries) in
-// the wall-clock runtime, where a stalled caller would otherwise sit
-// behind protocol traffic.  Returns false when the event was shed; a
-// closed site reports true (the work is silently dropped, matching
-// do/post semantics).
-func (s *Site) tryDo(fn func()) bool {
-	select {
-	case s.inbox <- siteEvent{fn: fn}:
-		return true
-	case <-s.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// close stops the goroutine.  Idempotent; pending do() callers unblock
-// without running.
+// close stops the queue goroutines.  Idempotent; pending wait-mode
+// callers unblock without running.
 func (s *Site) close() { s.once.Do(func() { close(s.quit) }) }
-
-// onMessage is the network delivery handler.  The simulated runtime
-// calls it from scheduler events and needs the synchronous handoff for
-// determinism; the wall-clock runtime posts asynchronously so a TCP
-// read loop (which may have just decoded a whole batch) queues the
-// messages and moves on instead of stalling a round-trip per message.
-// onMessageBatch handles a whole same-destination frame as ONE site
-// event (wall-clock runtime only: the TCP transport's batch delivery
-// path).  The transport hands over ownership of the slice, so it can
-// cross the goroutine boundary without a copy.
-func (s *Site) onMessageBatch(msgs []protocol.Message) {
-	if s.laneQs != nil {
-		// Lane fan-out: split the frame into per-lane runs, preserving
-		// arrival order within each lane (all of one transaction's
-		// messages share a lane, so per-TID FIFO survives).  Each run
-		// is one event on its lane.
-		for start := 0; start < len(msgs); {
-			lane := s.laneFor(msgs[start].TID)
-			end := start + 1
-			for end < len(msgs) && s.laneFor(msgs[end].TID) == lane {
-				end++
-			}
-			run := msgs[start:end]
-			s.postLane(lane, func() {
-				if s.down {
-					return
-				}
-				for _, msg := range run {
-					s.handle(msg)
-				}
-			})
-			start = end
-		}
-		return
-	}
-	s.post(func() {
-		if s.down {
-			return
-		}
-		for _, msg := range msgs {
-			s.handle(msg)
-		}
-	})
-}
-
-func (s *Site) onMessage(msg protocol.Message) {
-	fn := func() {
-		if s.down {
-			return
-		}
-		s.handle(msg)
-	}
-	if s.c.wall != nil {
-		s.postLane(s.laneFor(msg.TID), fn)
-		return
-	}
-	s.do(fn)
-}
-
-// send traces and transmits a message from this site.  In outbox mode
-// (lanes or durable sync active) the transmission is staged and leaves
-// the site only after the running event's WAL records are durable; the
-// trace line is still emitted at staging time, under stateMu, so the
-// trace ring needs no extra synchronization.
-func (s *Site) send(msg protocol.Message) {
-	msg.From = s.id
-	if s.c.tracing {
-		s.c.trace("%s send %s", s.id, msg)
-	}
-	if ob := s.outbox; ob != nil {
-		ob.add(func() { s.c.fab.Send(msg) })
-		return
-	}
-	s.c.fab.Send(msg)
-}
-
-// after schedules a site-local timer that is automatically ignored if
-// the site is down when it fires.
-func (s *Site) after(d vclock.Time, fn func()) vclock.TimerID {
-	return s.c.clk.After(d, func() {
-		s.do(func() {
-			if s.down {
-				return
-			}
-			fn()
-		})
-	})
-}
 
 // handle dispatches one delivered message.
 func (s *Site) handle(msg protocol.Message) {
@@ -578,7 +408,7 @@ func (s *Site) beginTxn(t txn.T, h *Handle) {
 		s.sendPrepares(ctx)
 		return
 	}
-	for _, site := range sortedSites(readOwner) {
+	for _, site := range sortedKeys(readOwner) {
 		items := readOwner[site]
 		ctx.readWait[site] = true
 		sort.Strings(items)
@@ -615,12 +445,7 @@ func (s *Site) onePhaseCommit(ctx *coordCtx, h *Handle) {
 		s.recordTxnRoot(ctx, StatusAborted, "compute: "+err.Error(), true)
 		return
 	}
-	writeItems := make([]string, 0, len(res.Writes))
-	for item := range res.Writes {
-		writeItems = append(writeItems, item)
-	}
-	sort.Strings(writeItems)
-	for _, item := range writeItems {
+	for _, item := range sortedKeys(res.Writes) {
 		p := res.Writes[item]
 		if err := s.put(item, p); err != nil {
 			s.c.aborted.Inc()
@@ -673,7 +498,7 @@ func (s *Site) beginQuery(qid txn.ID, node expr.Node, qh *QueryHandle, certainBy
 		s.finishQuery(ctx)
 		return
 	}
-	for _, site := range sortedSites(readOwner) {
+	for _, site := range sortedKeys(readOwner) {
 		items := readOwner[site]
 		ctx.readWait[site] = true
 		sort.Strings(items)
@@ -1140,6 +965,31 @@ func (s *Site) onPrepare(msg protocol.Message) {
 	if _, err := ctx.machine.Transition(protocol.EvPrepare); err != nil {
 		return
 	}
+	refuse := func(reason string) {
+		_, _ = ctx.machine.Transition(protocol.EvComputeFailed)
+		s.releaseLocks(msg.TID)
+		delete(s.parts, msg.TID)
+		s.send(protocol.Message{
+			Kind: protocol.MsgRefuse, TID: msg.TID, To: msg.From, Reason: reason,
+		})
+		// The Aborted vote makes the refusal permanent at the acceptors:
+		// no takeover can ever drive this transaction to commit, which
+		// is what lets the coordinator announce a refuse-abort without
+		// waiting for consensus.
+		s.paxosVote(msg, protocol.VoteAborted)
+		computeSpan("refuse", "reason", reason)
+	}
+	// The coordinator computed msg.Values from reads this site served
+	// under lock.  If the lock timeout has since abandoned those locks
+	// (the prepare was slow), another transaction may have updated the
+	// items in between, and computing from the snapshot would overwrite
+	// its update.  Without our ready the transaction cannot commit.
+	for item := range msg.Values {
+		if s.c.Placement(item) == s.id && s.locks[item] != msg.TID {
+			refuse("read lock lapsed at " + string(s.id))
+			return
+		}
+	}
 	if len(msg.Items) == 0 && !s.c.cfg.DisableReadOnlyOpt {
 		// Read-only participant: the reads were served (and held stable)
 		// since the read phase; vote ready-read-only, release, and leave
@@ -1155,21 +1005,8 @@ func (s *Site) onPrepare(msg protocol.Message) {
 		computeSpan("ready", "readonly", "true")
 		return
 	}
-	refuse := func(reason string) {
-		_, _ = ctx.machine.Transition(protocol.EvComputeFailed)
-		s.releaseLocks(msg.TID)
-		delete(s.parts, msg.TID)
-		s.send(protocol.Message{
-			Kind: protocol.MsgRefuse, TID: msg.TID, To: msg.From, Reason: reason,
-		})
-		// The Aborted vote makes the refusal permanent at the acceptors:
-		// no takeover can ever drive this transaction to commit, which
-		// is what lets the coordinator announce a refuse-abort without
-		// waiting for consensus.
-		s.paxosVote(msg, protocol.VoteAborted)
-		computeSpan("refuse", "reason", reason)
-	}
-	// Lock the local write items not already read-locked by this txn.
+	// Lock the local write items not already read-locked by this txn
+	// (blind writes: nothing was read, so fresh locks are sound).
 	var needed []string
 	for _, item := range msg.Items {
 		if s.locks[item] != msg.TID {
@@ -1347,12 +1184,8 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 	_ = s.store.SetAwait(tid, string(ctx.coordinator))
 	s.installPolyvalues(tid, ctx.writes, ctx.previous)
 	if s.spansOn() && len(ctx.writes) > 0 {
-		items := make([]string, 0, len(ctx.writes))
-		for item := range ctx.writes {
-			items = append(items, item)
-		}
 		s.pointSpan(spanPolyInstall, tid, ctx.spanParent,
-			map[string]string{"items": joinItems(items)})
+			map[string]string{"items": joinItems(sortedKeys(ctx.writes))})
 	}
 	_ = s.store.ClearPrepared(tid)
 	s.releaseLocks(tid)
@@ -1363,12 +1196,7 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 // installPolyvalues writes {<new, T>, <old, !T>} for every updated item
 // and records the §3.3 dependency-table rows.
 func (s *Site) installPolyvalues(tid txn.ID, writes, previous map[string]polyvalue.Poly) {
-	items := make([]string, 0, len(writes))
-	for item := range writes {
-		items = append(items, item)
-	}
-	sort.Strings(items)
-	for _, item := range items {
+	for _, item := range sortedKeys(writes) {
 		p := polyvalue.Uncertain(tid, writes[item], previous[item])
 		if err := s.put(item, p); err != nil {
 			s.c.trace("%s put %s: %v", s.id, item, err)
@@ -1447,12 +1275,7 @@ func (s *Site) onOutcomeMsg(tid txn.ID, committed bool) {
 		}
 	}
 	if act == protocol.ActInstall {
-		items := make([]string, 0, len(ctx.writes))
-		for item := range ctx.writes {
-			items = append(items, item)
-		}
-		sort.Strings(items)
-		for _, item := range items {
+		for _, item := range sortedKeys(ctx.writes) {
 			p := ctx.writes[item]
 			if err := s.put(item, p); err != nil {
 				s.c.trace("%s put %s: %v", s.id, item, err)
@@ -1637,12 +1460,7 @@ func (s *Site) armDecisionResend(tid txn.ID, committed bool, attempt int) {
 		if committed {
 			kind = protocol.MsgComplete
 		}
-		targets := make([]protocol.SiteID, 0, len(waiting))
-		for site := range waiting {
-			targets = append(targets, site)
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		for _, site := range targets {
+		for _, site := range sortedKeys(waiting) {
 			s.c.trace("%s resend %s of %s to %s (attempt %d)", s.id, kind, tid, site, attempt)
 			s.send(protocol.Message{Kind: kind, TID: tid, To: site, Committed: committed})
 			s.c.decisionResends.Inc()
@@ -1753,12 +1571,7 @@ func (s *Site) resolveOutcome(tid txn.ID, committed bool) {
 	if prep, ok := s.store.GetPrepared(tid); ok {
 		if _, live := s.parts[tid]; !live {
 			if committed {
-				items := make([]string, 0, len(prep.Writes))
-				for item := range prep.Writes {
-					items = append(items, item)
-				}
-				sort.Strings(items)
-				for _, item := range items {
+				for _, item := range sortedKeys(prep.Writes) {
 					_ = s.put(item, prep.Writes[item])
 				}
 			}
@@ -1862,8 +1675,7 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 
 // crash loses all volatile state; the store survives.
 func (s *Site) crash() {
-	s.down = true
-	s.c.fab.SetDown(s.id, true)
+	s.setDown(true)
 	for tid, ctx := range s.parts {
 		s.c.clk.Cancel(ctx.waitTimer)
 		s.c.clk.Cancel(ctx.lockTimer)
@@ -1885,12 +1697,7 @@ func (s *Site) crash() {
 	// Anything still stamped (e.g. a mid-flight one-phase hold) closes as
 	// an ordinary lock interval.
 	if len(s.lockAt) > 0 {
-		rest := make([]string, 0, len(s.lockAt))
-		for item := range s.lockAt {
-			rest = append(rest, item)
-		}
-		sort.Strings(rest)
-		s.flushBlocked(rest, causeLock, false)
+		s.flushBlocked(sortedKeys(s.lockAt), causeLock, false)
 	}
 	for _, ctx := range s.coords {
 		s.c.clk.Cancel(ctx.readTimer)
@@ -1977,8 +1784,7 @@ func (s *Site) restart() {
 		s.c.trace("%s restart refused: durability lost, rebuild required", s.id)
 		return
 	}
-	s.down = false
-	s.c.fab.SetDown(s.id, false)
+	s.setDown(false)
 	s.recoverDurableState()
 	if s.c.cfg.Replication != nil && len(s.c.cfg.Sites) > 1 {
 		s.armGossip()
@@ -1999,12 +1805,7 @@ func (s *Site) recoverDurableState() {
 			s.c.inDoubt.Inc()
 			s.c.trace("%s ARBITRARY recovery decision for %s: commit=%v", s.id, prep.TID, guess)
 			if guess {
-				items := make([]string, 0, len(prep.Writes))
-				for item := range prep.Writes {
-					items = append(items, item)
-				}
-				sort.Strings(items)
-				for _, item := range items {
+				for _, item := range sortedKeys(prep.Writes) {
 					_ = s.put(item, prep.Writes[item])
 				}
 			}
@@ -2032,12 +1833,8 @@ func (s *Site) recoverDurableState() {
 		_ = s.store.SetAwait(prep.TID, prep.Coordinator)
 		s.installPolyvalues(prep.TID, prep.Writes, prep.Previous)
 		if s.spansOn() && len(prep.Writes) > 0 {
-			items := make([]string, 0, len(prep.Writes))
-			for item := range prep.Writes {
-				items = append(items, item)
-			}
 			s.pointSpan(spanRecover, prep.TID, 0,
-				map[string]string{"mode": "polyvalue", "items": joinItems(items)})
+				map[string]string{"mode": "polyvalue", "items": joinItems(sortedKeys(prep.Writes))})
 		}
 		_ = s.store.ClearPrepared(prep.TID)
 		s.armOutcomeRetry(prep.TID, coord)
@@ -2079,11 +1876,7 @@ func (s *Site) recoverBlocking(prep storage.Prepared, coord protocol.SiteID, cau
 	ctx.blocked = true
 	ctx.writes = prep.Writes
 	ctx.previous = prep.Previous
-	items := make([]string, 0, len(prep.Writes))
-	for item := range prep.Writes {
-		items = append(items, item)
-	}
-	sort.Strings(items)
+	items := sortedKeys(prep.Writes)
 	for _, item := range items {
 		s.locks[item] = prep.TID
 		s.lockedBy[prep.TID] = append(s.lockedBy[prep.TID], item)
@@ -2224,15 +2017,15 @@ func arbitraryChoice(site protocol.SiteID, tid txn.ID) bool {
 	return (h.Sum32()>>16)&1 == 1
 }
 
-// sortedSites returns the keys of a per-site fan-out map in sorted
-// order, so sends (and the RNG draws behind their delays) happen in
-// the same order every run.
-func sortedSites(m map[protocol.SiteID][]string) []protocol.SiteID {
-	out := make([]protocol.SiteID, 0, len(m))
-	for site := range m {
-		out = append(out, site)
+// sortedKeys returns a map's keys in sorted order, so whatever is done
+// per key (sends, and the RNG draws behind their delays; WAL writes)
+// happens in the same order every run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

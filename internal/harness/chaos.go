@@ -90,7 +90,7 @@ type ChaosConfig struct {
 	// every node (see cluster.Config.Lanes).  0 defaults from the
 	// POLY_LANES environment variable, so nightly torture jobs can turn
 	// lanes on without threading a flag through every make target; 1
-	// forces the classic single event loop.
+	// forces a single event queue.
 	Lanes int
 	// Strand, with CrashPoint set, submits one extra guarded transfer
 	// through each kill victim right after arming it: a transfer between
@@ -273,7 +273,7 @@ func (c *chaosRun) start(id protocol.SiteID, ln net.Listener) error {
 // envLanes reads the POLY_LANES environment variable — the nightly
 // torture jobs' switch for running every wall-clock harness with
 // key-sharded execution lanes without new flags on every make target.
-// Unset, empty or unparsable means 0 (classic single event loop).
+// Unset, empty or unparsable means 0 (a single event queue).
 func envLanes() int {
 	n, err := strconv.Atoi(os.Getenv("POLY_LANES"))
 	if err != nil || n < 0 {

@@ -58,8 +58,8 @@ type OverloadConfig struct {
 	// the trace-completeness audit.
 	SpanCap int
 	// Lanes is the per-site key-sharded execution lane count (see
-	// cluster.Config.Lanes).  0 defaults from POLY_LANES; 1 forces the
-	// classic single event loop.
+	// cluster.Config.Lanes).  0 defaults from POLY_LANES; 1 forces a
+	// single event queue.
 	Lanes int
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)

@@ -20,7 +20,7 @@ var ErrGroupLogClosed = errors.New("storage: group log closed")
 // Positions are byte offsets in enqueue order: Write assigns each frame
 // the range (Seq-len, Seq]; WaitSynced(seq) returns once at least seq
 // bytes are durable.  Errors from the underlying file are sticky — once
-// a write or sync fails, every subsequent Write/WaitSynced/Flush
+// a write or sync fails, every subsequent Write/WaitSynced
 // reports it, because the tail of the log after a failed batch has an
 // undefined on-disk state.
 type GroupLog struct {
@@ -34,10 +34,6 @@ type GroupLog struct {
 	err    error  // sticky first failure
 	closed bool
 
-	// wmu serializes actual file write+sync batches (the background
-	// flusher and inline Flush callers) so batches hit the file in pop
-	// order.
-	wmu  sync.Mutex
 	kick chan struct{}
 	quit chan struct{}
 	idle chan struct{} // closed when the flusher goroutine exits
@@ -130,80 +126,46 @@ func (g *GroupLog) WaitSynced(seq uint64) error {
 	return nil
 }
 
-// Flush synchronously writes and fsyncs everything buffered at the
-// moment of the call, on the caller's goroutine.  This is the
-// serialized-fsync path used when no concurrent lanes exist to share a
-// group: durability cost lands inline, exactly like a private
-// write+sync would.
-func (g *GroupLog) Flush() error {
+// flush retires everything buffered at the moment of the call with one
+// file write + fsync.  Only the flusher goroutine calls it, so batches
+// hit the file in pop order.
+func (g *GroupLog) flush() {
 	g.mu.Lock()
-	target := g.enq
-	g.mu.Unlock()
-	return g.flushTo(target)
-}
-
-// flushTo retires buffered bytes until at least target is durable.
-func (g *GroupLog) flushTo(target uint64) error {
-	for {
-		g.wmu.Lock()
-		g.mu.Lock()
-		if g.err != nil {
-			err := g.err
-			g.mu.Unlock()
-			g.wmu.Unlock()
-			return err
-		}
-		if g.synced >= target {
-			g.mu.Unlock()
-			g.wmu.Unlock()
-			return nil
-		}
-		batch := g.buf
-		g.buf = nil
+	if g.err != nil || len(g.buf) == 0 {
 		g.mu.Unlock()
-
-		var err error
-		if len(batch) > 0 {
-			if _, werr := g.f.Write(batch); werr != nil {
-				err = werr
-			} else if serr := g.f.Sync(); serr != nil {
-				err = serr
-			}
-		}
-
-		g.mu.Lock()
-		if err != nil {
-			if g.err == nil {
-				g.err = err
-			}
-			err = g.err
-		} else {
-			g.synced += uint64(len(batch))
-			g.syncs++
-		}
-		g.cond.Broadcast()
-		done := err != nil || g.synced >= target
-		g.mu.Unlock()
-		g.wmu.Unlock()
-		if done {
-			return err
-		}
-		// Another Write raced in between our pop and target; loop to
-		// cover it.  (Only possible when target was read before wmu was
-		// held, i.e. never more than one extra round.)
+		return
 	}
+	batch := g.buf
+	g.buf = nil
+	g.mu.Unlock()
+
+	_, err := g.f.Write(batch)
+	if err == nil {
+		err = g.f.Sync()
+	}
+
+	g.mu.Lock()
+	if err != nil {
+		g.err = err
+	} else {
+		g.synced += uint64(len(batch))
+		g.syncs++
+	}
+	g.cond.Broadcast()
+	g.mu.Unlock()
 }
 
 // flusher is the background group-commit loop: on each kick it
 // optionally sleeps the accumulation window, then retires the whole
-// buffer with one write+sync.
+// buffer with one write+sync.  A frame written while a flush is in
+// flight re-arms the kick, so nothing waits for a later writer.
 func (g *GroupLog) flusher() {
 	defer close(g.idle)
+	// Final drain so Close leaves nothing buffered.
+	defer g.flush()
 	for {
 		select {
 		case <-g.quit:
-			// Final drain so Close leaves nothing buffered.
-			g.flushTo(g.Seq())
 			return
 		case <-g.kick:
 			if g.window > 0 {
@@ -212,11 +174,10 @@ func (g *GroupLog) flusher() {
 				case <-timer.C:
 				case <-g.quit:
 					timer.Stop()
-					g.flushTo(g.Seq())
 					return
 				}
 			}
-			g.flushTo(g.Seq())
+			g.flush()
 		}
 	}
 }

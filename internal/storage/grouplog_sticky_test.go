@@ -9,8 +9,8 @@ import (
 
 // TestGroupLogStickyFsyncFailure pins the fsyncgate contract: after one
 // injected fsync failure, every parked waiter fails, every later append
-// fails, and Flush never again reports clean — the group log is dead
-// for the rest of the incarnation, and recovery must come from disk.
+// fails, and no later wait reports clean — the group log is dead for the
+// rest of the incarnation, and recovery must come from disk.
 func TestGroupLogStickyFsyncFailure(t *testing.T) {
 	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 11})
 	f, err := OpenFileLogFS(ffs, filepath.Join(t.TempDir(), "group.wal"))
@@ -18,9 +18,10 @@ func TestGroupLogStickyFsyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// A long window keeps the background flusher out of the way: the
-	// test drives flushes explicitly through WaitSynced/Flush.
-	g := NewGroupLog(f, time.Hour)
+	// The window holds the flusher back long enough for every waiter to
+	// park on the one flush that is going to fail.
+	ffs.SetRule(DiskRule{Kind: DiskFsync, P: 1, Once: true})
+	g := NewGroupLog(f, 50*time.Millisecond)
 	defer g.Close()
 
 	// Park several waiters on frames that will never sync.
@@ -41,12 +42,6 @@ func TestGroupLogStickyFsyncFailure(t *testing.T) {
 			errs <- g.WaitSynced(seq)
 		}(seq)
 	}
-	// Let the waiters park, then fail the one flush they all depend on.
-	time.Sleep(10 * time.Millisecond)
-	ffs.SetRule(DiskRule{Kind: DiskFsync, P: 1, Once: true})
-	if err := g.Flush(); !IsInjected(err) {
-		t.Fatalf("Flush should fail with the injected fault, got %v", err)
-	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -59,13 +54,9 @@ func TestGroupLogStickyFsyncFailure(t *testing.T) {
 	}
 
 	// The rule was one-shot, but the failure is sticky: later appends
-	// and flushes must keep failing even though the disk is healthy
-	// again.
+	// and waits must keep failing even though the disk is healthy again.
 	if _, err := g.Write([]byte("after")); err == nil {
 		t.Fatal("append after failed fsync must fail")
-	}
-	if err := g.Flush(); err == nil {
-		t.Fatal("Flush reported clean after a failed fsync")
 	}
 	if err := g.WaitSynced(g.Seq()); err == nil {
 		t.Fatal("WaitSynced reported clean after a failed fsync")

@@ -86,39 +86,6 @@ func TestGroupLogConcurrentWaiters(t *testing.T) {
 	t.Logf("group commit: %d frames retired in %d fsync batches", nframes, syncs)
 }
 
-// TestGroupLogInlineFlush exercises the lanes-off durable path: Flush on
-// the caller's goroutine makes everything enqueued so far durable.
-func TestGroupLogInlineFlush(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "inline.wal")
-	f, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer f.Close()
-	g := NewGroupLog(f, 0)
-	defer g.Close()
-
-	if _, err := g.Write([]byte("hello ")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := g.Write([]byte("world")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := g.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if got, want := g.Synced(), g.Seq(); got != want {
-		t.Fatalf("Synced()=%d after Flush, Seq()=%d", got, want)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read back: %v", err)
-	}
-	if string(raw) != "hello world" {
-		t.Fatalf("file holds %q", raw)
-	}
-}
-
 // TestGroupLogClose verifies Close drains the buffer and that writes
 // after Close fail with ErrGroupLogClosed.
 func TestGroupLogClose(t *testing.T) {
