@@ -14,21 +14,7 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
-	"net"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/metrics"
-	"repro/internal/polyvalue"
-	"repro/internal/protocol"
-	"repro/internal/storage"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // DiskChaosConfig parameterizes one disk-fault torture run.  The zero
@@ -66,16 +52,10 @@ type DiskChaosConfig struct {
 // DiskChaosReport summarizes a finished disk torture run.  Violations
 // empty means every assertion held.
 type DiskChaosReport struct {
-	Seed      int64
-	Sites     int
-	Txns      int
-	Committed int
-	Aborted   int
-	Pending   int
-	// Kills counts hard node kills (kill cycles); Rebuilds counts node
-	// rebuilds forced by durability panics (a rebuilt kill victim is a
-	// kill, not a rebuild).
-	Kills    int
+	ScenarioReport
+	Txns int
+	// Rebuilds counts node rebuilds forced by durability panics (a
+	// restarted kill victim is a kill, not a rebuild).
 	Rebuilds int
 	// DiskFaultCmds is the number of disk-weather commands applied.
 	DiskFaultCmds int
@@ -88,516 +68,43 @@ type DiskChaosReport struct {
 	// CorruptReads sums storage.corrupt.reads: recovery read passes
 	// whose damage was detected by CRC and healed on re-read.
 	CorruptReads int64
-	// FrontierFrames / FrontierTorn total the crash-recovery frontier
-	// sweep over every site's final WAL: complete-frame prefixes and
-	// torn-tail variants recovered with all invariants intact.
-	FrontierFrames int
-	FrontierTorn   int
-	SettleTime     time.Duration
-	// Violations lists every failed end-state assertion.  Empty = pass.
-	Violations []string
 }
 
 func (r *DiskChaosReport) String() string {
-	status := "PASS"
-	if len(r.Violations) > 0 {
-		status = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
-	}
 	return fmt.Sprintf("diskchaos seed=%d sites=%d txns=%d committed=%d aborted=%d pending=%d kills=%d rebuilds=%d diskcmds=%d injected=%d panics=%d corrupt-reads=%d frontier=%d/%d settle=%s: %s",
 		r.Seed, r.Sites, r.Txns, r.Committed, r.Aborted, r.Pending, r.Kills, r.Rebuilds,
 		r.DiskFaultCmds, r.DiskFaultsInjected, r.DurabilityPanics, r.CorruptReads,
-		r.FrontierFrames, r.FrontierTorn, r.SettleTime.Round(time.Millisecond), status)
-}
-
-type diskChaosRun struct {
-	cfg    DiskChaosConfig
-	rng    *rand.Rand
-	sites  []protocol.SiteID
-	peers  map[protocol.SiteID]string
-	nodes  map[protocol.SiteID]*cluster.Cluster
-	report *DiskChaosReport
-	// disks and regs persist across kill/rebuild cycles: the FaultFS is
-	// the disk under the node, not part of the node, and a rebuilt site
-	// keeps accumulating into the same metric series.
-	disks map[protocol.SiteID]*storage.FaultFS
-	regs  map[protocol.SiteID]*metrics.Registry
-	// weather round-robins the fault kind so every run exercises fsync
-	// failure, torn write, ENOSPC and slow-disk regardless of seed.
-	weatherIdx int
-}
-
-func (c *diskChaosRun) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
-func (c *diskChaosRun) placement(item string) protocol.SiteID {
-	n := 0
-	fmt.Sscanf(item[2:], "%d", &n)
-	return c.sites[n%len(c.sites)]
-}
-
-// start boots (or re-boots) one site over ln; when ln is nil the site's
-// known address is rebound, retrying while the dead node's socket tears
-// down.  The WAL opens through the site's persistent FaultFS, and the
-// node runs SyncWAL so every event's outputs wait on a real fsync —
-// which is what gives the injected fsync failures teeth.
-func (c *diskChaosRun) start(id protocol.SiteID, ln net.Listener) error {
-	if ln == nil {
-		var err error
-		for i := 0; i < 100; i++ {
-			ln, err = net.Listen("tcp", c.peers[id])
-			if err == nil {
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		if err != nil {
-			return fmt.Errorf("rebind %s: %w", c.peers[id], err)
-		}
-	}
-	tcp := transport.NewTCPWithListener(transport.TCPConfig{
-		Self:       id,
-		Peers:      c.peers,
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 100 * time.Millisecond,
-		Seed:       c.cfg.Seed + int64(len(id)),
-		Metrics:    c.regs[id],
-	}, ln)
-	node, err := cluster.NewNode(cluster.Config{
-		Sites:         c.sites,
-		WaitTimeout:   100 * time.Millisecond,
-		ReadyTimeout:  500 * time.Millisecond,
-		RetryInterval: 100 * time.Millisecond,
-		Placement:     c.placement,
-		Metrics:       c.regs[id],
-		DataDir:       c.cfg.DataDir,
-		SyncWAL:       true,
-		DiskFS:        c.disks[id],
-		Lanes:         c.cfg.Lanes,
-	}, id, tcp)
-	if err != nil {
-		tcp.Close()
-		return fmt.Errorf("NewNode(%s): %w", id, err)
-	}
-	c.nodes[id] = node
-	return nil
-}
-
-// rebuild replaces a site's incarnation entirely: the node closes, its
-// disk rules are cleared (a durability panic demands a disk the site
-// can trust again — the model is fsck plus hardware replacement), and a
-// fresh node recovers from the on-disk WAL bytes.  This is the ONLY way
-// back for a durability-lost site: Restart is refused because that
-// incarnation's memory may run ahead of its disk.
-func (c *diskChaosRun) rebuild(id protocol.SiteID, why string) error {
-	c.disks[id].Clear()
-	if n := c.nodes[id]; n != nil {
-		n.Close()
-		c.nodes[id] = nil
-	}
-	if err := c.start(id, nil); err != nil {
-		return err
-	}
-	c.report.Rebuilds++
-	c.logf("diskchaos: REBUILD %s (%s)", id, why)
-	return nil
-}
-
-// reviveDurabilityLost rebuilds every site currently down with a
-// durability panic, so the schedule keeps most of the cluster live.
-func (c *diskChaosRun) reviveDurabilityLost() error {
-	for _, id := range c.sites {
-		n := c.nodes[id]
-		if n == nil || !n.DurabilityLost(id) {
-			continue
-		}
-		if err := c.rebuild(id, "durability panic"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// diskCmd produces the next disk-weather command.  The kind cycles
-// round-robin — every run of at least four weather steps injects a
-// fsync failure, a torn write, an ENOSPC and a slow-disk window — while
-// the seeded rng draws the parameters.  Failures are one-shot: a single
-// fsync failure is already fatal to the incarnation (the FileLog error
-// is sticky and the site durability-panics), so persistent-medium rules
-// would only serialize the run behind rebuilds.
-func (c *diskChaosRun) diskCmd() string {
-	kind := c.weatherIdx % 4
-	c.weatherIdx++
-	switch kind {
-	case 0:
-		return "fsync p=1 once"
-	case 1:
-		return "torn p=1 once"
-	case 2:
-		return "enospc p=1 once"
-	default:
-		return fmt.Sprintf("slow p=%.2f min=1ms max=%dms", 0.2+0.3*c.rng.Float64(), 2+c.rng.Intn(8))
-	}
+		r.FrontierFrames, r.FrontierTorn, r.SettleTime.Round(time.Millisecond), r.status())
 }
 
 // RunDiskChaos executes one seeded disk torture run and returns its
 // report.  A non-nil error means the run could not execute
 // (infrastructure failure); protocol- or durability-level failures land
-// in report.Violations instead.
+// in report.Violations instead.  What is RunDiskChaos's own is the disk
+// weather; bring-up, settle and audits are the scenario runner's.
 func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosReport, error) {
-	if cfg.Sites < 3 {
-		cfg.Sites = 3
-	}
-	if cfg.Sites > 5 {
-		cfg.Sites = 5
-	}
-	if cfg.Items <= 0 {
-		cfg.Items = 4
-	}
-	if cfg.Txns <= 0 {
-		cfg.Txns = 40
-	}
-	if cfg.KillCycles < 0 {
-		cfg.KillCycles = 0
-	} else if cfg.KillCycles == 0 {
-		cfg.KillCycles = 3
-	}
-	if cfg.Settle <= 0 {
-		cfg.Settle = 45 * time.Second
-	}
-	if cfg.Lanes == 0 {
-		cfg.Lanes = envLanes()
-	}
-	ownDir := false
-	if cfg.DataDir == "" {
-		dir, err := os.MkdirTemp("", "diskchaos-*")
-		if err != nil {
-			return nil, err
-		}
-		cfg.DataDir = dir
-		ownDir = true
-	}
-
-	baseline := runtime.NumGoroutine()
-	c := &diskChaosRun{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		peers:  map[protocol.SiteID]string{},
-		nodes:  map[protocol.SiteID]*cluster.Cluster{},
-		report: &DiskChaosReport{Seed: cfg.Seed, Sites: cfg.Sites, Txns: cfg.Txns},
-		disks:  map[protocol.SiteID]*storage.FaultFS{},
-		regs:   map[protocol.SiteID]*metrics.Registry{},
-	}
-	for i := 0; i < cfg.Sites; i++ {
-		c.sites = append(c.sites, protocol.SiteID(string(rune('A'+i))))
-	}
-	for _, id := range c.sites {
-		id := id
-		c.regs[id] = metrics.NewRegistry()
-		c.disks[id] = storage.NewFaultFS(storage.OSFS, storage.FaultFSConfig{
-			Seed:    cfg.Seed ^ int64(sum(id)),
-			Metrics: c.regs[id],
-			Logf: func(format string, args ...any) {
-				c.logf("disk[%s]: "+format, append([]any{id}, args...)...)
-			},
-		})
-	}
-
-	lns := map[protocol.SiteID]net.Listener{}
-	for _, id := range c.sites {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("listen: %w", err)
-		}
-		lns[id] = ln
-		c.peers[id] = ln.Addr().String()
-	}
-	for _, id := range c.sites {
-		if err := c.start(id, lns[id]); err != nil {
-			return nil, err
-		}
-	}
-	defer func() {
-		for _, n := range c.nodes {
-			if n != nil {
-				n.Close()
+	steppedDefaults(&cfg.Items, &cfg.Txns, &cfg.KillCycles)
+	rep := &DiskChaosReport{Txns: cfg.Txns}
+	r, err := runScenario(scenario{
+		name: "diskchaos", seed: cfg.Seed, sites: cfg.Sites, items: cfg.Items,
+		settle: cfg.Settle, dataDir: cfg.DataDir, lanes: cfg.Lanes,
+		logf: cfg.Logf, faultLogf: cfg.Logf,
+		txns: cfg.Txns, maxAmt: 20, pace: [2]int{10, 40}, killCycles: cfg.KillCycles,
+		disk: diskWeather,
+		audits: []audit{func(r *run) []string {
+			if r.rep.FrontierTorn == 0 {
+				return []string{"frontier sweep recovered zero torn-tail variants"}
 			}
-		}
-	}()
-
-	// Seed the accounts: every item starts at 100 on its owning site.
-	const initial = 100
-	for i := 0; i < cfg.Items; i++ {
-		item := chaosItem(i)
-		owner := c.placement(item)
-		if err := c.nodes[owner].Load(item, polyvalue.Simple(value.Int(initial))); err != nil {
-			return nil, fmt.Errorf("load %s: %w", item, err)
-		}
+			return nil
+		}},
+	}, &rep.ScenarioReport)
+	if err != nil {
+		return nil, err
 	}
-	wantTotal := int64(initial * cfg.Items)
-	c.logf("diskchaos: seed=%d sites=%v items=%d txns=%d kills=%d dir=%s",
-		cfg.Seed, c.sites, cfg.Items, cfg.Txns, cfg.KillCycles, cfg.DataDir)
-
-	// ----- schedule phase -------------------------------------------------
-	var handles []*cluster.Handle
-	killAt := map[int]bool{}
-	if cfg.KillCycles > 0 {
-		stride := cfg.Txns / (cfg.KillCycles + 1)
-		if stride < 1 {
-			stride = 1
-		}
-		for k := 1; k <= cfg.KillCycles; k++ {
-			killAt[k*stride] = true
-		}
-	}
-	for i := 0; i < cfg.Txns; i++ {
-		// A durability-panicked site cannot restart: rebuild it so the
-		// schedule keeps running against a mostly-live cluster.
-		if err := c.reviveDurabilityLost(); err != nil {
-			return nil, err
-		}
-		// Disk weather: roughly every other step a site's disk misbehaves.
-		if c.rng.Float64() < 0.5 {
-			id := c.sites[c.rng.Intn(len(c.sites))]
-			cmd := c.diskCmd()
-			if _, err := c.disks[id].Apply(cmd); err != nil {
-				return nil, fmt.Errorf("disk fault %q: %w", cmd, err)
-			}
-			c.report.DiskFaultCmds++
-			c.logf("diskchaos[%d]: %s: DISK %s", i, id, cmd)
-		}
-		// Kill cycle: kill -9 the victim and rebuild it over the same
-		// WAL, optionally through an armed crash point (the process dies
-		// mid-protocol) and a read-path bit-flip against the rebuild's
-		// recovery read (CRC must catch it; the re-read heals it).
-		if killAt[i] {
-			victim := c.sites[c.rng.Intn(len(c.sites))]
-			if n := c.nodes[victim]; n != nil {
-				c.disks[victim].Clear()
-				if c.rng.Intn(2) == 0 {
-					pts := cluster.CrashPoints()
-					pt := pts[c.rng.Intn(len(pts))]
-					_ = n.ArmCrash(victim, pt)
-					c.logf("diskchaos[%d]: %s: armed crash point %s", i, victim, pt)
-				}
-				if c.rng.Intn(2) == 0 {
-					if _, err := c.disks[victim].Apply("readflip p=1 once"); err != nil {
-						return nil, err
-					}
-					c.report.DiskFaultCmds++
-					c.logf("diskchaos[%d]: %s: armed recovery read flip", i, victim)
-				}
-				time.Sleep(time.Duration(50+c.rng.Intn(150)) * time.Millisecond)
-				c.logf("diskchaos[%d]: KILL %s", i, victim)
-				n.Close()
-				c.nodes[victim] = nil
-				c.report.Kills++
-				time.Sleep(time.Duration(100+c.rng.Intn(200)) * time.Millisecond)
-				if err := c.start(victim, nil); err != nil {
-					return nil, err
-				}
-				c.logf("diskchaos[%d]: RESTART %s", i, victim)
-			}
-		}
-		// One guarded transfer between two random accounts via a random
-		// live coordinator: conservation is the run-wide invariant.
-		src := chaosItem(c.rng.Intn(cfg.Items))
-		dst := chaosItem(c.rng.Intn(cfg.Items))
-		for dst == src {
-			dst = chaosItem(c.rng.Intn(cfg.Items))
-		}
-		amt := 1 + c.rng.Intn(20)
-		coord := c.sites[c.rng.Intn(len(c.sites))]
-		n := c.nodes[coord]
-		if n == nil {
-			continue
-		}
-		txt := fmt.Sprintf("%s = %s - %d if %s >= %d; %s = %s + %d if %s >= %d",
-			src, src, amt, src, amt, dst, dst, amt, src, amt)
-		h, err := n.Submit(coord, txt)
-		if err != nil {
-			return nil, fmt.Errorf("submit via %s: %w", coord, err)
-		}
-		handles = append(handles, h)
-		time.Sleep(time.Duration(10+c.rng.Intn(40)) * time.Millisecond)
-	}
-
-	// ----- settle phase ---------------------------------------------------
-	// The weather ends: every disk heals, durability-lost sites rebuild,
-	// ordinary crash casualties restart, and the cluster must quiesce.
-	for _, d := range c.disks {
-		d.Clear()
-	}
-	settleStart := time.Now()
-	deadline := settleStart.Add(cfg.Settle)
-	var lastIssues []string
-	for time.Now().Before(deadline) {
-		lastIssues = c.quiesceIssues()
-		if len(lastIssues) == 0 {
-			break
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	c.report.SettleTime = time.Since(settleStart)
-	if len(lastIssues) > 0 {
-		c.report.Violations = append(c.report.Violations, lastIssues...)
-	}
-
-	// ----- audits ---------------------------------------------------------
-	var total int64
-	for i := 0; i < cfg.Items; i++ {
-		item := chaosItem(i)
-		n := c.nodes[c.placement(item)]
-		if n == nil {
-			c.report.Violations = append(c.report.Violations,
-				fmt.Sprintf("item %s: owning site not running at end", item))
-			continue
-		}
-		p := n.Read(item)
-		v, certain := p.IsCertain()
-		if !certain {
-			c.report.Violations = append(c.report.Violations,
-				fmt.Sprintf("item %s still uncertain at end: %v", item, p))
-			continue
-		}
-		iv, ok := value.AsInt(v)
-		if !ok {
-			c.report.Violations = append(c.report.Violations,
-				fmt.Sprintf("item %s not an int: %v", item, v))
-			continue
-		}
-		total += iv
-	}
-	if total != wantTotal {
-		c.report.Violations = append(c.report.Violations,
-			fmt.Sprintf("conservation broken: total %d, want %d", total, wantTotal))
-	}
-	for _, h := range handles {
-		switch h.Status() {
-		case cluster.StatusCommitted:
-			c.report.Committed++
-		case cluster.StatusAborted:
-			c.report.Aborted++
-		default:
-			c.report.Pending++
-		}
-	}
-	for _, id := range c.sites {
-		for _, pt := range c.regs[id].Snapshot().Points {
-			if pt.Kind != metrics.KindCounter {
-				continue
-			}
-			switch pt.Name {
-			case "site.durability.panics":
-				c.report.DurabilityPanics += pt.Value
-			case "storage.corrupt.reads":
-				c.report.CorruptReads += pt.Value
-			case "storage.fault.injected":
-				c.report.DiskFaultsInjected += pt.Value
-			}
-		}
-	}
-
-	// ----- teardown audits ------------------------------------------------
-	for id, n := range c.nodes {
-		if n != nil {
-			n.Close()
-			c.nodes[id] = nil
-		}
-	}
-	leakDeadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline+4 && time.Now().Before(leakDeadline) {
-		time.Sleep(100 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > baseline+4 {
-		c.report.Violations = append(c.report.Violations,
-			fmt.Sprintf("goroutine leak: %d running, baseline %d", got, baseline))
-	}
-	// Every site's final WAL must recover idempotently AND survive the
-	// full crash-recovery frontier sweep: recovery from every frame
-	// boundary and torn tail a power cut could have left behind.
-	for _, id := range c.sites {
-		path := filepath.Join(cfg.DataDir, string(id)+".wal")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			c.report.Violations = append(c.report.Violations,
-				fmt.Sprintf("site %s: read WAL: %v", id, err))
-			continue
-		}
-		s1, err := storage.Recover(data)
-		if err != nil {
-			c.report.Violations = append(c.report.Violations,
-				fmt.Sprintf("site %s: WAL recovery: %v", id, err))
-			continue
-		}
-		s2, err := storage.Recover(s1.WALBytes())
-		if err != nil {
-			c.report.Violations = append(c.report.Violations,
-				fmt.Sprintf("site %s: second-generation recovery: %v", id, err))
-			continue
-		}
-		if a, b := fmt.Sprint(s1.Items()), fmt.Sprint(s2.Items()); a != b {
-			c.report.Violations = append(c.report.Violations,
-				fmt.Sprintf("site %s: recovery not idempotent: %s vs %s", id, a, b))
-		}
-		fr := storage.FrontierSweep(data)
-		c.report.FrontierFrames += fr.Frames
-		c.report.FrontierTorn += fr.Torn
-		for _, v := range fr.Violations {
-			c.report.Violations = append(c.report.Violations,
-				fmt.Sprintf("site %s: %s", id, v))
-		}
-	}
-
-	sort.Strings(c.report.Violations)
-	c.logf("diskchaos: %s", c.report)
-	if ownDir && len(c.report.Violations) == 0 {
-		os.RemoveAll(cfg.DataDir)
-	}
-	return c.report, nil
-}
-
-// quiesceIssues reports what still blocks quiescence, reviving sites as
-// a side effect: durability-lost incarnations rebuild from disk,
-// ordinary crash casualties restart in place.
-func (c *diskChaosRun) quiesceIssues() []string {
-	var issues []string
-	for _, id := range c.sites {
-		n := c.nodes[id]
-		if n == nil {
-			issues = append(issues, fmt.Sprintf("site %s not running", id))
-			continue
-		}
-		if n.DurabilityLost(id) {
-			issues = append(issues, fmt.Sprintf("site %s durability-lost", id))
-			if err := c.rebuild(id, "durability panic at settle"); err != nil {
-				issues = append(issues, fmt.Sprintf("site %s: rebuild: %v", id, err))
-			}
-			continue
-		}
-		if n.IsDown(id) {
-			n.Restart(id)
-			issues = append(issues, fmt.Sprintf("site %s was down", id))
-			continue
-		}
-		if polys := n.PolyItems(); len(polys) > 0 {
-			issues = append(issues, fmt.Sprintf("site %s: unreduced polyvalues %v", id, polys))
-		}
-		if v := n.CheckInvariants(); len(v) > 0 {
-			issues = append(issues, v...)
-		}
-	}
-	for i := 0; i < c.cfg.Items; i++ {
-		item := chaosItem(i)
-		n := c.nodes[c.placement(item)]
-		if n == nil {
-			continue
-		}
-		if _, certain := n.Read(item).IsCertain(); !certain {
-			issues = append(issues, fmt.Sprintf("item %s uncertain", item))
-		}
-	}
-	return issues
+	rep.Rebuilds, rep.DiskFaultCmds = r.rebuilds, r.diskCmds
+	rep.DurabilityPanics = r.counters["site.durability.panics"]
+	rep.DiskFaultsInjected = r.counters["storage.fault.injected"]
+	rep.CorruptReads = r.counters["storage.corrupt.reads"]
+	r.logf("%s", rep)
+	return rep, nil
 }

@@ -178,9 +178,7 @@ func (g *georepRun) transfers(n int, pool []string, coords []protocol.SiteID) (c
 		}
 		amt := 1 + g.rng.Intn(9)
 		coord := coords[g.rng.Intn(len(coords))]
-		txt := fmt.Sprintf("%s = %s - %d if %s >= %d; %s = %s + %d if %s >= %d",
-			src, src, amt, src, amt, dst, dst, amt, src, amt)
-		h, err := g.c.Submit(coord, txt)
+		h, err := g.c.Submit(coord, transferText(src, dst, amt))
 		if err != nil {
 			g.report.Violations = append(g.report.Violations,
 				fmt.Sprintf("submit via %s: %v", coord, err))
@@ -284,16 +282,14 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 		report: &GeoRepReport{Seed: cfg.Seed, K: cfg.K, W: cfg.W, R: cfg.R,
 			BlockedItemSeconds: map[string]float64{}},
 	}
-	const initial = 100
 	for i := 0; i < cfg.Items; i++ {
 		logical := georepItem(i)
 		g.logicals = append(g.logicals, logical)
-		if err := c.LoadReplicated(logical, polyvalue.Simple(value.Int(initial))); err != nil {
+		if err := c.LoadReplicated(logical, polyvalue.Simple(value.Int(initialBalance))); err != nil {
 			return nil, fmt.Errorf("load %s: %w", logical, err)
 		}
 	}
 	g.classify()
-	wantTotal := int64(initial * cfg.Items)
 	g.logf("georep: seed=%d k=%d/%d/%d majority=%v writable=%d/%d readable=%d strand=%q",
 		cfg.Seed, cfg.K, cfg.W, cfg.R, g.majority,
 		len(g.majWritable), cfg.Items, len(g.majReadable), g.strandTarget)
@@ -316,8 +312,7 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 			dst = g.majWritable[1]
 		}
 		if dst != g.strandTarget {
-			txt := fmt.Sprintf("%s = %s - 7 if %s >= 7; %s = %s + 7 if %s >= 7",
-				g.strandTarget, g.strandTarget, g.strandTarget, dst, dst, g.strandTarget)
+			txt := transferText(g.strandTarget, dst, 7)
 			h, err := c.Submit(strandCoord, txt)
 			if err != nil {
 				return nil, fmt.Errorf("strand submit: %w", err)
@@ -381,28 +376,11 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 	if v := c.CheckInvariants(); len(v) > 0 {
 		g.report.Violations = append(g.report.Violations, v...)
 	}
-	var total int64
-	for _, logical := range g.logicals {
-		phys := replica.Name(logical, 0)
-		p := c.Store(c.Placement(phys)).Get(phys)
-		v, certain := p.IsCertain()
-		if !certain {
-			g.report.Violations = append(g.report.Violations,
-				fmt.Sprintf("%s uncertain at end: %v", phys, p))
-			continue
-		}
-		n, ok := value.AsInt(v)
-		if !ok {
-			g.report.Violations = append(g.report.Violations,
-				fmt.Sprintf("%s not an int: %v", phys, v))
-			continue
-		}
-		total += n
-	}
-	if total != wantTotal {
-		g.report.Violations = append(g.report.Violations,
-			fmt.Sprintf("conservation broken: total %d, want %d", total, wantTotal))
-	}
+	g.report.Violations = append(g.report.Violations, conservation(g.logicals,
+		func(logical string) (polyvalue.Poly, bool) {
+			phys := replica.Name(logical, 0)
+			return c.Store(c.Placement(phys)).Get(phys), true
+		}, int64(initialBalance*cfg.Items))...)
 	c.SyncBlockedAccounting()
 	collectBlockedSeconds(g.report.BlockedItemSeconds, c.Metrics())
 	for _, pt := range c.Metrics().Snapshot().Points {

@@ -1,25 +1,12 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"net"
-	"os"
-	"runtime"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/guard"
 	"repro/internal/metrics"
-	"repro/internal/polyvalue"
-	"repro/internal/protocol"
-	"repro/internal/trace"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // OverloadConfig parameterizes one overload torture run: offered load
@@ -68,12 +55,11 @@ type OverloadConfig struct {
 // OverloadReport summarizes a finished overload run.  Violations empty
 // means every assertion held.
 type OverloadReport struct {
-	Seed      int64
+	ScenarioReport
+	// Submitted counts admitted submissions, Shed the ones refused with
+	// cluster.ErrOverload before touching protocol state.
 	Submitted int
 	Shed      int64
-	Committed int
-	Aborted   int
-	Pending   int
 	// MaxPolyPopulation is the largest polyvalue population any site
 	// showed at any sample — the bounded-memory claim under test.
 	MaxPolyPopulation int
@@ -86,34 +72,13 @@ type OverloadReport struct {
 	// Suspects/Recoveries count failure-detector state flips summed
 	// over sites.
 	Suspects, Recoveries int64
-	SettleTime           time.Duration
-	Violations           []string
-	// Spans is the total number of structured spans collected.
-	Spans int
-	// BlockedItemSeconds sums item.blocked.seconds across sites, by
-	// cause (lock, indoubt, degraded).  The degraded bucket is where the
-	// budget's blocking-2PC fallback pays the paper's availability cost.
-	BlockedItemSeconds map[string]float64
 }
 
 func (r *OverloadReport) String() string {
-	status := "PASS"
-	if len(r.Violations) > 0 {
-		status = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
-	}
 	return fmt.Sprintf("overload seed=%d submitted=%d shed=%d committed=%d aborted=%d pending=%d maxpoly=%d degraded_txns=%d deadline=%d suspects=%d settle=%s: %s",
 		r.Seed, r.Submitted, r.Shed, r.Committed, r.Aborted, r.Pending,
 		r.MaxPolyPopulation, r.DegradedTxns, r.DeadlineExceeded, r.Suspects,
-		r.SettleTime.Round(time.Millisecond), status)
-}
-
-// overloadNode is one running site with its full transport stack:
-// cluster over detector over injector over TCP.
-type overloadNode struct {
-	node *cluster.Cluster
-	det  *guard.Detector
-	inj  *fault.Injector
-	reg  *metrics.Registry
+		r.SettleTime.Round(time.Millisecond), r.status())
 }
 
 // RunOverload executes one overload torture run: three sites with
@@ -122,7 +87,9 @@ type overloadNode struct {
 // and a sustained A—B partition in the middle.  The run passes when the
 // polyvalue population stayed at or below budget on every sample, money
 // was conserved, every site returned to polyvalue mode after the heal,
-// and the usual quiescence audits hold.
+// and the scenario runner's generic audits hold.  What is RunOverload's
+// own is the open load, the partition, the overload knobs and the
+// audits that the plane was exercised and stayed bounded.
 func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	if cfg.Items <= 0 {
 		cfg.Items = 6
@@ -148,337 +115,103 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 2 * time.Second
 	}
-	if cfg.Settle <= 0 {
-		cfg.Settle = 45 * time.Second
-	}
 	if cfg.SpanCap == 0 {
 		cfg.SpanCap = 1 << 18
 	}
-	if cfg.Lanes == 0 {
-		cfg.Lanes = envLanes()
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	report := &OverloadReport{Seed: cfg.Seed, BlockedItemSeconds: map[string]float64{}}
-	sites := []protocol.SiteID{"A", "B", "C"}
-	spanLogs := map[protocol.SiteID]*trace.SpanLog{}
-	if cfg.SpanCap > 0 {
-		for _, id := range sites {
-			spanLogs[id] = trace.NewSpanLogFor(string(id), cfg.SpanCap)
+	rep := &OverloadReport{}
+	// The largest polyvalue population any site shows is sampled at
+	// every load step (every 2–4ms) and every settle pass.
+	sample := func(r *run) {
+		for id, s := range r.sites {
+			rep.MaxPolyPopulation = max(rep.MaxPolyPopulation, s.node.Store(id).PolyCount())
 		}
 	}
-	placement := func(item string) protocol.SiteID {
-		n := int(item[len(item)-1] - '0')
-		return sites[n%len(sites)]
+	budgetMode := func(s *site) int64 {
+		return s.reg.Gauge("site.budget.mode", metrics.L("site", string(s.id))).Value()
 	}
-	baseline := runtime.NumGoroutine()
-
-	peers := map[protocol.SiteID]string{}
-	lns := map[protocol.SiteID]net.Listener{}
-	for _, id := range sites {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("listen: %w", err)
-		}
-		lns[id] = ln
-		peers[id] = ln.Addr().String()
-	}
-	nodes := map[protocol.SiteID]*overloadNode{}
-	dir, err := os.MkdirTemp("", "overload-*")
+	var partitionAt time.Time
+	partitioned := false
+	r, err := runScenario(scenario{
+		name: "overload", seed: cfg.Seed, sites: 3, items: cfg.Items,
+		settle: cfg.Settle, spanCap: cfg.SpanCap, lanes: cfg.Lanes, logf: cfg.Logf,
+		// Offered load well above what AdmissionLimit in-flight slots
+		// drain during a partition: ~300 submissions/s across the sites.
+		loadFor: cfg.Warmup + cfg.Partition + cfg.Cooldown, maxAmt: 10, pace: [2]int{2, 3},
+		heartbeat: 100 * time.Millisecond,
+		net: func(r *run, step int) error {
+			if step == 0 {
+				// Background message loss on every link: dropped Ready and
+				// Complete messages strand participants in doubt, which is
+				// what actually populates (and pressures) the polyvalue budget.
+				for _, s := range r.sites {
+					s.inj.SetRule(fault.Rule{Kind: fault.KindDrop, From: fault.Wildcard, To: fault.Wildcard, P: cfg.DropP})
+				}
+				partitionAt = time.Now().Add(cfg.Warmup)
+			}
+			if !partitioned && time.Now().After(partitionAt) {
+				// Both ends drop A<->B traffic: a symmetric network cut that
+				// outlasts every protocol timeout and heals on the injectors'
+				// own schedule.
+				r.sites["A"].inj.Partition("A", "B", false, cfg.Partition)
+				r.sites["B"].inj.Partition("A", "B", false, cfg.Partition)
+				partitioned = true
+				r.logf("PARTITION A-B for %s", cfg.Partition)
+			}
+			sample(r)
+			return nil
+		},
+		node: func(c *cluster.Config) {
+			c.ReadyTimeout = time.Second // > TxnDeadline: the deadline is the binding timeout
+			c.AdmissionLimit, c.TxnDeadline, c.MaxPolyBudget = cfg.AdmissionLimit, cfg.TxnDeadline, cfg.MaxPolyBudget
+		},
+		// Quiescence here also means every site is back in polyvalue mode
+		// and every admitted transaction has decided: no coordinator is
+		// ever killed, so each decides within its deadline, and the audits
+		// must not read statuses or balances under a straggler.
+		quiet: func(r *run) []string {
+			sample(r)
+			var issues []string
+			for _, id := range r.ids {
+				if mode := budgetMode(r.sites[id]); mode != 0 {
+					issues = append(issues, fmt.Sprintf("site %s still degraded (budget mode %d) after heal", id, mode))
+				}
+			}
+			undecided := 0
+			for _, h := range r.handles {
+				if s := h.Status(); s != cluster.StatusCommitted && s != cluster.StatusAborted {
+					undecided++
+				}
+			}
+			if undecided > 0 {
+				issues = append(issues, fmt.Sprintf("%d admitted transactions still undecided", undecided))
+			}
+			return issues
+		},
+		audits: []audit{func(r *run) []string {
+			rep.Submitted, rep.Shed = len(r.handles), int64(r.shed)
+			rep.Degradations, rep.Restores = r.counters["site.budget.degradations"], r.counters["site.budget.restores"]
+			rep.DegradedTxns = r.counters["txn.degraded.blocking"]
+			rep.DeadlineExceeded = r.counters["txn.deadline.exceeded"]
+			rep.Suspects, rep.Recoveries = r.counters["transport.peer.suspects"], r.counters["transport.peer.recoveries"]
+			var out []string
+			if rep.MaxPolyPopulation > cfg.MaxPolyBudget {
+				out = append(out, fmt.Sprintf("polyvalue population peaked at %d, budget %d", rep.MaxPolyPopulation, cfg.MaxPolyBudget))
+			}
+			if rep.Shed == 0 {
+				out = append(out, "no submissions shed: offered load never exceeded the admission cap")
+			}
+			if rep.Suspects == 0 {
+				out = append(out, "failure detector never suspected a partitioned peer")
+			}
+			if rep.DeadlineExceeded == 0 {
+				out = append(out, "no transaction ever hit its deadline: the partition should doom cross-cut work")
+			}
+			return out
+		}},
+	}, &rep.ScenarioReport)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range sites {
-		reg := metrics.NewRegistry()
-		tcp := transport.NewTCPWithListener(transport.TCPConfig{
-			Self:       id,
-			Peers:      peers,
-			BackoffMin: 5 * time.Millisecond,
-			BackoffMax: 100 * time.Millisecond,
-			Seed:       cfg.Seed + int64(len(id)),
-			Metrics:    reg,
-		}, lns[id])
-		inj := fault.Wrap(tcp, fault.Config{
-			Self:    id,
-			Seed:    cfg.Seed ^ int64(sum(id)),
-			Metrics: reg,
-		})
-		// Background message loss on every link: dropped Ready/Complete
-		// messages strand participants in doubt, which is what actually
-		// populates (and pressures) the polyvalue budget.
-		inj.SetRule(fault.Rule{Kind: fault.KindDrop, From: fault.Wildcard, To: fault.Wildcard, P: cfg.DropP})
-		var others []protocol.SiteID
-		for _, o := range sites {
-			if o != id {
-				others = append(others, o)
-			}
-		}
-		det := guard.NewDetector(inj, guard.DetectorConfig{
-			Self:         id,
-			Peers:        others,
-			Interval:     100 * time.Millisecond,
-			SuspectAfter: 5,
-			Metrics:      reg,
-		})
-		node, err := cluster.NewNode(cluster.Config{
-			Sites:          sites,
-			WaitTimeout:    100 * time.Millisecond,
-			ReadyTimeout:   time.Second, // > TxnDeadline: the deadline is the binding timeout
-			RetryInterval:  100 * time.Millisecond,
-			AdmissionLimit: cfg.AdmissionLimit,
-			TxnDeadline:    cfg.TxnDeadline,
-			MaxPolyBudget:  cfg.MaxPolyBudget,
-			Placement:      placement,
-			Metrics:        reg,
-			DataDir:        dir,
-			Spans:          spanLogs[id],
-			Lanes:          cfg.Lanes,
-		}, id, det)
-		if err != nil {
-			det.Close()
-			return nil, fmt.Errorf("NewNode(%s): %w", id, err)
-		}
-		nodes[id] = &overloadNode{node: node, det: det, inj: inj, reg: reg}
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.node.Close()
-		}
-	}()
-
-	const initial = 100
-	for i := 0; i < cfg.Items; i++ {
-		item := chaosItem(i)
-		if err := nodes[placement(item)].node.Load(item, polyvalue.Simple(value.Int(initial))); err != nil {
-			return nil, fmt.Errorf("load %s: %w", item, err)
-		}
-	}
-	wantTotal := int64(initial * cfg.Items)
-	logf("overload: seed=%d admission=%d polybudget=%d deadline=%s partition=%s",
-		cfg.Seed, cfg.AdmissionLimit, cfg.MaxPolyBudget, cfg.TxnDeadline, cfg.Partition)
-
-	// ----- load + partition schedule --------------------------------------
-	// A sampler watches every site's polyvalue population while load runs;
-	// the maximum it sees is the bounded-memory measurement.
-	var maxPoly atomic.Int64
-	samplerQuit := make(chan struct{})
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for {
-			select {
-			case <-samplerQuit:
-				return
-			case <-time.After(20 * time.Millisecond):
-			}
-			for _, id := range sites {
-				if n := int64(nodes[id].node.Store(id).PolyCount()); n > maxPoly.Load() {
-					maxPoly.Store(n)
-				}
-			}
-		}
-	}()
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	type pending struct{ h *cluster.Handle }
-	var handles []pending
-	end := time.Now().Add(cfg.Warmup + cfg.Partition + cfg.Cooldown)
-	partitionAt := time.Now().Add(cfg.Warmup)
-	partitioned, healed := false, false
-	for time.Now().Before(end) {
-		now := time.Now()
-		if !partitioned && now.After(partitionAt) {
-			// Both ends drop A<->B traffic: a symmetric network cut that
-			// outlasts every protocol timeout.
-			nodes["A"].inj.Partition("A", "B", false, cfg.Partition)
-			nodes["B"].inj.Partition("A", "B", false, cfg.Partition)
-			partitioned = true
-			logf("overload: PARTITION A-B for %s", cfg.Partition)
-		}
-		if partitioned && !healed && now.After(partitionAt.Add(cfg.Partition)) {
-			healed = true // injector heals on its own schedule
-			logf("overload: partition healed")
-		}
-		src := chaosItem(rng.Intn(cfg.Items))
-		dst := chaosItem(rng.Intn(cfg.Items))
-		for dst == src {
-			dst = chaosItem(rng.Intn(cfg.Items))
-		}
-		amt := 1 + rng.Intn(10)
-		coord := sites[rng.Intn(len(sites))]
-		prog := fmt.Sprintf("%s = %s - %d if %s >= %d; %s = %s + %d if %s >= %d",
-			src, src, amt, src, amt, dst, dst, amt, src, amt)
-		h, err := nodes[coord].node.Submit(coord, prog)
-		switch {
-		case errors.Is(err, cluster.ErrOverload):
-			report.Shed++
-		case err != nil:
-			return nil, fmt.Errorf("submit via %s: %w", coord, err)
-		default:
-			report.Submitted++
-			handles = append(handles, pending{h: h})
-		}
-		// Offered load well above what AdmissionLimit in-flight slots
-		// drain during a partition: ~300 submissions/s across the sites.
-		time.Sleep(time.Duration(2+rng.Intn(3)) * time.Millisecond)
-	}
-
-	// ----- settle ---------------------------------------------------------
-	for _, n := range nodes {
-		n.inj.Clear()
-	}
-	// Every admitted transaction decides within its deadline; drain the
-	// tail before auditing so handle statuses are final.
-	for _, pt := range handles {
-		pt.h.Wait(cfg.TxnDeadline + time.Second)
-	}
-	settleStart := time.Now()
-	deadline := settleStart.Add(cfg.Settle)
-	var lastIssues []string
-	for time.Now().Before(deadline) {
-		lastIssues = overloadQuiesceIssues(nodes, sites, placement, cfg.Items)
-		if len(lastIssues) == 0 {
-			break
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	report.SettleTime = time.Since(settleStart)
-	report.Violations = append(report.Violations, lastIssues...)
-	close(samplerQuit)
-	<-samplerDone
-	report.MaxPolyPopulation = int(maxPoly.Load())
-	// Fold still-open lock-hold intervals into the blocking accountant
-	// before any item.blocked.seconds histogram is read.
-	for _, n := range nodes {
-		n.node.SyncBlockedAccounting()
-	}
-
-	// ----- audits ---------------------------------------------------------
-	// Bounded memory: no sample ever exceeded the configured budget.
-	if report.MaxPolyPopulation > cfg.MaxPolyBudget {
-		report.Violations = append(report.Violations,
-			fmt.Sprintf("polyvalue population peaked at %d, budget %d", report.MaxPolyPopulation, cfg.MaxPolyBudget))
-	}
-	// Conservation: the guarded transfers preserve the total.
-	var total int64
-	for i := 0; i < cfg.Items; i++ {
-		item := chaosItem(i)
-		p := nodes[placement(item)].node.Read(item)
-		v, certain := p.IsCertain()
-		if !certain {
-			report.Violations = append(report.Violations,
-				fmt.Sprintf("item %s still uncertain at end: %v", item, p))
-			continue
-		}
-		n, ok := value.AsInt(v)
-		if !ok {
-			report.Violations = append(report.Violations,
-				fmt.Sprintf("item %s not an int: %v", item, v))
-			continue
-		}
-		total += n
-	}
-	if total != wantTotal {
-		report.Violations = append(report.Violations,
-			fmt.Sprintf("conservation broken: total %d, want %d", total, wantTotal))
-	}
-	var committedTIDs []string
-	for _, pt := range handles {
-		switch pt.h.Status() {
-		case cluster.StatusCommitted:
-			report.Committed++
-			committedTIDs = append(committedTIDs, string(pt.h.TID))
-		case cluster.StatusAborted:
-			report.Aborted++
-		default:
-			report.Pending++
-		}
-	}
-	// Poly mode restored everywhere, and the overload plane was actually
-	// exercised: metrics roll-up per site.
-	for _, id := range sites {
-		n := nodes[id]
-		if mode := n.reg.Gauge("site.budget.mode", metrics.L("site", string(id))).Value(); mode != 0 {
-			report.Violations = append(report.Violations,
-				fmt.Sprintf("site %s still degraded (budget mode %d) after heal", id, mode))
-		}
-		report.Degradations += n.reg.Counter("site.budget.degradations", metrics.L("site", string(id))).Value()
-		report.Restores += n.reg.Counter("site.budget.restores", metrics.L("site", string(id))).Value()
-		report.DegradedTxns += n.reg.Counter("txn.degraded.blocking").Value()
-		report.DeadlineExceeded += n.reg.Counter("txn.deadline.exceeded", metrics.L("role", "coordinator")).Value() +
-			n.reg.Counter("txn.deadline.exceeded", metrics.L("role", "participant")).Value()
-		report.Suspects += n.reg.Counter("transport.peer.suspects").Value()
-		report.Recoveries += n.reg.Counter("transport.peer.recoveries").Value()
-	}
-	if report.Shed == 0 {
-		report.Violations = append(report.Violations,
-			"no submissions shed: offered load never exceeded the admission cap")
-	}
-	if report.Suspects == 0 {
-		report.Violations = append(report.Violations,
-			"failure detector never suspected a partitioned peer")
-	}
-	if report.DeadlineExceeded == 0 {
-		report.Violations = append(report.Violations,
-			"no transaction ever hit its deadline: the partition should doom cross-cut work")
-	}
-	for _, id := range sites {
-		collectBlockedSeconds(report.BlockedItemSeconds, nodes[id].reg)
-	}
-	var spanViolations []string
-	report.Spans, spanViolations = auditTraceCompleteness(spanLogs, sites, committedTIDs, cfg.SpanCap)
-	report.Violations = append(report.Violations, spanViolations...)
-
-	// ----- teardown audit -------------------------------------------------
-	for id, n := range nodes {
-		n.node.Close()
-		delete(nodes, id)
-	}
-	leakDeadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline+4 && time.Now().Before(leakDeadline) {
-		time.Sleep(100 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > baseline+4 {
-		report.Violations = append(report.Violations,
-			fmt.Sprintf("goroutine leak: %d running, baseline %d", got, baseline))
-	}
-
-	sort.Strings(report.Violations)
-	logf("overload: %s", report)
-	if len(report.Violations) > 0 {
-		dumpTraceArtifacts(dir, spanLogs, sites, logf)
-		logf("overload: data dir kept at %s", dir)
-	} else {
-		os.RemoveAll(dir)
-	}
-	return report, nil
-}
-
-// overloadQuiesceIssues reports what still blocks quiescence after the
-// heal: unreduced polyvalues, uncertain items, degraded budget mode, or
-// invariant violations.
-func overloadQuiesceIssues(nodes map[protocol.SiteID]*overloadNode, sites []protocol.SiteID,
-	placement func(string) protocol.SiteID, items int) []string {
-	var issues []string
-	for _, id := range sites {
-		n := nodes[id]
-		if polys := n.node.PolyItems(); len(polys) > 0 {
-			issues = append(issues, fmt.Sprintf("site %s: unreduced polyvalues %v", id, polys))
-		}
-		if mode := n.reg.Gauge("site.budget.mode", metrics.L("site", string(id))).Value(); mode != 0 {
-			issues = append(issues, fmt.Sprintf("site %s: still in degraded mode", id))
-		}
-		if v := n.node.CheckInvariants(); len(v) > 0 {
-			issues = append(issues, v...)
-		}
-	}
-	for i := 0; i < items; i++ {
-		item := chaosItem(i)
-		if _, certain := nodes[placement(item)].node.Read(item).IsCertain(); !certain {
-			issues = append(issues, fmt.Sprintf("item %s uncertain", item))
-		}
-	}
-	return issues
+	r.logf("%s", rep)
+	return rep, nil
 }

@@ -7,36 +7,34 @@ import (
 	"path/filepath"
 
 	"repro/internal/metrics"
-	"repro/internal/protocol"
 	"repro/internal/trace"
 )
 
-// auditTraceCompleteness asserts the tracing contract over harness-owned
-// span logs: no span was evicted, and every committed transaction's
-// merged timeline is complete — root present, no dangling parents,
-// every participant the root names contributed at least one span.  It
-// returns the merged span count and the violations found.
-func auditTraceCompleteness(spanLogs map[protocol.SiteID]*trace.SpanLog,
-	sites []protocol.SiteID, committed []string, spanCap int) (int, []string) {
-	if len(spanLogs) == 0 {
-		return 0, nil
+// auditSpans asserts the tracing contract over the fixture's span logs:
+// no span was evicted, and every committed transaction's merged
+// timeline is complete — root present, no dangling parents, every
+// participant the root names contributed at least one span.
+func (r *run) auditSpans() []string {
+	if r.sc.spanCap < 0 {
+		return nil
 	}
 	var violations []string
 	var logs [][]trace.Span
-	for _, id := range sites {
-		sl := spanLogs[id]
+	for _, id := range r.ids {
+		sl := r.sites[id].spans
 		if d := sl.Dropped(); d > 0 {
 			violations = append(violations,
-				fmt.Sprintf("site %s: %d spans dropped (SpanCap %d too small for this run)", id, d, spanCap))
+				fmt.Sprintf("site %s: %d spans dropped (SpanCap %d too small for this run)", id, d, r.sc.spanCap))
 		}
 		logs = append(logs, sl.Spans())
 	}
 	merged := trace.Merge(logs...)
+	r.rep.Spans = len(merged)
 	byTID := map[string]trace.Timeline{}
 	for _, tl := range trace.BuildTimelines(merged) {
 		byTID[tl.TID] = tl
 	}
-	for _, tid := range committed {
+	for _, tid := range r.committed {
 		tl, ok := byTID[tid]
 		if !ok {
 			violations = append(violations,
@@ -52,7 +50,7 @@ func auditTraceCompleteness(spanLogs map[protocol.SiteID]*trace.SpanLog,
 				fmt.Sprintf("txn %s committed with an incomplete timeline (%s)", tid, detail))
 		}
 	}
-	return len(merged), violations
+	return violations
 }
 
 // collectBlockedSeconds folds every site's item.blocked.seconds sums
@@ -76,31 +74,30 @@ func collectBlockedSeconds(into map[string]float64, regs ...*metrics.Registry) {
 }
 
 // dumpTraceArtifacts writes per-site span dumps (polytrace's input
-// format) and the rendered merged timelines into dir, which a failed
-// run leaves on disk for inspection.
-func dumpTraceArtifacts(dir string, spanLogs map[protocol.SiteID]*trace.SpanLog,
-	sites []protocol.SiteID, logf func(format string, args ...any)) {
-	if len(spanLogs) == 0 {
+// format) and the rendered merged timelines into the data dir, which a
+// failed run leaves on disk for inspection.
+func (r *run) dumpTraceArtifacts() {
+	if r.sc.spanCap < 0 {
 		return
 	}
 	var logs [][]trace.Span
-	for _, id := range sites {
-		spans := spanLogs[id].Spans()
+	for _, id := range r.ids {
+		spans := r.sites[id].spans.Spans()
 		logs = append(logs, spans)
 		raw, err := json.Marshal(spans)
 		if err != nil {
 			continue
 		}
-		path := filepath.Join(dir, "span-"+string(id)+".json")
+		path := filepath.Join(r.dir, "span-"+string(id)+".json")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			logf("harness: write %s: %v", path, err)
+			r.logf("write %s: %v", path, err)
 		}
 	}
 	tls := trace.BuildTimelines(trace.Merge(logs...))
-	path := filepath.Join(dir, "timelines.txt")
+	path := filepath.Join(r.dir, "timelines.txt")
 	if err := os.WriteFile(path, []byte(trace.RenderTimelines(tls)+"\n"), 0o644); err != nil {
-		logf("harness: write %s: %v", path, err)
+		r.logf("write %s: %v", path, err)
 	}
-	logf("harness: trace artifacts in %s (inspect with: polytrace %s)",
-		dir, filepath.Join(dir, "span-*.json"))
+	r.logf("trace artifacts in %s (inspect with: polytrace %s)",
+		r.dir, filepath.Join(r.dir, "span-*.json"))
 }
