@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench loc tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
+.PHONY: check lint vet build test race bench ab loc tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
 
 check: lint vet build race ## everything CI runs
 
@@ -32,10 +32,19 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
+# Paired A/B of the fixed benchmark, parent revision against this tree:
+# ten alternating pairs with fresh seeds, medians, quartiles, pairs won
+# and the parent's own spread per end-to-end metric — the acceptance
+# instrument for any change that claims (or must not cause) a move.
+#   make ab REV=<parent> [WORKLOAD=transfer-durable]
+ab:
+	@test -n "$(REV)" || { echo "usage: make ab REV=<parent-rev> [WORKLOAD=<name>]"; exit 2; }
+	scripts/ab.sh $(REV) $(WORKLOAD)
+
 # Non-test Go lines outside benchmark/, per package and in total — the
 # figure ROADMAP.md and the simplicity PRs quote, by ROADMAP's method.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | \
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 

@@ -245,26 +245,30 @@ type Config struct {
 	// Lanes > 1 gives each site that many extra event queues (one
 	// goroutine each), an event with a transaction identity going to the
 	// queue its ID hashes to.  Protocol state stays under a single
-	// per-site mutex, so lanes overlap only the group-commit waits of
-	// SyncWAL, never protocol logic; without SyncWAL they buy nothing.
-	// Lanes <= 1 is the same engine with its one queue.  Simulated
-	// clusters (New) always run one queue and stay seed-reproducible.
+	// per-site mutex and no queue goroutine waits for the disk (see
+	// engine.go), so lanes overlap no disk wait.  They still shorten the
+	// commit path under SyncWAL, because a run of messages executes and
+	// parks as one event: one message that must wait for a sync holds
+	// back the outputs of every other message in its run, and more
+	// queues mean shorter runs.  Measured on a scratch copy with the
+	// benchmark's transfer-durable harness edited from 4 lanes to 1:
+	// p50 8.79 ms and 1,739 commits/s against 7.63 ms and 2,106 (DESIGN.md
+	// §14, "What, then, do lanes buy?").  Lanes <= 1 is the same engine
+	// with its one queue.  Simulated clusters (New) always run one queue
+	// and stay seed-reproducible.
 	Lanes int
 	// SyncWAL, with DataDir set, makes every site event durable before
 	// its outputs (protocol sends, client decisions) leave the site:
-	// WAL frames route through a group-commit stage and each event
-	// waits for the flush that covers its records before externalizing.
-	// One fsync retires every event waiting at that moment, so the cost
-	// per event falls as Lanes lets more of them wait at once.
-	// Simulated clusters (New) ignore it: simulated time does not pass
-	// during an fsync.
+	// WAL frames route through a group-commit stage and an event's
+	// outputs park until the flush that covers the records they depend
+	// on.  One fsync retires every batch parked at that moment, so the
+	// cost per event falls as load rises.  Simulated clusters (New)
+	// ignore it: simulated time does not pass during an fsync.
 	SyncWAL bool
 	// GroupCommitWindow adds a fixed accumulation delay before each
 	// group-commit flush (larger batches, higher latency).  Zero — the
 	// default — flushes as soon as the flusher is free, which still
-	// groups every frame that arrived during the previous fsync.  With
-	// Lanes <= 1 only one event waits at a time, so the window is a
-	// plain per-event delay.
+	// groups every frame that arrived during the previous fsync.
 	GroupCommitWindow time.Duration
 	// DiskFS, with DataDir set, is the filesystem the site's WAL lives
 	// on.  Nil means the real filesystem (storage.OSFS); tests and

@@ -207,3 +207,33 @@ func TestLatePrepareAfterLockLapse(t *testing.T) {
 		t.Errorf("invariant violations: %v", v)
 	}
 }
+
+// TestAbortOvertakesReadReq: the TCP writer sends an abort ahead of bulk
+// traffic, so when a coordinator's other participant refuses at once the
+// abort can reach a site before the read request it chases.  The late
+// read request must lock nothing: nobody is left to release it, and the
+// item would refuse every transaction until the lock timeout.
+func TestAbortOvertakesReadReq(t *testing.T) {
+	c := newTestCluster(t, PolicyPolyvalue)
+	loadInt(t, c, "bsrc", 100)
+	loadInt(t, c, "cdst", 0)
+	const tid = txn.ID("t-overtaken")
+	c.fab.Send(protocol.Message{Kind: protocol.MsgAbort, TID: tid, From: "A", To: "B"})
+	c.RunFor(20 * time.Millisecond)
+	c.fab.Send(protocol.Message{Kind: protocol.MsgReadReq, TID: tid, From: "A", To: "B",
+		Items: []string{"bsrc"}, Lock: true, Coordinator: "A"})
+	// Well short of LockTimeout (250 ms): the lock is never taken, not
+	// timed out.
+	c.RunFor(20 * time.Millisecond)
+	if info, _ := c.SiteInfo("B"); info.Locks != 0 {
+		t.Fatalf("B holds %d locks for a transaction it knows aborted", info.Locks)
+	}
+	h, _ := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
+	c.RunFor(100 * time.Millisecond)
+	if h.Status() != StatusCommitted {
+		t.Fatalf("transfer on the same item: %v (%s), want committed at once", h.Status(), h.Reason())
+	}
+	if v := c.CheckInvariants(); len(v) != 0 {
+		t.Errorf("invariant violations: %v", v)
+	}
+}

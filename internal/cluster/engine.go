@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
 	"repro/internal/txn"
@@ -13,7 +15,7 @@ import (
 // them from one frame), a client submit, a timer, a control operation.
 // Every event takes the same path on every runtime:
 //
-//	enqueue → run under stateMu → make durable → release outputs
+//	enqueue → run under stateMu → park or release outputs
 //
 // enqueue puts the event on one of the site's queues.  queues[0] takes
 // TID-less work (timers, gossip, control) and, with Config.Lanes <= 1,
@@ -25,24 +27,32 @@ import (
 // Queues do NOT parallelize protocol logic.  Every event runs under the
 // site's single stateMu, so the lock table, dependency table and every
 // other protocol map see exactly the serialized execution the paper's
-// site model assumes.  What more than one queue overlaps is the part of
-// an event spent OUTSIDE the mutex: the durable group-commit wait.
+// site model assumes.  More than one queue only shortens the line in
+// front of that mutex; no queue goroutine ever waits for the disk.
 //
 // While it runs, an event does not touch the outside world.  What it
 // wants to leave the site — protocol sends, client decisions, query
 // answers, the site's own up/down marking — is staged as a list of
-// effects.  After the event, exec waits until the WAL bytes the event
-// depends on are durable and then releases the effects in staging order.
-// Nothing leaves before its WAL bytes are durable, and everything staged
+// effects, and every staging call declares the WAL position the effect
+// depends on (see send and sendDep).  An event's effects leave together,
+// in staging order, once the log is durable up to the event's target:
+// the frames the event itself wrote, or the furthest position one of its
+// effects declared, whichever is later.  If the target is already
+// durable — always, without a group log — exec releases the effects on
+// the spot.  Otherwise it parks them on the site's outbox and returns to
+// its queue; the site's one releaser goroutine takes parked batches in
+// FIFO order, waits for each target and releases.  Nothing leaves before
+// the WAL bytes it depends on are durable, and everything an event staged
 // before a crash point leaves before the site is marked down:
-// Montgomery's wait phase begins when the ready has left.
+// Montgomery's wait phase begins when the ready has left.  Batches of
+// different events may overtake each other (an unparked one passes a
+// parked one), which the protocol tolerates as it tolerates the network
+// reordering messages.
 //
-// A run of messages is queued, and waits for the disk, as one event, but
-// each message runs under the mutex on its own.  With a group log the
-// run's effects leave together after the one wait; without one the WAL
-// writes were synchronous and there is nothing to wait for, so each
-// message's effects leave as soon as it has run instead of behind the
-// rest of its frame.
+// A run of messages is queued, and parked, as one event, but each message
+// runs under the mutex on its own.  Until one of them has something to
+// wait for, each message's effects leave as soon as it has run instead of
+// behind the rest of its frame.
 //
 // The simulated runtime (New) and the wall-clock runtime (NewNode) run
 // this same engine.  They differ only in what their constructors inject:
@@ -147,9 +157,9 @@ func (s *Site) loop(q chan siteEvent) {
 }
 
 // exec runs one event with fx as its staging buffer — each message of a
-// run separately under stateMu — waits for the WAL bytes it depends on,
-// and releases what it staged.  It returns the buffer, emptied, for the
-// next event.
+// run separately under stateMu — and releases what it staged, at once if
+// the WAL bytes it depends on are durable and through the outbox if not.
+// It returns the buffer, emptied, for the next event.
 func (s *Site) exec(ev siteEvent, depth int, fx []effect) []effect {
 	fx = fx[:0]
 	var target uint64
@@ -165,7 +175,7 @@ func (s *Site) exec(ev siteEvent, depth int, fx []effect) []effect {
 		if s.glog != nil {
 			before = s.glog.Seq()
 		}
-		s.fx = fx
+		s.fx, s.dep = fx, 0
 		switch {
 		case ev.fn != nil:
 			ev.fn()
@@ -174,16 +184,18 @@ func (s *Site) exec(ev siteEvent, depth int, fx []effect) []effect {
 		}
 		fx, s.fx = s.fx, nil
 		if s.glog != nil {
-			// Conservative output commit: an event that wrote WAL frames
-			// waits for them; an event that wrote nothing but has outputs
-			// still waits for ALL currently unsynced frames, because its
-			// outputs may externalize state some earlier unsynced event
-			// installed (e.g. relaying an outcome another event just
-			// logged).  Pure-internal events (no frames, no outputs) skip
-			// the wait entirely.
-			if after := s.glog.Seq(); after > before || len(fx) > 0 {
-				target = after
+			// Output commit: the event waits for the frames it wrote
+			// itself, else for what its effects declared — for most of
+			// them (send) everything written so far, because they may
+			// externalize state an earlier, still unsynced event
+			// installed.  No frames and no dependency: nothing to wait
+			// for.
+			after := s.glog.Seq()
+			dep := min(s.dep, after)
+			if after > before {
+				dep = after
 			}
+			target = max(target, dep)
 		}
 		s.stateMu.Unlock()
 		if target == 0 {
@@ -194,30 +206,66 @@ func (s *Site) exec(ev siteEvent, depth int, fx []effect) []effect {
 			fx = fx[:0]
 		}
 	}
-	lost := 0
-	if target > 0 {
-		if err := s.glog.WaitSynced(target); err != nil {
-			// fsyncgate: the WAL frames this event depends on never
-			// reached the disk (the flush error is sticky in the
-			// GroupLog, so durability is gone for the rest of this
-			// incarnation).  Nothing the event staged may leave — no
-			// Prepared, no Committed, no client decision — because each
-			// would ack state the disk may have dropped.  Crash the site
-			// instead; what the crash itself stages is released as usual.
-			lost = len(fx)
-			s.stateMu.Lock()
-			s.fx = fx
-			s.durabilityPanic("", err)
-			fx, s.fx = s.fx, nil
-			s.stateMu.Unlock()
+	if target > 0 && s.glog.Synced() < target {
+		// The queue goroutine never sleeps on the disk: the batch waits
+		// in the outbox and the next event runs.  A full outbox is the
+		// site's back-pressure.
+		select {
+		case s.outbox <- parked{fx: slices.Clone(fx), target: target, done: ev.done, at: s.c.clk.Now()}:
+		case <-s.quit:
 		}
-	}
-	s.release(fx, lost)
-	if ev.done != nil {
-		close(ev.done)
+	} else {
+		s.release(fx, 0)
+		if ev.done != nil {
+			close(ev.done)
+		}
 	}
 	clear(fx) // drop message and handle references until the next event
 	return fx
+}
+
+// parked is one event's staged effects waiting in the outbox for the WAL
+// to be durable up to target.
+type parked struct {
+	fx     []effect
+	target uint64
+	done   chan struct{}
+	at     vclock.Time
+}
+
+// releaser drains the outbox of a site with a group log: it waits for
+// each parked batch's target in FIFO order and releases the batch.
+func (s *Site) releaser() {
+	for {
+		select {
+		case <-s.quit:
+			return
+		case b := <-s.outbox:
+			lost := 0
+			if err := s.glog.WaitSynced(b.target); err != nil {
+				// fsyncgate: the WAL frames this batch depends on never
+				// reached the disk (the flush error is sticky in the
+				// GroupLog, so durability is gone for the rest of this
+				// incarnation, and every batch parked behind this one
+				// lands here too).  Nothing the event staged may leave —
+				// no Prepared, no Committed, no client decision — because
+				// each would ack state the disk may have dropped.  Crash
+				// the site instead, once; what the crash itself stages is
+				// released as usual.
+				lost = len(b.fx)
+				s.stateMu.Lock()
+				s.fx = b.fx
+				s.durabilityPanic("", err)
+				b.fx, s.fx = s.fx, nil
+				s.stateMu.Unlock()
+			}
+			s.outboxWait.Observe((s.c.clk.Now() - b.at).Seconds())
+			s.release(b.fx, lost)
+			if b.done != nil {
+				close(b.done)
+			}
+		}
+	}
 }
 
 // effectKind names what an effect does when it leaves the site.
@@ -296,33 +344,70 @@ func (s *Site) release(fx []effect, lost int) {
 	}
 }
 
-// send stages a message from this site.  The trace line is emitted at
-// staging time, under stateMu, so the trace ring needs no extra
-// synchronization.
-func (s *Site) send(msg protocol.Message) {
+// depAll is the dependency of an effect that may externalize anything the
+// site has logged: every WAL frame written up to the end of its event.
+const depAll = ^uint64(0)
+
+// stage appends one effect to the running event's outputs and raises the
+// event's declared dependency to dep.
+func (s *Site) stage(e effect, dep uint64) {
+	s.fx, s.dep = append(s.fx, e), max(s.dep, dep)
+}
+
+// send stages a message from this site that may leave only once
+// everything the site has logged so far is durable — the safe default,
+// and what decideHandle, completeQuery and setDown declare too.
+func (s *Site) send(msg protocol.Message) { s.sendDep(msg, depAll) }
+
+// sendDep stages a message that externalizes nothing this site logged
+// beyond WAL position dep, so it may leave as soon as dep is durable
+// (dep 0: at once).  The trace line is emitted at staging time, under
+// stateMu, so the trace ring needs no extra synchronization.
+func (s *Site) sendDep(msg protocol.Message, dep uint64) {
 	msg.From = s.id
 	if s.c.tracing {
 		s.c.trace("%s send %s", s.id, msg)
 	}
-	s.fx = append(s.fx, effect{kind: fxSend, msg: msg})
+	s.stage(effect{kind: fxSend, msg: msg}, dep)
+}
+
+// installSeq is what a read reply for items depends on: the WAL position
+// by which the current value of every one of them is logged, the latest
+// of their last installs.  Entries the disk has caught up with are pruned
+// as they are met.  Replica versions and Paxos state have no such bound,
+// so on those planes the reply depends on everything.
+func (s *Site) installSeq(items []string) uint64 {
+	if s.glog == nil || s.c.cfg.Replication != nil || s.paxosPlane() {
+		return depAll
+	}
+	var dep uint64
+	synced := s.glog.Synced()
+	for _, item := range items {
+		if seq, ok := s.itemSeq[item]; ok && seq <= synced {
+			delete(s.itemSeq, item)
+		} else if ok {
+			dep = max(dep, seq)
+		}
+	}
+	return dep
 }
 
 // decideHandle stages the resolution of a client transaction handle: the
 // client must not observe a commit the site could still forget.
 func (s *Site) decideHandle(h *Handle, st Status, reason string) {
-	s.fx = append(s.fx, effect{kind: fxDecide, h: h, st: st, reason: reason, at: s.c.clk.Now()})
+	s.stage(effect{kind: fxDecide, h: h, st: st, reason: reason, at: s.c.clk.Now()}, depAll)
 }
 
 // completeQuery stages the resolution of a query handle.
 func (s *Site) completeQuery(qh *QueryHandle, p polyvalue.Poly, err error) {
-	s.fx = append(s.fx, effect{kind: fxQuery, qh: qh, poly: p, err: err})
+	s.stage(effect{kind: fxQuery, qh: qh, poly: p, err: err}, depAll)
 }
 
 // setDown flips the site's crash state and stages its publication, so
 // whatever the running event staged before this point leaves first.
 func (s *Site) setDown(down bool) {
 	s.down = down
-	s.fx = append(s.fx, effect{kind: fxDown})
+	s.stage(effect{kind: fxDown}, depAll)
 }
 
 // onMessage is the transport's delivery handler for one message.

@@ -171,3 +171,26 @@ func TestLatencyHistogramIsRegistrySeries(t *testing.T) {
 		t.Error("no latency observations after a commit")
 	}
 }
+
+// TestOutboxWaitHistogram: site.outbox.wait.seconds measures the engine's
+// park stage, so a site without a group log never feeds it and a SyncWAL
+// site committing a transfer does (its ready waits for the prepared
+// record's sync).
+func TestOutboxWaitHistogram(t *testing.T) {
+	for _, syncWAL := range []bool{false, true} {
+		h := newTunedNodeHarness(t, func(cfg *Config) { cfg.SyncWAL = syncWAL })
+		loadInt(t, h.nodes["B"], "acct1", 100)
+		loadInt(t, h.nodes["C"], "acct2", 0)
+		hd, err := h.nodes["A"].Submit("A", transferSrc(30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, done := hd.Wait(10 * time.Second); !done || st != StatusCommitted {
+			t.Fatalf("SyncWAL=%v: transfer %v done=%v (%s)", syncWAL, st, done, hd.Reason())
+		}
+		parked := h.nodes["B"].Metrics().Histogram("site.outbox.wait.seconds", metrics.L("site", "B")).Count()
+		if (parked > 0) != syncWAL {
+			t.Errorf("SyncWAL=%v: site.outbox.wait.seconds{site=B} has %d samples", syncWAL, parked)
+		}
+	}
+}

@@ -35,11 +35,16 @@ type Site struct {
 	once   sync.Once
 
 	// stateMu serializes events; fx is the running event's staged
-	// outputs.  glog is the group-commit WAL stage (Config.SyncWAL with a
-	// DataDir); when set, an event's outputs wait for its WAL bytes.
+	// outputs and dep the furthest WAL position any of them declared.
+	// glog is the group-commit WAL stage (Config.SyncWAL with a DataDir);
+	// when set, outputs whose WAL bytes are not durable yet park on outbox,
+	// and itemSeq holds the WAL position of each item's last install.
 	stateMu sync.Mutex
 	fx      []effect
+	dep     uint64
 	glog    *storage.GroupLog
+	outbox  chan parked
+	itemSeq map[string]uint64
 
 	down bool
 	// durLost marks an incarnation whose durable log failed a write or
@@ -116,8 +121,9 @@ type Site struct {
 	// durPanics counts durability panics (site.durability.panics): times
 	// this site crashed itself rather than ack work its disk may have
 	// dropped.
-	durPanics *metrics.Counter
-	hwm       int
+	durPanics  *metrics.Counter
+	hwm        int
+	outboxWait *metrics.Histogram // parked time; the releaser alone observes
 
 	// aeTimer is the anti-entropy gossip loop's pending timer (quorum
 	// replication only); cancelled by crash, re-armed by restart.
@@ -266,6 +272,11 @@ func newSite(c *Cluster, id protocol.SiteID, store *storage.Store, flog *storage
 	for i := range s.queues {
 		s.queues[i] = make(chan siteEvent, siteInboxDepth)
 	}
+	if glog != nil {
+		s.outbox, s.itemSeq = make(chan parked, siteInboxDepth), map[string]uint64{}
+		s.outboxWait = c.reg.Histogram("site.outbox.wait.seconds", l)
+		go s.releaser()
+	}
 	for _, q := range s.queues {
 		go s.loop(q)
 	}
@@ -412,12 +423,13 @@ func (s *Site) beginTxn(t txn.T, h *Handle) {
 		items := readOwner[site]
 		ctx.readWait[site] = true
 		sort.Strings(items)
-		s.send(protocol.Message{
+		// Item names out of the client's program: nothing logged here.
+		s.sendDep(protocol.Message{
 			Kind: protocol.MsgReadReq, TID: t.ID, To: site,
 			Items: items, Lock: true, Coordinator: s.id,
 			Deadline: s.remainingDeadline(ctx),
 			TraceCtx: s.traceCtx(ctx),
-		})
+		}, 0)
 	}
 	ctx.readTimer = s.after(s.c.cfg.ReadyTimeout, func() { s.onReadTimeout(ctx.tid) })
 }
@@ -502,10 +514,10 @@ func (s *Site) beginQuery(qid txn.ID, node expr.Node, qh *QueryHandle, certainBy
 		items := readOwner[site]
 		ctx.readWait[site] = true
 		sort.Strings(items)
-		s.send(protocol.Message{
+		s.sendDep(protocol.Message{
 			Kind: protocol.MsgReadReq, TID: qid, To: site,
 			Items: items, Lock: false, Coordinator: s.id,
-		})
+		}, 0) // item names out of the query, as in beginTxn
 	}
 	ctx.readTimer = s.after(s.c.cfg.ReadyTimeout, func() { s.onReadTimeout(qid) })
 }
@@ -681,13 +693,15 @@ func (s *Site) sendPrepares(ctx *coordCtx) {
 				}
 			}
 		}
-		s.send(protocol.Message{
+		// The program and values other sites replied with: nothing logged
+		// here (the event still waits for the AddDepSite frames above).
+		s.sendDep(protocol.Message{
 			Kind: protocol.MsgPrepare, TID: ctx.tid, To: site,
 			Items: items, Values: vals,
 			Program: ctx.t.Program.String(), Coordinator: s.id,
 			Deadline: s.remainingDeadline(ctx),
 			TraceCtx: s.traceCtx(ctx),
-		})
+		}, 0)
 	}
 	ctx.readyTimer = s.after(s.c.cfg.ReadyTimeout, func() { s.onReadyTimeout(ctx.tid) })
 }
@@ -849,10 +863,19 @@ func (s *Site) finalizeDecision(ctx *coordCtx, committed bool, reason string) {
 // onReadReq serves (and for updates, locks) the requested items.
 func (s *Site) onReadReq(msg protocol.Message) {
 	if msg.Lock {
-		if !s.lockAll(msg.TID, msg.Items) {
+		// The transport sends aborts ahead of bulk traffic, so one can
+		// overtake the read request it chases; a lock taken now would be
+		// released by nobody until the lock timeout.
+		reason := ""
+		if committed, known := s.store.Outcome(msg.TID); known && !committed {
+			reason = "already aborted at "
+		} else if !s.lockAll(msg.TID, msg.Items) {
+			reason = "lock conflict at "
+		}
+		if reason != "" {
 			s.send(protocol.Message{
 				Kind: protocol.MsgRefuse, TID: msg.TID, To: msg.From,
-				Reason: "lock conflict at " + string(s.id),
+				Reason: reason + string(s.id),
 			})
 			return
 		}
@@ -897,10 +920,10 @@ func (s *Site) onReadReq(msg protocol.Message) {
 			}
 		}
 	}
-	s.send(protocol.Message{
+	s.sendDep(protocol.Message{
 		Kind: protocol.MsgReadRep, TID: msg.TID, To: msg.From, Values: values,
 		Versions: vers,
-	})
+	}, s.installSeq(msg.Items)) // reveals item values, nothing else logged
 }
 
 // onLockTimeout abandons a read-locked transaction that never prepared.
@@ -1905,6 +1928,9 @@ func (s *Site) put(item string, p polyvalue.Poly) error {
 	before := s.store.Get(item)
 	if err := s.store.Put(item, p); err != nil {
 		return err
+	}
+	if s.glog != nil {
+		s.itemSeq[item] = s.glog.Seq()
 	}
 	s.c.trackPut(s.id, item, before, p)
 	return nil
