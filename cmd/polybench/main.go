@@ -74,7 +74,6 @@ type options struct {
 	items    int
 	batch    bool
 	batchMax int
-	batchLng time.Duration
 	label    string
 	out      string
 	waitTxn  time.Duration
@@ -110,7 +109,6 @@ func main() {
 	flag.IntVar(&opt.items, "items", 64, "distinct items (accounts/flights/SKUs)")
 	flag.BoolVar(&opt.batch, "batch", true, "transport message coalescing (false: one frame per message)")
 	flag.IntVar(&opt.batchMax, "batch-max", 0, "messages per frame cap when batching (0: transport default)")
-	flag.DurationVar(&opt.batchLng, "batch-delay", 0, "writer linger when batching (0: transport default)")
 	flag.StringVar(&opt.label, "label", "", "setting name in the BENCH file (default derived from flags)")
 	flag.StringVar(&opt.out, "out", "", "BENCH JSON path; existing settings are merged by name (default BENCH_<rev>.json)")
 	flag.DurationVar(&opt.waitTxn, "txn-timeout", 15*time.Second, "per-transaction client wait bound")
@@ -330,13 +328,10 @@ func siteNames(n int) []protocol.SiteID {
 
 func tcpConfig(self protocol.SiteID, peers map[protocol.SiteID]string, reg *metrics.Registry, opt options) transport.TCPConfig {
 	cfg := transport.TCPConfig{Self: self, Peers: peers, Metrics: reg, QueueDepth: 1024}
-	if !opt.batch {
-		cfg.BatchMax = 1
-		cfg.BatchDelay = -1 // no linger: flush every message immediately
-		return cfg
-	}
 	cfg.BatchMax = opt.batchMax
-	cfg.BatchDelay = opt.batchLng
+	if !opt.batch {
+		cfg.BatchMax = 1 // frames of one
+	}
 	return cfg
 }
 
@@ -489,8 +484,10 @@ func printSetting(w *os.File, s setting) {
 
 // batchCounters reads the coalescing metrics the transports share.
 func batchCounters(reg *metrics.Registry) (flushes, n int64, sum float64) {
-	for _, reason := range []string{"count", "size", "delay", "drain"} {
-		flushes += reg.Counter("transport.batch.flushes", metrics.L("reason", reason)).Value()
+	for _, p := range reg.Snapshot().Points {
+		if p.Name == "transport.batch.flushes" { // every flush reason
+			flushes += p.Value
+		}
 	}
 	h := reg.Histogram("transport.batch.size")
 	return flushes, int64(h.Count()), h.Sum()
@@ -891,7 +888,6 @@ func runProcs(opt options) (*runResult, error) {
 			"-settle", opt.settle.String(),
 			"-gogc", strconv.Itoa(opt.gogc),
 			"-batch-max", strconv.Itoa(opt.batchMax),
-			"-batch-delay", opt.batchLng.String(),
 			"-admission", strconv.Itoa(opt.admit),
 			"-txn-deadline", opt.deadline.String(),
 			"-decision-plane", planeName(opt),

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -12,11 +11,13 @@ import (
 
 // Batcher gives the simulated fabric the same coalescing seam the TCP
 // writer has, so the deterministic protocol suite exercises the batch
-// codec and the latency effects of delayed flushing.  It wraps any
-// Transport: Send queues messages per destination and flushes a whole
-// queue as one batch when it reaches MaxCount or MaxBytes, or when
-// MaxDelay elapses on the wrapped clock (the simulated scheduler in
-// tests, wall time otherwise).
+// codec.  It wraps any Transport: Send queues messages per destination
+// and flushes a whole queue as one batch when it reaches MaxCount or
+// MaxBytes, or — like the TCP writer, which waits for nothing but a
+// lone read request (a wait this model leaves out) — at the same instant
+// of the wrapped clock the queue was first written, once the running
+// event has finished emitting (so one site turn's messages to one peer
+// ride one frame).
 //
 // Each flush round-trips the queued messages through the real batch
 // frame codec — encode, verify, decode — before handing them, in order,
@@ -40,9 +41,9 @@ type Batcher struct {
 	closed bool
 }
 
-// batchFlushReasons enumerates the label values either coalescing layer
-// (TCP writer, sim Batcher) records under transport.batch.flushes.
-var batchFlushReasons = []string{"count", "size", "delay", "drain"}
+// batchFlushReasons enumerates the label values both coalescing layers
+// (TCP writer, sim Batcher) record under transport.batch.flushes.
+var batchFlushReasons = []string{"count", "size", "drain"}
 
 // BatchParams bounds a Batcher's coalescing.
 type BatchParams struct {
@@ -52,10 +53,6 @@ type BatchParams struct {
 	// MaxBytes flushes when the queue's encoded size reaches this many
 	// bytes (default 64 KiB).
 	MaxBytes int
-	// MaxDelay flushes a nonempty queue this long after its first
-	// message arrived (default 1ms of fabric time; negative means no
-	// timer — flush only on count/size, plus explicit Flush calls).
-	MaxDelay time.Duration
 	// Metrics, when set, receives the same transport.batch.size
 	// histogram and transport.batch.flushes{reason} counter the TCP
 	// writer records.
@@ -71,9 +68,6 @@ func (p *BatchParams) fillDefaults() {
 	}
 	if p.MaxBytes <= 0 {
 		p.MaxBytes = 64 << 10
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = time.Millisecond
 	}
 }
 
@@ -125,14 +119,14 @@ func (b *Batcher) Send(msg protocol.Message) {
 		b.flushLocked(msg.To, q, "count")
 	case q.size >= b.cfg.MaxBytes:
 		b.flushLocked(msg.To, q, "size")
-	case !q.armed && b.cfg.MaxDelay > 0:
+	case !q.armed:
 		q.armed = true
 		to := msg.To
-		q.timer = b.clk.After(b.cfg.MaxDelay, func() {
+		q.timer = b.clk.After(0, func() {
 			b.mu.Lock()
 			defer b.mu.Unlock()
 			if cur := b.queues[to]; cur != nil && cur.armed && !b.closed {
-				b.flushLocked(to, cur, "delay")
+				b.flushLocked(to, cur, "drain")
 			}
 		})
 	}

@@ -27,16 +27,17 @@ func batchMsg(i int) protocol.Message {
 
 func TestBatcherCountFlush(t *testing.T) {
 	reg := metrics.NewRegistry()
-	b, sched, sink := newBatcher(BatchParams{MaxCount: 3, MaxDelay: -1, Metrics: reg})
+	b, sched, sink := newBatcher(BatchParams{MaxCount: 3, Metrics: reg})
 	defer b.Close()
 
-	b.Send(batchMsg(0))
-	b.Send(batchMsg(1))
-	sched.Drain(0)
-	if n := sink.count(); n != 0 {
-		t.Fatalf("partial batch leaked %d messages before the count bound", n)
+	// The count bound flushes inside Send: no scheduler turn is needed,
+	// and the flush disarms the queue's pending drain.
+	for i := 0; i < 3; i++ {
+		b.Send(batchMsg(i))
 	}
-	b.Send(batchMsg(2))
+	if got := reg.Counter("transport.batch.flushes", metrics.L("reason", "count")).Value(); got != 1 {
+		t.Fatalf("flushes{reason=count} = %d before any scheduler turn, want 1", got)
+	}
 	sched.Drain(0)
 	msgs := sink.msgs
 	if len(msgs) != 3 {
@@ -47,38 +48,54 @@ func TestBatcherCountFlush(t *testing.T) {
 			t.Fatalf("message %d out of order: %s", i, m.TID)
 		}
 	}
-	if got := reg.Counter("transport.batch.flushes", metrics.L("reason", "count")).Value(); got != 1 {
-		t.Errorf("flushes{reason=count} = %d, want 1", got)
+	if got := reg.Counter("transport.batch.flushes", metrics.L("reason", "drain")).Value(); got != 0 {
+		t.Errorf("flushes{reason=drain} = %d, want 0 (count flush left a drain armed)", got)
 	}
-	if got := reg.Histogram("transport.batch.size").Max(); got != 3 {
-		t.Errorf("batch.size max = %v, want 3", got)
+	if h := reg.Histogram("transport.batch.size"); h.Count() != 1 || h.Max() != 3 {
+		t.Errorf("batch.size: count=%d max=%v, want one sample of 3", h.Count(), h.Max())
 	}
 }
 
-func TestBatcherDelayFlush(t *testing.T) {
+// TestBatcherDrainFlush: a partial batch leaves at the simulated instant
+// it was first written — after the emitting event returns, so messages
+// sent in one turn coalesce — and never later: the Batcher models a
+// writer on the hops where it does not linger.
+func TestBatcherDrainFlush(t *testing.T) {
 	reg := metrics.NewRegistry()
-	b, sched, sink := newBatcher(BatchParams{MaxCount: 100, MaxDelay: 5 * time.Millisecond, Metrics: reg})
+	b, sched, sink := newBatcher(BatchParams{MaxCount: 100, Metrics: reg})
 	defer b.Close()
 
+	sched.RunUntil(3 * time.Millisecond)
 	b.Send(batchMsg(0))
 	b.Send(batchMsg(1))
-	// Nothing moves until the linger timer fires on the simulated clock.
-	sched.RunUntil(4 * time.Millisecond)
-	if n := sink.count(); n != 0 {
-		t.Fatalf("flushed %d messages before MaxDelay", n)
+	drains := reg.Counter("transport.batch.flushes", metrics.L("reason", "drain"))
+	if got := drains.Value(); got != 0 {
+		t.Fatalf("flushes{reason=drain} = %d inside the emitting turn, want 0", got)
+	}
+	if !sched.Step() {
+		t.Fatal("no drain scheduled for a partial batch")
+	}
+	if got := drains.Value(); got != 1 {
+		t.Fatalf("flushes{reason=drain} = %d after one scheduler step, want 1", got)
+	}
+	if now := sched.Now(); now != 3*time.Millisecond {
+		t.Fatalf("drain fired at %v, want the instant of the first send (3ms)", now)
+	}
+	if h := reg.Histogram("transport.batch.size"); h.Count() != 1 || h.Max() != 2 {
+		t.Errorf("batch.size: count=%d max=%v, want one sample of 2", h.Count(), h.Max())
 	}
 	sched.Drain(0)
 	if n := sink.count(); n != 2 {
-		t.Fatalf("delivered %d messages after delay flush, want 2", n)
+		t.Fatalf("delivered %d messages after the drain flush, want 2", n)
 	}
-	if got := reg.Counter("transport.batch.flushes", metrics.L("reason", "delay")).Value(); got != 1 {
-		t.Errorf("flushes{reason=delay} = %d, want 1", got)
+	if _, ok := reg.Snapshot().Get("transport.batch.flushes", metrics.L("reason", "delay")); ok {
+		t.Error(`a Batcher registered transport.batch.flushes{reason="delay"}: it has nothing that lingers`)
 	}
 }
 
 func TestBatcherSizeFlush(t *testing.T) {
 	reg := metrics.NewRegistry()
-	b, sched, sink := newBatcher(BatchParams{MaxCount: 1000, MaxBytes: 64, MaxDelay: -1, Metrics: reg})
+	b, sched, sink := newBatcher(BatchParams{MaxCount: 1000, MaxBytes: 64, Metrics: reg})
 	defer b.Close()
 
 	// Bulky values push past 64 encoded bytes within a few sends.
@@ -100,10 +117,13 @@ func TestBatcherSizeFlush(t *testing.T) {
 // flushes the remainder before shutting the inner fabric, and sends
 // after Close are silent no-ops.
 func TestBatcherFlushClose(t *testing.T) {
-	b, sched, sink := newBatcher(BatchParams{MaxCount: 100, MaxDelay: -1})
+	b, sched, sink := newBatcher(BatchParams{MaxCount: 100})
 
 	b.Send(batchMsg(0))
 	b.Flush()
+	if p := sched.Pending(); p != 1 { // the message in flight, not a drain timer
+		t.Fatalf("%d events pending after Flush, want 1", p)
+	}
 	sched.Drain(0)
 	if n := sink.count(); n != 1 {
 		t.Fatalf("Flush delivered %d, want 1", n)
@@ -127,7 +147,7 @@ func TestBatcherFlushClose(t *testing.T) {
 // TestBatcherSingleMessageMode: MaxCount=1 degenerates to pass-through
 // with no timers pending.
 func TestBatcherSingleMessageMode(t *testing.T) {
-	b, sched, sink := newBatcher(BatchParams{MaxCount: 1, MaxDelay: time.Second})
+	b, sched, sink := newBatcher(BatchParams{MaxCount: 1})
 	defer b.Close()
 	for i := 0; i < 5; i++ {
 		b.Send(batchMsg(i))

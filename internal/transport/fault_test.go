@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,42 +9,13 @@ import (
 	"repro/internal/protocol"
 )
 
-// newTCPsMetrics is newTCPs with a shared metrics registry attached.
-func newTCPsMetrics(t *testing.T, reg *metrics.Registry, ids ...protocol.SiteID) map[protocol.SiteID]*TCP {
-	t.Helper()
-	lns := map[protocol.SiteID]net.Listener{}
-	peers := map[protocol.SiteID]string{}
-	for _, id := range ids {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[id] = ln
-		peers[id] = ln.Addr().String()
-	}
-	out := map[protocol.SiteID]*TCP{}
-	for _, id := range ids {
-		tr := NewTCPWithListener(TCPConfig{
-			Self:       id,
-			Peers:      peers,
-			BackoffMin: 5 * time.Millisecond,
-			BackoffMax: 50 * time.Millisecond,
-			Seed:       42,
-			Metrics:    reg,
-		}, lns[id])
-		out[id] = tr
-		t.Cleanup(func() { tr.Close() })
-	}
-	return out
-}
-
 // TestTCPCorruptFrameKeepsConnection proves the CRC reject path: a
 // frame corrupted on the wire (via the frame tap) bumps the
 // decode-error metric on the receiver and does NOT kill the connection
 // — the next clean frame arrives on the same stream.
 func TestTCPCorruptFrameKeepsConnection(t *testing.T) {
 	reg := metrics.NewRegistry()
-	trs := newTCPsMetrics(t, reg, "A", "B")
+	trs := newTCPsConfig(t, TCPConfig{Metrics: reg}, "A", "B")
 	sender, receiver := trs["A"], trs["B"]
 
 	var atB collector
@@ -93,43 +63,45 @@ func TestTCPCorruptFrameKeepsConnection(t *testing.T) {
 
 // TestTCPQueueOverflowDropsOldest: when the per-peer queue is full the
 // OLDEST frame is evicted (counted in transport.queue.dropped) and the
-// newest is kept.
+// newest is kept.  The writer is parked inside one write for the whole
+// test, so the counts are exact.
 func TestTCPQueueOverflowDropsOldest(t *testing.T) {
 	reg := metrics.NewRegistry()
-	pair := newTCPsMetrics(t, reg, "C", "D")
+	pair := newTCPsConfig(t, TCPConfig{Metrics: reg}, "C", "D")
 	src := pair["C"]
-	pair["D"].Close() // D's listener is gone: C's writer can never dial
+	gate := gateWrites(t, src)
 
 	depth := src.cfg.QueueDepth
 	total := depth + 5
-	for i := 0; i < total; i++ {
+	send := func(i int) {
 		src.Send(protocol.Message{Kind: protocol.MsgReady, TID: tid(i), From: "C", To: "D"})
 	}
-	// The writer may have consumed a frame or two before the queue
-	// filled, so assert the invariants rather than exact counts: some
-	// evictions happened, and the newest frame is still queued (the
-	// queue holds the most recent window of traffic).
-	st := src.Stats()
-	if st.QueueDropped == 0 {
-		t.Fatalf("QueueDropped = 0 after %d sends into a depth-%d queue", total, depth)
+	send(0)
+	if got := gate.parked(t); len(got) != 1 || got[0].TID != tid(0) {
+		t.Fatalf("writer holds %v, want only %s", got, tid(0))
 	}
-	if got := reg.Counter("transport.queue.dropped", metrics.L("peer", "D")).Value(); got != st.QueueDropped {
-		t.Fatalf("transport.queue.dropped = %d, stats say %d", got, st.QueueDropped)
+	const inFlight = 1
+	for i := inFlight; i < total; i++ {
+		send(i)
 	}
-	// Drain the queue and verify the newest message survived eviction.
-	found := false
-	for drained := false; !drained; {
-		select {
-		case m := <-src.peers["D"].out:
-			if m.TID == tid(total-1) {
-				found = true
-			}
-		default:
-			drained = true
+
+	want := int64(total - depth - inFlight)
+	if st := src.Stats(); st.QueueDropped != want || st.CritDropped != 0 {
+		t.Fatalf("QueueDropped = %d (critical %d) after %d sends into a depth-%d queue with %d in flight, want %d (critical 0)",
+			st.QueueDropped, st.CritDropped, total, depth, inFlight, want)
+	}
+	if got := reg.Counter("transport.queue.dropped", metrics.L("peer", "D")).Value(); got != want {
+		t.Fatalf("transport.queue.dropped = %d, want %d", got, want)
+	}
+	// The queue holds exactly the newest depth messages, oldest first.
+	q := src.peers["D"].out
+	if len(q) != depth {
+		t.Fatalf("queue holds %d messages, want %d", len(q), depth)
+	}
+	for i := total - depth; i < total; i++ {
+		if m := <-q; m.TID != tid(i) {
+			t.Fatalf("queue slot %d holds %s, want %s: drop-oldest policy not in effect", i-(total-depth), m.TID, tid(i))
 		}
-	}
-	if !found {
-		t.Fatal("newest frame was evicted; drop-oldest policy not in effect")
 	}
 }
 

@@ -47,10 +47,6 @@ type TCPConfig struct {
 	// BatchBytes flushes a batch once its encoded message payload
 	// reaches this many bytes (default 64 KiB).
 	BatchBytes int
-	// BatchDelay bounds how long a writer lingers for more traffic when
-	// the queue drains with a partial batch (default 100µs; negative
-	// means no lingering — flush the moment the queue is empty).
-	BatchDelay time.Duration
 	// Seed drives backoff jitter (runs with equal seeds draw the same
 	// jitter sequence).
 	Seed int64
@@ -89,9 +85,6 @@ func (c *TCPConfig) fillDefaults() {
 	}
 	if c.BatchBytes <= 0 {
 		c.BatchBytes = 64 << 10
-	}
-	if c.BatchDelay == 0 {
-		c.BatchDelay = 100 * time.Microsecond
 	}
 	if c.Listen == "" {
 		c.Listen = c.Peers[c.Self]
@@ -210,7 +203,8 @@ func newTCPSeries(reg *metrics.Registry) tcpSeries {
 		s.dropped[r] = reg.Counter("network.dropped", metrics.L("reason", r))
 	}
 	s.flushes = map[string]*metrics.Counter{}
-	for _, r := range batchFlushReasons {
+	// "delay" is the writer's own: only its entry linger records it.
+	for _, r := range append([]string{"delay"}, batchFlushReasons...) {
 		s.flushes[r] = reg.Counter("transport.batch.flushes", metrics.L("reason", r))
 	}
 	s.batchSize = reg.Histogram("transport.batch.size")
@@ -513,11 +507,11 @@ func (t *TCP) writer(p *peer) {
 	}
 }
 
-// writeBatch coalesces msg and any queued (or imminent, within
-// BatchDelay) traffic for p into one frame and makes at most one
-// delivery attempt for it.  A failed dial drops only msg — the queued
-// remainder gets its own attempts, preserving per-message retry
-// accounting through a backoff window.
+// writeBatch coalesces msg and whatever else is already queued for p
+// into one frame and makes at most one delivery attempt for it.  A
+// failed dial drops only msg — the queued remainder gets its own
+// attempts, preserving per-message retry accounting through a backoff
+// window.
 func (t *TCP) writeBatch(p *peer, msg protocol.Message) {
 	if p.conn == nil && !t.dial(p) {
 		t.dropPeer(p, "conn")
@@ -525,7 +519,7 @@ func (t *TCP) writeBatch(p *peer, msg protocol.Message) {
 	}
 	p.batch.Reset()
 	p.batch.Add(msg)
-	reason := t.fillBatch(p)
+	reason := t.fillBatch(p, msg.Kind)
 	n := p.batch.Count()
 	p.buf = p.batch.AppendFrame(p.buf[:0])
 	frame := p.buf
@@ -556,21 +550,30 @@ func (t *TCP) writeBatch(p *peer, msg protocol.Message) {
 	t.observeBatch(n, reason)
 }
 
-// fillBatch drains further queued traffic into p.batch until a flush
-// condition holds, returning the flush reason: "count" (BatchMax
-// reached), "size" (BatchBytes reached), "delay" (lingered BatchDelay
-// without filling up), or "drain" (queue empty, no lingering).  The
-// linger timer is armed once per batch, so coalescing adds at most
-// BatchDelay of latency to the first message regardless of how much
-// traffic trickles in.
-func (t *TCP) fillBatch(p *peer) string {
-	var timer *time.Timer
+// entryLinger bounds how long a frame holding nothing but read requests
+// waits for company before it is written.  It buys no throughput; it is
+// the last of four per-hop waits, left in because the benchmark's noise
+// check refused the writer without it (DESIGN.md §9, ROADMAP 4(c)).
+const entryLinger = 100 * time.Microsecond
+
+// fillBatch drains what is already queued into p.batch, critical class
+// first, and returns why it stopped: "count" (BatchMax reached), "size"
+// (BatchBytes reached), "drain" (both queues empty) or "delay" (the
+// entry linger ran out).  Batching is self-clocking: whatever arrives
+// while the writer is inside conn.Write rides the next frame, so frames
+// grow with load and a message on an idle link costs a socket write,
+// not a timer tick.  The one exception is a frame made only of read
+// requests — a transaction's first hop, sent before the destination has
+// locked anything or voted, so the one place a wait lengthens no lock
+// and no in-doubt window there: it lingers up to entryLinger, once per
+// frame, and goes the moment any other kind joins it.
+func (t *TCP) fillBatch(p *peer, first protocol.MsgKind) string {
+	entryOnly := first == protocol.MsgReadReq
+	add := func(m protocol.Message) {
+		p.batch.Add(m)
+		entryOnly = entryOnly && m.Kind == protocol.MsgReadReq
+	}
 	var expired <-chan time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		if p.batch.Count() >= t.cfg.BatchMax {
 			return "count"
@@ -580,30 +583,31 @@ func (t *TCP) fillBatch(p *peer) string {
 		}
 		select {
 		case m := <-p.crit:
-			p.batch.Add(m)
+			add(m)
 			continue
 		default:
 		}
 		select {
 		case m := <-p.out:
-			p.batch.Add(m)
+			add(m)
 			continue
 		default:
 		}
-		if t.cfg.BatchDelay <= 0 {
+		if !entryOnly {
 			return "drain"
 		}
-		if timer == nil {
-			timer = time.NewTimer(t.cfg.BatchDelay)
+		if expired == nil {
+			timer := time.NewTimer(entryLinger)
+			defer timer.Stop()
 			expired = timer.C
 		}
 		select {
 		case <-t.quit:
 			return "drain"
 		case m := <-p.crit:
-			p.batch.Add(m)
+			add(m)
 		case m := <-p.out:
-			p.batch.Add(m)
+			add(m)
 		case <-expired:
 			return "delay"
 		}

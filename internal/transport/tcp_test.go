@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -16,11 +17,19 @@ import (
 	"repro/internal/txn"
 	"repro/internal/value"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 // newTCPs builds one TCP transport per site on loopback :0 ports, all
 // knowing each other's addresses.
 func newTCPs(t *testing.T, ids ...protocol.SiteID) map[protocol.SiteID]*TCP {
+	t.Helper()
+	return newTCPsConfig(t, TCPConfig{}, ids...)
+}
+
+// newTCPsConfig is newTCPs with the given fields (registry, batch
+// bounds) set on every transport.
+func newTCPsConfig(t *testing.T, base TCPConfig, ids ...protocol.SiteID) map[protocol.SiteID]*TCP {
 	t.Helper()
 	lns := map[protocol.SiteID]net.Listener{}
 	peers := map[protocol.SiteID]string{}
@@ -34,18 +43,68 @@ func newTCPs(t *testing.T, ids ...protocol.SiteID) map[protocol.SiteID]*TCP {
 	}
 	out := map[protocol.SiteID]*TCP{}
 	for _, id := range ids {
-		tr := NewTCPWithListener(TCPConfig{
-			Self:       id,
-			Peers:      peers,
-			BackoffMin: 5 * time.Millisecond,
-			BackoffMax: 50 * time.Millisecond,
-			Seed:       42,
-		}, lns[id])
+		cfg := base
+		cfg.Self, cfg.Peers = id, peers
+		cfg.BackoffMin, cfg.BackoffMax = 5*time.Millisecond, 50*time.Millisecond
+		cfg.Seed = 42
+		tr := NewTCPWithListener(cfg, lns[id])
 		out[id] = tr
 		t.Cleanup(func() { tr.Close() })
 	}
 	return out
 }
+
+// tapGate parks a transport's writers inside the frame tap: each frame
+// about to be written is handed to the test, then held until the test
+// lets it go.  While a writer is parked nothing else consumes its
+// peer's queues, so a test can fill and inspect them without racing
+// the writer.
+type tapGate struct {
+	frames  chan []byte
+	release chan struct{}
+	done    chan struct{} // closed at cleanup: parked and later writes go straight through
+}
+
+// gateWrites installs a tapGate on tr.  Call it after the transport's
+// own cleanup is registered (newTCPs), so the gate opens before Close
+// waits for the writers.
+func gateWrites(t *testing.T, tr *TCP) *tapGate {
+	g := &tapGate{frames: make(chan []byte), release: make(chan struct{}), done: make(chan struct{})}
+	tr.SetFrameTap(func(_ protocol.SiteID, frame []byte) []byte {
+		select {
+		case g.frames <- append([]byte(nil), frame...):
+		case <-g.done:
+			return frame
+		}
+		select {
+		case <-g.release:
+		case <-g.done:
+		}
+		return frame
+	})
+	t.Cleanup(func() { close(g.done) })
+	return g
+}
+
+// parked waits until a writer sits inside the tap and returns the
+// messages of the frame it is holding.
+func (g *tapGate) parked(t *testing.T) []protocol.Message {
+	t.Helper()
+	select {
+	case frame := <-g.frames:
+		msgs, err := wire.ReadMessages(bytes.NewReader(frame), wire.MaxFrame)
+		if err != nil {
+			t.Fatalf("decoding the tapped frame: %v", err)
+		}
+		return msgs
+	case <-time.After(10 * time.Second):
+		t.Fatal("no writer reached the frame tap")
+		return nil
+	}
+}
+
+// pass lets the parked frame be written.
+func (g *tapGate) pass() { g.release <- struct{}{} }
 
 // collector is a thread-safe message sink.
 type collector struct {
@@ -264,7 +323,7 @@ func TestTCPBatchCoalescing(t *testing.T) {
 	peers := map[protocol.SiteID]string{"A": lnA.Addr().String(), "B": lnB.Addr().String()}
 	a := NewTCPWithListener(TCPConfig{
 		Self: "A", Peers: peers, Seed: 1, Metrics: reg,
-		BatchMax: 16, BatchDelay: 5 * time.Millisecond,
+		BatchMax: 16,
 	}, lnA)
 	defer a.Close()
 	b := NewTCPWithListener(TCPConfig{Self: "B", Peers: peers, Seed: 2}, lnB)
@@ -292,7 +351,7 @@ func TestTCPBatchCoalescing(t *testing.T) {
 		t.Errorf("batch.size histogram: count=%d max=%v, want multi-message batches", h.Count(), h.Max())
 	}
 	var flushes int64
-	for _, reason := range []string{"count", "size", "delay", "drain"} {
+	for _, reason := range batchFlushReasons {
 		flushes += reg.Counter("transport.batch.flushes", metrics.L("reason", reason)).Value()
 	}
 	if flushes == 0 {
@@ -321,6 +380,172 @@ func TestTCPBatchingDisabled(t *testing.T) {
 	atB.waitFor(t, n, 10*time.Second)
 	if frames := a.Stats().ByPeer["B"].Sent; frames != n {
 		t.Errorf("sent %d frames for %d messages with batching disabled", frames, n)
+	}
+}
+
+// TestTCPSelfClockingBatch: the writer does not wait for traffic (read
+// requests apart, and none are sent here), yet whatever queued while it was inside one write rides the next frame
+// whole — critical class first — up to BatchMax.  The writer is parked
+// in a gated frame tap, so the queue contents at each flush are exact.
+func TestTCPSelfClockingBatch(t *testing.T) {
+	const batchMax = 8
+	for _, tc := range []struct {
+		name       string
+		bulk, crit int
+		frames     []int // sizes of the frames after the parked one
+		count      int64 // flushes{reason="count"}
+	}{
+		{name: "fits", bulk: 4, crit: 3, frames: []int{7}},
+		{name: "splits", bulk: 7, crit: 4, frames: []int{batchMax, 3}, count: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			trs := newTCPsConfig(t, TCPConfig{Metrics: reg, BatchMax: batchMax}, "A", "B")
+			a := trs["A"]
+			trs["B"].Register("B", func(protocol.Message) {})
+			gate := gateWrites(t, a)
+
+			a.Send(protocol.Message{Kind: protocol.MsgReady, TID: "first", From: "A", To: "B"})
+			if got := gate.parked(t); len(got) != 1 {
+				t.Fatalf("first frame carries %d messages, want 1", len(got))
+			}
+			// Bulk first, then critical: the frame must still lead with
+			// the critical class, each class in its own send order.
+			var want []protocol.Message
+			for i := 0; i < tc.crit; i++ {
+				want = append(want, protocol.Message{Kind: protocol.MsgComplete, TID: tid(100 + i), From: "A", To: "B"})
+			}
+			for i := 0; i < tc.bulk; i++ {
+				want = append(want, protocol.Message{Kind: protocol.MsgReady, TID: tid(i), From: "A", To: "B"})
+			}
+			for _, m := range want[tc.crit:] {
+				a.Send(m)
+			}
+			for _, m := range want[:tc.crit] {
+				a.Send(m)
+			}
+			gate.pass()
+			for _, size := range tc.frames {
+				got := gate.parked(t)
+				if len(got) != size {
+					t.Fatalf("frame carries %d messages, want %d", len(got), size)
+				}
+				for i, m := range got {
+					if m.Kind != want[i].Kind || m.TID != want[i].TID {
+						t.Fatalf("frame slot %d = %v %s, want %v %s", i, m.Kind, m.TID, want[i].Kind, want[i].TID)
+					}
+				}
+				want = want[size:]
+				gate.pass()
+			}
+			// One more frame reaching the tap means every earlier one has
+			// been written and recorded: the writer is sequential.
+			a.Send(protocol.Message{Kind: protocol.MsgReady, TID: "last", From: "A", To: "B"})
+			gate.parked(t)
+
+			h := reg.Histogram("transport.batch.size")
+			if h.Count() != 1+len(tc.frames) || h.Sum() != float64(1+tc.bulk+tc.crit) || h.Max() != float64(tc.frames[0]) {
+				t.Errorf("batch.size: count=%d sum=%v max=%v, want %d samples summing to %d with max %d",
+					h.Count(), h.Sum(), h.Max(), 1+len(tc.frames), 1+tc.bulk+tc.crit, tc.frames[0])
+			}
+			flushes := func(reason string) int64 {
+				return reg.Counter("transport.batch.flushes", metrics.L("reason", reason)).Value()
+			}
+			if got, want := flushes("drain"), int64(1+len(tc.frames))-tc.count; got != want {
+				t.Errorf(`flushes{reason="drain"} = %d, want %d`, got, want)
+			}
+			if got := flushes("count"); got != tc.count {
+				t.Errorf(`flushes{reason="count"} = %d, want %d`, got, tc.count)
+			}
+		})
+	}
+}
+
+// TestTCPIdleLinkFlushesAtOnce: a message sent on an established link
+// with nothing else queued is a frame of its own, flushed because the
+// queue drained — no timer stands between it and the socket.  Only a
+// lone read request is counted under "delay": it waited out the entry
+// linger.
+func TestTCPIdleLinkFlushesAtOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
+	trs := newTCPsConfig(t, TCPConfig{Metrics: reg}, "A", "B")
+	a := trs["A"]
+	atB := make(chan protocol.Message, 1)
+	trs["B"].Register("B", func(m protocol.Message) { atB <- m })
+
+	// The first send establishes the link; each later one goes out only
+	// after the one before has arrived, so the link is up and both
+	// queues are empty.
+	kinds := []protocol.MsgKind{
+		protocol.MsgReady, protocol.MsgReadRep, protocol.MsgPrepare, protocol.MsgReady,
+		protocol.MsgComplete, protocol.MsgReadReq,
+	}
+	for i, k := range kinds {
+		a.Send(protocol.Message{Kind: k, TID: tid(i), From: "A", To: "B"})
+		select {
+		case m := <-atB:
+			if m.TID != tid(i) {
+				t.Fatalf("delivered %s, want %s", m.TID, tid(i))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v %s never arrived", k, tid(i))
+		}
+	}
+	a.Close() // the writer has exited: every flush is recorded
+
+	if frames := a.Stats().ByPeer["B"].Sent; frames != int64(len(kinds)) {
+		t.Errorf("wrote %d frames for %d lone messages", frames, len(kinds))
+	}
+	flushes := func(reason string) int64 {
+		return reg.Counter("transport.batch.flushes", metrics.L("reason", reason)).Value()
+	}
+	if got, want := flushes("drain"), int64(len(kinds)-1); got != want {
+		t.Errorf(`flushes{reason="drain"} = %d, want %d (every lone message but the read request)`, got, want)
+	}
+	if got := flushes("delay"); got != 1 {
+		t.Errorf(`flushes{reason="delay"} = %d, want 1 (the read request)`, got)
+	}
+	if h := reg.Histogram("transport.batch.size"); h.Count() != len(kinds) || h.Max() != 1 {
+		t.Errorf("batch.size: count=%d max=%v, want %d samples of 1", h.Count(), h.Max(), len(kinds))
+	}
+}
+
+// TestTCPEntryLingerOnlyForReadRequests: a frame lingers only while it
+// holds nothing but read requests; one message of any other kind in it
+// and it leaves when the queues drain.
+func TestTCPEntryLingerOnlyForReadRequests(t *testing.T) {
+	reg := metrics.NewRegistry()
+	trs := newTCPsConfig(t, TCPConfig{Metrics: reg}, "A", "B")
+	a := trs["A"]
+	trs["B"].Register("B", func(protocol.Message) {})
+	gate := gateWrites(t, a)
+	send := func(k protocol.MsgKind, id string) {
+		a.Send(protocol.Message{Kind: k, TID: txn.ID(id), From: "A", To: "B"})
+	}
+
+	send(protocol.MsgReady, "first")
+	gate.parked(t)
+	send(protocol.MsgReadReq, "r1")
+	send(protocol.MsgReadReq, "r2")
+	gate.pass()
+	if got := gate.parked(t); len(got) != 2 {
+		t.Fatalf("frame of read requests carries %d messages, want 2", len(got))
+	}
+	send(protocol.MsgReadReq, "r3")
+	send(protocol.MsgReady, "vote")
+	gate.pass()
+	if got := gate.parked(t); len(got) != 2 {
+		t.Fatalf("mixed frame carries %d messages, want 2", len(got))
+	}
+	gate.pass()
+	// One more frame at the tap: the three before it are recorded.
+	send(protocol.MsgReady, "last")
+	gate.parked(t)
+
+	for reason, want := range map[string]int64{"drain": 2, "delay": 1, "count": 0} {
+		if got := reg.Counter("transport.batch.flushes", metrics.L("reason", reason)).Value(); got != want {
+			t.Errorf("flushes{reason=%q} = %d, want %d", reason, got, want)
+		}
 	}
 }
 
