@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench ab loc tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
+.PHONY: check lint vet build test race bench bench-procs bench-procs-smoke ab loc tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
 
 check: lint vet build race ## everything CI runs
 
@@ -31,6 +31,20 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# Closed-loop throughput and latency of a real multi-process cluster on
+# the planes the fixed benchmark does not cover: boot $(SITES) polynodes
+# with $(NODE_FLAGS), drive them with polybench $(BENCH_FLAGS) over the
+# control ports, audit, tear down.  Cluster knobs are polynode flags;
+# it records nothing and gates nothing but its own audit.
+#   make bench-procs NODE_FLAGS='-decision-plane paxos' BENCH_FLAGS='-workers 16 -txns 20000'
+# (command-line and environment variables reach the script as is.)
+bench-procs:
+	scripts/bench_procs.sh
+
+# CI variant: 3 sites, 2,000 seeded bank transactions, fails on the audit.
+bench-procs-smoke:
+	SITES=3 BENCH_FLAGS='-workers 8 -txns 2000 -seed 7' scripts/bench_procs.sh
 
 # Paired A/B of the fixed benchmark, parent revision against this tree:
 # ten alternating pairs with fresh seeds, medians, quartiles, pairs won

@@ -59,6 +59,11 @@
 // (OpenMetrics), /healthz, /trace and pprof over HTTP, -spans retains
 // structured per-transaction spans (queried via /trace or dumped with
 // SPANS for polytrace), and -trace-ring retains protocol trace lines.
+//
+// Every cluster knob is a flag here and nowhere else: cmd/polybench is a
+// load client of these control ports and measures whatever the nodes
+// were started with (-batch-max 1, frames of one message, is the
+// transport-batching ablation).
 package main
 
 import (
@@ -120,6 +125,7 @@ func main() {
 		gcWindow = flag.Duration("group-commit-window", 0, "group-commit accumulation window with -fsync (0: flush as soon as the flusher is free); with one lane it is a per-event delay")
 		diskFlts = flag.String("disk-faults", "", "initial disk-fault plan for the WAL filesystem, ';'-separated storage commands (e.g. 'fsync p=0.01 once; slow p=0.2 min=1ms max=10ms'); needs -data")
 		diskSd   = flag.Int64("disk-fault-seed", 1, "PRNG seed for the disk-fault injector (same seed, same fault decisions)")
+		batchMax = flag.Int("batch-max", 0, "messages per transport frame cap (0: transport default; 1: frames of one, the unbatched ablation)")
 	)
 	flag.Parse()
 
@@ -160,10 +166,11 @@ func main() {
 		ring.Instrument(reg)
 	}
 	fab, err := transport.NewTCP(transport.TCPConfig{
-		Self:    self,
-		Peers:   peers,
-		Listen:  *listen,
-		Metrics: reg,
+		Self:     self,
+		Peers:    peers,
+		Listen:   *listen,
+		Metrics:  reg,
+		BatchMax: *batchMax,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "polynode[%s] transport: %s\n", self, fmt.Sprintf(format, args...))
 		},

@@ -9,75 +9,19 @@
 # Usage: scripts/chaos_demo.sh   (or: make chaos-demo)
 set -euo pipefail
 
-ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-WORK="$(mktemp -d "${TMPDIR:-/tmp}/polychaos.XXXXXX")"
-BIN="$WORK/polynode"
+source "$(dirname "$0")/lib.sh"
 
-declare -A PID=()
-cleanup() {
-    for site in "${!PID[@]}"; do
-        kill -9 "${PID[$site]}" 2>/dev/null || true
-    done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-say()  { printf '\033[1m== %s\033[0m\n' "$*"; }
-fail() {
-    printf 'FAIL: %s\n' "$*" >&2
-    for f in "$WORK"/*.log; do echo "--- $f"; cat "$f"; done >&2
-    # DEMO_LOG_DIR: CI sets this so node logs survive the mktemp cleanup
-    # and can be uploaded as a build artifact.
-    if [[ -n "${DEMO_LOG_DIR:-}" ]]; then
-        mkdir -p "$DEMO_LOG_DIR"
-        cp "$WORK"/*.log "$DEMO_LOG_DIR"/ 2>/dev/null || true
-    fi
-    exit 1
-}
-
-say "building polynode"
-(cd "$ROOT" && go build -o "$BIN" ./cmd/polynode)
-
-read -r PA PB PC CA CB CC < <(python3 - <<'EOF'
-import socket
-socks = [socket.socket() for _ in range(6)]
-for s in socks: s.bind(("127.0.0.1", 0))
-print(" ".join(str(s.getsockname()[1]) for s in socks))
-for s in socks: s.close()
-EOF
-)
-PEERS="A=127.0.0.1:$PA,B=127.0.0.1:$PB,C=127.0.0.1:$PC"
-declare -A CTRL=([A]="127.0.0.1:$CA" [B]="127.0.0.1:$CB" [C]="127.0.0.1:$CC")
+build polynode
+cluster_init A B C
 SEED=20260806
-
-start_node() { # site
-    local site="$1"
-    "$BIN" -site "$site" -peers "$PEERS" -control "${CTRL[$site]}" \
-        -data "$WORK/wal" -wait-timeout 150ms -retry-interval 150ms \
-        -fault-seed "$SEED" -place acct1=B,acct2=C \
-        >>"$WORK/$site.log" 2>&1 &
-    PID[$site]=$!
-    disown
-}
-
-call() { # site command...
-    local site="$1"; shift
-    "$BIN" -call "${CTRL[$site]}" "$@"
-}
-
-wait_ready() { # site
-    local site="$1"
-    for _ in $(seq 1 100); do
-        if call "$site" PING >/dev/null 2>&1; then return 0; fi
-        sleep 0.1
-    done
-    fail "node $site never answered PING"
+node() { # site
+    start_node "$1" -data "$WORK/wal" -wait-timeout 150ms -retry-interval 150ms \
+        -fault-seed "$SEED" -place acct1=B,acct2=C
 }
 
 say "starting 3 polynode processes (A, B, C), fault seed $SEED"
-mkdir -p "$WORK/wal"
-for site in A B C; do start_node "$site"; done
-for site in A B C; do wait_ready "$site"; done
+for site in A B C; do node "$site"; done
+wait_ready A B C
 
 call B LOAD acct1 100 >/dev/null || fail "LOAD acct1"
 call C LOAD acct2 100 >/dev/null || fail "LOAD acct2"
@@ -112,11 +56,9 @@ call A ASYNC "$TRANSFER" >/dev/null
 sleep 1
 
 say "killing A (kill -9) and restarting it over the same WAL"
-kill -9 "${PID[A]}"
-wait "${PID[A]}" 2>/dev/null || true
-unset 'PID[A]'
+kill_node A
 sleep 0.5
-start_node A
+node A
 wait_ready A
 
 say "healing all faults on every node"

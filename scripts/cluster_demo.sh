@@ -8,75 +8,18 @@
 # Usage: scripts/cluster_demo.sh   (or: make cluster-demo)
 set -euo pipefail
 
-ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-WORK="$(mktemp -d "${TMPDIR:-/tmp}/polydemo.XXXXXX")"
-BIN="$WORK/polynode"
+source "$(dirname "$0")/lib.sh"
 
-declare -A PID=()
-cleanup() {
-    for site in "${!PID[@]}"; do
-        kill -9 "${PID[$site]}" 2>/dev/null || true
-    done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-say()  { printf '\033[1m== %s\033[0m\n' "$*"; }
-fail() {
-    printf 'FAIL: %s\n' "$*" >&2
-    for f in "$WORK"/*.log; do echo "--- $f"; cat "$f"; done >&2
-    # DEMO_LOG_DIR: CI sets this so node logs survive the mktemp cleanup
-    # and can be uploaded as a build artifact.
-    if [[ -n "${DEMO_LOG_DIR:-}" ]]; then
-        mkdir -p "$DEMO_LOG_DIR"
-        cp "$WORK"/*.log "$DEMO_LOG_DIR"/ 2>/dev/null || true
-    fi
-    exit 1
-}
-
-say "building polynode"
-(cd "$ROOT" && go build -o "$BIN" ./cmd/polynode)
-
-# Pick six free loopback ports: three transport, three control.
-read -r PA PB PC CA CB CC < <(python3 - <<'EOF'
-import socket
-socks = [socket.socket() for _ in range(6)]
-for s in socks: s.bind(("127.0.0.1", 0))
-print(" ".join(str(s.getsockname()[1]) for s in socks))
-for s in socks: s.close()
-EOF
-)
-PEERS="A=127.0.0.1:$PA,B=127.0.0.1:$PB,C=127.0.0.1:$PC"
-declare -A CTRL=([A]="127.0.0.1:$CA" [B]="127.0.0.1:$CB" [C]="127.0.0.1:$CC")
-
-start_node() { # site
-    local site="$1"
-    "$BIN" -site "$site" -peers "$PEERS" -control "${CTRL[$site]}" \
-        -data "$WORK/wal" -wait-timeout 150ms -retry-interval 150ms -stats \
-        -place acct1=B,acct2=C \
-        >>"$WORK/$site.log" 2>&1 &
-    PID[$site]=$!
-    disown
-}
-
-call() { # site command...
-    local site="$1"; shift
-    "$BIN" -call "${CTRL[$site]}" "$@"
-}
-
-wait_ready() { # site
-    local site="$1"
-    for _ in $(seq 1 100); do
-        if call "$site" PING >/dev/null 2>&1; then return 0; fi
-        sleep 0.1
-    done
-    fail "node $site never answered PING"
+build polynode
+cluster_init A B C
+node() { # site
+    start_node "$1" -data "$WORK/wal" -wait-timeout 150ms -retry-interval 150ms \
+        -stats -place acct1=B,acct2=C
 }
 
 say "starting 3 polynode processes (A, B, C)"
-mkdir -p "$WORK/wal"
-for site in A B C; do start_node "$site"; done
-for site in A B C; do wait_ready "$site"; done
+for site in A B C; do node "$site"; done
+wait_ready A B C
 
 OWNER1=$(call A OWNER acct1 | awk '{print $2}')
 OWNER2=$(call A OWNER acct2 | awk '{print $2}')
@@ -117,14 +60,12 @@ echo "   $OWNER2: $(read_item "$OWNER2" acct2)"
 say "items remain readable as polyvalues while the outcome is unknown"
 
 say "killing coordinator process A (kill -9)"
-kill -9 "${PID[A]}"
-wait "${PID[A]}" 2>/dev/null || true
-unset 'PID[A]'
+kill_node A
 
 sleep 0.5
 
 say "restarting A over the same WAL directory"
-start_node A
+node A
 wait_ready A
 
 say "waiting for outcome requests to reach A (presumed abort) and the polyvalues to reduce"

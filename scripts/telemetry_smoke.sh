@@ -13,82 +13,25 @@
 # Usage: scripts/telemetry_smoke.sh   (or: make telemetry-smoke)
 set -euo pipefail
 
-ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-WORK="$(mktemp -d "${TMPDIR:-/tmp}/polytel.XXXXXX")"
-BIN="$WORK/polynode"
+source "$(dirname "$0")/lib.sh"
 TRACE="$WORK/polytrace"
 
-declare -A PID=()
-cleanup() {
-    for site in "${!PID[@]}"; do
-        kill -9 "${PID[$site]}" 2>/dev/null || true
-    done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-say()  { printf '\033[1m== %s\033[0m\n' "$*"; }
-fail() {
-    printf 'FAIL: %s\n' "$*" >&2
-    for f in "$WORK"/*.log; do echo "--- $f"; cat "$f"; done >&2
-    # DEMO_LOG_DIR: CI sets this so node logs and span dumps survive the
-    # mktemp cleanup and can be uploaded as a build artifact.
-    if [[ -n "${DEMO_LOG_DIR:-}" ]]; then
-        mkdir -p "$DEMO_LOG_DIR"
-        cp "$WORK"/*.log "$WORK"/span-*.json "$DEMO_LOG_DIR"/ 2>/dev/null || true
-    fi
-    exit 1
-}
-
-say "building polynode and polytrace"
-(cd "$ROOT" && go build -o "$BIN" ./cmd/polynode && go build -o "$TRACE" ./cmd/polytrace)
-
-# Pick nine free loopback ports: transport, control, telemetry per site.
-read -r PA PB PC CA CB CC TA TB TC < <(python3 - <<'EOF'
-import socket
-socks = [socket.socket() for _ in range(9)]
-for s in socks: s.bind(("127.0.0.1", 0))
-print(" ".join(str(s.getsockname()[1]) for s in socks))
-for s in socks: s.close()
-EOF
-)
-PEERS="A=127.0.0.1:$PA,B=127.0.0.1:$PB,C=127.0.0.1:$PC"
-declare -A CTRL=([A]="127.0.0.1:$CA" [B]="127.0.0.1:$CB" [C]="127.0.0.1:$CC")
+build polynode polytrace
+cluster_init A B C
+read -r TA TB TC < <(free_ports 3)
 declare -A TEL=([A]="127.0.0.1:$TA" [B]="127.0.0.1:$TB" [C]="127.0.0.1:$TC")
-
-start_node() { # site
-    local site="$1"
-    "$BIN" -site "$site" -peers "$PEERS" -control "${CTRL[$site]}" \
-        -telemetry "${TEL[$site]}" -spans 8192 \
-        -data "$WORK/wal" -wait-timeout 150ms -retry-interval 150ms \
-        -place acct1=B,acct2=C \
-        >>"$WORK/$site.log" 2>&1 &
-    PID[$site]=$!
-    disown
-}
-
-call() { # site command...
-    local site="$1"; shift
-    "$BIN" -call "${CTRL[$site]}" "$@"
-}
 
 scrape() { # site path
     curl -fsS --max-time 5 "http://${TEL[$1]}$2"
 }
 
-wait_ready() { # site
-    local site="$1"
-    for _ in $(seq 1 100); do
-        if call "$site" PING >/dev/null 2>&1; then return 0; fi
-        sleep 0.1
-    done
-    fail "node $site never answered PING"
-}
-
 say "starting 3 polynode processes with -spans and -telemetry"
-mkdir -p "$WORK/wal"
-for site in A B C; do start_node "$site"; done
-for site in A B C; do wait_ready "$site"; done
+for site in A B C; do
+    start_node "$site" -telemetry "${TEL[$site]}" -spans 8192 \
+        -data "$WORK/wal" -wait-timeout 150ms -retry-interval 150ms \
+        -place acct1=B,acct2=C
+done
+wait_ready A B C
 
 call B LOAD acct1 100 >/dev/null || fail "LOAD acct1"
 call C LOAD acct2 100 >/dev/null || fail "LOAD acct2"
