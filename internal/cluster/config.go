@@ -137,11 +137,12 @@ type Config struct {
 	// about RetryInterval·2^(N-1) (±50% jitter), never more than this.
 	// Default 8×RetryInterval.
 	RetryBackoffMax time.Duration
-	// OutcomeTTL is how long an outcome record is retained after every
-	// participant has acknowledged it (coordinator side) or after local
-	// dependencies are cleared (participant side), before being
-	// garbage-collected per §3.3.  0 means the default 5s (simulated);
-	// negative disables GC entirely.
+	// OutcomeTTL is how long an outcome record is at least retained after
+	// every participant has acknowledged it (coordinator side) or after
+	// local dependencies are cleared (participant side), before being
+	// garbage-collected per §3.3; each site's one expiry sweep forgets it
+	// within OutcomeTTL/16 after that.  0 means the default 5s
+	// (simulated); negative disables GC entirely.
 	OutcomeTTL time.Duration
 	// CheckpointBytes triggers a WAL compaction whenever a site's log
 	// exceeds this size (and twice its post-compaction size, so stores

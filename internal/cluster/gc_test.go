@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/network"
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
+	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -91,6 +93,117 @@ func TestOutcomeGCDisabled(t *testing.T) {
 	if _, known := c.Store("A").Outcome(h.TID); !known {
 		t.Error("outcome forgotten with GC disabled")
 	}
+}
+
+// TestNoTimerOutlivesItsTransaction: outcome-record GC is one expiry
+// queue per site, not a timer per decided transaction, so once a burst
+// of commits has settled each site holds at most its one sweep timer —
+// and the queue keeps the timers' crash rule: a record that falls due
+// while its site is down is kept, one that falls due after the restart
+// is forgotten.
+func TestNoTimerOutlivesItsTransaction(t *testing.T) {
+	t.Run("sim", func(t *testing.T) {
+		c := newTestCluster(t, PolicyPolyvalue)
+		var hs []*Handle
+		for i := 0; i < 100; i++ {
+			a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+			loadInt(t, c, a, 10)
+			loadInt(t, c, b, 0)
+			h, err := c.Submit("C", fmt.Sprintf("%s = %s - 1; %s = %s + 1", a, a, b, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		}
+		c.RunFor(time.Second)
+		for _, h := range hs {
+			if h.Status() != StatusCommitted {
+				t.Fatalf("%s: %v (%s)", h.TID, h.Status(), h.Reason())
+			}
+		}
+		if n, limit := c.sched.Pending(), len(c.Sites()); n > limit {
+			t.Errorf("%d timers pending after 100 settled transfers, want <= %d (one per site)", n, limit)
+		}
+	})
+
+	t.Run("wall", func(t *testing.T) {
+		net := &tapNet{handlers: map[protocol.SiteID]transport.Handler{}, down: map[protocol.SiteID]bool{}}
+		nodes := map[protocol.SiteID]*Cluster{}
+		for _, id := range []protocol.SiteID{"A", "B", "C"} {
+			node, err := NewNode(Config{
+				Sites:        []protocol.SiteID{"A", "B", "C"},
+				Placement:    abcPlacement,
+				WaitTimeout:  time.Minute,
+				ReadyTimeout: time.Minute,
+			}, id, net)
+			if err != nil {
+				t.Fatalf("NewNode(%s): %v", id, err)
+			}
+			t.Cleanup(node.Close)
+			nodes[id] = node
+		}
+		loadInt(t, nodes["A"], "ax", 1000)
+		loadInt(t, nodes["B"], "by", 0)
+		for i := 0; i < 200; i++ {
+			h, err := nodes["C"].Submit("C", "ax = ax - 1; by = by + 1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, ok := h.Wait(10 * time.Second); !ok || st != StatusCommitted {
+				t.Fatalf("transfer %d: %v (%s)", i, st, h.Reason())
+			}
+		}
+		// The last acks are still in flight when the handle decides; well
+		// inside OutcomeTTL every node must be down to its sweep timer.
+		deadline := time.Now().Add(2 * time.Second)
+		for _, id := range []protocol.SiteID{"A", "B", "C"} {
+			for nodes[id].wall.Pending() > 1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := nodes[id].wall.Pending(); n > 1 {
+				t.Errorf("node %s: %d timers pending after 200 settled transfers, want <= 1", id, n)
+			}
+		}
+	})
+
+	t.Run("crash", func(t *testing.T) {
+		c := newTestCluster(t, PolicyPolyvalue)
+		transfer := func(a, b string) *Handle {
+			t.Helper()
+			loadInt(t, c, a, 10)
+			loadInt(t, c, b, 0)
+			h, err := c.Submit("C", fmt.Sprintf("%s = %s - 1; %s = %s + 1", a, a, b, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(time.Second)
+			if h.Status() != StatusCommitted {
+				t.Fatalf("%s: %v (%s)", h.TID, h.Status(), h.Reason())
+			}
+			return h
+		}
+		// B is down from 4s to 7s.  downed is queued at ~0s and falls due
+		// at ~5s, inside the outage; queued is queued at ~3s and falls due
+		// at ~8s, after the restart; late is queued after the restart.
+		downed := transfer("a1", "b1")
+		c.RunFor(2 * time.Second)
+		queued := transfer("a2", "b2")
+		c.Crash("B")
+		c.RunFor(3 * time.Second)
+		c.Restart("B")
+		late := transfer("a3", "b3")
+		c.RunFor(10 * time.Second)
+		b := c.Store("B")
+		if _, known := b.Outcome(downed.TID); !known {
+			t.Errorf("B forgot %s, which fell due while B was down", downed.TID)
+		}
+		if _, known := b.Outcome(queued.TID); known {
+			t.Errorf("B kept %s, which fell due after the restart", queued.TID)
+		}
+		if _, known := b.Outcome(late.TID); known {
+			t.Errorf("B kept %s past its TTL", late.TID)
+		}
+	})
 }
 
 // TestWALAutoCheckpoint: a busy site's log stays bounded.

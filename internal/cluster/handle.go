@@ -71,10 +71,14 @@ func (h *Handle) Wait(timeout time.Duration) (Status, bool) {
 	if st != StatusPending || ch == nil {
 		return st, st != StatusPending
 	}
+	// Stopped on return: under go 1.22 timer rules an unstopped timer
+	// stays in the runtime heap until it fires.
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case <-ch:
 		return h.Status(), true
-	case <-time.After(timeout):
+	case <-t.C:
 		return h.Status(), false
 	}
 }
@@ -160,9 +164,11 @@ func (q *QueryHandle) Wait(timeout time.Duration) (polyvalue.Poly, error, bool) 
 	if done || ch == nil {
 		return q.Result()
 	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case <-ch:
-	case <-time.After(timeout):
+	case <-t.C:
 	}
 	return q.Result()
 }

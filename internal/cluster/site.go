@@ -100,6 +100,14 @@ type Site struct {
 	// participants have not yet acknowledged the outcome; once empty the
 	// outcome record is garbage-collected after OutcomeTTL (§3.3).
 	acks map[txn.ID]map[protocol.SiteID]bool
+	// expiries is the outcome-GC queue (see forgetLater), live from
+	// expHead on; expTimer is its one sweep timer, armed while the queue
+	// is non-empty.  downAt is when the site last went down: restart
+	// drops what fell due since, as a timer firing on a down site is.
+	expiries []expiry
+	expHead  int
+	expTimer vclock.TimerID
+	downAt   vclock.Time
 	// decidedAt timestamps coordinator decisions still awaiting their
 	// last outcome ack, for the settle-phase histogram.
 	decidedAt map[txn.ID]vclock.Time
@@ -143,6 +151,12 @@ type Site struct {
 	// coordinated, for the settle span recorded when the last outcome
 	// ack arrives (the coordinator context is gone by then).
 	spanOf map[txn.ID]trace.SpanID
+}
+
+// expiry is one queued outcome record and the instant it may go.
+type expiry struct {
+	tid txn.ID
+	at  vclock.Time
 }
 
 // retryState is one in-doubt transaction's outcome-request loop.
@@ -1377,16 +1391,7 @@ func (s *Site) onOutcomeAck(msg protocol.Message) {
 		}
 		delete(s.decidedAt, tid)
 	}
-	s.after(s.c.cfg.OutcomeTTL, func() {
-		if _, live := s.acks[tid]; live {
-			return
-		}
-		if s.store.HasDeps(tid) {
-			return // still notifying dependent sites; keep the record
-		}
-		s.store.ForgetOutcome(tid)
-		s.c.trace("%s forgot outcome of %s", s.id, tid)
-	})
+	s.forgetLater(tid)
 }
 
 // onAbortMsg handles abort for live participants and for transactions
@@ -1674,22 +1679,65 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 	// Participant-side outcome GC: once dependencies are cleared and we
 	// are not coordinating this transaction's ack collection, the record
 	// is only needed for duplicate suppression — forget it after the TTL.
-	if ttl := s.c.cfg.OutcomeTTL; ttl >= 0 {
-		if _, coordinating := s.acks[tid]; !coordinating {
-			s.after(ttl, func() {
-				if _, coordinating := s.acks[tid]; coordinating {
-					return
-				}
-				if s.store.HasDeps(tid) {
-					return // unacknowledged notifications still pending
-				}
-				s.store.ForgetOutcome(tid)
-			})
-		}
+	if _, coordinating := s.acks[tid]; !coordinating {
+		s.forgetLater(tid)
 	}
 	// Reductions free budget: a degraded site returns to polyvalue mode
 	// here once the population and dependency table shrink below cap.
 	s.updateBudget()
+}
+
+// forgetLater queues tid's outcome record for deletion OutcomeTTL from
+// now (§3.3); a negative OutcomeTTL keeps records forever.  One TTL and a
+// monotone clock make append order expiry order, so the queue needs one
+// timer, not one per record.
+func (s *Site) forgetLater(tid txn.ID) {
+	ttl := s.c.cfg.OutcomeTTL
+	if ttl < 0 {
+		return
+	}
+	s.expiries = append(s.expiries, expiry{tid: tid, at: s.c.clk.Now() + ttl})
+	if s.expTimer == 0 {
+		s.armSweep()
+	}
+}
+
+// armSweep re-arms the sweep timer for the queue's head, or leaves it
+// disarmed when the queue is empty.  Sweeps are at least OutcomeTTL/16
+// apart whatever the load, so a record lives between TTL and 17/16 TTL:
+// keeping one longer only answers a late duplicate or inquiry from it.
+func (s *Site) armSweep() {
+	s.c.clk.Cancel(s.expTimer) // a sweep that raced crash must not fork a second chain
+	s.expTimer = 0
+	if s.expHead == len(s.expiries) {
+		return
+	}
+	d := max(s.expiries[s.expHead].at-s.c.clk.Now(), s.c.cfg.OutcomeTTL/16)
+	s.expTimer = s.after(d, s.sweepOutcomes)
+}
+
+// sweepOutcomes forgets every due outcome record unless the coordinator
+// still awaits acks for it or §3.3 notifications for it are unacknowledged
+// — the final ack, or the notification resend, queues it again.  It costs
+// O(due entries): the slice is compacted only once the head passes its
+// middle.
+func (s *Site) sweepOutcomes() {
+	now, forgot := s.c.clk.Now(), 0
+	for ; s.expHead < len(s.expiries) && s.expiries[s.expHead].at <= now; s.expHead++ {
+		tid := s.expiries[s.expHead].tid
+		if _, coordinating := s.acks[tid]; coordinating || s.store.HasDeps(tid) {
+			continue
+		}
+		s.store.ForgetOutcome(tid)
+		forgot++
+	}
+	if s.expHead > len(s.expiries)/2 {
+		s.expiries, s.expHead = slices.Delete(s.expiries, 0, s.expHead), 0
+	}
+	if forgot > 0 {
+		s.c.trace("%s forgot %d outcome records", s.id, forgot)
+	}
+	s.armSweep()
 }
 
 // ---------------------------------------------------------------------
@@ -1698,6 +1746,9 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 
 // crash loses all volatile state; the store survives.
 func (s *Site) crash() {
+	if !s.down {
+		s.downAt = s.c.clk.Now()
+	}
 	s.setDown(true)
 	for tid, ctx := range s.parts {
 		s.c.clk.Cancel(ctx.waitTimer)
@@ -1752,6 +1803,7 @@ func (s *Site) crash() {
 		s.c.clk.Cancel(id)
 	}
 	s.c.clk.Cancel(s.aeTimer)
+	s.c.clk.Cancel(s.expTimer)
 	s.locks = map[string]txn.ID{}
 	s.lockedBy = map[txn.ID][]string{}
 	s.parts = map[txn.ID]*partCtx{}
@@ -1808,6 +1860,15 @@ func (s *Site) restart() {
 		return
 	}
 	s.setDown(false)
+	// The outcome-GC queue keeps the rule of a timer per record: an entry
+	// that fell due while the site was down is dropped, so its record is
+	// kept; entries due before the crash or after now stay queued.
+	now := s.c.clk.Now()
+	live := slices.DeleteFunc(s.expiries[s.expHead:], func(e expiry) bool {
+		return s.downAt <= e.at && e.at <= now
+	})
+	s.expiries = s.expiries[:s.expHead+len(live)]
+	s.armSweep()
 	s.recoverDurableState()
 	if s.c.cfg.Replication != nil && len(s.c.cfg.Sites) > 1 {
 		s.armGossip()

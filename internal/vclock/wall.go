@@ -29,9 +29,9 @@ var (
 )
 
 // wallShards spreads the timer table over independently-locked shards:
-// every transaction arms and cancels several timers (wait-phase, retry,
-// outcome GC), so a single mutex becomes the contention point under a
-// concurrent load generator.  Power of two, indexed by id&(wallShards-1).
+// every transaction arms and cancels several timers (wait-phase, retry),
+// so a single mutex becomes the contention point under a concurrent load
+// generator.  Power of two, indexed by id&(wallShards-1).
 const wallShards = 16
 
 type wallShard struct {

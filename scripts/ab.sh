@@ -1,10 +1,19 @@
 #!/usr/bin/env bash
 # Paired A/B of the fixed benchmark: a parent revision against this
 # working tree, by the rule in the choosing-metrics guide (§8) — ten
-# pairs of 20 s runs, fresh seeds, alternating which side runs first.  A
-# gain may be claimed only when the change wins nine of the ten pairs and
-# the medians differ by more than the parent's own quartile spread; the
-# script prints those numbers and leaves the verdict to the reader.
+# pairs of 20 s runs, fresh seeds, alternating which side runs first.
+#
+# Each end-to-end metric gets a verdict from a scale-free rule, with the
+# metric's bound b taken from BENCHMARK.json:
+#   FAIL spread  a side's IQR (q3 - q1) exceeds b x that side's own median
+#   FAIL worse   the change's median is worse than the parent's by > b x it
+#   PASS gain    neither, the change wins at least 9 of 10 pairs and its
+#                median is better by more than the parent's IQR
+#   PASS         neither failure
+# Beside it is what the parent-median rule says, which differs only in
+# the spread test: the change's IQR against b x the parent's median.
+# The verdicts are printed, not enforced: the exit status still reports
+# only a differing benchmark or a failed run.
 #
 #   make ab REV=<parent> [WORKLOAD=transfer-durable]
 #   FIRST_SEED=100 scripts/ab.sh <parent> [workload ...]
@@ -61,8 +70,12 @@ for w in "${workloads[@]}"; do
 	done
 done
 
+# name:better:bound of each end-to-end metric, as BENCHMARK.json declares them.
+spec=$(awk '/"end_to_end"/ { e = 1 } /"per_layer"/ { e = 0 }
+	e && /"name"|"better"|"bound"/ { gsub(/[",]/, "", $2) }
+	e && /"name"/ { n = $2 } e && /"better"/ { b = $2 } e && /"bound"/ { printf "%s:%s:%s ", n, b, $2 }' BENCHMARK.json)
 echo "parent $(git rev-parse --short "$rev") vs working tree, $pairs pairs x ${seconds}s, seeds $first..$((first + pairs - 1))"
-awk -v pairs="$pairs" '
+awk -v pairs="$pairs" -v spec="$spec" '
 function quantile(a, n, q,    pos, lo) { # a[1..n] sorted
 	pos = 1 + (n - 1) * q; lo = int(pos)
 	return lo >= n ? a[n] : a[lo] + (a[lo + 1] - a[lo]) * (pos - lo)
@@ -73,9 +86,20 @@ function stats(w, m, side, out,    n, i, j, t, a) {
 	for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
 	out["n"] = n; out["med"] = quantile(a, n, 0.5); out["q1"] = quantile(a, n, 0.25); out["q3"] = quantile(a, n, 0.75)
 }
-BEGIN { # the five end-to-end metrics; a pair is won by the lower value, except where higher is better
-	nm = split("setup_s commit_tps txn_p50_ms txn_p90_ms ok_ratio", metrics, " ")
-	higher["commit_tps"] = 1; higher["ok_ratio"] = 1
+function abs(x) { return x < 0 ? -x : x }
+# verdict: spreadOK is the spread test of one rule, worse how much worse the
+# change median is (negative: better); the rest is common to both rules
+function verdict(spreadOK, worse, b, pmed, piqr, won) {
+	if (!spreadOK) return "FAIL spread"
+	if (worse > b * abs(pmed)) return "FAIL worse"
+	return won * 10 >= 9 * pairs && -worse > piqr ? "PASS gain" : "PASS"
+}
+BEGIN { # a pair is won by the lower value, except where higher is better
+	nm = split(spec, specs, " ")
+	for (k = 1; k <= nm; k++) {
+		split(specs[k], f, ":"); metrics[k] = f[1]; bound[f[1]] = f[3]
+		if (f[2] == "higher") higher[f[1]] = 1
+	}
 }
 {
 	w = $1; i = $2; side = $3
@@ -95,7 +119,8 @@ END {
 		w = ws[x]
 		printf "\n%s   failed/attempted: parent %d/%d, change %d/%d; incorrect runs: parent %d, change %d\n", w,
 			fail[w, "parent"], att[w, "parent"], fail[w, "change"], att[w, "change"], bad[w, "parent"], bad[w, "change"]
-		printf "  %-12s %-34s %-34s %7s %5s %11s\n", "metric", "parent n, median [q1, q3]", "change n, median [q1, q3]", "change%", "won", "parent IQR"
+		printf "  %-12s %-34s %-34s %7s %5s %11s  %-11s  %s\n", "metric", "parent n, median [q1, q3]", "change n, median [q1, q3]",
+			"change%", "won", "parent IQR", "verdict", "parent-median rule"
 		for (k = 1; k <= nm; k++) {
 			m = metrics[k]; stats(w, m, "parent", p); stats(w, m, "change", c)
 			won = 0; lost = 0
@@ -104,10 +129,14 @@ END {
 				if (m in higher) d = -d
 				if (d > 0) won++; else if (d < 0) lost++
 			}
-			printf "  %-12s %-34s %-34s %+6.1f%% %2d/%-2d %11.4g\n", m,
+			b = bound[m]; piqr = p["q3"] - p["q1"]; ciqr = c["q3"] - c["q1"]
+			worse = (m in higher) ? p["med"] - c["med"] : c["med"] - p["med"]
+			printf "  %-12s %-34s %-34s %+6.1f%% %2d/%-2d %11.4g  %-11s  %s\n", m,
 				sprintf("%d, %.4g [%.4g, %.4g]", p["n"], p["med"], p["q1"], p["q3"]),
 				sprintf("%d, %.4g [%.4g, %.4g]", c["n"], c["med"], c["q1"], c["q3"]),
-				p["med"] ? 100 * (c["med"] - p["med"]) / p["med"] : 0, won, won + lost, p["q3"] - p["q1"]
+				p["med"] ? 100 * (c["med"] - p["med"]) / p["med"] : 0, won, won + lost, piqr,
+				verdict(piqr <= b * abs(p["med"]) && ciqr <= b * abs(c["med"]), worse, b, p["med"], piqr, won),
+				verdict(ciqr <= b * abs(p["med"]), worse, b, p["med"], piqr, won)
 		}
 	}
 }' "$raw"
