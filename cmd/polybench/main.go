@@ -1,7 +1,7 @@
 // Command polybench is a seeded closed-loop load client for a running
 // polynode cluster.  It speaks only control-port verbs (LOAD, SUBMIT,
 // POLY, QUERY), so whatever the nodes were started with — decision
-// plane, replication, durability, lanes, admission, batching — is what
+// plane, replication, durability, admission, batching — is what
 // gets measured, and polybench names none of it:
 //
 //	polybench -control 127.0.0.1:8001,127.0.0.1:8002,127.0.0.1:8003 \

@@ -120,9 +120,8 @@ func main() {
 		spansCap = flag.Int("spans", 0, "retain this many structured transaction spans (enables span tracing and the /trace endpoints; 0: disabled)")
 		ringCap  = flag.Int("trace-ring", 0, "retain this many protocol trace lines in memory (0: disabled)")
 		callAddr = flag.String("call", "", "client mode: send the remaining arguments as one command to this control address")
-		lanes    = flag.Int("lanes", 0, "key-sharded execution lanes for this site: extra event queues, routed by transaction ID, that overlap the group-commit wait (0/1: one queue)")
 		fsync    = flag.Bool("fsync", false, "with -data: make every site event durable before its outputs leave the site (each event waits for the group commit covering its WAL records)")
-		gcWindow = flag.Duration("group-commit-window", 0, "group-commit accumulation window with -fsync (0: flush as soon as the flusher is free); with one lane it is a per-event delay")
+		gcWindow = flag.Duration("group-commit-window", 0, "group-commit accumulation window with -fsync (0: flush as soon as the flusher is free)")
 		diskFlts = flag.String("disk-faults", "", "initial disk-fault plan for the WAL filesystem, ';'-separated storage commands (e.g. 'fsync p=0.01 once; slow p=0.2 min=1ms max=10ms'); needs -data")
 		diskSd   = flag.Int64("disk-fault-seed", 1, "PRNG seed for the disk-fault injector (same seed, same fault decisions)")
 		batchMax = flag.Int("batch-max", 0, "messages per transport frame cap (0: transport default; 1: frames of one, the unbatched ablation)")
@@ -261,7 +260,6 @@ func main() {
 		Placement:         placement,
 		DataDir:           *dataDir,
 		Spans:             spans,
-		Lanes:             *lanes,
 		SyncWAL:           *fsync,
 		GroupCommitWindow: *gcWindow,
 	}

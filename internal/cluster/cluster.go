@@ -146,9 +146,9 @@ func New(cfg Config) (*Cluster, error) {
 		seen[s] = true
 	}
 	// The scheduler runs one event at a time and simulated time does not
-	// pass during an fsync, so there is nothing for lanes or a
-	// group-commit stage to overlap: one queue, synchronous WAL writes.
-	cfg.Lanes, cfg.SyncWAL = 0, false
+	// pass during an fsync, so there is nothing for a group-commit stage
+	// to overlap: synchronous WAL writes.
+	cfg.SyncWAL = false
 	c, err := newCluster(cfg)
 	if err != nil {
 		return nil, err
@@ -180,7 +180,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.DataDir != "" {
 		for _, id := range cfg.Sites {
 			site := c.sites[id]
-			c.dispatch(site, "", site.recoverDurableState, wait)
+			c.dispatch(site, site.recoverDurableState, wait)
 		}
 	}
 	return c, nil
@@ -317,7 +317,7 @@ func (c *Cluster) SubmitProgram(coord protocol.SiteID, p expr.Program) (*Handle,
 		TID: t.ID, submitted: c.clk.Now(), done: make(chan struct{}),
 		release: site.admission.Release,
 	}
-	c.dispatch(site, t.ID, func() { site.beginTxn(t, h) }, wait)
+	c.dispatch(site, func() { site.beginTxn(t, h) }, wait)
 	return h, nil
 }
 
@@ -329,12 +329,12 @@ func (c *Cluster) SubmitProgram(coord protocol.SiteID, p expr.Program) (*Handle,
 // submit would be pure overhead (lock + map churn + an extra goroutine
 // on the submit hot path).  Reports false only when a shed-mode event
 // was shed.
-func (c *Cluster) dispatch(site *Site, tid txn.ID, fn func(), mode enqueueMode) bool {
+func (c *Cluster) dispatch(site *Site, fn func(), mode enqueueMode) bool {
 	if c.wall == nil {
-		c.clk.At(c.clk.Now(), func() { site.enqueue(tid, siteEvent{fn: fn}, wait) })
+		c.clk.At(c.clk.Now(), func() { site.enqueue(siteEvent{fn: fn}, wait) })
 		return true
 	}
-	return site.enqueue(tid, siteEvent{fn: fn}, mode)
+	return site.enqueue(siteEvent{fn: fn}, mode)
 }
 
 // Query starts a read-only query (an expression over items) with the
@@ -375,7 +375,7 @@ func (c *Cluster) query(coord protocol.SiteID, exprSrc string, wait vclock.Time)
 	}
 	// Queries are sheddable: a full site queue answers ErrOverload
 	// instead of blocking the caller behind protocol traffic.
-	if !c.dispatch(site, qid, func() { site.beginQuery(qid, node, qh, certainBy) }, shed) {
+	if !c.dispatch(site, func() { site.beginQuery(qid, node, qh, certainBy) }, shed) {
 		return nil, ErrOverload
 	}
 	return qh, nil

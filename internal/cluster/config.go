@@ -243,20 +243,8 @@ type Config struct {
 	// not wasted on peers whose messages a breaker would drop anyway.
 	// Must be safe for concurrent use.
 	Suspected func(protocol.SiteID) bool
-	// Lanes > 1 gives each site that many extra event queues (one
-	// goroutine each), an event with a transaction identity going to the
-	// queue its ID hashes to.  Protocol state stays under a single
-	// per-site mutex and no queue goroutine waits for the disk (see
-	// engine.go), so lanes overlap no disk wait.  They still shorten the
-	// commit path under SyncWAL, because a run of messages executes and
-	// parks as one event: one message that must wait for a sync holds
-	// back the outputs of every other message in its run, and more
-	// queues mean shorter runs.  Measured on a scratch copy with the
-	// benchmark's transfer-durable harness edited from 4 lanes to 1:
-	// p50 8.79 ms and 1,739 commits/s against 7.63 ms and 2,106 (DESIGN.md
-	// §14, "What, then, do lanes buy?").  Lanes <= 1 is the same engine
-	// with its one queue.  Simulated clusters (New) always run one queue
-	// and stay seed-reproducible.
+	// Lanes is accepted and ignored: every site runs one event queue
+	// (see engine.go).  Deprecated; it goes once nothing sets it.
 	Lanes int
 	// SyncWAL, with DataDir set, makes every site event durable before
 	// its outputs (protocol sends, client decisions) leave the site:

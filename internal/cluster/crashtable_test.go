@@ -40,9 +40,9 @@ func simCrashRig(t *testing.T) *crashRig {
 
 // wallCrashRig boots sites A, B and C as three wall-clock nodes over
 // loopback TCP, each on its own WAL file.
-func wallCrashRig(t *testing.T, lanes int, syncWAL bool) *crashRig {
+func wallCrashRig(t *testing.T, syncWAL bool) *crashRig {
 	h := newTunedNodeHarness(t, func(cfg *Config) {
-		cfg.Placement, cfg.Lanes, cfg.SyncWAL = abcPlacement, lanes, syncWAL
+		cfg.Placement, cfg.SyncWAL = abcPlacement, syncWAL
 	})
 	return &crashRig{nodes: h.nodes}
 }
@@ -50,8 +50,8 @@ func wallCrashRig(t *testing.T, lanes int, syncWAL bool) *crashRig {
 // TestCrashPointsOnEveryRuntime pins what a crash point means — what has
 // left the site when it dies — once, for every runtime the one event
 // engine serves: the client outcome and the recovered balances must be
-// the same on the simulated cluster, on wall-clock nodes with a single
-// queue, and on wall-clock nodes with lanes and a group-commit WAL.
+// the same on the simulated cluster, on wall-clock nodes, and on
+// wall-clock nodes with a group-commit WAL.
 //
 //   - before-ready: the participant's prepared record is durable, its
 //     ready never leaves.  The coordinator aborts on ready timeout; the
@@ -70,8 +70,8 @@ func TestCrashPointsOnEveryRuntime(t *testing.T) {
 		boot func(*testing.T) *crashRig
 	}{
 		{"sim", simCrashRig},
-		{"wall", func(t *testing.T) *crashRig { return wallCrashRig(t, 0, false) }},
-		{"wall-lanes-sync", func(t *testing.T) *crashRig { return wallCrashRig(t, 4, true) }},
+		{"wall", func(t *testing.T) *crashRig { return wallCrashRig(t, false) }},
+		{"wall-sync", func(t *testing.T) *crashRig { return wallCrashRig(t, true) }},
 	}
 	points := []struct {
 		point      CrashPoint

@@ -5,62 +5,51 @@ import (
 
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
-	"repro/internal/txn"
 	"repro/internal/vclock"
 )
 
 // Site event engine.
 //
-// Everything a site does is an event: a delivered message (or a run of
-// them from one frame), a client submit, a timer, a control operation.
+// Everything a site does is an event: a delivered message (or a frame
+// of them), a client submit, a timer, a control operation.
 // Every event takes the same path on every runtime:
 //
 //	enqueue → run under stateMu → park or release outputs
 //
-// enqueue puts the event on one of the site's queues.  queues[0] takes
-// TID-less work (timers, gossip, control) and, with Config.Lanes <= 1,
-// everything; with Lanes > 1 there are Lanes more queues and an event
-// with a transaction identity goes to the one its TID hashes to, so all
-// of one transaction's messages stay in FIFO order on one queue.  Each
-// queue is drained by one goroutine running loop.
+// enqueue puts the event on the site's one queue, in FIFO order, and one
+// goroutine running loop drains it.  Every event runs under the site's
+// stateMu, so the lock table, dependency table and every other protocol
+// map see exactly the serialized execution the paper's site model
+// assumes; the queue goroutine never waits for the disk.
 //
-// Queues do NOT parallelize protocol logic.  Every event runs under the
-// site's single stateMu, so the lock table, dependency table and every
-// other protocol map see exactly the serialized execution the paper's
-// site model assumes.  More than one queue only shortens the line in
-// front of that mutex; no queue goroutine ever waits for the disk.
-//
-// While it runs, an event does not touch the outside world.  What it
-// wants to leave the site — protocol sends, client decisions, query
-// answers, the site's own up/down marking — is staged as a list of
-// effects, and every staging call declares the WAL position the effect
-// depends on (see send and sendDep).  An event's effects leave together,
-// in staging order, once the log is durable up to the event's target:
-// the frames the event itself wrote, or the furthest position one of its
-// effects declared, whichever is later.  If the target is already
-// durable — always, without a group log — exec releases the effects on
-// the spot.  Otherwise it parks them on the site's outbox and returns to
-// its queue; the site's one releaser goroutine takes parked batches in
-// FIFO order, waits for each target and releases.  Nothing leaves before
-// the WAL bytes it depends on are durable, and everything an event staged
-// before a crash point leaves before the site is marked down:
-// Montgomery's wait phase begins when the ready has left.  Batches of
-// different events may overtake each other (an unparked one passes a
-// parked one), which the protocol tolerates as it tolerates the network
-// reordering messages.
-//
-// A run of messages is queued, and parked, as one event, but each message
-// runs under the mutex on its own.  Until one of them has something to
-// wait for, each message's effects leave as soon as it has run instead of
-// behind the rest of its frame.
+// While it runs, a message (or any other event) does not touch the
+// outside world.  What it wants to leave the site — protocol sends,
+// client decisions, query answers, the site's own up/down marking —
+// is staged as a list of effects, and every staging call declares the
+// WAL position the effect depends on (see send and sendDep).  Effects
+// leave per message, the output-commit rule as Gray and Lamport state
+// it: a message's effects leave together, in staging order, once the
+// log is durable up to that message's target — the frames it wrote
+// itself, or the furthest position one of its effects declared,
+// whichever is later.  If the target is already durable — always,
+// without a group log — exec releases the effects on the spot.
+// Otherwise it parks them on the site's outbox as their own batch and
+// goes on with the next message of the frame; the site's one releaser
+// goroutine takes parked batches in FIFO order, waits for each target
+// and releases.  Nothing leaves before the WAL bytes
+// it depends on are durable, and everything a message staged before a
+// crash point leaves before the site is marked down: Montgomery's
+// wait phase begins when the ready has left.  Batches may overtake
+// each other (an unparked one passes a parked one), which the
+// protocol tolerates as it tolerates the network reordering messages.
 //
 // The simulated runtime (New) and the wall-clock runtime (NewNode) run
 // this same engine.  They differ only in what their constructors inject:
 // the clock, the transport, whether deliveries and submits wait for the
 // event (the scheduler needs that for determinism), and New zeroing
-// Lanes and SyncWAL.
+// SyncWAL.
 
-// siteEvent is one queued event: a closure, or a run of delivered
+// siteEvent is one queued event: a closure, or a frame of delivered
 // messages handled one by one.  done, when non-nil, is closed after the
 // event has run and its effects have been released.
 type siteEvent struct {
@@ -69,7 +58,7 @@ type siteEvent struct {
 	done chan struct{}
 }
 
-// siteInboxDepth buffers each event queue so posters (TCP read loops,
+// siteInboxDepth buffers the event queue so posters (TCP read loops,
 // timers) hand off without a rendezvous.
 const siteInboxDepth = 256
 
@@ -87,17 +76,16 @@ const (
 	shed
 )
 
-// enqueue is the one way onto a site's event queues.  It reports false
+// enqueue is the one way onto a site's event queue.  It reports false
 // only for a shed event.  After close, events are silently dropped —
 // late timers and deliveries racing a shutdown land here.
-func (s *Site) enqueue(tid txn.ID, ev siteEvent, mode enqueueMode) bool {
+func (s *Site) enqueue(ev siteEvent, mode enqueueMode) bool {
 	if mode == wait {
 		ev.done = make(chan struct{})
 	}
-	q := s.queues[s.laneFor(tid)]
 	if mode == shed {
 		select {
-		case q <- ev:
+		case s.queue <- ev:
 		case <-s.quit:
 		default:
 			s.inboxShed.Inc()
@@ -106,7 +94,7 @@ func (s *Site) enqueue(tid txn.ID, ev siteEvent, mode enqueueMode) bool {
 		return true
 	}
 	select {
-	case q <- ev:
+	case s.queue <- ev:
 	case <-s.quit:
 		return true
 	}
@@ -119,54 +107,37 @@ func (s *Site) enqueue(tid txn.ID, ev siteEvent, mode enqueueMode) bool {
 	return true
 }
 
-// do is enqueue for TID-less work the caller waits on.
-func (s *Site) do(fn func()) { s.enqueue("", siteEvent{fn: fn}, wait) }
+// do is enqueue for work the caller waits on.
+func (s *Site) do(fn func()) { s.enqueue(siteEvent{fn: fn}, wait) }
 
-// laneFor maps a transaction ID to a queue index: 0 when there is one
-// queue or no transaction identity, else 1 + FNV-1a(tid) mod Lanes.
-func (s *Site) laneFor(tid txn.ID) int {
-	if len(s.queues) == 1 || tid == "" {
-		return 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(tid); i++ {
-		h ^= uint32(tid[i])
-		h *= 16777619
-	}
-	return 1 + int(h%uint32(len(s.queues)-1))
-}
-
-// loop drains one queue.  The effect buffer is this goroutine's own and
-// is reused from event to event.
-func (s *Site) loop(q chan siteEvent) {
+// loop drains the queue.  The effect buffer is this goroutine's own and
+// is reused from message to message.
+func (s *Site) loop() {
 	var fx []effect
 	for {
 		select {
 		case <-s.quit:
 			return
-		case ev := <-q:
+		case ev := <-s.queue:
 			// Queue depth as observed at dequeue (this event included).
-			fx = s.exec(ev, len(q)+1, fx)
-			depth := 0
-			for _, q := range s.queues {
-				depth += len(q)
-			}
-			s.inboxDepth.Set(int64(depth))
+			fx = s.exec(ev, len(s.queue)+1, fx)
+			s.inboxDepth.Set(int64(len(s.queue)))
 		}
 	}
 }
 
 // exec runs one event with fx as its staging buffer — each message of a
-// run separately under stateMu — and releases what it staged, at once if
-// the WAL bytes it depends on are durable and through the outbox if not.
-// It returns the buffer, emptied, for the next event.
+// frame separately under stateMu — and releases what each message
+// staged, at once if the WAL bytes it depends on are durable and through
+// the outbox if not.  It returns the buffer, emptied, for the next event.
 func (s *Site) exec(ev siteEvent, depth int, fx []effect) []effect {
-	fx = fx[:0]
-	var target uint64
+	// held is the latest parked batch, pushed once the next one parks or
+	// the event ends, so the event's done can ride on its last batch.
+	var held parked
 	for i := 0; i == 0 || i < len(ev.msgs); i++ {
+		fx = fx[:0]
 		s.stateMu.Lock()
-		// The high-water mark over all of the site's queues is what
-		// overload post-mortems read.
+		// The queue's high-water mark is what overload post-mortems read.
 		if depth > s.hwm {
 			s.hwm = depth
 			s.inboxHWM.Set(int64(depth))
@@ -183,49 +154,53 @@ func (s *Site) exec(ev siteEvent, depth int, fx []effect) []effect {
 			s.handle(ev.msgs[i])
 		}
 		fx, s.fx = s.fx, nil
+		var target uint64
 		if s.glog != nil {
-			// Output commit: the event waits for the frames it wrote
+			// Output commit: the message waits for the frames it wrote
 			// itself, else for what its effects declared — for most of
 			// them (send) everything written so far, because they may
-			// externalize state an earlier, still unsynced event
+			// externalize state an earlier, still unsynced message
 			// installed.  No frames and no dependency: nothing to wait
 			// for.
 			after := s.glog.Seq()
-			dep := min(s.dep, after)
+			target = min(s.dep, after)
 			if after > before {
-				dep = after
+				target = after
 			}
-			target = max(target, dep)
 		}
 		s.stateMu.Unlock()
-		if target == 0 {
-			// Nothing to wait for: what this message staged leaves now,
-			// not behind the rest of its frame.
+		if target > 0 && s.glog.Synced() < target {
+			// The queue goroutine never sleeps on the disk: the batch
+			// waits in the outbox and the next message runs.
+			if held.target > 0 {
+				s.park(held)
+			}
+			held = parked{fx: slices.Clone(fx), target: target, at: s.c.clk.Now()}
+		} else {
 			s.release(fx, 0)
-			clear(fx)
-			fx = fx[:0]
 		}
+		clear(fx) // drop message and handle references until they are reused
 	}
-	if target > 0 && s.glog.Synced() < target {
-		// The queue goroutine never sleeps on the disk: the batch waits
-		// in the outbox and the next event runs.  A full outbox is the
-		// site's back-pressure.
-		select {
-		case s.outbox <- parked{fx: slices.Clone(fx), target: target, done: ev.done, at: s.c.clk.Now()}:
-		case <-s.quit:
-		}
-	} else {
-		s.release(fx, 0)
-		if ev.done != nil {
-			close(ev.done)
-		}
+	if held.target > 0 {
+		held.done = ev.done
+		s.park(held)
+	} else if ev.done != nil {
+		close(ev.done)
 	}
-	clear(fx) // drop message and handle references until the next event
 	return fx
 }
 
-// parked is one event's staged effects waiting in the outbox for the WAL
-// to be durable up to target.
+// park puts a batch on the outbox.  A full outbox is the site's
+// back-pressure.
+func (s *Site) park(b parked) {
+	select {
+	case s.outbox <- b:
+	case <-s.quit:
+	}
+}
+
+// parked is one message's staged effects waiting in the outbox for the
+// WAL to be durable up to target.
 type parked struct {
 	fx     []effect
 	target uint64
@@ -247,7 +222,7 @@ func (s *Site) releaser() {
 				// reached the disk (the flush error is sticky in the
 				// GroupLog, so durability is gone for the rest of this
 				// incarnation, and every batch parked behind this one
-				// lands here too).  Nothing the event staged may leave —
+				// lands here too).  Nothing the batch holds may leave —
 				// no Prepared, no Committed, no client decision — because
 				// each would ack state the disk may have dropped.  Crash
 				// the site instead, once; what the crash itself stages is
@@ -333,8 +308,8 @@ func (s *Site) release(fx []effect, lost int) {
 			}
 			e.qh.complete(e.poly, e.err)
 		case fxDown:
-			// Events on different queues can release out of order, so a
-			// crash's marking could land after the restart's.  Publishing
+			// An unparked batch can overtake a parked one, so a crash's
+			// marking could land after the restart's.  Publishing
 			// whatever the state is NOW, under the mutex that guards it,
 			// makes the last publish always carry the latest state.
 			s.stateMu.Lock()
@@ -412,7 +387,7 @@ func (s *Site) setDown(down bool) {
 
 // onMessage is the transport's delivery handler for one message.
 func (s *Site) onMessage(msg protocol.Message) {
-	s.enqueue(msg.TID, siteEvent{fn: func() {
+	s.enqueue(siteEvent{fn: func() {
 		if !s.down {
 			s.handle(msg)
 		}
@@ -420,21 +395,11 @@ func (s *Site) onMessage(msg protocol.Message) {
 }
 
 // onMessageBatch is the delivery handler for a whole same-destination
-// frame.  The frame is split into runs that share a queue, preserving
-// arrival order within each (all of one transaction's messages share a
-// queue, so per-TID FIFO survives); each run is one event.  With one
-// queue the frame is one event.  The transport hands over ownership of
-// the slice, so it can cross the goroutine boundary without a copy.
+// frame: one event, its messages run in arrival order.  The transport
+// hands over ownership of the slice, so it can cross the goroutine
+// boundary without a copy.
 func (s *Site) onMessageBatch(msgs []protocol.Message) {
-	for start := 0; start < len(msgs); {
-		lane := s.laneFor(msgs[start].TID)
-		end := start + 1
-		for end < len(msgs) && s.laneFor(msgs[end].TID) == lane {
-			end++
-		}
-		s.enqueue(msgs[start].TID, siteEvent{msgs: msgs[start:end]}, s.c.deliver)
-		start = end
-	}
+	s.enqueue(siteEvent{msgs: msgs}, s.c.deliver)
 }
 
 // after schedules a site-local timer that is automatically ignored if

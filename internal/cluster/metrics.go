@@ -120,20 +120,6 @@ func (c *Cluster) initMetrics(reg *metrics.Registry) {
 	c.aeItemsCopied = reg.Counter("antientropy.items.copied")
 	c.installAt = map[lifeKey]vclock.Time{}
 	c.residency = map[protocol.SiteID]*metrics.Histogram{}
-	if c.cfg.Lanes > 1 {
-		// With lanes the hot-path histograms are observed concurrently:
-		// committed-latency lands when effects are released, outside the
-		// site mutex, and an in-process bench shares one registry across
-		// several node clusters.  Stripe them so the histogram mutex
-		// stops serializing lanes; a single-queue site keeps the exact
-		// single-lock reservoir.
-		for _, h := range []*metrics.Histogram{
-			c.latency, c.lifetime,
-			c.phaseRead, c.phasePrepare, c.phaseWait, c.phaseSettle,
-		} {
-			h.Stripe(c.cfg.Lanes)
-		}
-	}
 }
 
 // Metrics exposes the cluster's registry for snapshots, diffs and text

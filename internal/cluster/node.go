@@ -76,7 +76,7 @@ func NewNode(cfg Config, self protocol.SiteID, fab transport.Transport) (*Cluste
 	// interleave: in-doubt transactions convert exactly as a site restart
 	// would, and their outcome-request loops start ticking on the wall.
 	if cfg.DataDir != "" {
-		c.dispatch(s, "", s.recoverDurableState, wait)
+		c.dispatch(s, s.recoverDurableState, wait)
 	}
 	return c, nil
 }

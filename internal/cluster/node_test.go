@@ -21,7 +21,7 @@ type nodeHarness struct {
 	peers map[protocol.SiteID]string
 	nodes map[protocol.SiteID]*Cluster
 	// tune, when set, adjusts each node's Config before boot (placement,
-	// lanes, durability).
+	// durability).
 	tune func(*Config)
 }
 

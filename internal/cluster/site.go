@@ -28,13 +28,12 @@ type Site struct {
 	c     *Cluster
 	store *storage.Store
 
-	// queues are the event queues, one goroutine each: queues[0] alone
-	// with Config.Lanes <= 1, plus one per lane otherwise.
-	queues []chan siteEvent
-	quit   chan struct{}
-	once   sync.Once
+	// queue is the event queue; one goroutine drains it.
+	queue chan siteEvent
+	quit  chan struct{}
+	once  sync.Once
 
-	// stateMu serializes events; fx is the running event's staged
+	// stateMu serializes events; fx is the running message's staged
 	// outputs and dep the furthest WAL position any of them declared.
 	// glog is the group-commit WAL stage (Config.SyncWAL with a DataDir);
 	// when set, outputs whose WAL bytes are not durable yet park on outbox,
@@ -120,9 +119,9 @@ type Site struct {
 	// size; while exhausted, in-doubt participants degrade to blocking
 	// 2PC instead of installing more polyvalues.
 	budget *guard.Budget
-	// inboxDepth/inboxHWM/inboxShed observe the event queues: events
-	// queued across all of them, the deepest any one has been at a
-	// dequeue (hwm is the value behind the gauge), and events shed.
+	// inboxDepth/inboxHWM/inboxShed observe the event queue: events
+	// queued, the deepest it has been at a dequeue (hwm is the value
+	// behind the gauge), and events shed.
 	inboxDepth *metrics.Gauge
 	inboxHWM   *metrics.Gauge
 	inboxShed  *metrics.Counter
@@ -279,21 +278,13 @@ func newSite(c *Cluster, id protocol.SiteID, store *storage.Store, flog *storage
 	s.blockedLock = c.reg.Histogram("item.blocked.seconds", l, metrics.L("cause", causeLock))
 	s.blockedIndoubt = c.reg.Histogram("item.blocked.seconds", l, metrics.L("cause", causeInDoubt))
 	s.blockedDegraded = c.reg.Histogram("item.blocked.seconds", l, metrics.L("cause", causeDegraded))
-	s.queues = make([]chan siteEvent, 1)
-	if c.cfg.Lanes > 1 {
-		s.queues = make([]chan siteEvent, 1+c.cfg.Lanes)
-	}
-	for i := range s.queues {
-		s.queues[i] = make(chan siteEvent, siteInboxDepth)
-	}
+	s.queue = make(chan siteEvent, siteInboxDepth)
 	if glog != nil {
 		s.outbox, s.itemSeq = make(chan parked, siteInboxDepth), map[string]uint64{}
 		s.outboxWait = c.reg.Histogram("site.outbox.wait.seconds", l)
 		go s.releaser()
 	}
-	for _, q := range s.queues {
-		go s.loop(q)
-	}
+	go s.loop()
 	if c.cfg.Replication != nil && len(c.cfg.Sites) > 1 {
 		// The timer-ID write is site state: run it as an event, like
 		// every later re-arm.
@@ -302,7 +293,7 @@ func newSite(c *Cluster, id protocol.SiteID, store *storage.Store, flog *storage
 	return s
 }
 
-// close stops the queue goroutines.  Idempotent; pending wait-mode
+// close stops the queue and releaser goroutines.  Idempotent; pending wait-mode
 // callers unblock without running.
 func (s *Site) close() { s.once.Do(func() { close(s.quit) }) }
 

@@ -10,7 +10,7 @@ import (
 // TestTransferMessageCounts pins the traffic of one committed
 // two-account transfer, by kind, in the two placements a transfer
 // between accounts on different sites can have.  Changes to timing
-// (batching, output commit, lanes) must leave these numbers alone; a
+// (batching, output commit) must leave these numbers alone; a
 // change that piggy-backs or drops a message must move them here first.
 //
 // With N = 2 participants:

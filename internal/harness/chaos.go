@@ -70,12 +70,6 @@ type ChaosConfig struct {
 	// ExtraKills=2 is the F-failures-plus-coordinator scenario the 2F+1
 	// acceptor group must survive.  Clamped to Sites-1 total kills.
 	ExtraKills int
-	// Lanes is the per-site key-sharded execution lane count passed to
-	// every node (see cluster.Config.Lanes).  0 defaults from the
-	// POLY_LANES environment variable, so nightly torture jobs can turn
-	// lanes on without threading a flag through every make target; 1
-	// forces a single event queue.
-	Lanes int
 	// Strand, with CrashPoint set, submits one extra guarded transfer
 	// through each kill victim right after arming it: a transfer between
 	// two items co-located on a single OTHER site, so the decision fires
@@ -130,7 +124,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	rep := &ChaosReport{Txns: cfg.Txns}
 	r, err := runScenario(scenario{
 		name: "chaos", seed: cfg.Seed, sites: cfg.Sites, items: cfg.Items,
-		settle: cfg.Settle, dataDir: cfg.DataDir, spanCap: cfg.SpanCap, lanes: cfg.Lanes,
+		settle: cfg.Settle, dataDir: cfg.DataDir, spanCap: cfg.SpanCap,
 		logf: cfg.Logf, faultLogf: cfg.Logf,
 		txns: cfg.Txns, maxAmt: 20, pace: [2]int{10, 40},
 		killCycles: cfg.KillCycles, crashPoint: cfg.CrashPoint, strand: cfg.Strand, extraKills: cfg.ExtraKills,

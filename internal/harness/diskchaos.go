@@ -42,9 +42,6 @@ type DiskChaosConfig struct {
 	// DataDir holds the per-site WAL files; empty means a fresh temp
 	// directory (removed on success, kept on failure for inspection).
 	DataDir string
-	// Lanes is the per-site execution lane count (see
-	// cluster.Config.Lanes); 0 defaults from POLY_LANES.
-	Lanes int
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -87,7 +84,7 @@ func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosReport, error) {
 	rep := &DiskChaosReport{Txns: cfg.Txns}
 	r, err := runScenario(scenario{
 		name: "diskchaos", seed: cfg.Seed, sites: cfg.Sites, items: cfg.Items,
-		settle: cfg.Settle, dataDir: cfg.DataDir, lanes: cfg.Lanes,
+		settle: cfg.Settle, dataDir: cfg.DataDir,
 		logf: cfg.Logf, faultLogf: cfg.Logf,
 		txns: cfg.Txns, maxAmt: 20, pace: [2]int{10, 40}, killCycles: cfg.KillCycles,
 		disk: diskWeather,

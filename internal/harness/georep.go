@@ -40,11 +40,6 @@ type GeoRepConfig struct {
 	Partition time.Duration
 	// Settle bounds the post-heal quiescence wait.  Default 60s.
 	Settle time.Duration
-	// Lanes is passed through to cluster.Config.Lanes.  The georep
-	// harness runs on the simulated clock, where lanes are deliberately
-	// inert: any value must produce a byte-identical seeded report (the
-	// determinism test in lanes_test.go holds this door shut).
-	Lanes int
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -268,7 +263,6 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 		Net:         network.Config{Latency: 10 * time.Millisecond, Seed: cfg.Seed},
 		Replication: &cluster.ReplicationConfig{K: cfg.K, W: cfg.W, R: cfg.R},
 		OutcomeTTL:  -1, // outcomes must outlive the partition for gossip
-		Lanes:       cfg.Lanes,
 	})
 	if err != nil {
 		return nil, err

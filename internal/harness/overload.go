@@ -44,10 +44,6 @@ type OverloadConfig struct {
 	// order of 200k spans per site); negative disables span tracing and
 	// the trace-completeness audit.
 	SpanCap int
-	// Lanes is the per-site key-sharded execution lane count (see
-	// cluster.Config.Lanes).  0 defaults from POLY_LANES; 1 forces a
-	// single event queue.
-	Lanes int
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -133,7 +129,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	partitioned := false
 	r, err := runScenario(scenario{
 		name: "overload", seed: cfg.Seed, sites: 3, items: cfg.Items,
-		settle: cfg.Settle, spanCap: cfg.SpanCap, lanes: cfg.Lanes, logf: cfg.Logf,
+		settle: cfg.Settle, spanCap: cfg.SpanCap, logf: cfg.Logf,
 		// Offered load well above what AdmissionLimit in-flight slots
 		// drain during a partition: ~300 submissions/s across the sites.
 		loadFor: cfg.Warmup + cfg.Partition + cfg.Cooldown, maxAmt: 10, pace: [2]int{2, 3},

@@ -40,7 +40,6 @@ type scenario struct {
 	settle  time.Duration // bound on the quiescence wait; default 45s
 	dataDir string        // "" = a harness-owned temp dir, removed unless the run fails
 	spanCap int           // per-site span retention; 0 = 65536, negative = tracing off
-	lanes   int           // cluster.Config.Lanes; 0 = POLY_LANES
 	logf    func(format string, args ...any)
 	// faultLogf receives one line per injected network or disk fault;
 	// nil discards them (overload's background loss fires thousands).
@@ -196,13 +195,6 @@ func bringUp(sc scenario, rep *ScenarioReport) (*run, error) {
 	if sc.spanCap == 0 {
 		sc.spanCap = 1 << 16
 	}
-	if sc.lanes == 0 {
-		// The nightly torture jobs' switch for running every wall-clock
-		// scenario with key-sharded lanes without a flag per make target.
-		if n, err := strconv.Atoi(os.Getenv("POLY_LANES")); err == nil && n > 0 {
-			sc.lanes = n
-		}
-	}
 	r := &run{
 		sc: &sc, rep: rep, rng: rand.New(rand.NewSource(sc.seed)),
 		sites: map[protocol.SiteID]*site{}, peers: map[protocol.SiteID]string{},
@@ -317,7 +309,6 @@ func (r *run) start(id protocol.SiteID) error {
 		Metrics:       s.reg,
 		DataDir:       r.dir,
 		Spans:         s.spans,
-		Lanes:         sc.lanes,
 	}
 	if s.disk != nil {
 		cfg.DiskFS, cfg.SyncWAL = s.disk, true

@@ -58,13 +58,10 @@ const DefaultReservoirCap = 4096
 // observation sequences yield equal state).  Safe for concurrent use.
 // The zero value is ready with the default cap.
 //
-// By default all observers share one mutex — exact, deterministic, and
-// fine for a single-threaded observer.  Stripe(n) spreads Observe
-// across n independently locked child reservoirs so concurrent hot-path
-// observers (execution lanes, multiple in-process nodes sharing a
-// registry) stop serializing on the histogram lock; readers merge the
-// stripes.  Unstriped histograms keep the exact legacy behavior,
-// including reservoir state, so seeded simulated runs are unaffected.
+// Every observer and reader takes the one mutex.  A site observes from
+// its event queue and its releaser, so the lock sees little contention,
+// and the state stays exact and deterministic: a seeded simulated run
+// reproduces the reservoir sample for sample.
 type Histogram struct {
 	mu      sync.Mutex
 	cap     int
@@ -75,13 +72,6 @@ type Histogram struct {
 	samples []float64
 	sorted  bool
 	rng     uint64
-
-	// stripes, when non-nil, receives every Observe after Stripe was
-	// called; the fields above then hold only pre-stripe history and
-	// readers merge both.  Child histograms never stripe themselves.
-	stripes atomic.Pointer[[]*Histogram]
-	// rr round-robins observers across stripes.
-	rr atomic.Uint64
 }
 
 // NewHistogram returns a histogram retaining at most cap samples for
@@ -93,54 +83,12 @@ func NewHistogram(cap int) *Histogram {
 	return &Histogram{cap: cap}
 }
 
-// Stripe splits the histogram into n independently locked reservoirs
-// for concurrent observers.  Idempotent: once striped, later calls are
-// no-ops (several in-process nodes sharing one registry may each ask).
-// n <= 1 is a no-op.  Samples observed before striping are retained and
-// merged into every read.
-func (h *Histogram) Stripe(n int) {
-	if n <= 1 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.stripes.Load() != nil {
-		return
-	}
-	if h.cap <= 0 {
-		h.cap = DefaultReservoirCap
-	}
-	per := h.cap / n
-	if per < 16 {
-		per = 16
-	}
-	kids := make([]*Histogram, n)
-	for i := range kids {
-		kids[i] = &Histogram{
-			cap: per,
-			// Decorrelate the stripes' reservoir generators.
-			rng: 0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9,
-		}
-	}
-	h.stripes.Store(&kids)
-}
-
 // SetCap changes the reservoir cap (n <= 0 selects the default).  If the
 // histogram already retains more than n samples, the retained set is
-// truncated; count/sum/mean/min/max are unaffected.  On a striped
-// histogram the cap is divided across stripes.
+// truncated; count/sum/mean/min/max are unaffected.
 func (h *Histogram) SetCap(n int) {
 	if n <= 0 {
 		n = DefaultReservoirCap
-	}
-	if s := h.stripeList(); s != nil {
-		per := n / len(s)
-		if per < 16 {
-			per = 16
-		}
-		for _, st := range s {
-			st.SetCap(per)
-		}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -149,13 +97,6 @@ func (h *Histogram) SetCap(n int) {
 		h.samples = h.samples[:n]
 		h.sorted = false
 	}
-}
-
-func (h *Histogram) stripeList() []*Histogram {
-	if p := h.stripes.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // next returns a deterministic pseudo-random index in [0, n).
@@ -171,31 +112,8 @@ func (h *Histogram) next(n int64) int64 {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if s := h.stripeList(); s != nil {
-		// Striped hot path: prefer any uncontended stripe, fall back to
-		// blocking on the round-robin pick.
-		i := int(h.rr.Add(1))
-		n := len(s)
-		for j := 0; j < n; j++ {
-			st := s[(i+j)%n]
-			if st.mu.TryLock() {
-				st.observeLocked(v)
-				st.mu.Unlock()
-				return
-			}
-		}
-		st := s[i%n]
-		st.mu.Lock()
-		st.observeLocked(v)
-		st.mu.Unlock()
-		return
-	}
 	h.mu.Lock()
-	h.observeLocked(v)
-	h.mu.Unlock()
-}
-
-func (h *Histogram) observeLocked(v float64) {
+	defer h.mu.Unlock()
 	if h.cap <= 0 {
 		h.cap = DefaultReservoirCap
 	}
@@ -224,40 +142,22 @@ func (h *Histogram) observeLocked(v float64) {
 // reservoir size).
 func (h *Histogram) Count() int {
 	h.mu.Lock()
-	n := h.count
-	h.mu.Unlock()
-	for _, st := range h.stripeList() {
-		st.mu.Lock()
-		n += st.count
-		st.mu.Unlock()
-	}
-	return int(n)
+	defer h.mu.Unlock()
+	return int(h.count)
 }
 
 // Retained returns how many samples the reservoir currently holds.
 func (h *Histogram) Retained() int {
 	h.mu.Lock()
-	n := len(h.samples)
-	h.mu.Unlock()
-	for _, st := range h.stripeList() {
-		st.mu.Lock()
-		n += len(st.samples)
-		st.mu.Unlock()
-	}
-	return n
+	defer h.mu.Unlock()
+	return len(h.samples)
 }
 
 // Sum returns the exact sum of all observed samples.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
-	s := h.sum
-	h.mu.Unlock()
-	for _, st := range h.stripeList() {
-		st.mu.Lock()
-		s += st.sum
-		st.mu.Unlock()
-	}
-	return s
+	defer h.mu.Unlock()
+	return h.sum
 }
 
 // Mean returns the exact sample mean (0 with no samples).
@@ -273,30 +173,6 @@ func (h *Histogram) Mean() float64 {
 // retained reservoir (exact while fewer than cap samples have been
 // observed); 0 with no samples.
 func (h *Histogram) Quantile(q float64) float64 {
-	if s := h.stripeList(); s != nil {
-		// Merge a copy of every reservoir; stripes are locked one at a
-		// time, so the view is only instantaneously consistent — fine
-		// for a metrics read.
-		var merged []float64
-		h.mu.Lock()
-		merged = append(merged, h.samples...)
-		h.mu.Unlock()
-		for _, st := range s {
-			st.mu.Lock()
-			merged = append(merged, st.samples...)
-			st.mu.Unlock()
-		}
-		if len(merged) == 0 {
-			return 0
-		}
-		sort.Float64s(merged)
-		q = math.Max(0, math.Min(1, q))
-		idx := int(math.Ceil(q*float64(len(merged)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return merged[idx]
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.samples) == 0 {
@@ -317,41 +193,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Min returns the smallest sample ever observed (0 with no samples).
 func (h *Histogram) Min() float64 {
 	h.mu.Lock()
-	m := h.min
-	seen := h.count > 0
-	h.mu.Unlock()
-	for _, st := range h.stripeList() {
-		st.mu.Lock()
-		if st.count > 0 && (!seen || st.min < m) {
-			m = st.min
-			seen = true
-		}
-		st.mu.Unlock()
-	}
-	if !seen {
-		return 0
-	}
-	return m
+	defer h.mu.Unlock()
+	return h.min
 }
 
 // Max returns the largest sample ever observed (0 with no samples).
 func (h *Histogram) Max() float64 {
 	h.mu.Lock()
-	m := h.max
-	seen := h.count > 0
-	h.mu.Unlock()
-	for _, st := range h.stripeList() {
-		st.mu.Lock()
-		if st.count > 0 && (!seen || st.max > m) {
-			m = st.max
-			seen = true
-		}
-		st.mu.Unlock()
-	}
-	if !seen {
-		return 0
-	}
-	return m
+	defer h.mu.Unlock()
+	return h.max
 }
 
 // Summary renders count/mean/p50/p99 on one line.
@@ -360,7 +210,7 @@ func (h *Histogram) Summary() string {
 		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
 }
 
-// Reset discards all samples (the cap and striping are retained).
+// Reset discards all samples (the cap is retained).
 func (h *Histogram) Reset() {
 	h.mu.Lock()
 	h.samples = h.samples[:0]
@@ -370,7 +220,4 @@ func (h *Histogram) Reset() {
 	h.min = 0
 	h.max = 0
 	h.mu.Unlock()
-	for _, st := range h.stripeList() {
-		st.Reset()
-	}
 }

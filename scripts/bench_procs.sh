@@ -8,7 +8,7 @@
 # initial state the audit expects.
 #
 #   make bench-procs NODE_FLAGS='-decision-plane paxos' BENCH_FLAGS='-workers 16 -txns 20000'
-#   make bench-procs NODE_FLAGS="-data $(mktemp -d) -fsync -lanes 4"
+#   make bench-procs NODE_FLAGS="-data $(mktemp -d) -fsync"
 #   make bench-procs NODE_FLAGS='-admission 4'     # the overload run: shed > 0
 #   make bench-procs NODE_FLAGS='-batch-max 1'     # frames of one (the B1 ablation)
 #   make bench-procs NODE_FLAGS='-telemetry :0'    # pprof, /metrics, /trace while it runs
