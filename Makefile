@@ -65,8 +65,9 @@ loc:
 tables:
 	$(GO) run ./cmd/polytables
 
-# Short fuzzing passes over every wire-format decoder (one -fuzz run per
-# target; go test only accepts a single fuzz target at a time).
+# Short fuzzing passes over every wire-format decoder and the program
+# parser (one -fuzz run per target; go test only accepts a single fuzz
+# target at a time).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMessageDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzPaxosDecode -fuzztime=10s ./internal/wire
@@ -74,6 +75,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzPolyDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzBatchDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzRecover -fuzztime=10s ./internal/storage
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeBinary -fuzztime=10s ./internal/polyvalue
+	$(GO) test -run=^$$ -fuzz=FuzzParseProgram -fuzztime=10s ./internal/expr
 
 # Full crash-recovery torture: seeded faults (drops, dup, delay,
 # corruption, partitions, resets), crash points, and kill+restart cycles

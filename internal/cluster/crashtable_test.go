@@ -237,3 +237,35 @@ func TestAbortOvertakesReadReq(t *testing.T) {
 		t.Errorf("invariant violations: %v", v)
 	}
 }
+
+// TestAbortOvertakesPrepare: the same overtaking, one phase later.  A
+// blind write reads nothing at B, so no read lock lapsed and nothing but
+// the known abort can stop B from locking and preparing a transaction
+// that is already dead — and holding the item until the wait timeout.
+func TestAbortOvertakesPrepare(t *testing.T) {
+	c := newTestCluster(t, PolicyPolyvalue)
+	loadInt(t, c, "bsrc", 100)
+	loadInt(t, c, "cdst", 0)
+	const tid = txn.ID("t-overtaken")
+	c.fab.Send(protocol.Message{Kind: protocol.MsgAbort, TID: tid, From: "A", To: "B"})
+	c.RunFor(20 * time.Millisecond)
+	c.fab.Send(protocol.Message{Kind: protocol.MsgPrepare, TID: tid, From: "A", To: "B",
+		Items: []string{"bsrc"}, Program: "bsrc = 7", Coordinator: "A"})
+	c.RunFor(20 * time.Millisecond)
+	info, _ := c.SiteInfo("B")
+	if info.Locks != 0 || info.Prepared != 0 {
+		t.Fatalf("B holds %d locks and %d prepared records for a transaction it knows aborted",
+			info.Locks, info.Prepared)
+	}
+	h, _ := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
+	c.RunFor(100 * time.Millisecond)
+	if h.Status() != StatusCommitted {
+		t.Fatalf("transfer on the same item: %v (%s), want committed at once", h.Status(), h.Reason())
+	}
+	if got := readInt(t, c, "bsrc"); got != 60 {
+		t.Errorf("bsrc = %d, want 60: the dead blind write must never land", got)
+	}
+	if v := c.CheckInvariants(); len(v) != 0 {
+		t.Errorf("invariant violations: %v", v)
+	}
+}

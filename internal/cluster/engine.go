@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"container/heap"
 	"slices"
 
 	"repro/internal/polyvalue"
@@ -402,15 +403,111 @@ func (s *Site) onMessageBatch(msgs []protocol.Message) {
 	s.enqueue(siteEvent{msgs: msgs}, s.c.deliver)
 }
 
-// after schedules a site-local timer that is automatically ignored if
-// the site is down when it fires.
-func (s *Site) after(d vclock.Time, fn func()) vclock.TimerID {
-	return s.c.clk.After(d, func() {
-		s.do(func() {
-			if s.down {
-				return
-			}
+// Site timers.
+//
+// Every timer a site arms is an entry in the site's own min-heap,
+// ordered by (due, arm order), and the site keeps one clock timer armed
+// for the head.  Arming and cancelling are heap operations under
+// stateMu; the clock is re-armed only when a new entry is due before the
+// armed one, so the common timer — armed, then cancelled long before it
+// is due — never reaches the clock.  A fire is one site event that runs
+// every due entry in order, and drops those that fall due while the
+// site is down.
+
+// siteTimer is one entry of a site's timer heap.
+type siteTimer struct {
+	due   vclock.Time
+	seq   uint64 // arm order: FIFO among entries due at the same instant
+	fn    func()
+	index int // position in the heap; -1 once fired or cancelled
+}
+
+// timerID names a site timer for cancel; nil names none.  It is not a
+// vclock.TimerID: site timers are cancelled through the site.
+type timerID *siteTimer
+
+// timerHeap orders a site's timers by (due, seq).
+type timerHeap []*siteTimer
+
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
+	if h[i].due != h[j].due {
+		return h[i].due < h[j].due
+	}
+	return h[i].seq < h[j].seq
+}
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *timerHeap) Push(x any) {
+	t := x.(*siteTimer)
+	t.index = len(*h)
+	*h = append(*h, t)
+}
+func (h *timerHeap) Pop() any {
+	old := *h
+	t := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	t.index = -1
+	return t
+}
+
+// after schedules fn to run on this site d from now, unless the site is
+// down when it falls due.
+func (s *Site) after(d vclock.Time, fn func()) timerID {
+	s.timerSeq++
+	t := &siteTimer{due: s.c.clk.Now() + d, seq: s.timerSeq, fn: fn}
+	heap.Push(&s.timers, t)
+	s.armClock()
+	return t
+}
+
+// cancel drops a pending site timer; a fired or cancelled one, or nil,
+// is a no-op.  The clock stays armed: a fire with nothing due re-arms.
+func (s *Site) cancel(id timerID) {
+	if id == nil || id.index < 0 {
+		return
+	}
+	heap.Remove(&s.timers, id.index)
+	id.fn = nil
+}
+
+// armClock keeps the site's one clock timer armed for the heap's head.
+// Each arm gets a new generation, so a fire that lost a race with a
+// re-arm does not disarm its successor.
+func (s *Site) armClock() {
+	if len(s.timers) == 0 {
+		return
+	}
+	due := s.timers[0].due
+	if s.clockID != 0 {
+		if s.clockDue <= due {
+			return
+		}
+		s.c.clk.Cancel(s.clockID)
+	}
+	s.clockGen++
+	gen := s.clockGen
+	s.clockDue = due
+	s.clockID = s.c.clk.At(due, func() { s.do(func() { s.fireTimers(gen) }) })
+}
+
+// fireTimers runs every due entry in order, then re-arms the clock.
+func (s *Site) fireTimers(gen uint64) {
+	if gen == s.clockGen {
+		s.clockID = 0
+	}
+	now := s.c.clk.Now()
+	for len(s.timers) > 0 && s.timers[0].due <= now {
+		t := heap.Pop(&s.timers).(*siteTimer)
+		fn := t.fn
+		t.fn = nil
+		if !s.down {
 			fn()
-		})
-	})
+		}
+	}
+	s.armClock()
 }

@@ -95,12 +95,15 @@ func TestOutcomeGCDisabled(t *testing.T) {
 	}
 }
 
-// TestNoTimerOutlivesItsTransaction: outcome-record GC is one expiry
-// queue per site, not a timer per decided transaction, so once a burst
-// of commits has settled each site holds at most its one sweep timer —
-// and the queue keeps the timers' crash rule: a record that falls due
-// while its site is down is kept, one that falls due after the restart
-// is forgotten.
+// TestNoTimerOutlivesItsTransaction: every timer a transaction arms is
+// cancelled when it settles, and outcome-record GC is one expiry queue
+// per site, so once a burst of commits has settled each site's timer
+// heap holds the queue's one sweep entry and nothing else, and at most
+// one clock timer per site is pending.  The heap keeps the per-timer
+// crash rule — an entry due while its site is down is dropped, one due
+// after the restart runs — and so does the expiry queue: a record that
+// falls due while its site is down is kept, one that falls due after the
+// restart is forgotten.
 func TestNoTimerOutlivesItsTransaction(t *testing.T) {
 	t.Run("sim", func(t *testing.T) {
 		c := newTestCluster(t, PolicyPolyvalue)
@@ -123,6 +126,11 @@ func TestNoTimerOutlivesItsTransaction(t *testing.T) {
 		}
 		if n, limit := c.sched.Pending(), len(c.Sites()); n > limit {
 			t.Errorf("%d timers pending after 100 settled transfers, want <= %d (one per site)", n, limit)
+		}
+		for _, id := range c.Sites() {
+			if n, sweep := heapHolds(c.sites[id]); n != 1 || !sweep {
+				t.Errorf("site %s: %d heap entries after 100 settled transfers, want only the outcome-GC sweep", id, n)
+			}
 		}
 	})
 
@@ -155,14 +163,43 @@ func TestNoTimerOutlivesItsTransaction(t *testing.T) {
 		}
 		// The last acks are still in flight when the handle decides; well
 		// inside OutcomeTTL every node must be down to its sweep timer.
+		// A site whose sweep already emptied the queue holds nothing.
 		deadline := time.Now().Add(2 * time.Second)
 		for _, id := range []protocol.SiteID{"A", "B", "C"} {
-			for nodes[id].wall.Pending() > 1 && time.Now().Before(deadline) {
+			settled := func() bool {
+				n, sweep := heapHolds(nodes[id].sites[id])
+				return nodes[id].wall.Pending() <= 1 && (n == 0 || sweep)
+			}
+			for !settled() && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 			if n := nodes[id].wall.Pending(); n > 1 {
 				t.Errorf("node %s: %d timers pending after 200 settled transfers, want <= 1", id, n)
 			}
+			if n, sweep := heapHolds(nodes[id].sites[id]); n > 0 && !sweep {
+				t.Errorf("node %s: %d heap entries after 200 settled transfers, want only the outcome-GC sweep", id, n)
+			}
+		}
+	})
+
+	t.Run("heap-crash", func(t *testing.T) {
+		c := newTestCluster(t, PolicyPolyvalue)
+		b := c.sites["B"]
+		var dropped, ran bool
+		b.do(func() {
+			b.after(2*time.Second, func() { dropped = true })
+			b.after(4*time.Second, func() { ran = true })
+		})
+		c.RunFor(time.Second)
+		c.Crash("B")
+		c.RunFor(2 * time.Second)
+		c.Restart("B")
+		c.RunFor(2 * time.Second)
+		if dropped {
+			t.Error("an entry that fell due while B was down ran")
+		}
+		if !ran {
+			t.Error("an entry that fell due after B's restart never ran")
 		}
 	})
 
@@ -204,6 +241,16 @@ func TestNoTimerOutlivesItsTransaction(t *testing.T) {
 			t.Errorf("B kept %s past its TTL", late.TID)
 		}
 	})
+}
+
+// heapHolds reports how many entries a site's timer heap holds and
+// whether they are exactly the outcome-GC sweep.
+func heapHolds(s *Site) (n int, sweep bool) {
+	s.do(func() {
+		n = len(s.timers)
+		sweep = n == 1 && timerID(s.timers[0]) == s.expTimer
+	})
+	return n, sweep
 }
 
 // TestWALAutoCheckpoint: a busy site's log stays bounded.

@@ -47,7 +47,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/txn"
-	"repro/internal/vclock"
 )
 
 // paxosTakeoverAttempt is the outcome-inquiry attempt at which an
@@ -63,7 +62,7 @@ type paxosLead struct {
 	// attempt counts takeover rounds, driving the escalation backoff
 	// (0 while the ballot-0 fast path is still trusted).
 	attempt int
-	timer   vclock.TimerID
+	timer   timerID
 	// reason is the coordinator's intended abort reason, kept for the
 	// finalize call once consensus settles.
 	reason string
@@ -200,7 +199,7 @@ func (s *Site) armPaxosEscalation(tid txn.ID, pl *paxosLead) {
 // paxosTakeover replaces pl's leader with a fresh one at the next
 // ballot of this site's series, above anything already seen.
 func (s *Site) paxosTakeover(tid txn.ID, pl *paxosLead) {
-	s.c.clk.Cancel(pl.timer)
+	s.cancel(pl.timer)
 	pl.attempt++
 	floor := uint32(0)
 	if pl.ld != nil {
@@ -474,7 +473,7 @@ func (s *Site) onPaxosReject(msg protocol.Message) {
 // acceptors and the original coordinator.
 func (s *Site) paxosDecided(tid txn.ID, pl *paxosLead) {
 	committed, _ := pl.ld.Decided()
-	s.c.clk.Cancel(pl.timer)
+	s.cancel(pl.timer)
 	delete(s.plead, tid)
 	s.c.paxosDecisions.Inc()
 	if ctx, ok := s.coords[tid]; ok {
@@ -572,7 +571,7 @@ func (s *Site) onPaxosDecision(msg protocol.Message) {
 		return
 	}
 	if pl, ok := s.plead[msg.TID]; ok {
-		s.c.clk.Cancel(pl.timer)
+		s.cancel(pl.timer)
 		delete(s.plead, msg.TID)
 	}
 	if ctx, ok := s.coords[msg.TID]; ok {

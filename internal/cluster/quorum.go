@@ -171,10 +171,8 @@ func (s *Site) beginQuorumQuery(qid txn.ID, node expr.Node, qh *QueryHandle, cer
 		responded: map[protocol.SiteID]bool{},
 	}
 	ctx.quorum = q
-	set := map[string]bool{}
-	exprVars(node, set)
 	probe := map[protocol.SiteID][]string{}
-	for logical := range set {
+	for _, logical := range expr.Vars(node) {
 		if err := replica.CheckName(logical); err != nil {
 			s.completeQuery(qh, polyvalue.Poly{}, err)
 			return
@@ -224,7 +222,7 @@ func (s *Site) onQuorumReadRep(ctx *coordCtx, msg protocol.Message) {
 	if !q.satisfied() {
 		return
 	}
-	s.c.clk.Cancel(ctx.readTimer)
+	s.cancel(ctx.readTimer)
 	if ctx.isQuery {
 		// Evaluate against the freshest value each read quorum saw,
 		// keyed back to the logical names the expression references.

@@ -45,6 +45,15 @@ type Site struct {
 	outbox  chan parked
 	itemSeq map[string]uint64
 
+	// timers is the site's timer heap (see engine.go), timerSeq its arm
+	// counter; clockID is the one clock timer armed for its head, due at
+	// clockDue (0: none armed), and clockGen numbers the arms.
+	timers   timerHeap
+	timerSeq uint64
+	clockID  vclock.TimerID
+	clockDue vclock.Time
+	clockGen uint64
+
 	down bool
 	// durLost marks an incarnation whose durable log failed a write or
 	// fsync (the fsyncgate discipline): the page cache can no longer be
@@ -87,14 +96,14 @@ type Site struct {
 	// pwatch holds acceptor-side watchdog timers: a site with durable
 	// undecided paxos instance state eventually drives the decision
 	// itself if no announce reaches it.
-	pwatch map[txn.ID]vclock.TimerID
+	pwatch map[txn.ID]timerID
 	// ackRetry holds coordinator-side decision-retransmission timers:
 	// until every participant acknowledges a decided outcome, the
 	// complete/abort is resent with capped exponential backoff.
-	ackRetry map[txn.ID]vclock.TimerID
+	ackRetry map[txn.ID]timerID
 	// notifyRetry holds resend timers for §3.3 outcome notifications
 	// that have not been acknowledged by every listed site yet.
-	notifyRetry map[txn.ID]vclock.TimerID
+	notifyRetry map[txn.ID]timerID
 	// acks tracks, per decided transaction this site coordinated, which
 	// participants have not yet acknowledged the outcome; once empty the
 	// outcome record is garbage-collected after OutcomeTTL (§3.3).
@@ -105,7 +114,7 @@ type Site struct {
 	// drops what fell due since, as a timer firing on a down site is.
 	expiries []expiry
 	expHead  int
-	expTimer vclock.TimerID
+	expTimer timerID
 	downAt   vclock.Time
 	// decidedAt timestamps coordinator decisions still awaiting their
 	// last outcome ack, for the settle-phase histogram.
@@ -136,7 +145,7 @@ type Site struct {
 	// replication only); cancelled by crash, re-armed by restart.
 	// aeRound counts rounds initiated, seeding the deterministic peer
 	// pick and digest-window rotation.
-	aeTimer vclock.TimerID
+	aeTimer timerID
 	aeRound int
 
 	// lockAt timestamps each held lock's acquisition for the blocking
@@ -160,7 +169,7 @@ type expiry struct {
 
 // retryState is one in-doubt transaction's outcome-request loop.
 type retryState struct {
-	timer       vclock.TimerID
+	timer       timerID
 	coordinator protocol.SiteID
 	// attempt counts inquiries sent so far, driving the backoff.
 	attempt int
@@ -183,8 +192,8 @@ type partCtx struct {
 	// from the remaining budget the prepare message carried; zero when
 	// no deadline is set.
 	deadline  vclock.Time
-	waitTimer vclock.TimerID
-	lockTimer vclock.TimerID
+	waitTimer timerID
+	lockTimer timerID
 	// readyAt timestamps the ready message for the wait-phase histogram.
 	readyAt vclock.Time
 	// spanParent is the coordinator's root span ID, learned from the
@@ -217,7 +226,7 @@ type coordCtx struct {
 	// readWait counts outstanding read replies; values accumulates them.
 	readWait  map[protocol.SiteID]bool
 	values    map[string]polyvalue.Poly
-	readTimer vclock.TimerID
+	readTimer timerID
 
 	// quorum holds the replica bookkeeping when the cluster runs quorum
 	// replication (see quorum.go); nil on the classic single-copy path.
@@ -230,13 +239,13 @@ type coordCtx struct {
 	// the protocol early; they receive no complete/abort.
 	readOnly   map[protocol.SiteID]bool
 	machine    *protocol.Coordinator
-	readyTimer vclock.TimerID
+	readyTimer timerID
 	prepared   bool
 	// deadline is the end-to-end expiry instant (TxnDeadline after
 	// submission); the coordinator aborts the transaction when
 	// deadlineTimer fires with it still undecided.  Zero when disabled.
 	deadline      vclock.Time
-	deadlineTimer vclock.TimerID
+	deadlineTimer timerID
 	// paxosPending marks a coordinator decision already handed to the
 	// paxos plane (waiting for consensus before finalizing).
 	paxosPending bool
@@ -260,9 +269,9 @@ func newSite(c *Cluster, id protocol.SiteID, store *storage.Store, flog *storage
 		coords:      map[txn.ID]*coordCtx{},
 		retry:       map[txn.ID]retryState{},
 		plead:       map[txn.ID]*paxosLead{},
-		pwatch:      map[txn.ID]vclock.TimerID{},
-		ackRetry:    map[txn.ID]vclock.TimerID{},
-		notifyRetry: map[txn.ID]vclock.TimerID{},
+		pwatch:      map[txn.ID]timerID{},
+		ackRetry:    map[txn.ID]timerID{},
+		notifyRetry: map[txn.ID]timerID{},
 		acks:        map[txn.ID]map[protocol.SiteID]bool{},
 		decidedAt:   map[txn.ID]vclock.Time{},
 		lockAt:      map[string]vclock.Time{},
@@ -503,10 +512,8 @@ func (s *Site) beginQuery(qid txn.ID, node expr.Node, qh *QueryHandle, certainBy
 		readWait: map[protocol.SiteID]bool{},
 		values:   map[string]polyvalue.Poly{},
 	}
-	set := map[string]bool{}
-	exprVars(node, set)
 	readOwner := map[protocol.SiteID][]string{}
-	for item := range set {
+	for _, item := range expr.Vars(node) {
 		owner := s.c.Placement(item)
 		readOwner[owner] = append(readOwner[owner], item)
 	}
@@ -548,7 +555,7 @@ func (s *Site) onReadRep(msg protocol.Message) {
 	if len(ctx.readWait) > 0 {
 		return
 	}
-	s.c.clk.Cancel(ctx.readTimer)
+	s.cancel(ctx.readTimer)
 	if ctx.isQuery {
 		s.finishQuery(ctx)
 		return
@@ -850,14 +857,14 @@ func (s *Site) finalizeDecision(ctx *coordCtx, committed bool, reason string) {
 		// there and instance state can be garbage-collected, and retire
 		// any leader still running for this transaction.
 		if pl, ok := s.plead[ctx.tid]; ok {
-			s.c.clk.Cancel(pl.timer)
+			s.cancel(pl.timer)
 			delete(s.plead, ctx.tid)
 		}
 		s.paxosAnnounce(ctx.tid, committed)
 	}
-	s.c.clk.Cancel(ctx.readTimer)
-	s.c.clk.Cancel(ctx.readyTimer)
-	s.c.clk.Cancel(ctx.deadlineTimer)
+	s.cancel(ctx.readTimer)
+	s.cancel(ctx.readyTimer)
+	s.cancel(ctx.deadlineTimer)
 	delete(s.coords, ctx.tid)
 }
 
@@ -953,15 +960,25 @@ func (s *Site) onReadRelease(msg protocol.Message) {
 		return
 	}
 	s.c.trace("%s release read locks of %s (not in quorum)", s.id, msg.TID)
-	s.c.clk.Cancel(ctx.lockTimer)
+	s.cancel(ctx.lockTimer)
 	s.releaseLocks(msg.TID)
 	delete(s.parts, msg.TID)
 }
 
 // onPrepare runs the compute phase for the local share of the write set.
 func (s *Site) onPrepare(msg protocol.Message) {
+	// An abort can overtake the prepare it chases, as it can a read
+	// request (see onReadReq): a blind write locked now would prepare a
+	// dead transaction and hold its items until the wait timeout.
+	if committed, known := s.store.Outcome(msg.TID); known && !committed {
+		s.send(protocol.Message{
+			Kind: protocol.MsgRefuse, TID: msg.TID, To: msg.From,
+			Reason: "already aborted at " + string(s.id),
+		})
+		return
+	}
 	ctx := s.part(msg.TID, msg.Coordinator)
-	s.c.clk.Cancel(ctx.lockTimer)
+	s.cancel(ctx.lockTimer)
 	if ctx.machine.State() != protocol.StateIdle {
 		return // duplicate prepare
 	}
@@ -1325,7 +1342,7 @@ func (s *Site) onOutcomeMsg(tid txn.ID, committed bool) {
 	_ = s.store.ClearPrepared(tid)
 	_ = s.store.SetOutcome(tid, committed)
 	_ = s.store.SettleVersions(tid, committed)
-	s.c.clk.Cancel(ctx.waitTimer)
+	s.cancel(ctx.waitTimer)
 	s.releaseLocks(tid)
 	delete(s.parts, tid)
 	// The outcome may also reduce older polyvalues we hold.  (The
@@ -1354,7 +1371,7 @@ func (s *Site) onOutcomeAck(msg protocol.Message) {
 	_ = s.store.RemoveDepSite(msg.TID, string(msg.From))
 	if !s.store.HasDeps(msg.TID) {
 		if id, ok := s.notifyRetry[msg.TID]; ok {
-			s.c.clk.Cancel(id)
+			s.cancel(id)
 			delete(s.notifyRetry, msg.TID)
 		}
 	}
@@ -1369,7 +1386,7 @@ func (s *Site) onOutcomeAck(msg protocol.Message) {
 	delete(s.acks, msg.TID)
 	if id, ok := s.ackRetry[msg.TID]; ok {
 		// Everyone has the outcome: stop retransmitting the decision.
-		s.c.clk.Cancel(id)
+		s.cancel(id)
 		delete(s.ackRetry, msg.TID)
 	}
 	tid := msg.TID
@@ -1393,7 +1410,7 @@ func (s *Site) onAbortMsg(msg protocol.Message) {
 		switch ctx.machine.State() {
 		case protocol.StateIdle:
 			// Read-locked, never prepared: just release.
-			s.c.clk.Cancel(ctx.lockTimer)
+			s.cancel(ctx.lockTimer)
 			s.releaseLocks(tid)
 			delete(s.parts, tid)
 			return
@@ -1565,7 +1582,7 @@ func (s *Site) resolveOutcome(tid txn.ID, committed bool) {
 			_ = s.store.ClearPaxos(tid)
 		}
 		if pl, ok := s.plead[tid]; ok {
-			s.c.clk.Cancel(pl.timer)
+			s.cancel(pl.timer)
 			delete(s.plead, tid)
 		}
 	}
@@ -1606,7 +1623,7 @@ func (s *Site) resolveOutcome(tid txn.ID, committed bool) {
 func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 	rs, hadRetry := s.retry[tid]
 	if hadRetry {
-		s.c.clk.Cancel(rs.timer)
+		s.cancel(rs.timer)
 		delete(s.retry, tid)
 		// We were in doubt and have now settled: acknowledge so the
 		// coordinator can forget the outcome record.
@@ -1658,7 +1675,7 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 		// Keep the entry until every listed site acknowledges; resend
 		// periodically (targets may be down right now).
 		if id, ok := s.notifyRetry[tid]; ok {
-			s.c.clk.Cancel(id)
+			s.cancel(id)
 		}
 		s.notifyRetry[tid] = s.after(s.c.cfg.RetryInterval, func() {
 			delete(s.notifyRetry, tid)
@@ -1688,7 +1705,7 @@ func (s *Site) forgetLater(tid txn.ID) {
 		return
 	}
 	s.expiries = append(s.expiries, expiry{tid: tid, at: s.c.clk.Now() + ttl})
-	if s.expTimer == 0 {
+	if s.expTimer == nil {
 		s.armSweep()
 	}
 }
@@ -1698,8 +1715,8 @@ func (s *Site) forgetLater(tid txn.ID) {
 // apart whatever the load, so a record lives between TTL and 17/16 TTL:
 // keeping one longer only answers a late duplicate or inquiry from it.
 func (s *Site) armSweep() {
-	s.c.clk.Cancel(s.expTimer) // a sweep that raced crash must not fork a second chain
-	s.expTimer = 0
+	s.cancel(s.expTimer) // a sweep that raced crash must not fork a second chain
+	s.expTimer = nil
 	if s.expHead == len(s.expiries) {
 		return
 	}
@@ -1742,8 +1759,8 @@ func (s *Site) crash() {
 	}
 	s.setDown(true)
 	for tid, ctx := range s.parts {
-		s.c.clk.Cancel(ctx.waitTimer)
-		s.c.clk.Cancel(ctx.lockTimer)
+		s.cancel(ctx.waitTimer)
+		s.cancel(ctx.lockTimer)
 		// Close the blocking accountant's open intervals under the cause
 		// each participant was holding for; the locks themselves are
 		// volatile and die with the site.
@@ -1765,9 +1782,9 @@ func (s *Site) crash() {
 		s.flushBlocked(sortedKeys(s.lockAt), causeLock, false)
 	}
 	for _, ctx := range s.coords {
-		s.c.clk.Cancel(ctx.readTimer)
-		s.c.clk.Cancel(ctx.readyTimer)
-		s.c.clk.Cancel(ctx.deadlineTimer)
+		s.cancel(ctx.readTimer)
+		s.cancel(ctx.readyTimer)
+		s.cancel(ctx.deadlineTimer)
 		if ctx.isQuery {
 			s.completeQuery(ctx.qh, polyvalue.Poly{}, errSiteDown)
 		} else {
@@ -1779,31 +1796,31 @@ func (s *Site) crash() {
 		}
 	}
 	for _, rs := range s.retry {
-		s.c.clk.Cancel(rs.timer)
+		s.cancel(rs.timer)
 	}
 	for _, pl := range s.plead {
-		s.c.clk.Cancel(pl.timer)
+		s.cancel(pl.timer)
 	}
 	for _, id := range s.pwatch {
-		s.c.clk.Cancel(id)
+		s.cancel(id)
 	}
 	for _, id := range s.ackRetry {
-		s.c.clk.Cancel(id)
+		s.cancel(id)
 	}
 	for _, id := range s.notifyRetry {
-		s.c.clk.Cancel(id)
+		s.cancel(id)
 	}
-	s.c.clk.Cancel(s.aeTimer)
-	s.c.clk.Cancel(s.expTimer)
+	s.cancel(s.aeTimer)
+	s.cancel(s.expTimer)
 	s.locks = map[string]txn.ID{}
 	s.lockedBy = map[txn.ID][]string{}
 	s.parts = map[txn.ID]*partCtx{}
 	s.coords = map[txn.ID]*coordCtx{}
 	s.retry = map[txn.ID]retryState{}
 	s.plead = map[txn.ID]*paxosLead{}
-	s.pwatch = map[txn.ID]vclock.TimerID{}
-	s.ackRetry = map[txn.ID]vclock.TimerID{}
-	s.notifyRetry = map[txn.ID]vclock.TimerID{}
+	s.pwatch = map[txn.ID]timerID{}
+	s.ackRetry = map[txn.ID]timerID{}
+	s.notifyRetry = map[txn.ID]timerID{}
 	s.acks = map[txn.ID]map[protocol.SiteID]bool{}
 	s.decidedAt = map[txn.ID]vclock.Time{}
 	s.lockAt = map[string]vclock.Time{}
@@ -2105,22 +2122,4 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// exprVars mirrors polytxn's variable collection for query scatter.
-func exprVars(n expr.Node, set map[string]bool) {
-	switch x := n.(type) {
-	case expr.Lit:
-	case expr.Ref:
-		set[x.Name] = true
-	case expr.Unary:
-		exprVars(x.X, set)
-	case expr.Binary:
-		exprVars(x.L, set)
-		exprVars(x.R, set)
-	case expr.Call:
-		for _, a := range x.Args {
-			exprVars(a, set)
-		}
-	}
 }

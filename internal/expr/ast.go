@@ -2,7 +2,7 @@ package expr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/value"
@@ -12,8 +12,9 @@ import (
 type Node interface {
 	// String renders source-equivalent text.
 	String() string
-	// vars accumulates the item names the expression reads.
-	vars(set map[string]bool)
+	// vars appends to names the item names the expression reads that
+	// names does not hold yet.
+	vars(names []string) []string
 }
 
 // Lit is a literal scalar.
@@ -65,17 +66,31 @@ func maybeParen(n Node) string {
 	}
 }
 
-func (n Lit) vars(map[string]bool)       {}
-func (n Ref) vars(set map[string]bool)   { set[n.Name] = true }
-func (n Unary) vars(set map[string]bool) { n.X.vars(set) }
-func (n Binary) vars(set map[string]bool) {
-	n.L.vars(set)
-	n.R.vars(set)
-}
-func (n Call) vars(set map[string]bool) {
+func (n Lit) vars(names []string) []string    { return names }
+func (n Ref) vars(names []string) []string    { return addName(names, n.Name) }
+func (n Unary) vars(names []string) []string  { return n.X.vars(names) }
+func (n Binary) vars(names []string) []string { return n.R.vars(n.L.vars(names)) }
+func (n Call) vars(names []string) []string {
 	for _, a := range n.Args {
-		a.vars(set)
+		names = a.vars(names)
 	}
+	return names
+}
+
+// addName appends name unless names holds it already.  A program names a
+// handful of items, so a scan is cheaper than a map.
+func addName(names []string, name string) []string {
+	if slices.Contains(names, name) {
+		return names
+	}
+	return append(names, name)
+}
+
+// Vars returns the sorted names of the items an expression reads.
+func Vars(n Node) []string {
+	names := n.vars(nil)
+	slices.Sort(names)
+	return names
 }
 
 // Assign is one guarded assignment: Target = Expr [if Guard].  A nil
@@ -103,55 +118,68 @@ func (a Assign) String() string {
 type Program struct {
 	Stmts []Assign
 	src   string
+	// sets is what Parse computed of Stmts once, for the accessors.
+	sets
+}
+
+// sets are a program's sorted read, write and item sets.
+type sets struct {
+	reads, writes, items []string
+}
+
+// analyse computes the sets of stmts.
+func analyse(stmts []Assign) sets {
+	// One array for both, sized for two reads per statement: appending
+	// past either part's capacity moves that part, never overwrites.
+	n := len(stmts)
+	names := make([]string, 0, 3*n)
+	reads, writes := names[:0:2*n], names[2*n:2*n]
+	for _, s := range stmts {
+		writes = addName(writes, s.Target)
+		reads = s.Expr.vars(reads)
+		if s.Guard != nil {
+			reads = s.Guard.vars(reads)
+		}
+	}
+	slices.Sort(reads)
+	slices.Sort(writes)
+	// Most programs read everything they write: then the item set is
+	// the read set, and shares its array.
+	items := slices.Clip(reads)
+	for _, w := range writes {
+		if !slices.Contains(reads, w) {
+			items = append(items, w)
+		}
+	}
+	if len(items) > len(reads) {
+		slices.Sort(items)
+	}
+	return sets{reads: reads, writes: writes, items: items}
+}
+
+// analysed returns the program's sets: Parse's, or for a Program built
+// as a literal, computed now.
+func (p Program) analysed() sets {
+	if p.items == nil && len(p.Stmts) > 0 {
+		return analyse(p.Stmts)
+	}
+	return p.sets
 }
 
 // String returns the original source text.
 func (p Program) String() string { return p.src }
 
 // ReadSet returns the sorted names of all items the program may read
-// (right-hand sides and guards).
-func (p Program) ReadSet() []string {
-	set := map[string]bool{}
-	for _, s := range p.Stmts {
-		s.Expr.vars(set)
-		if s.Guard != nil {
-			s.Guard.vars(set)
-		}
-	}
-	return sortedNames(set)
-}
+// (right-hand sides and guards).  The slice belongs to the program, as
+// do those of WriteSet and Items: callers must not modify it.
+func (p Program) ReadSet() []string { return p.analysed().reads }
 
 // WriteSet returns the sorted names of all items the program may write.
-func (p Program) WriteSet() []string {
-	set := map[string]bool{}
-	for _, s := range p.Stmts {
-		set[s.Target] = true
-	}
-	return sortedNames(set)
-}
+func (p Program) WriteSet() []string { return p.analysed().writes }
 
 // Items returns the union of read and write sets: every item whose site
 // participates in the transaction.
-func (p Program) Items() []string {
-	set := map[string]bool{}
-	for _, s := range p.Stmts {
-		set[s.Target] = true
-		s.Expr.vars(set)
-		if s.Guard != nil {
-			s.Guard.vars(set)
-		}
-	}
-	return sortedNames(set)
-}
-
-func sortedNames(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (p Program) Items() []string { return p.analysed().items }
 
 // Env supplies item values during evaluation.
 type Env interface {

@@ -28,9 +28,13 @@ const (
 	tokKeyword
 )
 
-var keywords = map[string]bool{
-	"if": true, "true": true, "false": true, "nil": true,
-	"min": true, "max": true, "abs": true,
+// isKeyword reports whether word is reserved.
+func isKeyword(word string) bool {
+	switch word {
+	case "if", "true", "false", "nil", "min", "max", "abs":
+		return true
+	}
+	return false
 }
 
 // token is one lexeme with its source position (byte offset) for error
@@ -52,7 +56,8 @@ func (t token) String() string {
 // language has no comments and strings use double quotes with \" and \\
 // escapes.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// Tokens are mostly separated by blanks: about one per two bytes.
+	toks := make([]token, 0, len(src)/2+2)
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -66,7 +71,7 @@ func lex(src string) ([]token, error) {
 			}
 			word := src[start:i]
 			kind := tokIdent
-			if keywords[word] {
+			if isKeyword(word) {
 				kind = tokKeyword
 			}
 			toks = append(toks, token{kind: kind, text: word, pos: start})
@@ -122,10 +127,10 @@ func isIdentByte(b byte) bool {
 
 // lexOp matches the longest operator at the front of s.
 func lexOp(s string) (string, int) {
-	two := []string{"==", "!=", "<=", ">=", "&&", "||"}
-	for _, op := range two {
-		if strings.HasPrefix(s, op) {
-			return op, 2
+	if len(s) > 1 {
+		switch s[:2] {
+		case "==", "!=", "<=", ">=", "&&", "||":
+			return s[:2], 2
 		}
 	}
 	switch s[0] {

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/value"
 )
@@ -29,7 +30,9 @@ func Parse(src string) (Program, error) {
 		return Program{}, err
 	}
 	p := &parser{toks: toks}
-	var stmts []Assign
+	// One statement per ';' and one more, give or take a ';' inside a
+	// string literal.
+	stmts := make([]Assign, 0, strings.Count(src, ";")+1)
 	for !p.at(tokEOF) {
 		stmt, err := p.parseStmt()
 		if err != nil {
@@ -48,7 +51,7 @@ func Parse(src string) (Program, error) {
 	if len(stmts) == 0 {
 		return Program{}, fmt.Errorf("expr: empty program")
 	}
-	return Program{Stmts: stmts, src: src}, nil
+	return Program{Stmts: stmts, src: src, sets: analyse(stmts)}, nil
 }
 
 // MustParse is Parse that panics on error; for tests and fixed workloads.
@@ -158,14 +161,21 @@ func (p *parser) parseAnd() (Node, error) {
 	return l, nil
 }
 
-var cmpOps = map[string]bool{"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
+// isCmpOp reports whether op is a comparison operator.
+func isCmpOp(op string) bool {
+	switch op {
+	case "==", "!=", "<", "<=", ">", ">=":
+		return true
+	}
+	return false
+}
 
 func (p *parser) parseCmp() (Node, error) {
 	l, err := p.parseAdd()
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind == tokOp && cmpOps[p.peek().text] {
+	if p.peek().kind == tokOp && isCmpOp(p.peek().text) {
 		op := p.next().text
 		r, err := p.parseAdd()
 		if err != nil {

@@ -13,7 +13,6 @@ package polytxn
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/condition"
 	"repro/internal/expr"
@@ -66,7 +65,46 @@ type alternative struct {
 // guard failed in some alternatives keeps its previous value under those
 // alternatives' conditions, per §3.2 ("or is the previous value of the
 // item if transaction T_i does not compute a new value for the item").
+//
+// When every read is certain — the common case the paper's §4 argues for
+// — there is one alternative, under true, and the program runs once over
+// the bound values; the general partition-and-compose path runs only
+// when some read is polyvalued.  Both return the same Result.
 func (e *Executor) Execute(t txn.T, lookup func(item string) polyvalue.Poly) (Result, error) {
+	reads := t.ReadSet()
+	env := make(expr.MapEnv, len(reads))
+	for _, item := range reads {
+		v, ok := lookup(item).IsCertain()
+		if !ok {
+			return e.execute(t, lookup)
+		}
+		env[item] = v
+	}
+	w, err := t.Program.Eval(env)
+	if err != nil {
+		return Result{}, fmt.Errorf("polytxn %s under true: %w", t.ID, err)
+	}
+	writeSet := t.WriteSet()
+	out := make(map[string]polyvalue.Poly, len(writeSet))
+	certain := true
+	for _, item := range writeSet {
+		if v, ok := w[item]; ok {
+			out[item] = polyvalue.Simple(v)
+			continue
+		}
+		// Guard failed: the previous value persists, polyvalued or not.
+		prev := lookup(item)
+		if _, ok := prev.IsCertain(); !ok {
+			certain = false
+		}
+		out[item] = prev
+	}
+	return Result{Writes: out, Alternatives: 1, Certain: certain}, nil
+}
+
+// execute is the general §3.2 path: partition on polyvalued reads, run
+// the program once per surviving alternative, compose the outputs.
+func (e *Executor) execute(t txn.T, lookup func(item string) polyvalue.Poly) (Result, error) {
 	maxAlts := e.MaxAlternatives
 	if maxAlts <= 0 {
 		maxAlts = DefaultMaxAlternatives
@@ -173,16 +211,8 @@ func (e *Executor) EvalQuery(node expr.Node, lookup func(item string) polyvalue.
 	if maxAlts <= 0 {
 		maxAlts = DefaultMaxAlternatives
 	}
-	set := map[string]bool{}
-	nodeVars(node, set)
-	reads := make([]string, 0, len(set))
-	for n := range set {
-		reads = append(reads, n)
-	}
-	sort.Strings(reads)
-
 	alts := []alternative{{cond: condition.True(), env: expr.MapEnv{}}}
-	for _, item := range reads {
+	for _, item := range expr.Vars(node) {
 		pairs := lookup(item).Pairs()
 		next := make([]alternative, 0, len(alts)*len(pairs))
 		for _, a := range alts {
@@ -214,22 +244,4 @@ func (e *Executor) EvalQuery(node expr.Node, lookup func(item string) polyvalue.
 		composed = append(composed, polyvalue.Alternative{Cond: a.cond, Val: polyvalue.Simple(v)})
 	}
 	return polyvalue.Compose(composed), nil
-}
-
-// nodeVars mirrors expr's internal variable collection for query nodes.
-func nodeVars(n expr.Node, set map[string]bool) {
-	switch x := n.(type) {
-	case expr.Lit:
-	case expr.Ref:
-		set[x.Name] = true
-	case expr.Unary:
-		nodeVars(x.X, set)
-	case expr.Binary:
-		nodeVars(x.L, set)
-		nodeVars(x.R, set)
-	case expr.Call:
-		for _, a := range x.Args {
-			nodeVars(a, set)
-		}
-	}
 }

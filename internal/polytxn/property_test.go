@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -143,5 +144,105 @@ func TestPropCertainFlagAccurate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
+	}
+}
+
+// pathCase is a random program over four read items and two items it may
+// write but never reads, each input certain or polyvalued by mode: 0 all
+// certain, 1 all polyvalued, 2 mixed.
+func pathCase(seed int64) (txn.T, map[string]polyvalue.Poly) {
+	r := rand.New(rand.NewSource(seed))
+	mode := r.Intn(3)
+	store := map[string]polyvalue.Poly{}
+	for i, name := range []string{"in0", "in1", "in2", "in3", "w0", "w1"} {
+		v := polyvalue.Simple(value.Int(r.Int63n(20)))
+		if mode == 1 || (mode == 2 && r.Intn(2) == 0) {
+			v = polyvalue.Uncertain(condition.TID(fmt.Sprintf("P%d", i)),
+				polyvalue.Simple(value.Int(r.Int63n(20))), v)
+		}
+		store[name] = v
+	}
+	ops := []string{"+", "-", "*"}
+	targets := []string{"in0", "in2", "w0", "w1", "out"}
+	var stmts []string
+	for _, target := range targets {
+		if r.Intn(3) == 0 {
+			continue
+		}
+		stmt := fmt.Sprintf("%s = in%d %s in%d", target, r.Intn(4), ops[r.Intn(3)], r.Intn(4))
+		switch r.Intn(6) {
+		case 0, 1, 2: // a guard that may hold or fail
+			stmt += fmt.Sprintf(" if in%d >= %d", r.Intn(4), r.Int63n(20))
+		case 3: // a guard that never holds
+			stmt += " if in1 < 0 && in1 > 0"
+		case 4: // not a boolean: both paths must fail the same way
+			if r.Intn(4) == 0 {
+				stmt += " if in3"
+			}
+		}
+		stmts = append(stmts, stmt)
+	}
+	if len(stmts) == 0 {
+		stmts = append(stmts, "out = in0 + 1")
+	}
+	return txn.MustNew("TX", strings.Join(stmts, "; ")), store
+}
+
+// TestPropCertainPathMatchesGeneral: Execute's certain path returns what
+// the general partition-and-compose path returns — Result and error text
+// alike — on certain, polyvalued and mixed inputs.  The certain path must
+// keep an unwritten item's previous value even when that value is a
+// polyvalue the program never reads.
+func TestPropCertainPathMatchesGeneral(t *testing.T) {
+	ex := &Executor{}
+	keptPoly := 0
+	for seed := int64(0); seed < 2000; seed++ {
+		tx, store := pathCase(seed)
+		lookup := storeOf(store)
+		got, gotErr := ex.Execute(tx, lookup)
+		want, wantErr := ex.execute(tx, lookup)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("seed %d %q: error %v, general path %v", seed, tx.Program, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if got.Alternatives != want.Alternatives || got.Certain != want.Certain || len(got.Writes) != len(want.Writes) {
+			t.Fatalf("seed %d %q: %+v, general path %+v", seed, tx.Program, got, want)
+		}
+		for item, p := range want.Writes {
+			if !got.Writes[item].Equal(p) {
+				t.Fatalf("seed %d %q: %s = %v, general path %v", seed, tx.Program, item, got.Writes[item], p)
+			}
+		}
+		if want.Alternatives == 1 {
+			for _, item := range []string{"w0", "w1"} {
+				if p, ok := got.Writes[item]; ok && p.NumPairs() > 1 {
+					keptPoly++
+				}
+			}
+		}
+	}
+	if keptPoly == 0 {
+		t.Fatal("no case kept a polyvalued, written-but-unread item on the certain path")
+	}
+}
+
+// TestCertainPathKeepsUnreadPolyvalue: the certain path's one subtle
+// case, pinned.  w is written under a guard that fails and never read,
+// so its polyvalue persists and the result is not certain.
+func TestCertainPathKeepsUnreadPolyvalue(t *testing.T) {
+	w := polyvalue.Uncertain("P", polyvalue.Simple(value.Int(1)), polyvalue.Simple(value.Int(2)))
+	res, err := (&Executor{}).Execute(txn.MustNew("TX", "w = a + 1 if a < 0; b = a"), storeOf(map[string]polyvalue.Poly{
+		"a": polyvalue.Simple(value.Int(5)), "w": w,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Certain || res.Alternatives != 1 || !res.Writes["w"].Equal(w) {
+		t.Fatalf("res = %+v, want w kept as %v and Certain false", res, w)
+	}
+	if v, ok := res.Writes["b"].IsCertain(); !ok || !v.Equal(value.Int(5)) {
+		t.Errorf("b = %v, want 5", res.Writes["b"])
 	}
 }

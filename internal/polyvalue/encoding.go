@@ -1,6 +1,7 @@
 package polyvalue
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -49,18 +50,53 @@ func DecodeBinary(buf []byte) (Poly, int, error) {
 			return Poly{}, 0, fmt.Errorf("polyvalue: pair %d value: %w", i, err)
 		}
 		off += vn
-		c, cn, err := condition.DecodeBinary(buf[off:])
+		c, cn, err := decodeCond(buf[off:])
 		if err != nil {
 			return Poly{}, 0, fmt.Errorf("polyvalue: pair %d condition: %w", i, err)
 		}
 		off += cn
 		pairs = append(pairs, Pair{Val: v, Cond: c})
 	}
+	if len(pairs) == 1 {
+		// The certain value, nearly every one on the wire: the only
+		// single pair New accepts is one whose condition is a tautology,
+		// and one pair needs no merging, ordering or disjointness check.
+		p := Poly{pairs: pairs}
+		if err := checkCertain(p); err != nil {
+			return Poly{}, 0, err
+		}
+		return p, off, nil
+	}
 	p, err := New(pairs)
 	if err != nil {
 		return Poly{}, 0, err
 	}
 	return p, off, nil
+}
+
+// checkCertain is New's verdict on a single pair: its condition must be
+// satisfiable and, being the only one, a tautology.
+func checkCertain(p Poly) error {
+	c := p.pairs[0].Cond
+	if c.IsFalse() {
+		return fmt.Errorf("polyvalue: no pair with satisfiable condition")
+	}
+	if !c.IsTrue() {
+		return fmt.Errorf("polyvalue: conditions not complete and disjoint: %s", p)
+	}
+	return nil
+}
+
+// trueEncoding is condition.True()'s encoding: one product, no literals.
+var trueEncoding = alwaysTrue.AppendBinary(nil)
+
+// decodeCond is condition.DecodeBinary, sharing alwaysTrue for the
+// constant true.
+func decodeCond(buf []byte) (condition.Cond, int, error) {
+	if bytes.HasPrefix(buf, trueEncoding) {
+		return alwaysTrue, len(trueEncoding), nil
+	}
+	return condition.DecodeBinary(buf)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; trailing bytes

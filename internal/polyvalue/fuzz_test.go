@@ -3,6 +3,7 @@ package polyvalue
 import (
 	"testing"
 
+	"repro/internal/condition"
 	"repro/internal/value"
 )
 
@@ -20,6 +21,8 @@ func FuzzDecodeBinary(f *testing.F) {
 		data, _ := p.MarshalBinary()
 		f.Add(data)
 	}
+	// One pair whose condition can fail: the one-pair path must reject it.
+	f.Add(condition.Committed("T1").AppendBinary(value.AppendBinary([]byte{1}, value.Int(1))))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -48,9 +48,13 @@ type Poly struct {
 	pairs []Pair
 }
 
+// alwaysTrue is the condition of every certain value.  Conditions are
+// immutable, so one instance serves them all.
+var alwaysTrue = condition.True()
+
 // Simple wraps a certain value as the trivial polyvalue ⟨v, true⟩.
 func Simple(v value.V) Poly {
-	return Poly{pairs: []Pair{{Val: v, Cond: condition.True()}}}
+	return Poly{pairs: []Pair{{Val: v, Cond: alwaysTrue}}}
 }
 
 // New builds a polyvalue from explicit pairs, simplifying and validating
@@ -105,6 +109,11 @@ type Alternative struct {
 // alternative conditions are complete and disjoint (the partitioning
 // rules of §3.2 ensure this); Compose preserves that invariant.
 func Compose(alts []Alternative) Poly {
+	if len(alts) == 1 && isConstTrue(alts[0].Cond) {
+		// true ∧ c_i is c_i, and the value is already simplified: a
+		// query over certain inputs lands here.
+		return alts[0].Val
+	}
 	var flat []Pair
 	for _, a := range alts {
 		if a.Cond.IsFalse() {
@@ -140,15 +149,23 @@ func simplify(pairs []Pair) Poly {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a := value.MarshalBinary(out[i].Val)
-		b := value.MarshalBinary(out[j].Val)
-		if c := bytes.Compare(a, b); c != 0 {
-			return c < 0
-		}
-		return out[i].Cond.String() < out[j].Cond.String()
-	})
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool {
+			a := value.MarshalBinary(out[i].Val)
+			b := value.MarshalBinary(out[j].Val)
+			if c := bytes.Compare(a, b); c != 0 {
+				return c < 0
+			}
+			return out[i].Cond.String() < out[j].Cond.String()
+		})
+	}
 	return Poly{pairs: out}
+}
+
+// isConstTrue reports whether c is the constant true itself, not merely
+// a tautology: only then is c ∧ d structurally d.
+func isConstTrue(c condition.Cond) bool {
+	return c.NumProducts() == 1 && c.NumLiterals() == 0
 }
 
 // Pairs returns a copy of the pairs in canonical order.
@@ -184,6 +201,9 @@ func (p Poly) Possible() []value.V {
 // DependsOn returns the transaction identifiers whose outcomes the
 // polyvalue depends on, sorted.  Certain values depend on nothing.
 func (p Poly) DependsOn() []condition.TID {
+	if len(p.pairs) <= 1 {
+		return nil
+	}
 	seen := map[condition.TID]bool{}
 	var out []condition.TID
 	for _, pr := range p.pairs {

@@ -1,6 +1,9 @@
 package polyvalue
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -282,5 +285,71 @@ func TestStringNotation(t *testing.T) {
 	s := p.String()
 	if !strings.HasPrefix(s, "{<") || !strings.Contains(s, "!T7") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestDecodeOnePairAgreesWithNew: DecodeBinary builds a one-pair
+// encoding directly instead of through New.  On every single pair —
+// certain, false, non-tautological, and tautologies that are not the
+// constant true — it must return what New returns for the decoded pair,
+// value or error, and so still reject a lone condition that can fail.
+func TestDecodeOnePairAgreesWithNew(t *testing.T) {
+	t1, t2 := condition.Committed("T1"), condition.Committed("T2")
+	conds := []condition.Cond{
+		condition.True(), condition.False(), t1, condition.Aborted("T2"),
+		t1.Or(t2),
+		t1.Or(t1.Not()),                      // canonicalizes to the constant true
+		t1.Or(t2.Not()).Or(t1.Not().And(t2)), // a tautology in another shape
+	}
+	r := rand.New(rand.NewSource(1))
+	vars := []condition.TID{"T1", "T2", "T3"}
+	for i := 0; i < 200; i++ {
+		c := condition.False()
+		for p := 0; p < 1+r.Intn(3); p++ {
+			prod := condition.True()
+			for l := 0; l < 1+r.Intn(3); l++ {
+				lit := condition.Committed(vars[r.Intn(len(vars))])
+				if r.Intn(2) == 0 {
+					lit = lit.Not()
+				}
+				prod = prod.And(lit)
+			}
+			c = c.Or(prod)
+		}
+		if r.Intn(3) == 0 {
+			c = c.Or(c.Not())
+		}
+		conds = append(conds, c)
+	}
+	accepted, rejected := 0, 0
+	for _, c := range conds {
+		v := value.Int(7)
+		buf := binary.AppendUvarint(nil, 1)
+		buf = value.AppendBinary(buf, v)
+		buf = c.AppendBinary(buf)
+		got, n, gotErr := DecodeBinary(buf)
+		dc, _, err := condition.DecodeBinary(c.AppendBinary(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := New([]Pair{{Val: v, Cond: dc}})
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("cond %s: DecodeBinary error %v, New error %v", c, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			rejected++
+			continue
+		}
+		accepted++
+		if n != len(buf) || !got.Equal(want) || got.Pairs()[0].Cond.String() != want.Pairs()[0].Cond.String() {
+			t.Fatalf("cond %s: decoded %v (%d of %d bytes), New built %v", c, got, n, len(buf), want)
+		}
+	}
+	if accepted < 3 || rejected < 3 {
+		t.Fatalf("accepted %d, rejected %d: the cases do not cover both verdicts", accepted, rejected)
+	}
+	if _, _, err := DecodeBinary(append(binary.AppendUvarint(nil, 1),
+		t1.AppendBinary(value.AppendBinary(nil, value.Int(1)))...)); err == nil {
+		t.Fatal("a single pair under T1 decoded: a certain value's condition must be a tautology")
 	}
 }
