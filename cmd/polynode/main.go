@@ -58,7 +58,7 @@
 // Observability is opt-in the same way: -telemetry serves /metrics
 // (OpenMetrics), /healthz, /trace and pprof over HTTP, -spans retains
 // structured per-transaction spans (queried via /trace or dumped with
-// SPANS for polytrace), and -trace-ring retains protocol trace lines.
+// SPANS for polytrace).
 //
 // Every cluster knob is a flag here and nowhere else: cmd/polybench is a
 // load client of these control ports and measures whatever the nodes
@@ -118,7 +118,6 @@ func main() {
 		faultSd  = flag.Int64("fault-seed", 1, "PRNG seed for the fault injector (same seed, same fault decisions)")
 		telAddr  = flag.String("telemetry", "", "serve /metrics, /healthz, /trace and pprof on this address (e.g. :9090; empty: disabled)")
 		spansCap = flag.Int("spans", 0, "retain this many structured transaction spans (enables span tracing and the /trace endpoints; 0: disabled)")
-		ringCap  = flag.Int("trace-ring", 0, "retain this many protocol trace lines in memory (0: disabled)")
 		callAddr = flag.String("call", "", "client mode: send the remaining arguments as one command to this control address")
 		fsync    = flag.Bool("fsync", false, "with -data: make every site event durable before its outputs leave the site (each event waits for the group commit covering its WAL records)")
 		gcWindow = flag.Duration("group-commit-window", 0, "group-commit accumulation window with -fsync (0: flush as soon as the flusher is free)")
@@ -152,17 +151,12 @@ func main() {
 	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 
 	reg := metrics.NewRegistry()
-	// Observability instruments are pay-for-use: a nil span log or ring
-	// keeps every tracing branch in the hot path disabled.
+	// Observability instruments are pay-for-use: a nil span log keeps
+	// every tracing branch in the hot path disabled.
 	var spans *trace.SpanLog
 	if *spansCap > 0 {
 		spans = trace.NewSpanLogFor(*site, *spansCap)
 		spans.Instrument(reg)
-	}
-	var ring *trace.Ring
-	if *ringCap > 0 {
-		ring = trace.NewRing(*ringCap)
-		ring.Instrument(reg)
 	}
 	fab, err := transport.NewTCP(transport.TCPConfig{
 		Self:     self,
@@ -266,9 +260,6 @@ func main() {
 	if disk != nil {
 		cfg.DiskFS = disk
 	}
-	if ring != nil {
-		cfg.Tracer = ring
-	}
 	if *replicas > 0 {
 		w := *wquorum
 		if w == 0 {
@@ -295,7 +286,7 @@ func main() {
 	if err != nil {
 		fatal("control listen %s: %v", *control, err)
 	}
-	srv := &server{self: self, node: node, fab: fab, inj: inj, disk: disk, spans: spans, ring: ring}
+	srv := &server{self: self, node: node, fab: fab, inj: inj, disk: disk, spans: spans}
 	if det, ok := fabric.(*guard.Detector); ok {
 		srv.det = det
 	}
@@ -305,7 +296,6 @@ func main() {
 		tel, err = telemetry.Serve(*telAddr, telemetry.Config{
 			Registry: reg,
 			Spans:    spans,
-			Ring:     ring,
 			Health:   srv.health,
 		})
 		if err != nil {
@@ -410,7 +400,6 @@ type server struct {
 	disk  *storage.FaultFS // nil unless -data was given
 	det   *guard.Detector  // nil unless -heartbeat was given
 	spans *trace.SpanLog   // nil unless -spans was given
-	ring  *trace.Ring      // nil unless -trace-ring was given
 }
 
 // health feeds the /healthz app section; it also refreshes the trace
@@ -436,15 +425,11 @@ func (s *server) health() any {
 	return doc
 }
 
-// refreshTraceGauges re-publishes the span-log and ring occupancy
-// gauges; both Instrument calls are idempotent level refreshes.
+// refreshTraceGauges re-publishes the span-log occupancy gauges (an
+// idempotent level refresh).
 func (s *server) refreshTraceGauges() {
-	reg := s.node.Metrics()
 	if s.spans != nil {
-		s.spans.Instrument(reg)
-	}
-	if s.ring != nil {
-		s.ring.Instrument(reg)
+		s.spans.Instrument(s.node.Metrics())
 	}
 }
 
@@ -628,15 +613,8 @@ func (s *server) execute(line string) []string {
 			fmt.Sprintf("| committed=%d aborted=%d in_doubt=%d poly_installs=%d poly_reductions=%d refused=%d",
 				st.Committed, st.Aborted, st.InDoubt, st.PolyInstalls, st.PolyReductions, st.Refused),
 		}
-		if s.spans != nil || s.ring != nil {
-			line := "| trace:"
-			if s.spans != nil {
-				line += fmt.Sprintf(" spans=%d span_dropped=%d", s.spans.Len(), s.spans.Dropped())
-			}
-			if s.ring != nil {
-				line += fmt.Sprintf(" ring=%d ring_dropped=%d", len(s.ring.Entries()), s.ring.Dropped())
-			}
-			out = append(out, line)
+		if s.spans != nil {
+			out = append(out, fmt.Sprintf("| trace: spans=%d span_dropped=%d", s.spans.Len(), s.spans.Dropped()))
 		}
 		if s.det != nil {
 			suspects := s.det.Suspects()

@@ -160,13 +160,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.net.Instrument(reg)
 	c.clk = c.sched
 	c.fab = transport.NewSim(c.net)
-	if cfg.SimBatch != nil {
-		p := *cfg.SimBatch
-		if p.Metrics == nil {
-			p.Metrics = reg
-		}
-		c.fab = transport.NewBatcher(c.fab, c.sched, p)
-	}
 	for _, id := range cfg.Sites {
 		s, err := c.openSite(id)
 		if err != nil {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/storage"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 // Policy selects the participant's behaviour when the wait phase times
@@ -217,12 +216,6 @@ type Config struct {
 	DisableOnePhaseOpt bool
 	// MaxAlternatives caps polytransaction fan-out (0 = package default).
 	MaxAlternatives int
-	// SimBatch, when set, wraps the simulated fabric in a
-	// transport.Batcher so the deterministic runtime exercises the same
-	// message-coalescing seam (and batch wire codec) the TCP transport
-	// uses.  Flush timing runs on the discrete-event scheduler, so runs
-	// stay reproducible.  Nil means unbatched sim sends, as before.
-	SimBatch *transport.BatchParams
 	// DataDir, when set, backs every site's store with a file WAL
 	// (<DataDir>/<site>.wal).  A cluster re-created over the same
 	// directory recovers each site's durable state — including in-doubt

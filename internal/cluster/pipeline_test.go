@@ -2,14 +2,18 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/network"
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
+	"repro/internal/replica"
 	"repro/internal/transport"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // TestPipelinedNonConflictingTransactions: many transactions submitted
@@ -120,33 +124,70 @@ func TestPipelinedConflictingTransactions(t *testing.T) {
 	t.Logf("pipelined conflicts: %d/%d committed", committed, len(subs))
 }
 
+// codecFabric round-trips every simulated send through the wire codec
+// — encoded as a frame of one, decoded again — and hands the decoded
+// message to the inner fabric, so the deterministic suite runs on
+// exactly what a TCP peer would receive.  It counts the frames it
+// carried per message kind.
+type codecFabric struct {
+	transport.Transport
+	t *testing.T
+
+	mu     sync.Mutex
+	frames map[protocol.MsgKind]int
+}
+
+// wrapCodec installs a codecFabric on c's fabric.  Sites registered on
+// the inner fabric at New, so deliveries need no rewiring.
+func wrapCodec(t *testing.T, c *Cluster) *codecFabric {
+	f := &codecFabric{Transport: c.fab, t: t, frames: map[protocol.MsgKind]int{}}
+	c.fab = f
+	return f
+}
+
+func (f *codecFabric) Send(msg protocol.Message) {
+	got, _, err := wire.DecodeFrame(wire.EncodeFrame(msg))
+	if err != nil {
+		f.t.Errorf("%s does not survive the wire: %v", msg, err)
+		return
+	}
+	f.mu.Lock()
+	f.frames[msg.Kind]++
+	f.mu.Unlock()
+	f.Transport.Send(got)
+}
+
 // TestSimBatchingPreservesOutcomes: the same conflicting-transfer
-// workload (fixed seed) run twice with sim-side message batching
-// enabled is bit-for-bit deterministic, conserves money, settles with
-// zero residual polyvalues even through a coordinator crash, and
-// actually exercises the batch path (flush metrics advance, frames of
-// more than one message occur).
+// workload (fixed seed), with every message crossing the wire codec, run
+// twice is bit-for-bit deterministic, conserves money, and settles with
+// zero residual polyvalues even through a coordinator crash.  It runs on
+// the default decision plane, on the Paxos plane, and under K=3/W=2/R=2
+// quorum replication, so Paxos and gossip kinds cross the codec too.
 func TestSimBatchingPreservesOutcomes(t *testing.T) {
-	run := func() (map[string]int64, Stats, int64) {
-		c, err := New(Config{
-			Sites:    []protocol.SiteID{"s0", "s1", "s2"},
-			Net:      network.Config{Latency: 5 * time.Millisecond, Jitter: 2 * time.Millisecond, Seed: 11},
-			SimBatch: &transport.BatchParams{MaxCount: 8},
-		})
+	const items = 4
+	run := func(mut func(*Config)) (map[string]int64, Stats, map[protocol.MsgKind]int) {
+		cfg := Config{
+			Sites: []protocol.SiteID{"s0", "s1", "s2"},
+			Net:   network.Config{Latency: 5 * time.Millisecond, Jitter: 2 * time.Millisecond, Seed: 11},
+		}
+		if mut != nil {
+			mut(&cfg)
+		}
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		const items = 4
+		codec := wrapCodec(t, c)
 		for i := 0; i < items; i++ {
-			if err := c.Load(fmt.Sprintf("y%d", i), polyvalue.Simple(value.Int(100))); err != nil {
+			if err := c.LoadReplicated(fmt.Sprintf("y%d", i), polyvalue.Simple(value.Int(100))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 24; i++ {
 			if i == 10 {
 				// One coordinator dies after logging its decision: the
-				// outcome must still reach participants through batched
+				// outcome must still reach participants through
 				// retransmissions and recovery.
 				c.ArmCrashBeforeDecision("s1")
 			}
@@ -165,17 +206,31 @@ func TestSimBatchingPreservesOutcomes(t *testing.T) {
 		}
 		c.RunFor(60 * time.Second)
 
+		// Without replication an item is its own only copy; with it,
+		// every replica must have converged on one value.
+		copies := []func(string) string{func(name string) string { return name }}
+		if rep := cfg.Replication; rep != nil {
+			copies = nil
+			for r := 0; r < rep.K; r++ {
+				copies = append(copies, func(name string) string { return replica.Name(name, r) })
+			}
+		}
 		state := map[string]int64{}
 		var total int64
 		for i := 0; i < items; i++ {
 			name := fmt.Sprintf("y%d", i)
-			v, ok := c.Read(name).IsCertain()
-			if !ok {
-				t.Fatalf("%s uncertain at quiescence", name)
+			for r, phys := range copies {
+				v, ok := c.Read(phys(name)).IsCertain()
+				if !ok {
+					t.Fatalf("%s uncertain at quiescence", phys(name))
+				}
+				n, _ := value.AsInt(v)
+				if r > 0 && n != state[name] {
+					t.Errorf("%s = %d, but replica 0 holds %d", phys(name), n, state[name])
+				}
+				state[name] = n
 			}
-			n, _ := value.AsInt(v)
-			state[name] = n
-			total += n
+			total += state[name]
 		}
 		if total != items*100 {
 			t.Errorf("total = %d, want %d", total, items*100)
@@ -186,33 +241,39 @@ func TestSimBatchingPreservesOutcomes(t *testing.T) {
 		for _, v := range c.CheckInvariants() {
 			t.Errorf("invariant violation: %s", v)
 		}
-		var flushes int64
-		for _, p := range c.Metrics().Snapshot().Points {
-			if p.Name == "transport.batch.flushes" { // every flush reason
-				flushes += p.Value
-			}
-		}
-		// The sim batcher waits for nothing, yet frames coalesce: one site turn
-		// emits several messages to one peer at one simulated instant.
-		if max := c.Metrics().Histogram("transport.batch.size").Max(); max < 2 {
-			t.Errorf("largest batch = %v messages: the sim batcher never coalesced", max)
-		}
-		return state, c.Stats(), flushes
+		return state, c.Stats(), codec.frames
 	}
 
-	state1, stats1, flushes1 := run()
-	state2, stats2, flushes2 := run()
-	if flushes1 == 0 {
-		t.Fatal("batching enabled but no batch flushes recorded")
-	}
-	if flushes1 != flushes2 || stats1 != stats2 {
-		t.Errorf("batched runs diverged: flushes %d vs %d, stats %+v vs %+v",
-			flushes1, flushes2, stats1, stats2)
-	}
-	for k, v := range state1 {
-		if state2[k] != v {
-			t.Errorf("state diverged at %s: %d vs %d", k, v, state2[k])
-		}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want []protocol.MsgKind // kinds that must have crossed the codec
+	}{
+		{"wal", nil, []protocol.MsgKind{protocol.MsgPrepare, protocol.MsgComplete}},
+		{"paxos", func(cfg *Config) { cfg.DecisionPlane = PlanePaxos },
+			[]protocol.MsgKind{protocol.MsgPaxosBegin, protocol.MsgPaxosAccept, protocol.MsgPaxosAccepted}},
+		{"quorum", func(cfg *Config) { cfg.Replication = &ReplicationConfig{K: 3, W: 2, R: 2} },
+			[]protocol.MsgKind{protocol.MsgReadRep, protocol.MsgAntiEntropyDigest, protocol.MsgAntiEntropyReply}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state1, stats1, frames1 := run(tc.mut)
+			state2, stats2, frames2 := run(tc.mut)
+			t.Logf("committed=%d aborted=%d frames=%v", stats1.Committed, stats1.Aborted, frames1)
+			for _, k := range tc.want {
+				if frames1[k] == 0 {
+					t.Errorf("no %s crossed the codec", k)
+				}
+			}
+			if !reflect.DeepEqual(frames1, frames2) || stats1 != stats2 {
+				t.Errorf("runs diverged: frames %v vs %v, stats %+v vs %+v",
+					frames1, frames2, stats1, stats2)
+			}
+			for k, v := range state1 {
+				if state2[k] != v {
+					t.Errorf("state diverged at %s: %d vs %d", k, v, state2[k])
+				}
+			}
+		})
 	}
 }
 

@@ -63,9 +63,8 @@ const (
 	// The MsgPaxos* kinds implement the Paxos Commit decision plane
 	// (Gray & Lamport, "Consensus on Transaction Commit"): one Paxos
 	// instance per participant-vote, replicated across 2F+1 acceptor
-	// sites so the commit/abort decision survives F failures.  All of
-	// them use wire payload version 5 (Ballot / Participants /
-	// PaxosState fields below).
+	// sites so the commit/abort decision survives F failures.  They
+	// carry the Ballot / Participants / PaxosState fields below.
 
 	// MsgPaxosBegin is the registrar record: the coordinator tells every
 	// acceptor the transaction's participant set (the instance set of
@@ -104,8 +103,7 @@ const (
 	// exchange compact digests of known transaction outcomes and local
 	// replica versions with a random peer, so dependency-table knowledge
 	// and fresh replica values cross partitions without coordinator
-	// involvement.  All of them use wire payload version 6 (the Versions
-	// / Outcomes fields below).
+	// involvement.  They carry the Versions / Outcomes fields below.
 
 	// MsgAntiEntropyDigest opens one gossip round: the initiator's
 	// recent transaction outcomes (Outcomes) and the effective versions
@@ -133,15 +131,9 @@ const (
 )
 
 // Paxos reports whether k is one of the Paxos Commit decision-plane
-// kinds (wire payload version 5).
+// kinds.
 func (k MsgKind) Paxos() bool {
 	return k >= MsgPaxosBegin && k <= MsgPaxosDecision
-}
-
-// AntiEntropy reports whether k is one of the gossip-plane kinds (wire
-// payload version 6).
-func (k MsgKind) AntiEntropy() bool {
-	return k >= MsgAntiEntropyDigest && k <= MsgAntiEntropyUpdate
 }
 
 // String names the message kind.
@@ -236,11 +228,12 @@ type Message struct {
 	// MsgReadReq and MsgPrepare: the coordinator's root span ID for this
 	// transaction, so participant-side spans parent into the same causal
 	// tree.  Zero when span tracing is off — the common case — and then
-	// absent from the wire encoding entirely (see internal/wire payload
-	// version 4), so tracing costs nothing when unused.
+	// absent from the wire encoding entirely (internal/wire writes an
+	// optional section only when it is non-empty), so tracing costs
+	// nothing when unused.
 	TraceCtx uint64
 
-	// MsgPaxos* only (wire payload version 5; zero elsewhere):
+	// The MsgPaxos* kinds (zero elsewhere):
 
 	// Ballot is the Paxos ballot the message speaks for: the proposal
 	// ballot on prepare/accept, the promised ballot on promise/accepted,
@@ -256,8 +249,7 @@ type Message struct {
 	// MsgPaxosPromise.
 	PaxosState []PaxosInst
 
-	// Quorum replication / anti-entropy (wire payload version 6; zero
-	// elsewhere):
+	// Quorum replication / anti-entropy (zero where unused):
 
 	// Versions carries item versions.  On MsgReadRep it maps each
 	// requested physical replica item to the replying site's effective

@@ -28,8 +28,6 @@ type Config struct {
 	Registry *metrics.Registry
 	// Spans backs /trace and /trace/recent.
 	Spans *trace.SpanLog
-	// Ring is the line-trace ring; its occupancy is reported in /healthz.
-	Ring *trace.Ring
 	// Health, when set, contributes an application-defined section to
 	// /healthz (detector suspects, budget state, ...).  It is called on
 	// every request and must be safe for concurrent use.
@@ -92,8 +90,6 @@ func (c Config) serveMetrics(w http.ResponseWriter, r *http.Request) {
 // health is the /healthz document.
 type health struct {
 	Status      string `json:"status"`
-	RingDropped int    `json:"trace_ring_dropped,omitempty"`
-	RingLines   int    `json:"trace_ring_retained,omitempty"`
 	SpanCount   int    `json:"spans_retained,omitempty"`
 	SpanDropped int    `json:"spans_dropped,omitempty"`
 	App         any    `json:"app,omitempty"`
@@ -101,10 +97,6 @@ type health struct {
 
 func (c Config) serveHealth(w http.ResponseWriter, r *http.Request) {
 	h := health{Status: "ok"}
-	if c.Ring != nil {
-		h.RingDropped = c.Ring.Dropped()
-		h.RingLines = len(c.Ring.Entries())
-	}
 	if c.Spans != nil {
 		h.SpanCount = c.Spans.Len()
 		h.SpanDropped = c.Spans.Dropped()

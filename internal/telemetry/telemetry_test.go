@@ -75,12 +75,9 @@ func newTestConfig() (Config, *trace.SpanLog) {
 		Parent: root, Start: 0, End: 40})
 	spans.Record(trace.Span{Kind: "part.compute", TID: "t1", Site: "B",
 		Parent: root, Start: 45, End: 60})
-	ring := trace.NewRing(8)
-	ring.Event("hello %d", 1)
 	return Config{
 		Registry: goldenRegistry(),
 		Spans:    spans,
-		Ring:     ring,
 		Health:   func() any { return map[string]int{"suspects": 0} },
 	}, spans
 }
@@ -125,7 +122,7 @@ func TestHealthEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.RingLines != 1 || h.SpanCount != 3 {
+	if h.Status != "ok" || h.SpanCount != 3 {
 		t.Errorf("health = %+v", h)
 	}
 }

@@ -112,27 +112,6 @@ func TestSpanLogInstrument(t *testing.T) {
 	}
 }
 
-func TestRingInstrument(t *testing.T) {
-	reg := metrics.NewRegistry()
-	r := NewRing(2)
-	for i := 0; i < 5; i++ {
-		r.Event("e%d", i)
-	}
-	r.Instrument(reg)
-	snap := reg.Snapshot()
-	if v := snap.Counter("trace.ring.dropped"); v != 3 {
-		t.Fatalf("trace.ring.dropped = %d, want 3", v)
-	}
-	if v := snap.Counter("trace.ring.retained"); v != 2 {
-		t.Fatalf("trace.ring.retained = %d, want 2", v)
-	}
-	// Refreshing is idempotent: same levels, not doubled.
-	r.Instrument(reg)
-	if v := reg.Snapshot().Counter("trace.ring.dropped"); v != 3 {
-		t.Fatalf("after refresh trace.ring.dropped = %d, want 3", v)
-	}
-}
-
 // TestRingConcurrentMixed interleaves writers with readers of every
 // query method; meaningful under -race.
 func TestRingConcurrentMixed(t *testing.T) {

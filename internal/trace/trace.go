@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/metrics"
 	"repro/internal/vclock"
 )
 
@@ -84,18 +83,6 @@ func (r *Ring) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// Instrument publishes the ring's eviction count and occupancy as
-// gauges on reg: trace.ring.dropped and trace.ring.retained.  Gauges
-// are levels, so refreshing after each burst (or on STATS/scrape) is
-// idempotent and makes silent trace loss visible.
-func (r *Ring) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
-	r.mu.Lock()
-	dropped, retained := r.dropped, len(r.buf)
-	r.mu.Unlock()
-	reg.Gauge("trace.ring.dropped", labels...).Set(int64(dropped))
-	reg.Gauge("trace.ring.retained", labels...).Set(int64(retained))
 }
 
 // Contains reports whether any retained entry contains the substring.

@@ -42,7 +42,7 @@ type TCPConfig struct {
 	MaxFrame int
 	// BatchMax caps how many queued messages one outgoing frame may
 	// coalesce (default 32; 1 disables coalescing — every message gets
-	// its own classic frame).
+	// a frame of its own).
 	BatchMax int
 	// BatchBytes flushes a batch once its encoded message payload
 	// reaches this many bytes (default 64 KiB).
@@ -110,7 +110,7 @@ type TCPStats struct {
 	// (oldest-first, within the frame's own priority class);
 	// CritDropped is the subset evicted from the critical
 	// (decision/outcome) queue.  DecodeErrors counts inbound frames
-	// rejected by the wire codec (CRC mismatch, bad version, malformed
+	// rejected by the wire codec (CRC mismatch, unknown format, malformed
 	// payload) without killing the connection.
 	QueueDropped, CritDropped, DecodeErrors int64
 	ByPeer                                  map[protocol.SiteID]PeerStats
@@ -176,6 +176,10 @@ func (p *peer) setLive(c net.Conn) {
 // outside the range fall back to a registry lookup.
 const msgKindSlots = 16
 
+// batchFlushReasons enumerates the reasons fillBatch returns, the label
+// values of transport.batch.flushes.
+var batchFlushReasons = []string{"count", "size", "drain", "delay"}
+
 // tcpSeries caches the transport's hot-path metric handles.  Per-message
 // accounting runs on every send and delivery, so it must be a pointer
 // increment — not a registry lookup (label normalization + map probe)
@@ -203,8 +207,7 @@ func newTCPSeries(reg *metrics.Registry) tcpSeries {
 		s.dropped[r] = reg.Counter("network.dropped", metrics.L("reason", r))
 	}
 	s.flushes = map[string]*metrics.Counter{}
-	// "delay" is the writer's own: only its entry linger records it.
-	for _, r := range append([]string{"delay"}, batchFlushReasons...) {
+	for _, r := range batchFlushReasons {
 		s.flushes[r] = reg.Counter("transport.batch.flushes", metrics.L("reason", r))
 	}
 	s.batchSize = reg.Histogram("transport.batch.size")
@@ -706,7 +709,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		msgs, err := wire.ReadMessages(r, t.cfg.MaxFrame)
 		if err != nil {
 			// A frame that failed its checksum, carried an unknown
-			// version, or decoded to garbage was still consumed whole
+			// format, or decoded to garbage was still consumed whole
 			// (the length prefix framed it), so the stream is intact:
 			// count the reject and keep reading.  A corrupted batch
 			// frame loses all its messages at once — the same loss the

@@ -359,8 +359,7 @@ func TestTCPBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestTCPBatchingDisabled: BatchMax=1 restores the classic one frame
-// per message path.
+// TestTCPBatchingDisabled: BatchMax=1 writes one frame per message.
 func TestTCPBatchingDisabled(t *testing.T) {
 	lnA, _ := net.Listen("tcp", "127.0.0.1:0")
 	lnB, _ := net.Listen("tcp", "127.0.0.1:0")

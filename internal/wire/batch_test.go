@@ -15,14 +15,10 @@ import (
 
 func TestBatchRoundTrip(t *testing.T) {
 	msgs := goldenMessages()
-	frame := EncodeBatchFrame(msgs)
-	payload, err := readFrame(bytes.NewReader(frame), 0)
+	frame := batchFrame(msgs...)
+	got, err := ReadMessages(bytes.NewReader(frame), 0)
 	if err != nil {
-		t.Fatalf("readFrame: %v", err)
-	}
-	got, err := DecodeBatch(payload)
-	if err != nil {
-		t.Fatalf("DecodeBatch: %v", err)
+		t.Fatalf("ReadMessages: %v", err)
 	}
 	if len(got) != len(msgs) {
 		t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
@@ -33,35 +29,40 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 	}
 	// Canonical: re-encoding the decoded batch is byte-identical.
-	if again := EncodeBatchFrame(got); !bytes.Equal(frame, again) {
+	if again := batchFrame(got...); !bytes.Equal(frame, again) {
 		t.Error("re-encoded batch frame not canonical")
 	}
 }
 
+// TestBatchSingleElement: a frame of one is the same frame whether the
+// builder or AppendFrame assembles it, and DecodeFrame reads it.
 func TestBatchSingleElement(t *testing.T) {
 	m := goldenMessages()[3] // prepare with values: the biggest one
-	got, err := DecodeBatch(EncodeBatch([]protocol.Message{m}))
-	if err != nil {
-		t.Fatalf("DecodeBatch: %v", err)
+	frame := batchFrame(m)
+	if !bytes.Equal(frame, EncodeFrame(m)) {
+		t.Fatal("one-message builder frame differs from EncodeFrame")
 	}
-	if len(got) != 1 || !messagesEqual(m, got[0]) {
-		t.Fatalf("one-element batch mismatch: %+v", got)
+	got, n, err := DecodeFrame(frame)
+	if err != nil || n != len(frame) || !messagesEqual(m, got) {
+		t.Fatalf("frame of one: got %+v, n=%d, err %v", got, n, err)
 	}
 }
 
-// TestReadMessagesMixedStream interleaves single-message and batch
-// frames on one stream, as a TCP connection with intermittent
+// TestReadMessagesMixedStream interleaves frames of one and frames of
+// several on one stream, as a TCP connection with intermittent
 // coalescing produces.
 func TestReadMessagesMixedStream(t *testing.T) {
 	msgs := goldenMessages()
 	var stream []byte
 	stream = AppendFrame(stream, msgs[1])
-	stream = AppendBatchFrame(stream, msgs[2:5])
-	stream = AppendFrame(stream, msgs[5])
-	stream = AppendBatchFrame(stream, msgs[6:8])
+	stream = append(stream, batchFrame(msgs[2:5]...)...)
+	stream = append(stream, batchFrame(msgs[5])...)
+	stream = append(stream, batchFrame(msgs[6:8]...)...)
+	stream = AppendFrame(stream, msgs[8])
 
 	r := bytes.NewReader(stream)
 	var got []protocol.Message
+	var sizes []int
 	for {
 		batch, err := ReadMessages(r, 0)
 		if err == io.EOF {
@@ -71,8 +72,9 @@ func TestReadMessagesMixedStream(t *testing.T) {
 			t.Fatalf("ReadMessages: %v", err)
 		}
 		got = append(got, batch...)
+		sizes = append(sizes, len(batch))
 	}
-	want := msgs[1:8]
+	want := msgs[1:9]
 	if len(got) != len(want) {
 		t.Fatalf("read %d messages, want %d", len(got), len(want))
 	}
@@ -81,101 +83,117 @@ func TestReadMessagesMixedStream(t *testing.T) {
 			t.Errorf("msg %d mismatch", i)
 		}
 	}
+	if len(sizes) != 5 || sizes[0] != 1 || sizes[1] != 3 || sizes[2] != 1 || sizes[3] != 2 || sizes[4] != 1 {
+		t.Errorf("frame sizes %v, want [1 3 1 2 1]", sizes)
+	}
 }
 
-// TestDecodePayloadDispatch routes each payload kind to the right
-// decoder and rejects unknown versions.
+// readOne reads a frame of one off a stream.
+func readOne(t *testing.T, frame []byte) protocol.Message {
+	t.Helper()
+	got, err := ReadMessages(bytes.NewReader(frame), 0)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("frame of one: got %v, err %v", got, err)
+	}
+	return got[0]
+}
+
+// TestDecodePayloadDispatch: frames of one and of several decode off a
+// stream, and an unknown format byte or an empty payload is refused.
 func TestDecodePayloadDispatch(t *testing.T) {
 	m := goldenMessages()[1]
-	single, err := DecodePayload(EncodeMessage(m))
-	if err != nil || len(single) != 1 || !messagesEqual(m, single[0]) {
-		t.Fatalf("single dispatch: got %v, err %v", single, err)
+	if got := readOne(t, EncodeFrame(m)); !messagesEqual(m, got) {
+		t.Fatalf("frame of one: got %+v", got)
 	}
-	batch, err := DecodePayload(EncodeBatch([]protocol.Message{m, m}))
+	batch, err := ReadMessages(bytes.NewReader(batchFrame(m, m)), 0)
 	if err != nil || len(batch) != 2 {
-		t.Fatalf("batch dispatch: got %v, err %v", batch, err)
+		t.Fatalf("frame of two: got %v, err %v", batch, err)
 	}
-	if _, err := DecodePayload([]byte{99, 0, 0}); !errors.Is(err, ErrVersion) {
-		t.Errorf("unknown version: got %v, want ErrVersion", err)
+	if _, err := ReadMessages(bytes.NewReader(rawFrame([]byte{99, 1, 0})), 0); !errors.Is(err, ErrVersion) {
+		t.Errorf("unknown format: got %v, want ErrVersion", err)
 	}
-	if _, err := DecodePayload(nil); !errors.Is(err, ErrTruncated) {
-		t.Errorf("empty payload: got %v, want ErrTruncated", err)
+	if _, err := ReadMessages(bytes.NewReader(rawFrame(nil)), 0); !errors.Is(err, ErrMalformed) {
+		t.Errorf("empty payload: got %v, want ErrMalformed", err)
 	}
 }
 
-// TestDecodePayloadPaxosVersion: an unbatched version-5 frame must
-// dispatch to the single-message decoder — paxos traffic below the
-// coalescing threshold rides exactly this path.
+// TestDecodePayloadPaxosVersion: a frame of one Paxos message decodes —
+// paxos traffic below the coalescing threshold rides exactly this path.
 func TestDecodePayloadPaxosVersion(t *testing.T) {
 	m := protocol.Message{
 		Kind: protocol.MsgPaxosAccept, TID: "t", From: "B", To: "D",
 		Ballot: 7, Coordinator: "A",
 		PaxosState: []protocol.PaxosInst{{Instance: "B", Ballot: 7, Vote: protocol.VotePrepared}},
 	}
-	got, err := DecodePayload(EncodeMessage(m))
-	if err != nil || len(got) != 1 || !messagesEqual(m, got[0]) {
-		t.Fatalf("paxos single dispatch: got %v, err %v", got, err)
+	if got := readOne(t, EncodeFrame(m)); !messagesEqual(m, got) {
+		t.Fatalf("paxos frame of one: got %+v", got)
 	}
 }
 
-// TestDecodePayloadAntiEntropyVersion: an unbatched version-6 frame —
-// a gossip message, or any quorum read reply carrying replica versions
-// — must dispatch to the single-message decoder.  Regression: the
-// dispatch once rejected version 6, silently severing every quorum
-// probe reply and gossip round sent over TCP.
+// TestDecodePayloadAntiEntropyVersion: a frame of one gossip-carrying
+// message — a gossip round, or any quorum read reply carrying replica
+// versions — decodes.  Regression: the reader once rejected such
+// unbatched frames, silently severing every quorum probe reply and
+// gossip round sent over TCP.
 func TestDecodePayloadAntiEntropyVersion(t *testing.T) {
 	m := protocol.Message{
 		Kind: protocol.MsgReadRep, TID: "t", From: "B", To: "A",
 		Values:   map[string]polyvalue.Poly{"acct1_r0": polyvalue.Simple(value.Int(100))},
 		Versions: map[string]uint64{"acct1_r0": 3},
 	}
-	got, err := DecodePayload(EncodeMessage(m))
-	if err != nil || len(got) != 1 || !messagesEqual(m, got[0]) {
-		t.Fatalf("anti-entropy single dispatch: got %v, err %v", got, err)
+	if got := readOne(t, EncodeFrame(m)); !messagesEqual(m, got) {
+		t.Fatalf("gossip frame of one: got %+v", got)
 	}
 }
 
 func TestBatchDecodeErrors(t *testing.T) {
 	m := goldenMessages()[1]
-	good := EncodeBatch([]protocol.Message{m, m})
+	good := batchFrame(m, m)[frameHeader:]
 	cases := []struct {
 		name string
 		buf  []byte
 		want error
 	}{
-		{"empty", nil, ErrTruncated},
-		{"wrong version", EncodeMessage(m), ErrVersion},
-		{"zero count", []byte{BatchVersion, 0}, ErrMalformed},
-		{"lying count", []byte{BatchVersion, 200, 1}, ErrMalformed},
-		{"huge count", append([]byte{BatchVersion}, bytes.Repeat([]byte{0xff}, 9)...), ErrTruncated},
-		{"truncated element", good[:len(good)-3], ErrTruncated},
+		{"empty", nil, ErrMalformed},
+		{"wrong format", []byte{1, 1, 0}, ErrVersion},
+		{"zero count", []byte{format, 0}, ErrMalformed},
+		{"lying count", []byte{format, 200, 1}, ErrMalformed},
+		{"huge count", append([]byte{format}, bytes.Repeat([]byte{0xff}, 9)...), ErrMalformed},
+		{"over MaxBatch", append([]byte{format, 0x81, 0x20}, make([]byte, 5000)...), ErrMalformed},
+		{"truncated element", good[:len(good)-3], ErrMalformed},
 		{"trailing bytes", append(append([]byte{}, good...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeBatch(tc.buf); !errors.Is(err, tc.want) {
+		if _, err := ReadMessages(bytes.NewReader(rawFrame(tc.buf)), 0); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 	// A corrupt inner element surfaces the element's error.
 	bad := append([]byte{}, good...)
 	bad[len(bad)-1] ^= 0xff
-	if _, err := DecodeBatch(bad); err == nil {
-		t.Error("corrupt inner element decoded cleanly")
+	if _, err := ReadMessages(bytes.NewReader(rawFrame(bad)), 0); !errors.Is(err, ErrMalformed) {
+		t.Errorf("corrupt inner element: got %v, want ErrMalformed", err)
+	}
+	// DecodeFrame reads frames of one only.
+	if _, _, err := DecodeFrame(batchFrame(m, m)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("DecodeFrame of two: got %v, want ErrMalformed", err)
 	}
 }
 
-// TestBatchBuilder: the incremental builder emits exactly the frames the
-// one-shot encoders produce — the single-message frame for one message,
-// the batch frame for more — and survives Reset/reuse.
+// TestBatchBuilder: the incremental builder emits a frame of one
+// identical to AppendFrame's, counts and sizes what it holds, and
+// survives Reset/reuse.
 func TestBatchBuilder(t *testing.T) {
 	msgs := goldenMessages()
 	var b BatchBuilder
 
 	b.Add(msgs[1])
-	if got, want := b.AppendFrame(nil), EncodeFrame(msgs[1]); !bytes.Equal(got, want) {
+	frame := b.AppendFrame(nil)
+	if want := EncodeFrame(msgs[1]); !bytes.Equal(frame, want) {
 		t.Error("one-message builder frame differs from EncodeFrame")
 	}
-	if b.Count() != 1 || b.Size() != len(EncodeMessage(msgs[1])) {
+	// Size is everything after the format byte and the count.
+	if b.Count() != 1 || b.Size() != len(frame)-frameHeader-2 {
 		t.Errorf("Count=%d Size=%d after one Add", b.Count(), b.Size())
 	}
 
@@ -183,11 +201,12 @@ func TestBatchBuilder(t *testing.T) {
 	for _, m := range msgs {
 		b.Add(m)
 	}
-	if got, want := b.AppendFrame(nil), EncodeBatchFrame(msgs); !bytes.Equal(got, want) {
-		t.Error("multi-message builder frame differs from EncodeBatchFrame")
+	got, err := ReadMessages(bytes.NewReader(b.AppendFrame(nil)), 0)
+	if err != nil || len(got) != len(msgs) {
+		t.Fatalf("multi-message builder frame: %d messages, err %v", len(got), err)
 	}
 
-	// Reset recycles cleanly: a fresh single frame again.
+	// Reset recycles cleanly: a fresh frame of one again.
 	b.Reset()
 	if b.Count() != 0 || b.Size() != 0 {
 		t.Fatalf("Reset left Count=%d Size=%d", b.Count(), b.Size())
@@ -209,12 +228,8 @@ func TestPropBatchRoundTrip(t *testing.T) {
 		for i, rm := range ms {
 			msgs[i] = rm.M
 		}
-		frame := EncodeBatchFrame(msgs)
-		payload, err := readFrame(bytes.NewReader(frame), 0)
-		if err != nil {
-			return false
-		}
-		got, err := DecodeBatch(payload)
+		frame := batchFrame(msgs...)
+		got, err := ReadMessages(bytes.NewReader(frame), 0)
 		if err != nil || len(got) != len(msgs) {
 			return false
 		}
@@ -223,7 +238,7 @@ func TestPropBatchRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return bytes.Equal(frame, EncodeBatchFrame(got))
+		return bytes.Equal(frame, batchFrame(got...))
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -231,19 +246,19 @@ func TestPropBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzBatchDecode throws arbitrary payloads at the batch/dispatch
-// decoder.  It must never panic, and anything it accepts must re-encode
-// to a canonical fixed point.
+// FuzzBatchDecode throws arbitrary payloads at the payload decoder.  It
+// must never panic, and anything it accepts must re-encode to a
+// canonical fixed point.
 func FuzzBatchDecode(f *testing.F) {
 	msgs := goldenMessages()
-	f.Add(EncodeBatch(msgs))
-	f.Add(EncodeBatch(msgs[1:2]))
-	f.Add(EncodeMessage(msgs[1]))
-	f.Add([]byte{BatchVersion})
-	f.Add([]byte{BatchVersion, 1, 0})
+	f.Add(batchFrame(msgs...)[frameHeader:])
+	f.Add(batchFrame(msgs[1])[frameHeader:])
+	f.Add(batchFrame(msgs[16], msgs[22])[frameHeader:])
+	f.Add([]byte{format})
+	f.Add([]byte{format, 1, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodePayload(data)
+		got, err := decodePayload(data)
 		if err != nil {
 			return
 		}
@@ -257,10 +272,10 @@ func FuzzBatchDecode(f *testing.F) {
 				}
 			}
 		}
-		// Convergence: the canonical batch re-encoding of whatever was
-		// accepted decodes back to the same messages and is a fixed point.
-		enc := EncodeBatch(got)
-		again, err := DecodeBatch(enc)
+		// Convergence: the canonical re-encoding of whatever was accepted
+		// decodes back to the same messages and is a fixed point.
+		enc := batchFrame(got...)
+		again, err := decodePayload(enc[frameHeader:])
 		if err != nil {
 			t.Fatalf("re-decode of re-encoding failed: %v", err)
 		}
@@ -272,7 +287,7 @@ func FuzzBatchDecode(f *testing.F) {
 				t.Fatalf("re-encoding changed message %d", i)
 			}
 		}
-		if !bytes.Equal(enc, EncodeBatch(again)) {
+		if !bytes.Equal(enc, batchFrame(again...)) {
 			t.Fatal("canonical form is not a fixed point")
 		}
 	})
@@ -305,24 +320,29 @@ func BenchmarkWireBatch(b *testing.B) {
 	msgs := benchBatch()
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
+		var bb BatchBuilder
 		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf = AppendBatchFrame(buf[:0], msgs)
+			bb.Reset()
+			for _, m := range msgs {
+				bb.Add(m)
+			}
+			buf = bb.AppendFrame(buf[:0])
 		}
 		b.SetBytes(int64(len(buf)))
 	})
 	b.Run("decode", func(b *testing.B) {
-		frame := EncodeBatchFrame(msgs)
+		frame := batchFrame(msgs...)
 		payload := frame[frameHeader:]
 		b.ReportAllocs()
 		b.SetBytes(int64(len(frame)))
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBatch(payload); err != nil {
+			if _, err := decodePayload(payload); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	// The single-frame baseline the batch path replaces: N frames, N CRCs.
+	// The frames-of-one baseline coalescing replaces: N frames, N CRCs.
 	b.Run("encode-singles", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte

@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/polyvalue"
+	"repro/internal/protocol"
 	"repro/internal/value"
 )
 
 // FuzzMessageDecode throws arbitrary bytes at the frame decoder.  The
 // decoder must never panic; any frame it accepts must contain only
-// well-formed polyvalues and must re-encode to the exact accepted bytes
-// (canonical form).
+// well-formed polyvalues and must re-encode to a canonical fixed point.
 func FuzzMessageDecode(f *testing.F) {
 	for _, m := range goldenMessages() {
-		f.Add(EncodeFrame(m))
-		f.Add(EncodeMessage(m))
+		frame := EncodeFrame(m)
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -51,82 +52,52 @@ func FuzzMessageDecode(f *testing.F) {
 	})
 }
 
-// FuzzPaxosDecode focuses the payload decoder on version-5 (Paxos
-// Commit) encodings: seeds are the paxos golden messages, and any
-// accepted payload must satisfy the kind⇔version canonicality rule —
-// paxos kinds re-encode to version 5, everything else to versions 1–4.
-func FuzzPaxosDecode(f *testing.F) {
+// msgFlags returns the flags byte of a raw message.
+func msgFlags(msg []byte) byte {
+	frame := rawFrame(onePayload(msg))
+	return frame[flagsAt(frame)]
+}
+
+// fuzzSection drives the message decoder from seeds carrying one
+// optional section (bit).  Anything accepted must re-encode with the
+// same flags, decode back to the same message, and be a fixed point of
+// decode → re-encode.
+func fuzzSection(f *testing.F, bit byte) {
 	for _, m := range goldenMessages() {
-		if m.Kind.Paxos() {
-			f.Add(EncodeMessage(m))
+		if flagsOf(m)&bit != 0 {
+			f.Add(appendMessage(nil, m))
 		}
 	}
-	f.Add([]byte{PaxosVersion})
+	f.Add(append(prefix(protocol.MsgReadRep, bit), 1, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeMessage(data)
+		m, err := decodeMessage(data)
 		if err != nil {
 			return
 		}
-		enc := EncodeMessage(m)
-		if m.Kind.Paxos() != (enc[0] == PaxosVersion) {
-			t.Fatalf("kind %s re-encoded as version %d", m.Kind, enc[0])
+		enc := appendMessage(nil, m)
+		if in, out := msgFlags(data), msgFlags(enc); in != out {
+			t.Fatalf("re-encoding changed the flags: %#x → %#x", in, out)
 		}
-		if !m.Kind.Paxos() && (m.Ballot != 0 || len(m.Participants) > 0 || len(m.PaxosState) > 0) {
-			t.Fatalf("non-paxos kind %s decoded with paxos fields", m.Kind)
-		}
-		m2, err := DecodeMessage(enc)
+		m2, err := decodeMessage(enc)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoding failed: %v", err)
 		}
 		if !messagesEqual(m, m2) {
 			t.Fatalf("re-encoding changed the message")
 		}
-		if !bytes.Equal(enc, EncodeMessage(m2)) {
+		if !bytes.Equal(enc, appendMessage(nil, m2)) {
 			t.Fatalf("canonical form is not a fixed point")
 		}
 	})
 }
 
-// FuzzAntiEntropyDecode focuses the payload decoder on version-6
-// (gossip) encodings: seeds are the anti-entropy golden messages, and
-// any accepted payload must satisfy the canonicality rules — gossip
-// kinds re-encode to version 6, a version-6 non-gossip kind must carry
-// at least one gossip field, and paxos kinds never carry them.
-func FuzzAntiEntropyDecode(f *testing.F) {
-	for _, m := range goldenMessages() {
-		if m.Kind.AntiEntropy() || len(m.Versions) > 0 || len(m.Outcomes) > 0 {
-			f.Add(EncodeMessage(m))
-		}
-	}
-	f.Add([]byte{AntiEntropyVersion})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeMessage(data)
-		if err != nil {
-			return
-		}
-		enc := EncodeMessage(m)
-		hasGossip := len(m.Versions) > 0 || len(m.Outcomes) > 0
-		if m.Kind.AntiEntropy() && enc[0] != AntiEntropyVersion {
-			t.Fatalf("gossip kind %s re-encoded as version %d", m.Kind, enc[0])
-		}
-		if m.Kind.Paxos() && hasGossip {
-			t.Fatalf("paxos kind %s decoded with gossip fields", m.Kind)
-		}
-		if !m.Kind.AntiEntropy() && !m.Kind.Paxos() && hasGossip != (enc[0] == AntiEntropyVersion) {
-			t.Fatalf("kind %s gossip=%v re-encoded as version %d", m.Kind, hasGossip, enc[0])
-		}
-		m2, err := DecodeMessage(enc)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoding failed: %v", err)
-		}
-		if !messagesEqual(m, m2) {
-			t.Fatalf("re-encoding changed the message")
-		}
-		if !bytes.Equal(enc, EncodeMessage(m2)) {
-			t.Fatalf("canonical form is not a fixed point")
-		}
-	})
-}
+// FuzzPaxosDecode focuses the message decoder on the Paxos section
+// (ballot, participants, instance state), on paxos and plain kinds.
+func FuzzPaxosDecode(f *testing.F) { fuzzSection(f, hasPaxos) }
+
+// FuzzAntiEntropyDecode focuses the message decoder on the gossip
+// section (outcomes, versions), on gossip and plain kinds.
+func FuzzAntiEntropyDecode(f *testing.F) { fuzzSection(f, hasGossip) }
 
 // FuzzPolyDecode fuzzes the polyvalue segment of the wire format — the
 // same canonical form messages embed in their Values maps.  Accepted

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
@@ -99,10 +101,14 @@ func (randMessage) Generate(r *rand.Rand, _ int) reflect.Value {
 			m.Values[fmt.Sprintf("%s%d", randString(r, 6), i)] = randPoly(r)
 		}
 	}
-	// The paxos fields ride only on the paxos kinds (version 5); the
-	// encoder keys the version to the kind, so setting them elsewhere
-	// would produce a message with no valid encoding.
-	if m.Kind.Paxos() {
+	// Every optional section may ride on every kind.
+	if r.Intn(3) == 0 {
+		m.Deadline = time.Duration(1 + r.Int63n(int64(time.Minute)))
+	}
+	if r.Intn(3) == 0 {
+		m.TraceCtx = 1 + uint64(r.Int63())
+	}
+	if m.Kind.Paxos() || r.Intn(3) == 0 {
 		m.Ballot = uint32(r.Intn(1 << 20))
 		if n := r.Intn(4); n > 0 {
 			m.Participants = make([]protocol.SiteID, n)
@@ -121,11 +127,7 @@ func (randMessage) Generate(r *rand.Rand, _ int) reflect.Value {
 			}
 		}
 	}
-	// The gossip fields ride on the anti-entropy kinds (always version 6)
-	// and optionally on others — any non-paxos message carrying them is
-	// promoted to version 6 by the encoder.  Paxos kinds stay version 5,
-	// so the fields must be zero there.
-	if !m.Kind.Paxos() && (m.Kind.AntiEntropy() || r.Intn(3) == 0) {
+	if r.Intn(3) == 0 {
 		if n := r.Intn(4); n > 0 {
 			m.Versions = make(map[string]uint64, n)
 			for i := 0; i < n; i++ {
@@ -149,8 +151,8 @@ func (randMessage) Generate(r *rand.Rand, _ int) reflect.Value {
 // messages, and the encoding is canonical (re-encode is byte-identical).
 func TestPropRoundTripIdentity(t *testing.T) {
 	prop := func(rm randMessage) bool {
-		payload := EncodeMessage(rm.M)
-		got, err := DecodeMessage(payload)
+		msg := appendMessage(nil, rm.M)
+		got, err := decodeMessage(msg)
 		if err != nil {
 			t.Logf("decode failed: %v", err)
 			return false
@@ -159,16 +161,7 @@ func TestPropRoundTripIdentity(t *testing.T) {
 			t.Logf("mismatch:\n in: %+v\nout: %+v", rm.M, got)
 			return false
 		}
-		again := EncodeMessage(got)
-		if len(again) != len(payload) {
-			return false
-		}
-		for i := range again {
-			if again[i] != payload[i] {
-				return false
-			}
-		}
-		return true
+		return bytes.Equal(msg, appendMessage(nil, got))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

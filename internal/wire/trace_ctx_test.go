@@ -10,109 +10,120 @@ import (
 	"repro/internal/protocol"
 )
 
-// TestVersionSelection pins the pay-for-what-you-use rule: the version
-// byte is decided by which optional fields the message carries, so
-// untraced, deadline-free traffic is byte-identical to version 1.
+// TestVersionSelection pins the pay-for-what-you-use rule: the presence
+// bits are chosen from which optional fields the message carries, on any
+// kind, so untraced, deadline-free traffic writes no optional section.
 func TestVersionSelection(t *testing.T) {
-	base := protocol.Message{Kind: protocol.MsgPrepare, TID: "t", From: "A", To: "B"}
 	cases := []struct {
-		name     string
-		deadline time.Duration
-		ctx      uint64
-		want     byte
+		name string
+		m    protocol.Message
+		want byte
 	}{
-		{"plain", 0, 0, Version},
-		{"deadline", time.Second, 0, DeadlineVersion},
-		{"trace", 0, 7, TraceVersion},
-		{"deadline+trace", time.Second, 7, TraceVersion},
+		{"plain", protocol.Message{Kind: protocol.MsgPrepare}, 0},
+		{"deadline", protocol.Message{Kind: protocol.MsgPrepare, Deadline: time.Second}, hasDeadline},
+		{"negative deadline", protocol.Message{Kind: protocol.MsgPrepare, Deadline: -time.Second}, 0},
+		{"trace", protocol.Message{Kind: protocol.MsgPrepare, TraceCtx: 7}, hasTrace},
+		{"deadline+trace", protocol.Message{Kind: protocol.MsgPrepare, Deadline: time.Second, TraceCtx: 7}, hasDeadline | hasTrace},
+		{"gossip kind, empty", protocol.Message{Kind: protocol.MsgAntiEntropyDigest}, 0},
+		{"outcomes", protocol.Message{Kind: protocol.MsgAntiEntropyDigest,
+			Outcomes: []protocol.OutcomeRec{{TID: "t"}}}, hasGossip},
+		{"versions on a read reply", protocol.Message{Kind: protocol.MsgReadRep,
+			Versions: map[string]uint64{"x": 1}}, hasGossip},
+		{"paxos kind, empty", protocol.Message{Kind: protocol.MsgPaxosDecision, Committed: true}, flagCommitted},
+		{"ballot", protocol.Message{Kind: protocol.MsgPaxosReject, Ballot: 3}, hasPaxos},
+		{"participants on a plain kind", protocol.Message{Kind: protocol.MsgComplete,
+			Participants: []protocol.SiteID{"A"}}, hasPaxos},
+		{"everything", protocol.Message{Kind: protocol.MsgPaxosAccept, Lock: true,
+			Deadline: time.Second, TraceCtx: 7, Versions: map[string]uint64{"x": 1},
+			PaxosState: []protocol.PaxosInst{{Instance: "B"}}},
+			flagLock | hasDeadline | hasTrace | hasGossip | hasPaxos},
 	}
 	for _, c := range cases {
-		m := base
-		m.Deadline, m.TraceCtx = c.deadline, c.ctx
-		payload := EncodeMessage(m)
-		if payload[0] != c.want {
-			t.Errorf("%s: version byte %d, want %d", c.name, payload[0], c.want)
+		c.m.TID, c.m.From, c.m.To = "t", "A", "B"
+		frame := EncodeFrame(c.m)
+		if got := frame[flagsAt(frame)]; got != c.want {
+			t.Errorf("%s: flags %#x, want %#x", c.name, got, c.want)
 		}
-		got, err := DecodeMessage(payload)
+		got, _, err := DecodeFrame(frame)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", c.name, err)
 		}
-		if got.Deadline != c.deadline || got.TraceCtx != c.ctx {
-			t.Errorf("%s: round trip got deadline=%v ctx=%d", c.name, got.Deadline, got.TraceCtx)
+		if c.m.Deadline < 0 {
+			c.m.Deadline = 0 // never written: there is no budget to carry
 		}
-		if again := EncodeMessage(got); !bytes.Equal(payload, again) {
+		if !messagesEqual(c.m, got) {
+			t.Errorf("%s: round trip got %+v", c.name, got)
+		}
+		if again := EncodeFrame(got); !bytes.Equal(frame, again) {
 			t.Errorf("%s: re-encode not canonical", c.name)
 		}
 	}
 }
 
-// appendV4Prefix hand-builds a version-4 payload through the deadline
-// field, leaving the trace context and value count to the caller.
-func appendV4Prefix(deadline uint64) []byte {
-	p := []byte{TraceVersion, byte(protocol.MsgPrepare)}
-	p = appendString(p, "t") // tid
-	p = appendString(p, "A") // from
-	p = appendString(p, "B") // to
-	p = append(p, 0)         // flags
-	p = append(p, 0)         // item count
-	p = appendString(p, "")  // program
-	p = appendString(p, "")  // coordinator
-	p = appendString(p, "")  // reason
-	p = binary.AppendUvarint(p, deadline)
-	return p
-}
-
 func TestTraceVersionMalformed(t *testing.T) {
 	t.Run("zero-trace-ctx", func(t *testing.T) {
-		// A v4 payload whose trace context is zero is non-canonical (the
-		// encoder would have picked v1/v3) and must be rejected.
-		p := appendV4Prefix(0)
+		// A trace bit over a zero trace context is non-canonical (the
+		// encoder would have left the bit clear) and must be rejected.
+		p := prefix(protocol.MsgPrepare, hasTrace)
 		p = binary.AppendUvarint(p, 0) // trace ctx = 0
 		p = binary.AppendUvarint(p, 0) // value count
-		if _, err := DecodeMessage(p); !errors.Is(err, ErrMalformed) {
+		if _, err := decodeMessage(p); !errors.Is(err, ErrMalformed) {
 			t.Errorf("got %v, want ErrMalformed", err)
 		}
 	})
 	t.Run("negative-deadline", func(t *testing.T) {
-		// 2^63 wraps to a negative time.Duration; v4 allows zero but not
-		// negative.
-		p := appendV4Prefix(1 << 63)
+		// 2^63 wraps to a negative time.Duration, never a deadline the
+		// encoder writes.
+		p := prefix(protocol.MsgPrepare, hasDeadline|hasTrace)
+		p = binary.AppendUvarint(p, 1<<63)
 		p = binary.AppendUvarint(p, 7)
 		p = binary.AppendUvarint(p, 0)
-		if _, err := DecodeMessage(p); !errors.Is(err, ErrMalformed) {
+		if _, err := decodeMessage(p); !errors.Is(err, ErrMalformed) {
 			t.Errorf("got %v, want ErrMalformed", err)
 		}
 	})
 	t.Run("truncated-before-ctx", func(t *testing.T) {
-		p := appendV4Prefix(0)
-		if _, err := DecodeMessage(p); !errors.Is(err, ErrTruncated) {
+		// The message ends where its trace bit promised a field; inside
+		// a checksummed frame that is a malformed payload.
+		p := prefix(protocol.MsgPrepare, hasTrace)
+		if _, err := decodeMessage(p); !errors.Is(err, ErrTruncated) {
 			t.Errorf("got %v, want ErrTruncated", err)
+		}
+		if _, _, err := DecodeFrame(rawFrame(onePayload(p))); !errors.Is(err, ErrMalformed) {
+			t.Errorf("in a frame: got %v, want ErrMalformed", err)
 		}
 	})
 	t.Run("zero-deadline-ok", func(t *testing.T) {
-		// Unlike v3, a zero deadline is legal in v4: the trace context
-		// alone forces this version.
-		p := appendV4Prefix(0)
+		// A trace context needs no deadline beside it: the deadline
+		// section is simply absent.
+		p := prefix(protocol.MsgPrepare, hasTrace)
 		p = binary.AppendUvarint(p, 7)
 		p = binary.AppendUvarint(p, 0)
-		m, err := DecodeMessage(p)
+		m, err := decodeMessage(p)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if m.TraceCtx != 7 || m.Deadline != 0 {
 			t.Errorf("got ctx=%d deadline=%v", m.TraceCtx, m.Deadline)
 		}
+		// A deadline bit over a zero deadline is not the same message's
+		// other encoding: it is malformed.
+		p = prefix(protocol.MsgPrepare, hasDeadline|hasTrace)
+		p = binary.AppendUvarint(p, 0)
+		p = binary.AppendUvarint(p, 7)
+		p = binary.AppendUvarint(p, 0)
+		if _, err := decodeMessage(p); !errors.Is(err, ErrMalformed) {
+			t.Errorf("zero deadline with its bit set: got %v, want ErrMalformed", err)
+		}
 	})
 }
 
+// TestDecodePayloadTraceVersion: a frame of one traced message, read off
+// a stream, keeps its trace context.
 func TestDecodePayloadTraceVersion(t *testing.T) {
 	m := protocol.Message{Kind: protocol.MsgReadReq, TID: "t", From: "A", To: "B",
 		Items: []string{"x"}, Lock: true, TraceCtx: 42}
-	got, err := DecodePayload(EncodeMessage(m))
-	if err != nil {
-		t.Fatalf("DecodePayload: %v", err)
-	}
-	if len(got) != 1 || got[0].TraceCtx != 42 {
+	if got := readOne(t, EncodeFrame(m)); got.TraceCtx != 42 || !messagesEqual(m, got) {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -124,9 +135,9 @@ func TestBatchCarriesTraceCtx(t *testing.T) {
 		{Kind: protocol.MsgPrepare, TID: "b", From: "A", To: "B",
 			Deadline: time.Second, TraceCtx: 10},
 	}
-	got, err := DecodeBatch(EncodeBatch(msgs))
+	got, err := ReadMessages(bytes.NewReader(batchFrame(msgs...)), 0)
 	if err != nil {
-		t.Fatalf("DecodeBatch: %v", err)
+		t.Fatalf("ReadMessages: %v", err)
 	}
 	for i := range msgs {
 		if got[i].TraceCtx != msgs[i].TraceCtx || got[i].Deadline != msgs[i].Deadline {

@@ -1,89 +1,49 @@
-// Package wire defines the versioned binary format protocol messages
-// take on a real network link.  The simulated network passes
-// protocol.Message structs by value; a multi-process cluster (cmd/
-// polynode over internal/transport) needs an actual byte encoding, with
-// the same canonical polyvalue/condition wire form the storage WAL uses.
+// Package wire defines the binary format protocol messages take on a
+// real network link.  The simulated network passes protocol.Message
+// structs by value; a multi-process cluster (cmd/polynode over
+// internal/transport) needs an actual byte encoding, with the same
+// canonical polyvalue/condition wire form the storage WAL uses.
 //
-// Frame layout (all integers big-endian):
+// There is one frame form and one message layout.  A frame carries one
+// or more messages (all fixed-width integers big-endian):
 //
 //	4 bytes  payload length N
 //	4 bytes  CRC32 (IEEE) of the payload
-//	N bytes  payload
+//	N bytes  payload:
+//	           1 byte   format (7)
+//	           uvarint  message count n (1 ≤ n ≤ MaxBatch)
+//	           n ×      uvarint message length + message
 //
-// Payload layout (version 1):
+// A message is:
 //
-//	1 byte   wire version
 //	1 byte   message kind
 //	str      TID, From, To           (uvarint length + bytes each)
-//	1 byte   flags (bit0 Lock, bit1 ReadOnly, bit2 Committed)
+//	1 byte   flags: bit0 Lock, bit1 ReadOnly, bit2 Committed, and
+//	         bits 3–6 mark which optional sections follow
 //	uvarint  item count; per item: str
-//	str      Program
-//	str      Coordinator
-//	str      Reason
+//	str      Program, Coordinator, Reason
+//	bit 3    deadline: uvarint remaining time budget, nanoseconds
+//	bit 4    trace:    uvarint root span ID
+//	bit 5    gossip:   uvarint outcome count; per outcome:
+//	                     str tid, 1 byte committed (0 or 1)
+//	                   uvarint version count; per entry, sorted by item:
+//	                     str item, uvarint version
+//	bit 6    paxos:    uvarint ballot
+//	                   uvarint participant count; per participant: str
+//	                   uvarint instance count; per instance: str site,
+//	                     uvarint ballot, 1 byte vote (0 none, 1 prepared,
+//	                     2 aborted)
 //	uvarint  value count; per entry, sorted by item name:
 //	           str   item
 //	           poly  polyvalue.AppendBinary encoding
 //
-// Version 3 (version 2 names batch frames; see batch.go) appends one
-// field after Reason:
-//
-//	uvarint  deadline (remaining transaction time budget, nanoseconds)
-//
-// A message with no deadline encodes as version 1, so deadline-free
-// traffic is byte-identical to what older peers emit and accept; the
-// decoder accepts both versions.
-//
-// Version 4 carries a trace context and appends two fields after
-// Reason:
-//
-//	uvarint  deadline (may be zero in this version)
-//	uvarint  trace context (root span ID; must be nonzero)
-//
-// A message encodes as version 4 only when TraceCtx is nonzero — i.e.
-// only when span tracing is enabled — following the deadline precedent:
-// untraced traffic stays byte-identical to versions 1/3, and a version-4
-// payload with a zero trace context is malformed so every message still
-// has exactly one canonical encoding.
-//
-// Version 5 carries the Paxos Commit decision-plane fields and appends,
-// after Reason:
-//
-//	uvarint  deadline (may be zero in this version)
-//	uvarint  trace context (may be zero in this version)
-//	uvarint  ballot
-//	uvarint  participant count; per participant: str site
-//	uvarint  instance count; per instance:
-//	           str      instance site
-//	           uvarint  accepted ballot
-//	           1 byte   vote (0 none, 1 prepared, 2 aborted)
-//
-// Version 5 is keyed to the message kind, not to field presence: every
-// MsgPaxos* message encodes as version 5 and only MsgPaxos* messages
-// may, so each message still has exactly one canonical encoding.
-//
-// Version 6 carries the quorum-replication / anti-entropy fields and
-// appends, after Reason:
-//
-//	uvarint  deadline (may be zero in this version)
-//	uvarint  trace context (may be zero in this version)
-//	uvarint  outcome count; per outcome:
-//	           str      transaction ID
-//	           1 byte   committed (0 or 1)
-//	uvarint  version count; per entry, sorted by item name:
-//	           str      item
-//	           uvarint  version
-//
-// Version 6 is keyed to the kind OR to field presence: every
-// MsgAntiEntropy* message encodes as version 6, and a non-gossip message
-// (read-rep and prepare carry replica versions under quorum replication)
-// encodes as version 6 exactly when it has at least one outcome or
-// version entry.  A version-6 payload that is neither a gossip kind nor
-// carries either field is malformed, so each message still has exactly
-// one canonical encoding.  The MsgPaxos* kinds never use version 6.
-//
-// Values entries are written in sorted item order, so encoding is
-// canonical: equal messages produce identical bytes, and re-encoding a
-// decoded message reproduces the source frame exactly.
+// The canonical rule: on every kind, a section is written if and only
+// if it is non-empty — a positive deadline, a nonzero trace context, at
+// least one outcome or version, a nonzero ballot or at least one
+// participant or instance.  The decoder rejects a presence bit over an
+// empty section and any unknown flag bit, and map entries are written in
+// sorted order, so equal messages produce identical bytes and re-encoding
+// a decoded frame reproduces it exactly.
 //
 // Decoding is defensive — frames arrive from a real socket and may be
 // truncated, corrupted, or hostile.  Every failure returns (wrapped) one
@@ -106,37 +66,19 @@ import (
 	"repro/internal/txn"
 )
 
-// Version is the baseline single-message payload version.
-const Version = 1
-
-// DeadlineVersion is the single-message payload version carrying a
-// transaction deadline.  (2 is BatchVersion — the dispatch byte is
-// shared across all payload kinds.)
-const DeadlineVersion = 3
-
-// TraceVersion is the single-message payload version carrying a trace
-// context (plus the deadline field, which may be zero here).  Emitted
-// only when span tracing stamps a message, so tracing-off traffic never
-// changes shape.
-const TraceVersion = 4
-
-// PaxosVersion is the single-message payload version carrying the Paxos
-// Commit fields (ballot, participant set, per-instance state).  Used by
-// exactly the MsgPaxos* kinds — the kind, not field presence, selects
-// this version.
-const PaxosVersion = 5
-
-// AntiEntropyVersion is the single-message payload version carrying the
-// quorum-replication / gossip fields (transaction outcomes, item
-// versions).  Used by every MsgAntiEntropy* kind, and by any other
-// non-paxos kind whose message carries outcomes or versions — read
-// replies and prepares do, under quorum replication.
-const AntiEntropyVersion = 6
-
-// MaxFrame is the default cap on payload size, applied by ReadMessage
+// MaxFrame is the default cap on payload size, applied by ReadMessages
 // and DecodeFrame.  A peer announcing a larger frame is faulty or
 // hostile; reading it would be an unbounded allocation.
 const MaxFrame = 8 << 20
+
+// MaxBatch caps the number of messages one frame may carry; a frame
+// announcing more is malformed.  Writers flush well below this.
+const MaxBatch = 4096
+
+// format is the payload's leading byte.  It is distinct from the
+// per-message version bytes (1–6) of the earlier encoding, so a peer
+// running such a build is refused with ErrVersion rather than misread.
+const format = 7
 
 // frameHeader is the fixed frame prefix: length + checksum.
 const frameHeader = 8
@@ -144,60 +86,68 @@ const frameHeader = 8
 // Typed decode failures.  Callers match with errors.Is; the returned
 // errors wrap these with positional detail.
 var (
-	// ErrTruncated reports input that ends mid-field (or mid-frame).
+	// ErrTruncated reports input that ends mid-frame (or mid-field).
 	ErrTruncated = errors.New("wire: truncated")
 	// ErrOversize reports a frame whose announced payload exceeds the
 	// size limit.
 	ErrOversize = errors.New("wire: frame too large")
 	// ErrChecksum reports a payload that fails CRC verification.
 	ErrChecksum = errors.New("wire: checksum mismatch")
-	// ErrVersion reports an unknown payload version byte.
-	ErrVersion = errors.New("wire: unknown version")
-	// ErrMalformed reports a structurally invalid payload (bad counts,
-	// invalid polyvalue, trailing bytes).
+	// ErrVersion reports an unknown payload format byte.
+	ErrVersion = errors.New("wire: unknown format")
+	// ErrMalformed reports a checksummed payload that does not decode:
+	// bad counts, a field running past its message, an invalid
+	// polyvalue, flags that do not match the sections, trailing bytes.
 	ErrMalformed = errors.New("wire: malformed payload")
 )
 
-// Message flag bits.
+// Message flag bits: three booleans, then one presence bit per optional
+// section.
 const (
 	flagLock      = 1 << 0
 	flagReadOnly  = 1 << 1
 	flagCommitted = 1 << 2
+	hasDeadline   = 1 << 3
+	hasTrace      = 1 << 4
+	hasGossip     = 1 << 5
+	hasPaxos      = 1 << 6
 )
 
-// AppendMessage appends m's payload encoding to dst: version 1, version
-// 3 when the message carries a deadline, or version 4 when it carries a
-// trace context.
-func AppendMessage(dst []byte, m protocol.Message) []byte {
-	ver := byte(Version)
+// flagsOf returns m's flags byte: its booleans plus the presence bit of
+// each non-empty optional section.
+func flagsOf(m protocol.Message) byte {
+	var f byte
+	if m.Lock {
+		f |= flagLock
+	}
+	if m.ReadOnly {
+		f |= flagReadOnly
+	}
+	if m.Committed {
+		f |= flagCommitted
+	}
 	if m.Deadline > 0 {
-		ver = DeadlineVersion
+		f |= hasDeadline
 	}
 	if m.TraceCtx != 0 {
-		ver = TraceVersion
+		f |= hasTrace
 	}
-	if m.Kind.Paxos() {
-		ver = PaxosVersion
-	} else if m.Kind.AntiEntropy() || len(m.Versions) > 0 || len(m.Outcomes) > 0 {
-		// The paxos kinds never carry gossip fields (the encoder keys
-		// version 5 to the kind); everything else promotes to version 6
-		// when outcomes or versions are present.
-		ver = AntiEntropyVersion
+	if len(m.Outcomes) > 0 || len(m.Versions) > 0 {
+		f |= hasGossip
 	}
-	dst = append(dst, ver, byte(m.Kind))
+	if m.Ballot != 0 || len(m.Participants) > 0 || len(m.PaxosState) > 0 {
+		f |= hasPaxos
+	}
+	return f
+}
+
+// appendMessage appends m's encoding to dst.
+func appendMessage(dst []byte, m protocol.Message) []byte {
+	flags := flagsOf(m)
+	dst = append(dst, byte(m.Kind))
 	dst = appendString(dst, string(m.TID))
 	dst = appendString(dst, string(m.From))
 	dst = appendString(dst, string(m.To))
-	var flags byte
-	if m.Lock {
-		flags |= flagLock
-	}
-	if m.ReadOnly {
-		flags |= flagReadOnly
-	}
-	if m.Committed {
-		flags |= flagCommitted
-	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Items)))
 	for _, item := range m.Items {
@@ -206,13 +156,13 @@ func AppendMessage(dst []byte, m protocol.Message) []byte {
 	dst = appendString(dst, m.Program)
 	dst = appendString(dst, string(m.Coordinator))
 	dst = appendString(dst, m.Reason)
-	if ver != Version {
+	if flags&hasDeadline != 0 {
 		dst = binary.AppendUvarint(dst, uint64(m.Deadline))
 	}
-	if ver == TraceVersion || ver == PaxosVersion || ver == AntiEntropyVersion {
+	if flags&hasTrace != 0 {
 		dst = binary.AppendUvarint(dst, m.TraceCtx)
 	}
-	if ver == AntiEntropyVersion {
+	if flags&hasGossip != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(m.Outcomes)))
 		for _, o := range m.Outcomes {
 			dst = appendString(dst, string(o.TID))
@@ -223,12 +173,12 @@ func AppendMessage(dst []byte, m protocol.Message) []byte {
 			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(m.Versions)))
-		for _, item := range sortedVersionKeys(m.Versions) {
+		for _, item := range sortedKeys(m.Versions) {
 			dst = appendString(dst, item)
 			dst = binary.AppendUvarint(dst, m.Versions[item])
 		}
 	}
-	if ver == PaxosVersion {
+	if flags&hasPaxos != 0 {
 		dst = binary.AppendUvarint(dst, uint64(m.Ballot))
 		dst = binary.AppendUvarint(dst, uint64(len(m.Participants)))
 		for _, site := range m.Participants {
@@ -249,44 +199,11 @@ func AppendMessage(dst []byte, m protocol.Message) []byte {
 	return dst
 }
 
-// EncodeMessage returns m's payload encoding.
-func EncodeMessage(m protocol.Message) []byte {
-	return AppendMessage(nil, m)
-}
-
-// DecodeMessage decodes one complete payload.  Trailing bytes are an
-// error: a frame carries exactly one message.
-func DecodeMessage(buf []byte) (protocol.Message, error) {
-	m, n, err := decodeMessage(buf)
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	if n != len(buf) {
-		return protocol.Message{}, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(buf)-n)
-	}
-	return m, nil
-}
-
-// decodeMessage decodes one payload from the front of buf, returning the
-// message and bytes consumed.
-func decodeMessage(buf []byte) (protocol.Message, int, error) {
+// decodeMessage decodes one message occupying all of buf.
+func decodeMessage(buf []byte) (protocol.Message, error) {
 	d := decoder{buf: buf}
-	ver := d.byte("version")
-	if d.err == nil && ver != Version && ver != DeadlineVersion && ver != TraceVersion && ver != PaxosVersion && ver != AntiEntropyVersion {
-		return protocol.Message{}, 0, fmt.Errorf("%w: %d", ErrVersion, ver)
-	}
 	var m protocol.Message
 	m.Kind = protocol.MsgKind(d.byte("kind"))
-	if d.err == nil && m.Kind.Paxos() != (ver == PaxosVersion) {
-		// Canonical: the paxos kinds use version 5 and nothing else does,
-		// so every message has exactly one valid encoding.
-		return protocol.Message{}, 0, fmt.Errorf("%w: kind %s in version %d", ErrMalformed, m.Kind, ver)
-	}
-	if d.err == nil && m.Kind.AntiEntropy() && ver != AntiEntropyVersion {
-		// Canonical: the gossip kinds always use version 6 (their fields
-		// may legitimately be empty, so the kind forces the version).
-		return protocol.Message{}, 0, fmt.Errorf("%w: kind %s in version %d", ErrMalformed, m.Kind, ver)
-	}
 	m.TID = txn.ID(d.str("tid"))
 	m.From = protocol.SiteID(d.str("from"))
 	m.To = protocol.SiteID(d.str("to"))
@@ -303,40 +220,20 @@ func decodeMessage(buf []byte) (protocol.Message, int, error) {
 	m.Program = d.str("program")
 	m.Coordinator = protocol.SiteID(d.str("coordinator"))
 	m.Reason = d.str("reason")
-	if ver != Version {
+	if flags&hasDeadline != 0 {
 		m.Deadline = time.Duration(d.uvarint("deadline"))
-		if d.err == nil {
-			if ver == DeadlineVersion && m.Deadline <= 0 {
-				// Canonical: a zero (or overflowed-negative) deadline must
-				// use the version-1 form, so re-encoding reproduces frames.
-				return protocol.Message{}, 0, fmt.Errorf("%w: non-positive deadline", ErrMalformed)
-			}
-			if ver != DeadlineVersion && m.Deadline < 0 {
-				// Versions 4 and 5 allow a zero deadline (the trace context
-				// or the kind alone forces the version) but never an
-				// overflowed-negative one.
-				return protocol.Message{}, 0, fmt.Errorf("%w: negative deadline", ErrMalformed)
-			}
-		}
 	}
-	if ver == TraceVersion || ver == PaxosVersion || ver == AntiEntropyVersion {
+	if flags&hasTrace != 0 {
 		m.TraceCtx = d.uvarint("trace context")
-		if d.err == nil && ver == TraceVersion && m.TraceCtx == 0 {
-			// Canonical: an untraced message must use version 1 or 3, so
-			// re-encoding a decoded message reproduces the source frame.
-			return protocol.Message{}, 0, fmt.Errorf("%w: zero trace context", ErrMalformed)
-		}
 	}
-	if ver == AntiEntropyVersion {
+	if flags&hasGossip != 0 {
 		if n := d.count("outcome count"); n > 0 {
 			m.Outcomes = make([]protocol.OutcomeRec, 0, n)
 			for i := 0; i < n && d.err == nil; i++ {
 				var o protocol.OutcomeRec
 				o.TID = txn.ID(d.str("outcome tid"))
 				b := d.byte("outcome committed")
-				if d.err == nil && b > 1 {
-					return protocol.Message{}, 0, fmt.Errorf("%w: outcome byte %d", ErrMalformed, b)
-				}
+				d.check(b <= 1, "outcome byte")
 				o.Committed = b == 1
 				m.Outcomes = append(m.Outcomes, o)
 			}
@@ -345,23 +242,13 @@ func decodeMessage(buf []byte) (protocol.Message, int, error) {
 			m.Versions = make(map[string]uint64, n)
 			for i := 0; i < n && d.err == nil; i++ {
 				item := d.str("version item")
-				v := d.uvarint("version")
-				if d.err == nil {
-					m.Versions[item] = v
-				}
+				m.Versions[item] = d.uvarint("version")
 			}
 		}
-		if d.err == nil && !m.Kind.AntiEntropy() && len(m.Outcomes) == 0 && len(m.Versions) == 0 {
-			// Canonical: a non-gossip message with neither field must use
-			// a lower version, so every message has one valid encoding.
-			return protocol.Message{}, 0, fmt.Errorf("%w: kind %s in version %d with no gossip fields", ErrMalformed, m.Kind, ver)
-		}
 	}
-	if ver == PaxosVersion {
+	if flags&hasPaxos != 0 {
 		ballot := d.uvarint("ballot")
-		if d.err == nil && ballot > 0xffffffff {
-			return protocol.Message{}, 0, fmt.Errorf("%w: ballot overflow", ErrMalformed)
-		}
+		d.check(ballot <= 0xffffffff, "ballot overflow")
 		m.Ballot = uint32(ballot)
 		if n := d.count("participant count"); n > 0 {
 			m.Participants = make([]protocol.SiteID, 0, n)
@@ -375,14 +262,10 @@ func decodeMessage(buf []byte) (protocol.Message, int, error) {
 				var inst protocol.PaxosInst
 				inst.Instance = protocol.SiteID(d.str("instance"))
 				b := d.uvarint("instance ballot")
-				if d.err == nil && b > 0xffffffff {
-					return protocol.Message{}, 0, fmt.Errorf("%w: instance ballot overflow", ErrMalformed)
-				}
+				d.check(b <= 0xffffffff, "instance ballot overflow")
 				inst.Ballot = uint32(b)
 				inst.Vote = protocol.Vote(d.byte("vote"))
-				if d.err == nil && inst.Vote > protocol.VoteAborted {
-					return protocol.Message{}, 0, fmt.Errorf("%w: vote %d", ErrMalformed, inst.Vote)
-				}
+				d.check(inst.Vote <= protocol.VoteAborted, "vote")
 				m.PaxosState = append(m.PaxosState, inst)
 			}
 		}
@@ -391,36 +274,37 @@ func decodeMessage(buf []byte) (protocol.Message, int, error) {
 		m.Values = make(map[string]polyvalue.Poly, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			item := d.str("value item")
-			p := d.poly("value poly")
-			if d.err == nil {
-				m.Values[item] = p
-			}
+			m.Values[item] = d.poly("value poly")
 		}
 	}
+	d.check(d.off == len(buf), "trailing bytes")
+	// Canonical: the flags must be exactly what the decoded message
+	// would encode with — no presence bit over an empty section (zero or
+	// negative deadline, zero trace context, empty gossip or paxos
+	// section), no unknown bit.
+	d.check(flags == flagsOf(m), "flags do not match the sections")
 	if d.err != nil {
-		return protocol.Message{}, 0, d.err
+		return protocol.Message{}, d.err
 	}
-	return m, d.off, nil
+	return m, nil
 }
 
-// AppendFrame appends the length-prefixed, checksummed frame for m.
+// AppendFrame appends the frame carrying m alone.
 func AppendFrame(dst []byte, m protocol.Message) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
-	dst = AppendMessage(dst, m)
-	payload := dst[start+frameHeader:]
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
-	return dst
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, format, 1) // header placeholder, format, count
+	dst = appendElem(dst, m)
+	return sealFrame(dst, start)
 }
 
-// EncodeFrame returns the complete frame for m.
+// EncodeFrame returns the frame carrying m alone.
 func EncodeFrame(m protocol.Message) []byte {
 	return AppendFrame(nil, m)
 }
 
-// DecodeFrame decodes one frame from the front of buf, returning the
-// message and the number of bytes consumed (header + payload).
+// DecodeFrame decodes a frame of one message from the front of buf,
+// returning the message and the number of bytes consumed (header +
+// payload).  A frame of several messages is ErrMalformed.
 func DecodeFrame(buf []byte) (protocol.Message, int, error) {
 	if len(buf) < frameHeader {
 		return protocol.Message{}, 0, fmt.Errorf("%w: frame header", ErrTruncated)
@@ -433,32 +317,176 @@ func DecodeFrame(buf []byte) (protocol.Message, int, error) {
 		return protocol.Message{}, 0, fmt.Errorf("%w: frame payload", ErrTruncated)
 	}
 	payload := buf[frameHeader : frameHeader+int(n)]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.BigEndian.Uint32(buf[4:]) {
-		return protocol.Message{}, 0, fmt.Errorf("%w: got %08x want %08x",
-			ErrChecksum, sum, binary.BigEndian.Uint32(buf[4:]))
+	if err := verify(payload, binary.BigEndian.Uint32(buf[4:])); err != nil {
+		return protocol.Message{}, 0, err
 	}
-	m, err := DecodeMessage(payload)
+	count, off, err := payloadCount(payload)
 	if err != nil {
 		return protocol.Message{}, 0, err
+	}
+	if count != 1 {
+		return protocol.Message{}, 0, fmt.Errorf("%w: frame of %d messages, want 1", ErrMalformed, count)
+	}
+	m, off, err := nextMessage(payload, off)
+	if err != nil {
+		return protocol.Message{}, 0, err
+	}
+	if off != len(payload) {
+		return protocol.Message{}, 0, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(payload)-off)
 	}
 	return m, frameHeader + int(n), nil
 }
 
-// WriteMessage writes m's frame to w.
-func WriteMessage(w io.Writer, m protocol.Message) error {
-	_, err := w.Write(EncodeFrame(m))
-	return err
-}
-
-// ReadMessage reads one frame from r.  maxFrame caps the payload length
-// (≤ 0 means MaxFrame).  io.EOF is returned unwrapped when the stream
-// ends cleanly at a frame boundary; mid-frame EOF is ErrTruncated.
-func ReadMessage(r io.Reader, maxFrame int) (protocol.Message, error) {
+// ReadMessages reads one frame from r and returns its messages in send
+// order.  maxFrame caps the payload length (≤ 0 means MaxFrame).  io.EOF
+// is returned unwrapped when the stream ends cleanly at a frame
+// boundary; mid-frame EOF is ErrTruncated.  A frame that fails its
+// checksum or does not decode (ErrChecksum, ErrVersion, ErrMalformed)
+// has still been consumed whole, so the stream stays in sync.
+func ReadMessages(r io.Reader, maxFrame int) ([]protocol.Message, error) {
 	payload, err := readFrame(r, maxFrame)
 	if err != nil {
-		return protocol.Message{}, err
+		return nil, err
 	}
-	return DecodeMessage(payload)
+	return decodePayload(payload)
+}
+
+// BatchBuilder assembles one outgoing frame from messages added
+// incrementally, encoding each exactly once.  The zero value is ready to
+// use; Reset recycles the buffer.  Not safe for concurrent use: each
+// transport writer owns one.
+type BatchBuilder struct {
+	body  []byte // length-prefixed messages
+	count int
+}
+
+// Add encodes m into the pending frame.  Panics past MaxBatch — callers
+// flush well below it.
+func (b *BatchBuilder) Add(m protocol.Message) {
+	if b.count >= MaxBatch {
+		panic("wire: batch overflow")
+	}
+	b.body = appendElem(b.body, m)
+	b.count++
+}
+
+// Count reports the number of messages added since the last Reset.
+func (b *BatchBuilder) Count() int { return b.count }
+
+// Size reports the encoded bytes pending, length prefixes included —
+// the quantity size-based flushing bounds.
+func (b *BatchBuilder) Size() int { return len(b.body) }
+
+// AppendFrame appends the assembled frame to dst.  Panics when empty.
+func (b *BatchBuilder) AppendFrame(dst []byte) []byte {
+	if b.count == 0 {
+		panic("wire: empty frame")
+	}
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, format) // header placeholder, format
+	dst = binary.AppendUvarint(dst, uint64(b.count))
+	dst = append(dst, b.body...)
+	return sealFrame(dst, start)
+}
+
+// Reset clears the builder for the next frame, keeping its buffer.
+func (b *BatchBuilder) Reset() {
+	b.count = 0
+	b.body = b.body[:0]
+}
+
+// appendElem appends m's encoding behind its uvarint length.
+func appendElem(dst []byte, m protocol.Message) []byte {
+	// Reserve one length byte, encode the message after it, then
+	// backfill: measuring first would encode twice.  Only a message of
+	// 128 bytes or more needs a longer length, and moves to make room.
+	at := len(dst)
+	dst = append(dst, 0)
+	dst = appendMessage(dst, m)
+	size := len(dst) - at - 1
+	if size < 0x80 {
+		dst[at] = byte(size)
+		return dst
+	}
+	var lenBuf [binary.MaxVarintLen32]byte
+	w := binary.PutUvarint(lenBuf[:], uint64(size))
+	dst = append(dst, lenBuf[1:w]...)
+	copy(dst[at+w:], dst[at+1:at+1+size])
+	copy(dst[at:], lenBuf[:w])
+	return dst
+}
+
+// sealFrame fills in the header of the frame starting at dst[start].
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
+// verify checks a payload against its frame checksum.
+func verify(payload []byte, want uint32) error {
+	if sum := crc32.ChecksumIEEE(payload); sum != want {
+		return fmt.Errorf("%w: got %08x want %08x", ErrChecksum, sum, want)
+	}
+	return nil
+}
+
+// payloadCount checks a verified payload's format byte and message
+// count, returning the count and the offset of the first message.
+func payloadCount(buf []byte) (int, int, error) {
+	if len(buf) == 0 {
+		return 0, 0, fmt.Errorf("%w: empty payload", ErrMalformed)
+	}
+	if buf[0] != format {
+		return 0, 0, fmt.Errorf("%w: %d", ErrVersion, buf[0])
+	}
+	n, w := binary.Uvarint(buf[1:])
+	if w <= 0 {
+		return 0, 0, fmt.Errorf("%w: message count", ErrMalformed)
+	}
+	off := 1 + w
+	// Every message needs at least one byte; a bigger count is lying
+	// and must not size an allocation.
+	if n == 0 || n > MaxBatch || n > uint64(len(buf)-off) {
+		return 0, 0, fmt.Errorf("%w: message count %d", ErrMalformed, n)
+	}
+	return int(n), off, nil
+}
+
+// nextMessage decodes the length-prefixed message at buf[off:],
+// returning it and the offset just past it.  Inside a checksummed
+// payload every failure is ErrMalformed: the frame was read whole, only
+// its contents are wrong.
+func nextMessage(buf []byte, off int) (protocol.Message, int, error) {
+	size, w := binary.Uvarint(buf[off:])
+	if w <= 0 || size > uint64(len(buf)-off-w) {
+		return protocol.Message{}, 0, fmt.Errorf("%w: message length at offset %d", ErrMalformed, off)
+	}
+	off += w
+	m, err := decodeMessage(buf[off : off+int(size)])
+	if err != nil {
+		return protocol.Message{}, 0, fmt.Errorf("%w: message at offset %d: %v", ErrMalformed, off, err)
+	}
+	return m, off + int(size), nil
+}
+
+// decodePayload decodes every message of a verified payload.
+func decodePayload(buf []byte) ([]protocol.Message, error) {
+	n, off, err := payloadCount(buf)
+	if err != nil {
+		return nil, err
+	}
+	msgs := make([]protocol.Message, n)
+	for i := range msgs {
+		if msgs[i], off, err = nextMessage(buf, off); err != nil {
+			return nil, err
+		}
+	}
+	if off != len(buf) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(buf)-off)
+	}
+	return msgs, nil
 }
 
 // readFrame reads one checksummed frame off r and returns its verified
@@ -483,9 +511,8 @@ func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: frame payload: %v", ErrTruncated, err)
 	}
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.BigEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w: got %08x want %08x",
-			ErrChecksum, sum, binary.BigEndian.Uint32(hdr[4:]))
+	if err := verify(payload, binary.BigEndian.Uint32(hdr[4:])); err != nil {
+		return nil, err
 	}
 	return payload, nil
 }
@@ -494,7 +521,7 @@ func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 // Decode plumbing
 // ---------------------------------------------------------------------
 
-// decoder walks a payload buffer, latching the first error; subsequent
+// decoder walks a message buffer, latching the first error; subsequent
 // reads are no-ops so call sites stay linear.
 type decoder struct {
 	buf []byte
@@ -505,6 +532,14 @@ type decoder struct {
 func (d *decoder) fail(what string, err error) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: %s at offset %d", err, what, d.off)
+	}
+}
+
+// check fails the decode as malformed unless ok (a no-op once an
+// earlier read has failed).
+func (d *decoder) check(ok bool, what string) {
+	if !ok {
+		d.fail(what, ErrMalformed)
 	}
 }
 
@@ -525,16 +560,8 @@ func (d *decoder) byte(what string) byte {
 // input: every element occupies at least one byte, so a count beyond
 // that is lying and must not size an allocation.
 func (d *decoder) count(what string) int {
-	if d.err != nil {
-		return 0
-	}
-	n, w := binary.Uvarint(d.buf[d.off:])
-	if w <= 0 {
-		d.fail(what, ErrTruncated)
-		return 0
-	}
-	d.off += w
-	if n > uint64(len(d.buf)-d.off) {
+	n := d.uvarint(what)
+	if d.err == nil && n > uint64(len(d.buf)-d.off) {
 		d.fail(what, ErrMalformed)
 		return 0
 	}
@@ -556,15 +583,10 @@ func (d *decoder) uvarint(what string) uint64 {
 }
 
 func (d *decoder) str(what string) string {
+	n := d.uvarint(what)
 	if d.err != nil {
 		return ""
 	}
-	n, w := binary.Uvarint(d.buf[d.off:])
-	if w <= 0 {
-		d.fail(what+" length", ErrTruncated)
-		return ""
-	}
-	d.off += w
 	if n > uint64(len(d.buf)-d.off) {
 		d.fail(what, ErrTruncated)
 		return ""
@@ -592,16 +614,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func sortedKeys(m map[string]polyvalue.Poly) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedVersionKeys(m map[string]uint64) []string {
+// sortedKeys returns m's keys in order, so map entries encode
+// canonically.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

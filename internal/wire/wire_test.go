@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"strings"
@@ -48,19 +50,19 @@ func goldenMessages() []protocol.Message {
 		{Kind: protocol.MsgOutcomeReq, TID: "t3", From: "C", To: "A"},
 		{Kind: protocol.MsgOutcomeInfo, TID: "t3", From: "A", To: "C", Committed: true},
 		{Kind: protocol.MsgOutcomeAck, TID: "t3", From: "C", To: "A"},
-		// Version 3: deadline-carrying traffic.
+		// Deadline-carrying traffic.
 		{Kind: protocol.MsgReadReq, TID: "t4", From: "A", To: "B",
 			Items: []string{"acct0"}, Lock: true, Coordinator: "A",
 			Deadline: 250 * 1e6},
-		// Version 4: trace-context-carrying traffic, with and without a
-		// deadline riding along.
+		// Trace-context-carrying traffic, with and without a deadline
+		// riding along.
 		{Kind: protocol.MsgPrepare, TID: "t5", From: "A", To: "C",
 			Items: []string{"acct2"}, Program: "acct2 = acct2 + 1",
 			Coordinator: "A", Deadline: 500 * 1e6, TraceCtx: 0x7e57_0001},
 		{Kind: protocol.MsgReadReq, TID: "t5", From: "A", To: "B",
 			Items: []string{"acct1"}, Lock: true, Coordinator: "A",
 			TraceCtx: 1},
-		// Version 5: the Paxos Commit decision plane, every kind.
+		// The Paxos Commit decision plane, every kind.
 		{Kind: protocol.MsgPaxosBegin, TID: "t6", From: "A", To: "D",
 			Coordinator: "A", Participants: []protocol.SiteID{"A", "B", "C"}},
 		{Kind: protocol.MsgPaxosPrepare, TID: "t6", From: "B", To: "D",
@@ -87,8 +89,8 @@ func goldenMessages() []protocol.Message {
 			Ballot: 12},
 		{Kind: protocol.MsgPaxosDecision, TID: "t6", From: "A", To: "D",
 			Committed: true, Reason: "all prepared"},
-		// Version 6: the anti-entropy gossip plane, every kind — including
-		// an empty digest (the kind alone forces the version).
+		// The anti-entropy gossip plane, every kind — including an empty
+		// digest, which carries no gossip section at all.
 		{Kind: protocol.MsgAntiEntropyDigest, From: "A", To: "B"},
 		{Kind: protocol.MsgAntiEntropyDigest, From: "A", To: "B",
 			Outcomes: []protocol.OutcomeRec{
@@ -108,8 +110,8 @@ func goldenMessages() []protocol.Message {
 			Values: map[string]polyvalue.Poly{
 				"bal": polyvalue.Simple(value.Int(60)),
 			}},
-		// Version 6 on non-gossip kinds: quorum replication stamps replica
-		// versions on read replies and prepares.
+		// Gossip fields on non-gossip kinds: quorum replication stamps
+		// replica versions on read replies and prepares.
 		{Kind: protocol.MsgReadRep, TID: "t7", From: "B", To: "A",
 			Values: map[string]polyvalue.Poly{
 				"bal_r1": polyvalue.Simple(value.Int(100)),
@@ -119,6 +121,16 @@ func goldenMessages() []protocol.Message {
 			Items: []string{"bal_r2"}, Program: "bal_r2 = 50",
 			Coordinator: "A", Deadline: 250 * 1e6, TraceCtx: 0x7e57_0003,
 			Versions: map[string]uint64{"bal_r2": 8}},
+		// Every section rides on every kind: gossip on a paxos kind, paxos
+		// fields on a plain kind, a deadline and trace context on gossip.
+		{Kind: protocol.MsgPaxosAccepted, TID: "t10", From: "D", To: "A",
+			Ballot: 2, PaxosState: []protocol.PaxosInst{{Instance: "B", Ballot: 2, Vote: protocol.VotePrepared}},
+			Outcomes: []protocol.OutcomeRec{{TID: "t1", Committed: true}}},
+		{Kind: protocol.MsgComplete, TID: "t11", From: "A", To: "C", Committed: true,
+			Participants: []protocol.SiteID{"B", "C"}},
+		{Kind: protocol.MsgAntiEntropyUpdate, From: "A", To: "B",
+			Deadline: 100 * 1e6, TraceCtx: 0x7e57_0004,
+			Versions: map[string]uint64{"bal": 5}},
 	}
 }
 
@@ -183,18 +195,52 @@ func messagesEqual(a, b protocol.Message) bool {
 	return true
 }
 
+// batchFrame returns the frame carrying msgs, assembled the way the
+// transport writer assembles it.
+func batchFrame(msgs ...protocol.Message) []byte {
+	var b BatchBuilder
+	for _, m := range msgs {
+		b.Add(m)
+	}
+	return b.AppendFrame(nil)
+}
+
+// rawFrame wraps an arbitrary payload in a checksummed frame.
+func rawFrame(payload []byte) []byte {
+	return sealFrame(append(make([]byte, frameHeader), payload...), 0)
+}
+
+// onePayload wraps one raw message in the payload of a frame of one.
+func onePayload(msg []byte) []byte {
+	p := binary.AppendUvarint([]byte{format, 1}, uint64(len(msg)))
+	return append(p, msg...)
+}
+
+// goldenFrames pins the exact bytes of a few frames, one per optional
+// section, so any change to the layout shows up here first.
+var goldenFrames = map[int]string{
+	1:  "0000001e2136433707011b010274310141014201020561636374300561636374310001410000",
+	11: "0000001c9b082a4c070119010274340141014209010561636374300001410080e59a7700",
+	13: "000000199b1b1b2507011601027435014101421101056163637431000141000100",
+	16: "00000022a82c45c607011f0e027436014401424000000000070301410142014302014200010143040200",
+	22: "00000025055637b90701221300014101422000000000020274310102743200020362616c030573656174730c00",
+}
+
 func TestRoundTripGolden(t *testing.T) {
 	for i, m := range goldenMessages() {
-		payload := EncodeMessage(m)
-		got, err := DecodeMessage(payload)
-		if err != nil {
-			t.Fatalf("msg %d: decode: %v", i, err)
+		frame := EncodeFrame(m)
+		if want, ok := goldenFrames[i]; ok && hex.EncodeToString(frame) != want {
+			t.Errorf("msg %d: frame %x, want %s", i, frame, want)
+		}
+		got, n, err := DecodeFrame(frame)
+		if err != nil || n != len(frame) {
+			t.Fatalf("msg %d: decode: n=%d err=%v", i, n, err)
 		}
 		if !messagesEqual(m, got) {
 			t.Errorf("msg %d: round trip mismatch\n in: %+v\nout: %+v", i, m, got)
 		}
 		// Canonical: re-encoding the decoded message is byte-identical.
-		if again := EncodeMessage(got); !bytes.Equal(payload, again) {
+		if again := EncodeFrame(got); !bytes.Equal(frame, again) {
 			t.Errorf("msg %d: re-encode not canonical", i)
 		}
 	}
@@ -224,22 +270,47 @@ func TestFrameRoundTrip(t *testing.T) {
 	// And through an io.Reader.
 	r := bytes.NewReader(stream)
 	for i, want := range msgs {
-		got, err := ReadMessage(r, 0)
+		got, err := ReadMessages(r, 0)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
-		if !messagesEqual(want, got) {
+		if len(got) != 1 || !messagesEqual(want, got[0]) {
 			t.Errorf("read %d mismatch", i)
 		}
 	}
-	if _, err := ReadMessage(r, 0); err != io.EOF {
+	if _, err := ReadMessages(r, 0); err != io.EOF {
 		t.Errorf("want clean EOF, got %v", err)
 	}
+}
+
+// prefix hand-builds a message of kind k through Reason with the given
+// flags, leaving the optional sections and the value count to the
+// caller.
+func prefix(k protocol.MsgKind, flags byte) []byte {
+	p := []byte{byte(k)}
+	p = appendString(p, "t") // tid
+	p = appendString(p, "A") // from
+	p = appendString(p, "B") // to
+	p = append(p, flags)
+	p = append(p, 0)        // item count
+	p = appendString(p, "") // program
+	p = appendString(p, "") // coordinator
+	p = appendString(p, "") // reason
+	return p
 }
 
 func TestDecodeErrors(t *testing.T) {
 	m := goldenMessages()[3] // prepare with polyvalues
 	frame := EncodeFrame(m)
+
+	// flip clears or sets one flags bit of m's frame.
+	flip := func(m protocol.Message, bit byte) error {
+		bad := EncodeFrame(m)
+		bad[flagsAt(bad)] ^= bit
+		reseal(bad)
+		_, _, err := DecodeFrame(bad)
+		return err
+	}
 
 	t.Run("truncated", func(t *testing.T) {
 		for n := 0; n < len(frame); n++ {
@@ -249,7 +320,7 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		}
 		// Mid-frame EOF over a reader.
-		_, err := ReadMessage(bytes.NewReader(frame[:len(frame)-3]), 0)
+		_, err := ReadMessages(bytes.NewReader(frame[:len(frame)-3]), 0)
 		if !errors.Is(err, ErrTruncated) {
 			t.Errorf("reader truncation: got %v", err)
 		}
@@ -261,7 +332,7 @@ func TestDecodeErrors(t *testing.T) {
 		if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrChecksum) {
 			t.Errorf("got %v, want ErrChecksum", err)
 		}
-		if _, err := ReadMessage(bytes.NewReader(bad), 0); !errors.Is(err, ErrChecksum) {
+		if _, err := ReadMessages(bytes.NewReader(bad), 0); !errors.Is(err, ErrChecksum) {
 			t.Errorf("reader: got %v, want ErrChecksum", err)
 		}
 	})
@@ -272,103 +343,92 @@ func TestDecodeErrors(t *testing.T) {
 		if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrOversize) {
 			t.Errorf("got %v, want ErrOversize", err)
 		}
-		if _, err := ReadMessage(bytes.NewReader(frame), 8); !errors.Is(err, ErrOversize) {
+		if _, err := ReadMessages(bytes.NewReader(frame), 8); !errors.Is(err, ErrOversize) {
 			t.Errorf("reader limit: got %v, want ErrOversize", err)
 		}
 	})
 
 	t.Run("version", func(t *testing.T) {
-		payload := EncodeMessage(m)
-		payload[0] = 99
-		if _, err := DecodeMessage(payload); !errors.Is(err, ErrVersion) {
+		// An unknown format byte is ErrVersion on both read paths.
+		bad := append([]byte{}, frame...)
+		bad[frameHeader] = 99
+		reseal(bad)
+		if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrVersion) {
 			t.Errorf("got %v, want ErrVersion", err)
+		}
+		if _, err := ReadMessages(bytes.NewReader(bad), 0); !errors.Is(err, ErrVersion) {
+			t.Errorf("reader: got %v, want ErrVersion", err)
 		}
 	})
 
 	t.Run("trailing", func(t *testing.T) {
-		payload := append(EncodeMessage(m), 0xaa)
-		if _, err := DecodeMessage(payload); !errors.Is(err, ErrMalformed) {
-			t.Errorf("got %v, want ErrMalformed", err)
+		// A byte past the message inside its length, and a byte past the
+		// last message of the payload.
+		inside := rawFrame(onePayload(append(appendMessage(nil, m), 0xaa)))
+		if _, _, err := DecodeFrame(inside); !errors.Is(err, ErrMalformed) {
+			t.Errorf("inside the message: got %v, want ErrMalformed", err)
+		}
+		after := rawFrame(append(onePayload(appendMessage(nil, m)), 0xaa))
+		if _, err := ReadMessages(bytes.NewReader(after), 0); !errors.Is(err, ErrMalformed) {
+			t.Errorf("after the payload: got %v, want ErrMalformed", err)
 		}
 	})
 
 	t.Run("lying-count", func(t *testing.T) {
-		// A payload that claims 2^60 items must fail fast, not allocate.
-		payload := []byte{Version, byte(protocol.MsgReadReq)}
-		payload = append(payload, 0, 0, 0) // empty tid/from/to
-		payload = append(payload, 0)       // flags
-		payload = append(payload, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10)
-		if _, err := DecodeMessage(payload); !errors.Is(err, ErrMalformed) {
+		// A message that claims 2^60 items must fail fast, not allocate.
+		msg := []byte{byte(protocol.MsgReadReq)}
+		msg = append(msg, 0, 0, 0) // empty tid/from/to
+		msg = append(msg, 0)       // flags
+		msg = append(msg, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10)
+		if _, err := decodeMessage(msg); !errors.Is(err, ErrMalformed) {
 			t.Errorf("got %v, want ErrMalformed", err)
 		}
 	})
 
 	t.Run("paxos-kind-wrong-version", func(t *testing.T) {
-		// A paxos kind must use version 5 and nothing else may: flipping
-		// the version byte either way is malformed, not just non-canonical.
-		paxos := EncodeMessage(protocol.Message{
-			Kind: protocol.MsgPaxosReject, TID: "t", From: "D", To: "B", Ballot: 3})
-		if paxos[0] != PaxosVersion {
-			t.Fatalf("paxos message encoded as version %d", paxos[0])
+		// The paxos presence bit must match the paxos section on any
+		// kind: clearing it on a message that has one, or setting it on
+		// one that has none, is malformed, not just non-canonical.
+		paxos := protocol.Message{Kind: protocol.MsgPaxosReject, TID: "t", From: "D", To: "B", Ballot: 3}
+		if err := flip(paxos, hasPaxos); !errors.Is(err, ErrMalformed) {
+			t.Errorf("paxos section, bit cleared: got %v, want ErrMalformed", err)
 		}
-		demoted := append([]byte{}, paxos...)
-		demoted[0] = Version
-		if _, err := DecodeMessage(demoted); !errors.Is(err, ErrMalformed) {
-			t.Errorf("paxos kind in v1: got %v, want ErrMalformed", err)
+		if err := flip(goldenMessages()[1], hasPaxos); !errors.Is(err, ErrMalformed) {
+			t.Errorf("no paxos section, bit set: got %v, want ErrMalformed", err)
 		}
-		plain := EncodeMessage(goldenMessages()[1])
-		promoted := append([]byte{}, plain...)
-		promoted[0] = PaxosVersion
-		if _, err := DecodeMessage(promoted); !errors.Is(err, ErrMalformed) {
-			t.Errorf("plain kind in v5: got %v, want ErrMalformed", err)
+		// Bit set over an empty section: ballot 0, no participants, no
+		// instances.
+		empty := append(prefix(protocol.MsgPaxosDecision, hasPaxos), 0, 0, 0, 0)
+		if _, err := decodeMessage(empty); !errors.Is(err, ErrMalformed) {
+			t.Errorf("empty paxos section: got %v, want ErrMalformed", err)
 		}
 	})
 
 	t.Run("ae-kind-wrong-version", func(t *testing.T) {
-		// A gossip kind must use version 6; and a version-6 payload for a
-		// plain kind must carry at least one outcome or version entry.
-		ae := EncodeMessage(protocol.Message{
-			Kind: protocol.MsgAntiEntropyDigest, From: "A", To: "B"})
-		if ae[0] != AntiEntropyVersion {
-			t.Fatalf("gossip message encoded as version %d", ae[0])
+		// Likewise the gossip bit, whatever the kind.
+		ae := protocol.Message{Kind: protocol.MsgAntiEntropyDigest, From: "A", To: "B",
+			Versions: map[string]uint64{"bal": 3}}
+		if err := flip(ae, hasGossip); !errors.Is(err, ErrMalformed) {
+			t.Errorf("gossip section, bit cleared: got %v, want ErrMalformed", err)
 		}
-		demoted := append([]byte{}, ae...)
-		demoted[0] = Version
-		if _, err := DecodeMessage(demoted); !errors.Is(err, ErrMalformed) {
-			t.Errorf("gossip kind in v1: got %v, want ErrMalformed", err)
+		if err := flip(goldenMessages()[1], hasGossip); !errors.Is(err, ErrMalformed) {
+			t.Errorf("no gossip section, bit set: got %v, want ErrMalformed", err)
 		}
-		demoted[0] = PaxosVersion
-		if _, err := DecodeMessage(demoted); !errors.Is(err, ErrMalformed) {
-			t.Errorf("gossip kind in v5: got %v, want ErrMalformed", err)
-		}
-		// A non-gossip v6 payload with no gossip fields: build a read-req
-		// with the v6 layout (deadline 0, tracectx 0, no outcomes, no
-		// versions) by hand.
-		empty := []byte{AntiEntropyVersion, byte(protocol.MsgReadReq)}
-		empty = appendString(empty, "t")
-		empty = appendString(empty, "A")
-		empty = appendString(empty, "B")
-		empty = append(empty, 0) // flags
-		empty = append(empty, 0) // items
-		empty = appendString(empty, "")
-		empty = appendString(empty, "")
-		empty = appendString(empty, "")
-		empty = append(empty, 0, 0, 0, 0) // deadline, tracectx, outcomes, versions
-		empty = append(empty, 0)          // values
-		if _, err := DecodeMessage(empty); !errors.Is(err, ErrMalformed) {
-			t.Errorf("fieldless plain kind in v6: got %v, want ErrMalformed", err)
+		// Bit set over no outcomes and no versions, on a gossip kind.
+		empty := append(prefix(protocol.MsgAntiEntropyDigest, hasGossip), 0, 0, 0)
+		if _, err := decodeMessage(empty); !errors.Is(err, ErrMalformed) {
+			t.Errorf("empty gossip section: got %v, want ErrMalformed", err)
 		}
 	})
 
 	t.Run("ae-bad-outcome-byte", func(t *testing.T) {
 		m := protocol.Message{Kind: protocol.MsgAntiEntropyDigest, From: "A", To: "B",
 			Outcomes: []protocol.OutcomeRec{{TID: "t", Committed: true}}}
-		payload := EncodeMessage(m)
+		msg := appendMessage(nil, m)
 		// The committed byte sits right before the version count and the
 		// empty value count.
-		bad := append([]byte{}, payload...)
-		bad[len(bad)-3] = 7
-		if _, err := DecodeMessage(bad); !errors.Is(err, ErrMalformed) {
+		msg[len(msg)-3] = 7
+		if _, err := decodeMessage(msg); !errors.Is(err, ErrMalformed) {
 			t.Errorf("outcome byte 7: got %v, want ErrMalformed", err)
 		}
 	})
@@ -377,12 +437,11 @@ func TestDecodeErrors(t *testing.T) {
 		m := protocol.Message{Kind: protocol.MsgPaxosAccepted, TID: "t",
 			From: "D", To: "A",
 			PaxosState: []protocol.PaxosInst{{Instance: "B", Vote: protocol.VotePrepared}}}
-		payload := EncodeMessage(m)
-		// The vote byte is the last byte of the payload's paxos section,
-		// followed only by the empty value count.
-		bad := append([]byte{}, payload...)
-		bad[len(bad)-2] = 9
-		if _, err := DecodeMessage(bad); !errors.Is(err, ErrMalformed) {
+		msg := appendMessage(nil, m)
+		// The vote byte is the last byte of the paxos section, followed
+		// only by the empty value count.
+		msg[len(msg)-2] = 9
+		if _, err := decodeMessage(msg); !errors.Is(err, ErrMalformed) {
 			t.Errorf("vote 9: got %v, want ErrMalformed", err)
 		}
 	})
@@ -397,19 +456,10 @@ func TestDecodeErrors(t *testing.T) {
 		c := condition.Committed("T")
 		raw = c.AppendBinary(raw)
 		// Splice: a read-rep whose single value is the raw poly.
-		spliced := []byte{Version, byte(protocol.MsgReadRep)}
-		spliced = appendString(spliced, "t")
-		spliced = appendString(spliced, "")
-		spliced = appendString(spliced, "")
-		spliced = append(spliced, 0) // flags
-		spliced = append(spliced, 0) // items
-		spliced = appendString(spliced, "")
-		spliced = appendString(spliced, "")
-		spliced = appendString(spliced, "")
-		spliced = append(spliced, 1) // one value
-		spliced = appendString(spliced, "item")
-		spliced = append(spliced, raw...)
-		if _, err := DecodeMessage(spliced); !errors.Is(err, ErrMalformed) {
+		msg := append(prefix(protocol.MsgReadRep, 0), 1) // one value
+		msg = appendString(msg, "item")
+		msg = append(msg, raw...)
+		if _, _, err := DecodeFrame(rawFrame(onePayload(msg))); !errors.Is(err, ErrMalformed) {
 			t.Errorf("got %v, want ErrMalformed", err)
 		}
 	})
@@ -429,17 +479,17 @@ func TestEncodingIsCanonical(t *testing.T) {
 	}
 	ma := protocol.Message{Kind: protocol.MsgReadRep, TID: "t", Values: a}
 	mb := protocol.Message{Kind: protocol.MsgReadRep, TID: "t", Values: b}
-	if !bytes.Equal(EncodeMessage(ma), EncodeMessage(mb)) {
+	if !bytes.Equal(EncodeFrame(ma), EncodeFrame(mb)) {
 		t.Error("insertion order leaked into the encoding")
 	}
 }
 
 func TestOversizeNeverBuffered(t *testing.T) {
-	// ReadMessage must reject before reading (or allocating) the payload.
+	// ReadMessages must reject before reading (or allocating) the payload.
 	hdr := make([]byte, frameHeader)
 	hdr[0] = 0xff // 0xff000000 bytes claimed
 	r := io.MultiReader(bytes.NewReader(hdr), neverEnding{})
-	if _, err := ReadMessage(r, 0); !errors.Is(err, ErrOversize) {
+	if _, err := ReadMessages(r, 0); !errors.Is(err, ErrOversize) {
 		t.Fatalf("got %v, want ErrOversize", err)
 	}
 }
@@ -461,7 +511,7 @@ func TestLongStringsRoundTrip(t *testing.T) {
 		TID:     txn.ID("t-" + strings.Repeat("x", 300)),
 		Program: strings.Repeat("a = a + 1; ", 1000),
 	}
-	got, err := DecodeMessage(EncodeMessage(m))
+	got, _, err := DecodeFrame(EncodeFrame(m))
 	if err != nil {
 		t.Fatal(err)
 	}
