@@ -240,11 +240,11 @@ func TestPartitionAfterDecisionResolvesToCommit(t *testing.T) {
 	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "bsrc", 100)
 	loadInt(t, c, "cdst", 0)
-	// Timeline with L=10ms: reads done at 20ms, prepares arrive 30ms,
-	// readies arrive 40ms (decision!), completes would arrive 50ms.
-	// Cut both links at 45ms: decision logged, completes in flight are
-	// dropped at delivery.
-	c.sched.After(45*time.Millisecond, func() {
+	// Timeline with L=10ms (one round: no statement reads another
+	// site's item): prepares arrive 10ms, readies arrive 20ms (decision!),
+	// completes would arrive 30ms.  Cut both links at 25ms: decision
+	// logged, completes in flight are dropped at delivery.
+	c.sched.After(25*time.Millisecond, func() {
 		c.Partition("A", "B")
 		c.Partition("A", "C")
 	})

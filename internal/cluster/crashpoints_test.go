@@ -159,16 +159,16 @@ func TestDecisionResendRecoversDroppedComplete(t *testing.T) {
 	t.Cleanup(c.Close)
 	loadInt(t, c, "bsrc", 100)
 	loadInt(t, c, "cdst", 0)
-	// Timeline with L=10ms: reads done at 20ms, prepares arrive 30ms,
-	// readies arrive 40ms (decision + completes sent), completes would
-	// arrive 50ms.  Cut both links over [45ms, 60ms]: the in-flight
-	// completes are dropped at delivery time, the links are healthy
-	// again before the first retransmission (≥90ms) fires.
-	c.sched.After(45*time.Millisecond, func() {
+	// Timeline with L=10ms (one round): prepares arrive 10ms, readies
+	// arrive 20ms (decision + completes sent), completes would arrive
+	// 30ms.  Cut both links over [25ms, 40ms]: the in-flight completes
+	// are dropped at delivery time, the links are healthy again before
+	// the first retransmission (≥70ms) fires.
+	c.sched.After(25*time.Millisecond, func() {
 		c.Partition("A", "B")
 		c.Partition("A", "C")
 	})
-	c.sched.After(60*time.Millisecond, c.HealAll)
+	c.sched.After(40*time.Millisecond, c.HealAll)
 	h, _ := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
 	c.RunFor(5 * time.Second)
 

@@ -13,11 +13,13 @@ import (
 // abort will ever release; the lock timeout must free them.
 func TestLockTimeoutFreesReadLocks(t *testing.T) {
 	c := newTestCluster(t, PolicyPolyvalue)
+	loadInt(t, c, "ax", 1)
 	loadInt(t, c, "bx", 1)
 	// Crash A after its ReadReq is delivered (10ms) but before the
-	// ReadRep returns (20ms).
+	// ReadRep returns (20ms).  The write reads ax at A, so B's share
+	// needs A's value and the read round runs.
 	c.sched.After(15*time.Millisecond, func() { c.Crash("A") })
-	h, _ := c.Submit("A", "bx = bx + 1")
+	h, _ := c.Submit("A", "bx = bx + ax")
 	c.RunFor(100 * time.Millisecond)
 	// B's lock is held; a competing transaction refuses.
 	h2, _ := c.Submit("C", "bx = bx + 10")
@@ -172,15 +174,18 @@ func TestBlockingRecoveredAbortPath(t *testing.T) {
 	loadInt(t, c, "bsrc", 100)
 	loadInt(t, c, "adst", 0)
 	// Crash B right after its ready is SENT but ensure the coordinator
-	// never gets it: cut the link at 29ms (ready sent at ~30ms, so it is
-	// dropped at send or delivery), then crash B.  A aborts on ready
-	// timeout.
-	c.sched.After(29*time.Millisecond, func() { c.Partition("A", "B") })
-	c.sched.After(35*time.Millisecond, func() { c.Crash("B") })
+	// never gets it: the prepare arrives at 10ms and the ready leaves at
+	// once; cut the link at 15ms (the ready is dropped at delivery), then
+	// crash B.  A aborts on ready timeout.
+	c.sched.After(15*time.Millisecond, func() { c.Partition("A", "B") })
+	c.sched.After(17*time.Millisecond, func() { c.Crash("B") })
 	h, _ := c.Submit("A", "bsrc = bsrc - 40; adst = adst + 40")
 	c.RunFor(time.Second)
 	if h.Status() != StatusAborted {
 		t.Fatalf("status = %v", h.Status())
+	}
+	if n := len(c.Store("B").PreparedTxns()); n != 1 {
+		t.Fatalf("B holds %d prepared entries, want 1: it never reached the wait phase", n)
 	}
 	c.HealAll()
 	c.Restart("B")

@@ -44,8 +44,9 @@ func TestOutcomeRetainedUntilInDoubtParticipantSettles(t *testing.T) {
 	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "bsrc", 100)
 	loadInt(t, c, "cdst", 0)
-	// Lose the complete messages to both participants.
-	c.sched.After(45*time.Millisecond, func() {
+	// Lose the complete messages to both participants: readies arrive at
+	// 20ms, completes would arrive at 30ms.
+	c.sched.After(25*time.Millisecond, func() {
 		c.Partition("A", "B")
 		c.Partition("A", "C")
 	})

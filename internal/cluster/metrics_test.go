@@ -93,10 +93,10 @@ func TestPolyvalueLifecycleMetrics(t *testing.T) {
 // outcome delivery, which a clean remote commit also exercises.
 func TestPhaseHistograms(t *testing.T) {
 	c, _ := tracedCluster(t)
-	if err := c.Load("bx", polyvalue.Simple(value.Int(1))); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := c.Submit("A", "bx = bx + 1")
+	loadInt(t, c, "ax", 1)
+	loadInt(t, c, "bx", 1)
+	// The write at B reads ax at A: a read round runs.
+	h, _ := c.Submit("A", "bx = bx + ax")
 	c.RunFor(2 * time.Second)
 	if h.Status() != StatusCommitted {
 		t.Fatal("setup failed")
@@ -111,6 +111,27 @@ func TestPhaseHistograms(t *testing.T) {
 		if p.Sum <= 0 {
 			t.Errorf("phase %q total latency = %g, want > 0", phase, p.Sum)
 		}
+	}
+}
+
+// TestReadPhaseCountsReadRounds: the read-phase histogram observes one
+// sample per read round, and none for a transaction that had none (a
+// blind write, or a write that reads only its own site's items).
+func TestReadPhaseCountsReadRounds(t *testing.T) {
+	c := newTestCluster(t, PolicyPolyvalue)
+	loadInt(t, c, "ax", 1)
+	loadInt(t, c, "bx", 1)
+	for _, program := range []string{"bx = 5", "bx = bx + 1", "bx = bx + ax", "bx = bx - 1 if ax >= 1"} {
+		h, _ := c.Submit("A", program)
+		c.RunFor(time.Second)
+		if h.Status() != StatusCommitted {
+			t.Fatalf("%s: %v (%s)", program, h.Status(), h.Reason())
+		}
+	}
+	rounds := c.NetStats().SentByType["read-req"] / 2 // each reads at A and at B
+	p, _ := c.Metrics().Snapshot().Get("protocol.phase.seconds", metrics.L("phase", "read"))
+	if rounds != 2 || p.Count != rounds {
+		t.Errorf("read phase observed %d times over %d read rounds, want 2 and 2", p.Count, rounds)
 	}
 }
 

@@ -246,8 +246,9 @@ func gateTwoForces(t *testing.T, lanes int) {
 		d.shut()
 	}
 	// Submit waits for its event's effects to leave: returning at all
-	// says the read requests did not wait for a disk.
-	h, err := a.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
+	// says the read requests did not wait for a disk.  The guard makes
+	// C's share read bsrc, so the read round runs.
+	h, err := a.Submit("A", "bsrc = bsrc - 40 if bsrc >= 40; cdst = cdst + 40 if bsrc >= 40")
 	if err != nil {
 		t.Fatal(err)
 	}

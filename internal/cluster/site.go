@@ -422,16 +422,18 @@ func (s *Site) beginTxn(t txn.T, h *Handle) {
 		ctx.deadlineTimer = s.after(s.c.cfg.TxnDeadline, func() { s.onTxnDeadline(t.ID) })
 	}
 
+	// One round: when every statement reads only items at its own
+	// target's site, no participant needs another site's values, so each
+	// reads its share under the locks its prepare takes (onPrepare).
+	if s.oneRound(t.Program) {
+		s.sendPrepares(ctx)
+		return
+	}
 	// Read phase: request the read-set values, with locks.
 	readOwner := map[protocol.SiteID][]string{}
 	for _, item := range t.ReadSet() {
 		owner := s.c.Placement(item)
 		readOwner[owner] = append(readOwner[owner], item)
-	}
-	if len(readOwner) == 0 {
-		// Nothing to read; go straight to prepare.
-		s.sendPrepares(ctx)
-		return
 	}
 	for _, site := range sortedKeys(readOwner) {
 		items := readOwner[site]
@@ -446,6 +448,18 @@ func (s *Site) beginTxn(t txn.T, h *Handle) {
 		}, 0)
 	}
 	ctx.readTimer = s.after(s.c.cfg.ReadyTimeout, func() { s.onReadTimeout(ctx.tid) })
+}
+
+// oneRound reports whether every statement of p reads only items placed
+// at its own target's site, so that site computes it from its own store.
+func (s *Site) oneRound(p expr.Program) bool {
+	for _, st := range p.Stmts {
+		home := s.c.Placement(st.Target)
+		if !st.ReadsOnly(func(item string) bool { return s.c.Placement(item) == home }) {
+			return false
+		}
+	}
+	return true
 }
 
 // onePhaseCommit executes a fully-local transaction directly: lock,
@@ -645,8 +659,9 @@ func (s *Site) onReadTimeout(tid txn.ID) {
 
 // sendPrepares distributes the transaction to every participant.
 func (s *Site) sendPrepares(ctx *coordCtx) {
-	// Failpoint: reads collected, no prepare sent — participants hold
-	// read locks they must abandon via the lock timeout.
+	// Failpoint: reads collected (if there was a read round), no prepare
+	// sent — participants hold read locks they must abandon via the lock
+	// timeout.
 	if s.maybeCrash(CrashBeforePrepare, ctx.tid) {
 		return
 	}
@@ -659,10 +674,12 @@ func (s *Site) sendPrepares(ctx *coordCtx) {
 	}
 	ctx.prepared = true
 	ctx.prepareAt = s.c.clk.Now()
-	s.c.phaseRead.Observe((ctx.prepareAt - ctx.startAt).Seconds())
-	if s.spansOn() {
-		s.recordSpan(trace.Span{Kind: spanPhaseRead, TID: string(ctx.tid),
-			Parent: ctx.span, Start: ctx.startAt, End: ctx.prepareAt})
+	if ctx.readTimer != nil { // a read round ran
+		s.c.phaseRead.Observe((ctx.prepareAt - ctx.startAt).Seconds())
+		if s.spansOn() {
+			s.recordSpan(trace.Span{Kind: spanPhaseRead, TID: string(ctx.tid),
+				Parent: ctx.span, Start: ctx.startAt, End: ctx.prepareAt})
+		}
 	}
 	ctx.machine = protocol.NewCoordinator(ctx.tid, ctx.participants)
 	ctx.machine.Instrument(s.c.reg)
@@ -697,7 +714,7 @@ func (s *Site) sendPrepares(ctx *coordCtx) {
 		// they need no values and receive no forwarded polyvalues.
 		roOpt := len(items) == 0 && !s.c.cfg.DisableReadOnlyOpt
 		var vals map[string]polyvalue.Poly
-		if !roOpt {
+		if !roOpt && len(ctx.values) > 0 {
 			vals = copyValues(ctx.values)
 			for dep := range depTIDs {
 				if site != s.id {
@@ -1050,28 +1067,36 @@ func (s *Site) onPrepare(msg protocol.Message) {
 		computeSpan("ready", "readonly", "true")
 		return
 	}
-	// Lock the local write items not already read-locked by this txn
-	// (blind writes: nothing was read, so fresh locks are sound).
-	var needed []string
-	for _, item := range msg.Items {
-		if s.locks[item] != msg.TID {
-			needed = append(needed, item)
-		}
-	}
-	if !s.lockAll(msg.TID, needed) {
-		refuse("write lock conflict at " + string(s.id))
-		return
-	}
-	ctx.locked = mergeItems(ctx.locked, needed)
-
 	t, err := txn.New(msg.TID, msg.Program)
 	if err != nil {
 		refuse("bad program: " + err.Error())
 		return
 	}
-	// Compute all writes from the coordinator's read snapshot, then keep
-	// the local share.  Previous values come from the local store (the
-	// items are locked, hence stable).
+	// Lock the local write items not already read-locked by this txn.
+	lock, conflict := msg.Items, "write lock conflict at "
+	if len(msg.Values) == 0 {
+		// Read here (beginTxn's one round): nothing was read for this
+		// site, so it runs only the statements whose target it holds,
+		// which read only its own items, from its store under fresh locks.
+		t.Program = t.Program.Filter(func(st expr.Assign) bool { return s.c.Placement(st.Target) == s.id })
+		lock, conflict = t.Items(), "lock conflict at "
+	}
+	var needed []string
+	for _, item := range lock {
+		if s.locks[item] != msg.TID {
+			needed = append(needed, item)
+		}
+	}
+	if !s.lockAll(msg.TID, needed) {
+		refuse(conflict + string(s.id))
+		return
+	}
+	ctx.locked = mergeItems(ctx.locked, needed)
+
+	// Compute the writes from the coordinator's read snapshot, or from
+	// the local store for what it lacks, then keep the local share.
+	// Previous values come from the local store (the items are locked,
+	// hence stable).
 	ex := &polytxn.Executor{MaxAlternatives: s.c.cfg.MaxAlternatives}
 	res, err := ex.Execute(t, func(item string) polyvalue.Poly {
 		if v, ok := msg.Values[item]; ok {

@@ -54,55 +54,62 @@ func kinds(spans []trace.Span) map[string]int {
 // TestSpansCommittedTransfer checks the full causal tree of a clean
 // distributed commit: root, coordinator phases, one compute span per
 // participant, lock windows — and that trace.BuildTimelines judges the
-// tree complete.
+// tree complete.  A guarded transfer has a read phase; an unguarded one
+// reads nothing remote and has none.
 func TestSpansCommittedTransfer(t *testing.T) {
-	c, spans := newSpanCluster(t, PolicyPolyvalue, nil)
-	loadInt(t, c, "acct1", 100)
-	loadInt(t, c, "bacct2", 0)
-	h, err := c.Submit("A", "acct1 = acct1 - 30; bacct2 = bacct2 + 30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(5 * time.Second)
-	if h.Status() != StatusCommitted {
-		t.Fatalf("status = %v (%s)", h.Status(), h.Reason())
-	}
+	for program, reads := range map[string]int{
+		"acct1 = acct1 - 30 if acct1 >= 30; bacct2 = bacct2 + 30 if acct1 >= 30": 1,
+		"acct1 = acct1 - 30; bacct2 = bacct2 + 30":                               0,
+	} {
+		c, spans := newSpanCluster(t, PolicyPolyvalue, nil)
+		loadInt(t, c, "acct1", 100)
+		loadInt(t, c, "bacct2", 0)
+		h, err := c.Submit("A", program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RunFor(5 * time.Second)
+		if h.Status() != StatusCommitted {
+			t.Fatalf("%s: status = %v (%s)", program, h.Status(), h.Reason())
+		}
 
-	all := spans.Spans()
-	tls := trace.BuildTimelines(all)
-	if len(tls) != 1 {
-		t.Fatalf("timelines = %d, want 1", len(tls))
-	}
-	tl := tls[0]
-	if !tl.Complete {
-		t.Fatalf("timeline incomplete: missing parents %v, silent sites %v\n%s",
-			tl.MissingParents, tl.MissingSites, tl.Render())
-	}
-	if tl.Status != "committed" {
-		t.Errorf("timeline status = %q", tl.Status)
-	}
-	k := kinds(tl.Spans)
-	if k["txn"] != 1 || k["phase.read"] != 1 || k["phase.prepare"] != 1 {
-		t.Errorf("coordinator spans: %v", k)
-	}
-	// Both A and B hold writes; both must have computed.  The settle span
-	// appears once the last outcome ack lands.
-	if k["part.compute"] < 2 {
-		t.Errorf("part.compute = %d, want >= 2 (%v)", k["part.compute"], k)
-	}
-	if k["phase.settle"] != 1 {
-		t.Errorf("phase.settle = %d (%v)", k["phase.settle"], k)
-	}
-	if k["locks"] == 0 {
-		t.Errorf("no lock spans (%v)", k)
-	}
-	// Every span belongs to the tree: non-root spans name a present parent.
-	if len(tl.MissingParents) != 0 {
-		t.Errorf("dangling parents: %v", tl.MissingParents)
-	}
-	// Untraced runs never pay for any of this.
-	if spans.Dropped() != 0 {
-		t.Errorf("span log dropped %d", spans.Dropped())
+		all := spans.Spans()
+		tls := trace.BuildTimelines(all)
+		if len(tls) != 1 {
+			t.Fatalf("%s: timelines = %d, want 1", program, len(tls))
+		}
+		tl := tls[0]
+		if !tl.Complete {
+			t.Fatalf("%s: timeline incomplete: missing parents %v, silent sites %v\n%s",
+				program, tl.MissingParents, tl.MissingSites, tl.Render())
+		}
+		if tl.Status != "committed" {
+			t.Errorf("%s: timeline status = %q", program, tl.Status)
+		}
+		k := kinds(tl.Spans)
+		if k["txn"] != 1 || k["phase.read"] != reads || k["phase.prepare"] != 1 {
+			t.Errorf("%s: coordinator spans: %v", program, k)
+		}
+		// Both A and B hold writes; both must have computed.  The settle
+		// span appears once the last outcome ack lands.
+		if k["part.compute"] < 2 {
+			t.Errorf("%s: part.compute = %d, want >= 2 (%v)", program, k["part.compute"], k)
+		}
+		if k["phase.settle"] != 1 {
+			t.Errorf("%s: phase.settle = %d (%v)", program, k["phase.settle"], k)
+		}
+		if k["locks"] == 0 {
+			t.Errorf("%s: no lock spans (%v)", program, k)
+		}
+		// Every span belongs to the tree: non-root spans name a present
+		// parent.
+		if len(tl.MissingParents) != 0 {
+			t.Errorf("%s: dangling parents: %v", program, tl.MissingParents)
+		}
+		// Untraced runs never pay for any of this.
+		if spans.Dropped() != 0 {
+			t.Errorf("%s: span log dropped %d", program, spans.Dropped())
+		}
 	}
 }
 

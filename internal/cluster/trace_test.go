@@ -38,14 +38,16 @@ func tracedCluster(t *testing.T) (*Cluster, *trace.Ring) {
 }
 
 // TestTraceShowsFigure1CommitPath: the protocol trace for a clean commit
-// contains the Figure 1 message sequence in order: read-req → read-rep →
-// prepare → ready → complete.
+// whose write at B reads an item at A contains the Figure 1 message
+// sequence in order: read-req → read-rep → prepare → ready → complete.
 func TestTraceShowsFigure1CommitPath(t *testing.T) {
 	c, ring := tracedCluster(t)
-	if err := c.Load("bx", polyvalue.Simple(value.Int(1))); err != nil {
-		t.Fatal(err)
+	for item, v := range map[string]int64{"ax": 1, "bx": 1} {
+		if err := c.Load(item, polyvalue.Simple(value.Int(v))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	h, _ := c.Submit("A", "bx = bx + 1")
+	h, _ := c.Submit("A", "bx = bx + ax")
 	c.RunFor(time.Second)
 	if h.Status() != StatusCommitted {
 		t.Fatal("setup failed")
@@ -60,6 +62,33 @@ func TestTraceShowsFigure1CommitPath(t *testing.T) {
 		if !ring.Contains(step) {
 			t.Errorf("trace missing %q\n%s", step, ring.String())
 		}
+	}
+}
+
+// TestTraceShowsOneRoundCommitPath: a write that reads only items at its
+// own site skips the read round: prepare → ready → complete, and no
+// read request at all.
+func TestTraceShowsOneRoundCommitPath(t *testing.T) {
+	c, ring := tracedCluster(t)
+	if err := c.Load("bx", polyvalue.Simple(value.Int(1))); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := c.Submit("A", "bx = bx + 1")
+	c.RunFor(time.Second)
+	if h.Status() != StatusCommitted || readInt(t, c, "bx") != 2 {
+		t.Fatalf("status %v, bx %v", h.Status(), c.Read("bx"))
+	}
+	for _, step := range []string{
+		"A send prepare A->B",
+		"B send ready B->A",
+		"A send complete A->B",
+	} {
+		if !ring.Contains(step) {
+			t.Errorf("trace missing %q\n%s", step, ring.String())
+		}
+	}
+	if ring.Contains("read-req") {
+		t.Errorf("one-round commit sent a read request:\n%s", ring.String())
 	}
 }
 

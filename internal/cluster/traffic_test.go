@@ -8,12 +8,11 @@ import (
 )
 
 // TestTransferMessageCounts pins the traffic of one committed
-// two-account transfer, by kind, in the two placements a transfer
-// between accounts on different sites can have.  Changes to timing
-// (batching, output commit) must leave these numbers alone; a
+// transfer, by kind, in each placement a transfer can have.  Changes to
+// timing (batching, output commit) must leave these numbers alone; a
 // change that piggy-backs or drops a message must move them here first.
 //
-// With N = 2 participants:
+// A guarded transfer whose accounts sit on N = 2 different sites:
 //
 //	read-req 2  read-rep 2   read-collect round, 2N
 //	prepare  2  ready    2   vote round, 2N
@@ -23,31 +22,52 @@ import (
 //
 // 12 messages when the coordinator hosts neither account, 11 when it
 // hosts one (5 of the 11 are self-addressed and never reach a socket).
+// The guard makes the credited site read the debited account, so the
+// values must be collected first.  Without that — an unguarded
+// transfer, or both accounts on one site — every statement reads only
+// items at its own target's site, each participant reads its share
+// under its prepare's locks, and the read-collect round goes: 8 and 7
+// messages, and 4 for the single participant.
+//
 // Gray & Lamport's two-phase commit costs 3N−1 = 5 (3N−3 = 3 with the
 // coordinator co-located): there the initiating participant's
-// spontaneous vote replaces one prepare/ready pair, reads are local
-// work and nothing acknowledges the decision.  Here the commit rounds
-// proper cost 3N = 6, and the read round and the acks add 2N + N.
+// spontaneous vote replaces one prepare/ready pair and nothing
+// acknowledges the decision.  Here the commit rounds proper cost 3N = 6,
+// and the acks add N.
 //
-// The benchmark's uniform three-site bank workload mixes these with the
-// single-participant (6) and all-local (0) placements at 4:2:2:1, mean
-// 80/9 ≈ 8.9 — the protocol.msgs_per_commit it reports.
+// The benchmark's uniform three-site bank workload runs the guarded
+// program: it mixes the two-site (11, 12), single-participant (4) and
+// all-local (0) placements at 4:2:2:1, mean 76/9 ≈ 8.4 — the
+// protocol.msgs_per_commit it reports.
 func TestTransferMessageCounts(t *testing.T) {
+	const (
+		unguarded = "a1 = a1 - 5; b1 = b1 + 5"
+		guarded   = "a1 = a1 - 5 if a1 >= 5; b1 = b1 + 5 if a1 >= 5"
+		oneSite   = "a1 = a1 - 5 if a1 >= 5; a2 = a2 + 5 if a1 >= 5"
+	)
 	for _, tc := range []struct {
-		name  string
-		coord protocol.SiteID
-		want  map[string]int64
+		name    string
+		program string
+		coord   protocol.SiteID
+		want    map[string]int64
 	}{
-		{"coordinator hosts one account", "A", map[string]int64{
+		{"coordinator hosts one account", unguarded, "A", map[string]int64{
+			"prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 1}},
+		{"coordinator hosts neither", unguarded, "C", map[string]int64{
+			"prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 2}},
+		{"guarded, coordinator hosts one account", guarded, "A", map[string]int64{
 			"read-req": 2, "read-rep": 2, "prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 1}},
-		{"coordinator hosts neither", "C", map[string]int64{
+		{"guarded, coordinator hosts neither", guarded, "C", map[string]int64{
 			"read-req": 2, "read-rep": 2, "prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 2}},
+		{"guarded, single participant", oneSite, "C", map[string]int64{
+			"prepare": 1, "ready": 1, "complete": 1, "outcome-ack": 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCluster(t, PolicyPolyvalue)
 			loadInt(t, c, "a1", 100)
+			loadInt(t, c, "a2", 100)
 			loadInt(t, c, "b1", 100)
-			h, err := c.Submit(tc.coord, "a1 = a1 - 5; b1 = b1 + 5")
+			h, err := c.Submit(tc.coord, tc.program)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -101,6 +101,26 @@ type Assign struct {
 	Guard  Node
 }
 
+// ReadsOnly reports whether ok holds for every item the assignment reads,
+// in its right-hand side or its guard.  It allocates nothing.
+func (a Assign) ReadsOnly(ok func(name string) bool) bool {
+	return readsOnly(a.Expr, ok) && readsOnly(a.Guard, ok)
+}
+
+func readsOnly(n Node, ok func(name string) bool) bool {
+	switch n := n.(type) {
+	case Ref:
+		return ok(n.Name)
+	case Unary:
+		return readsOnly(n.X, ok)
+	case Binary:
+		return readsOnly(n.L, ok) && readsOnly(n.R, ok)
+	case Call:
+		return !slices.ContainsFunc(n.Args, func(a Node) bool { return !readsOnly(a, ok) })
+	}
+	return true
+}
+
 // String renders the assignment in source syntax.
 func (a Assign) String() string {
 	s := a.Target + " = " + a.Expr.String()
@@ -164,6 +184,18 @@ func (p Program) analysed() sets {
 		return analyse(p.Stmts)
 	}
 	return p.sets
+}
+
+// Filter returns the program of p's statements that keep accepts,
+// analysed once, or p itself when keep accepts them all.  The result's
+// String is empty unless it is p.
+func (p Program) Filter(keep func(Assign) bool) Program {
+	drop := func(a Assign) bool { return !keep(a) }
+	if !slices.ContainsFunc(p.Stmts, drop) {
+		return p
+	}
+	stmts := slices.DeleteFunc(slices.Clone(p.Stmts), drop)
+	return Program{Stmts: stmts, sets: analyse(stmts)}
 }
 
 // String returns the original source text.

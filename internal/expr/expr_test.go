@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -208,5 +209,27 @@ func TestStringEscapes(t *testing.T) {
 	got := evalOne(t, `"a\"b\\c"`, nil)
 	if !got.Equal(value.Str(`a"b\c`)) {
 		t.Errorf("escapes = %v", got)
+	}
+}
+
+func TestFilterKeepsSetsAndSource(t *testing.T) {
+	p := MustParse("a = a - 1 if b > 0; c = c + d")
+	if all := p.Filter(func(Assign) bool { return true }); all.String() != p.String() || len(all.Stmts) != 2 {
+		t.Errorf("keeping every statement gave %q (%d statements)", all.String(), len(all.Stmts))
+	}
+	second := p.Filter(func(s Assign) bool { return s.Target == "c" })
+	if got := second.ReadSet(); !slices.Equal(got, []string{"c", "d"}) {
+		t.Errorf("ReadSet = %v", got)
+	}
+	if got := second.WriteSet(); !slices.Equal(got, []string{"c"}) {
+		t.Errorf("WriteSet = %v", got)
+	}
+	if none := p.Filter(func(Assign) bool { return false }); len(none.Stmts) != 0 || len(none.Items()) != 0 {
+		t.Errorf("keeping nothing gave %v", none.Stmts)
+	}
+	first := p.Stmts[0]
+	if !first.ReadsOnly(func(n string) bool { return n == "a" || n == "b" }) ||
+		first.ReadsOnly(func(n string) bool { return n == "a" }) {
+		t.Error("ReadsOnly ignores the guard or the right-hand side")
 	}
 }
