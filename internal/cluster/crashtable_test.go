@@ -177,12 +177,12 @@ func TestLatePrepareAfterLockLapse(t *testing.T) {
 	loadInt(t, c, "adst", 0)
 	loadInt(t, c, "bsrc", 100)
 	loadInt(t, c, "cdst", 0)
-	// T1 read-locks bsrc at B at 10ms and reads 100 (its guard makes C's
-	// share read bsrc, so the read round runs); its prepare to B is held
-	// from 20ms until 120ms, past B's lock timeout at 60ms.
+	// T1 read-locks bsrc at B at 10ms and reads 100 (each share reads the
+	// other site's item, so the read round runs); its prepare to B is
+	// held from 20ms until 120ms, past B's lock timeout at 60ms.
 	slow := &slowPrepare{Transport: c.fab, c: c, to: "B", by: 100 * time.Millisecond}
 	c.fab = slow
-	h1, _ := c.Submit("A", "bsrc = bsrc - 40 if bsrc >= 40; cdst = cdst + 40 if bsrc >= 40")
+	h1, _ := c.Submit("A", "bsrc = bsrc - 40 if cdst >= 0; cdst = cdst + 40 if bsrc >= 40")
 	slow.tid = h1.TID
 	// T2 moves 30 out of bsrc in the gap: locked at 80ms, settled at 100ms.
 	var h2 *Handle

@@ -25,26 +25,33 @@ func holdLock(c *Cluster, site protocol.SiteID, item string) {
 }
 
 // TestOneRoundNeedsNoAllocation: the coordinator's test for skipping the
-// read round costs no allocation per transaction.
+// read round — every statement reads only its own site's items, or
+// another site's only from a source — costs no allocation per
+// transaction.
 func TestOneRoundNeedsNoAllocation(t *testing.T) {
 	c := newTestCluster(t, PolicyPolyvalue)
 	s := c.sites["A"]
 	for program, want := range map[string]bool{
-		"bx = bx + 1":                         true,
-		"bx = 5; cx = 7":                      true,
-		"bx = bx - 5; cx = cx + 5":            true,
-		"bx = bx - 5 if by >= 5":              true,
-		"bx = bx + min(by, abs(-bz))":         true,
-		"bx = bx - 5 if cx >= 5":              false,
-		"bx = bx + cx":                        false,
-		"bx = bx - 1; cx = cx + 1 if bx >= 1": false,
+		"bx = bx + 1":                                    true,
+		"bx = 5; cx = 7":                                 true,
+		"bx = bx - 5; cx = cx + 5":                       true,
+		"bx = bx - 5 if by >= 5":                         true,
+		"bx = bx + min(by, abs(-bz))":                    true,
+		"bx = bx - 5 if cx >= 5":                         false, // C hosts no statement
+		"bx = bx + cx":                                   false,
+		"bx = bx - 1; cx = cx + 1 if bx >= 1":            true, // C reads from the source B
+		"bx = bx - 5 if bx >= 5; cx = cx + 5 if bx >= 5": true,
+		"ax = 1; bx = ax + cx; cx = cx - 1":              true,  // B reads from two sources
+		"bx = bx + cx; cx = cx + bx":                     false, // sinks read from each other
+		"ax = ax + 1; bx = ax; cx = bx":                  false, // C reads from the sink B
+		"bx = ax; cx = cx + bx":                          false, // A hosts no statement
 	} {
 		p := expr.MustParse(program)
-		if got := s.oneRound(p); got != want {
-			t.Errorf("oneRound(%q) = %v, want %v", program, got, want)
+		if got := s.chained(p, nil); got != want {
+			t.Errorf("chained(%q) = %v, want %v", program, got, want)
 		}
-		if n := testing.AllocsPerRun(100, func() { s.oneRound(p) }); n != 0 {
-			t.Errorf("oneRound(%q) allocates %v times", program, n)
+		if n := testing.AllocsPerRun(100, func() { s.chained(p, nil) }); n != 0 {
+			t.Errorf("chained(%q) allocates %v times", program, n)
 		}
 	}
 }
@@ -177,15 +184,15 @@ func TestPaxosPlaneOneRound(t *testing.T) {
 // no polyvalue is left.
 func TestOneRoundSoak(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runOneRoundSoak(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runOneRoundSoak(t, seed, 0) })
 	}
 }
 
-func runOneRoundSoak(t *testing.T, seed int64) {
+func runOneRoundSoak(t *testing.T, seed int64, dup float64) {
 	sites := []protocol.SiteID{"A", "B", "C"}
 	c, err := New(Config{
 		Sites:     sites,
-		Net:       network.Config{Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond, Seed: seed},
+		Net:       network.Config{Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond, DuplicateProb: dup, Seed: seed},
 		Placement: abcPlacement,
 	})
 	if err != nil {

@@ -77,11 +77,11 @@ func TestReadOnlyOptSavesMessages(t *testing.T) {
 func TestReadOnlyParticipantFreedEarly(t *testing.T) {
 	c := newROCluster(t, false)
 	loadInt(t, c, "bsrc", 500)
-	// Slow the decision down by partitioning C (the write site) so its
-	// ready is delayed... simpler: just verify bsrc is writable right
-	// after B's ready would have been sent (~30ms in).
+	// Reads done at 20ms, C prepares at 30ms and is ready at 40ms, and
+	// only then is B prepared: it votes ready-read-only and releases at
+	// 50ms, ten before the coordinator decides.
 	h1, _ := c.Submit("A", "cflag = bsrc >= 100")
-	c.RunFor(35 * time.Millisecond) // B voted ready-read-only by now
+	c.RunFor(55 * time.Millisecond) // B voted ready-read-only by now
 	h2, _ := c.Submit("B", "bsrc = bsrc + 1")
 	c.RunFor(2 * time.Second)
 	if h1.Status() != StatusCommitted {

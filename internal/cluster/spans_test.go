@@ -54,11 +54,13 @@ func kinds(spans []trace.Span) map[string]int {
 // TestSpansCommittedTransfer checks the full causal tree of a clean
 // distributed commit: root, coordinator phases, one compute span per
 // participant, lock windows — and that trace.BuildTimelines judges the
-// tree complete.  A guarded transfer has a read phase; an unguarded one
-// reads nothing remote and has none.
+// tree complete.  A transfer whose shares read each other's account has
+// a read phase; a guarded one, whose credit site reads the debit account
+// from its source, and an unguarded one have none.
 func TestSpansCommittedTransfer(t *testing.T) {
 	for program, reads := range map[string]int{
-		"acct1 = acct1 - 30 if acct1 >= 30; bacct2 = bacct2 + 30 if acct1 >= 30": 1,
+		"acct1 = acct1 - 30 if bacct2 >= 0; bacct2 = bacct2 + 30 if acct1 >= 30": 1,
+		"acct1 = acct1 - 30 if acct1 >= 30; bacct2 = bacct2 + 30 if acct1 >= 30": 0,
 		"acct1 = acct1 - 30; bacct2 = bacct2 + 30":                               0,
 	} {
 		c, spans := newSpanCluster(t, PolicyPolyvalue, nil)

@@ -14,20 +14,21 @@ import (
 //
 // A guarded transfer whose accounts sit on N = 2 different sites:
 //
-//	read-req 2  read-rep 2   read-collect round, 2N
 //	prepare  2  ready    2   vote round, 2N
+//	read-rep 1               the debit site's value for the credit site
 //	complete 2               decision, N
 //	outcome-ack 2 or 1       §3.3 record GC, N (N−1 when the coordinator
 //	                         is a participant: it strikes itself directly)
 //
-// 12 messages when the coordinator hosts neither account, 11 when it
-// hosts one (5 of the 11 are self-addressed and never reach a socket).
-// The guard makes the credited site read the debited account, so the
-// values must be collected first.  Without that — an unguarded
-// transfer, or both accounts on one site — every statement reads only
-// items at its own target's site, each participant reads its share
-// under its prepare's locks, and the read-collect round goes: 8 and 7
-// messages, and 4 for the single participant.
+// 9 messages when the coordinator hosts neither account, 8 when it hosts
+// one (4 of the 8 are self-addressed and never reach a socket).  The
+// guard makes the credit site read the debit account, but the debit
+// site reads only its own: it is prepared first, sends the coordinator
+// that value, and the credit site is prepared with it — a chain, with no
+// read round.  An unguarded transfer needs no value at all: 8 and 7
+// messages, and 4 for the single participant.  A program with a
+// read-only participant keeps the read round, 2 read-req and 2 read-rep,
+// and that participant gets no decision and sends no ack.
 //
 // Gray & Lamport's two-phase commit costs 3N−1 = 5 (3N−3 = 3 with the
 // coordinator co-located): there the initiating participant's
@@ -36,14 +37,15 @@ import (
 // and the acks add N.
 //
 // The benchmark's uniform three-site bank workload runs the guarded
-// program: it mixes the two-site (11, 12), single-participant (4) and
-// all-local (0) placements at 4:2:2:1, mean 76/9 ≈ 8.4 — the
+// program: it mixes the two-site (8, 9), single-participant (4) and
+// all-local (0) placements at 4:2:2:1, mean 58/9 ≈ 6.4 — the
 // protocol.msgs_per_commit it reports.
 func TestTransferMessageCounts(t *testing.T) {
 	const (
 		unguarded = "a1 = a1 - 5; b1 = b1 + 5"
 		guarded   = "a1 = a1 - 5 if a1 >= 5; b1 = b1 + 5 if a1 >= 5"
 		oneSite   = "a1 = a1 - 5 if a1 >= 5; a2 = a2 + 5 if a1 >= 5"
+		readOnly  = "b1 = b1 + 5 if a1 >= 5"
 	)
 	for _, tc := range []struct {
 		name    string
@@ -56,9 +58,11 @@ func TestTransferMessageCounts(t *testing.T) {
 		{"coordinator hosts neither", unguarded, "C", map[string]int64{
 			"prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 2}},
 		{"guarded, coordinator hosts one account", guarded, "A", map[string]int64{
-			"read-req": 2, "read-rep": 2, "prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 1}},
+			"read-rep": 1, "prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 1}},
 		{"guarded, coordinator hosts neither", guarded, "C", map[string]int64{
-			"read-req": 2, "read-rep": 2, "prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 2}},
+			"read-rep": 1, "prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 2}},
+		{"read-only participant", readOnly, "C", map[string]int64{
+			"read-req": 2, "read-rep": 2, "prepare": 2, "ready": 2, "complete": 1, "outcome-ack": 1}},
 		{"guarded, single participant", oneSite, "C", map[string]int64{
 			"prepare": 1, "ready": 1, "complete": 1, "outcome-ack": 1}},
 	} {

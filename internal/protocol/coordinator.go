@@ -82,6 +82,9 @@ func (c *Coordinator) Participants() []SiteID {
 	return out
 }
 
+// Ready reports whether site's ready has arrived.
+func (c *Coordinator) Ready(site SiteID) bool { return c.participants[site] }
+
 // OnReady records a ready message.  It returns true when this ready
 // completes the set and the coordinator has just decided to commit; the
 // runtime must then durably record the outcome and send complete
