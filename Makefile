@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench bench-procs bench-procs-smoke ab loc tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
+.PHONY: check lint vet build test race bench bench-procs bench-procs-smoke ab golden loc tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
 
 check: lint vet build race ## everything CI runs
 
@@ -54,6 +54,15 @@ bench-procs-smoke:
 ab:
 	@test -n "$(REV)" || { echo "usage: make ab REV=<parent-rev> [WORKLOAD=<name>]"; exit 2; }
 	scripts/ab.sh $(REV) $(WORKLOAD)
+
+# Seeded outputs (polyverify, polytables, outagedrill, replicated,
+# polystat -export), parent revision against this tree: prints a
+# unified diff of any that differ and exits 1 if one does — the
+# acceptance check for a change that must not move behaviour.
+#   make golden REV=<parent>
+golden:
+	@test -n "$(REV)" || { echo "usage: make golden REV=<parent-rev>"; exit 2; }
+	scripts/golden.sh $(REV)
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # figure ROADMAP.md and the simplicity PRs quote, by ROADMAP's method.

@@ -55,6 +55,11 @@
 // anti-entropy gossip plane keeps replicas converging across failures;
 // when -heartbeat is set, gossip peer selection skips suspected peers.
 //
+// Durability is opt-in the same way: -data backs each site with a WAL,
+// and -fsync makes every site event durable before its outputs leave
+// the site, through a self-clocking group commit (one fsync covers
+// every frame that arrived while the previous one was in flight).
+//
 // Observability is opt-in the same way: -telemetry serves /metrics
 // (OpenMetrics), /healthz, /trace and pprof over HTTP, -spans retains
 // structured per-transaction spans (queried via /trace or dumped with
@@ -120,7 +125,6 @@ func main() {
 		spansCap = flag.Int("spans", 0, "retain this many structured transaction spans (enables span tracing and the /trace endpoints; 0: disabled)")
 		callAddr = flag.String("call", "", "client mode: send the remaining arguments as one command to this control address")
 		fsync    = flag.Bool("fsync", false, "with -data: make every site event durable before its outputs leave the site (each event waits for the group commit covering its WAL records)")
-		gcWindow = flag.Duration("group-commit-window", 0, "group-commit accumulation window with -fsync (0: flush as soon as the flusher is free)")
 		diskFlts = flag.String("disk-faults", "", "initial disk-fault plan for the WAL filesystem, ';'-separated storage commands (e.g. 'fsync p=0.01 once; slow p=0.2 min=1ms max=10ms'); needs -data")
 		diskSd   = flag.Int64("disk-fault-seed", 1, "PRNG seed for the disk-fault injector (same seed, same fault decisions)")
 		batchMax = flag.Int("batch-max", 0, "messages per transport frame cap (0: transport default; 1: frames of one, the unbatched ablation)")
@@ -241,21 +245,20 @@ func main() {
 		fatal("-disk-faults needs -data (there is no WAL to inject against)")
 	}
 	cfg := cluster.Config{
-		Sites:             sites,
-		DecisionPlane:     plane,
-		Policy:            policy,
-		WaitTimeout:       *waitT,
-		RetryInterval:     *retryT,
-		AdmissionLimit:    *admit,
-		TxnDeadline:       *txnDl,
-		MaxPolyBudget:     *polyBdg,
-		MaxDepBudget:      *depBdg,
-		Metrics:           reg,
-		Placement:         placement,
-		DataDir:           *dataDir,
-		Spans:             spans,
-		SyncWAL:           *fsync,
-		GroupCommitWindow: *gcWindow,
+		Sites:          sites,
+		DecisionPlane:  plane,
+		Policy:         policy,
+		WaitTimeout:    *waitT,
+		RetryInterval:  *retryT,
+		AdmissionLimit: *admit,
+		TxnDeadline:    *txnDl,
+		MaxPolyBudget:  *polyBdg,
+		MaxDepBudget:   *depBdg,
+		Metrics:        reg,
+		Placement:      placement,
+		DataDir:        *dataDir,
+		Spans:          spans,
+		SyncWAL:        *fsync,
 	}
 	if disk != nil {
 		cfg.DiskFS = disk

@@ -3,6 +3,7 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
+	"time"
 
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
@@ -11,8 +12,17 @@ import (
 	"repro/internal/vclock"
 )
 
-// Anti-entropy gossip (quorum replication only): every AntiEntropy
-// Interval each site opens a round with a deterministically-chosen peer
+// Gossip pacing and digest caps.  A digest's windows rotate across
+// rounds, so every outcome and version is eventually offered.
+const (
+	aeInterval    = time.Second // mean gap between a site's rounds (simulated)
+	aeFanout      = 1           // peers contacted per round
+	aeMaxOutcomes = 64          // transaction outcomes per digest
+	aeMaxItems    = 128         // logical-item versions per digest
+)
+
+// Anti-entropy gossip (quorum replication only): about every
+// aeInterval each site opens a round with a deterministically-chosen peer
 // and they exchange (1) transaction outcomes — the epidemic §3.3
 // channel that reduces stranded polyvalues when the coordinator that
 // decided them is dead — and (2) versioned replica values, converging
@@ -30,14 +40,13 @@ import (
 // mid-flight on it), and strictly older by version.  Outcome learning
 // has no such guard: resolveOutcome already handles every local state.
 func (s *Site) armGossip() {
-	ae := s.c.cfg.AntiEntropy
 	// Jitter the interval (hash, not PRNG — simulated runs must stay
 	// deterministic) so sites don't gossip in lockstep.
 	h := fnv.New64a()
 	h.Write([]byte(s.id))
 	h.Write([]byte{byte(s.aeRound), byte(s.aeRound >> 8), byte(s.aeRound >> 16)})
 	jitter := 0.75 + float64(h.Sum64()%1024)/2048 // 0.75x .. 1.25x
-	d := vclock.Time(float64(ae.Interval) * jitter)
+	d := vclock.Time(float64(aeInterval) * jitter)
 	s.aeTimer = s.after(d, func() {
 		s.aeRound++
 		s.gossipRound()
@@ -45,7 +54,7 @@ func (s *Site) armGossip() {
 	})
 }
 
-// gossipRound opens one round: pick Fanout peers and send each a
+// gossipRound opens one round: pick aeFanout peers and send each a
 // digest of our outcomes and hosted replica versions.
 func (s *Site) gossipRound() {
 	peers := s.gossipPeers()
@@ -65,7 +74,7 @@ func (s *Site) gossipRound() {
 	}
 }
 
-// gossipPeers picks Fanout peers for this round, deterministically from
+// gossipPeers picks aeFanout peers for this round, deterministically from
 // (site, round), skipping self and — when the Suspected hook is wired —
 // peers the failure detector currently distrusts (a breaker would drop
 // the messages anyway; spend the round on someone reachable).
@@ -83,10 +92,7 @@ func (s *Site) gossipPeers() []protocol.SiteID {
 	if len(candidates) == 0 {
 		return nil
 	}
-	n := s.c.cfg.AntiEntropy.Fanout
-	if n > len(candidates) {
-		n = len(candidates)
-	}
+	n := min(aeFanout, len(candidates))
 	h := fnv.New64a()
 	h.Write([]byte(s.id))
 	h.Write([]byte{byte(s.aeRound), byte(s.aeRound >> 8), byte(s.aeRound >> 16)})
@@ -104,14 +110,13 @@ func (s *Site) gossipPeers() []protocol.SiteID {
 // rotate with the round counter so a backlog larger than one digest is
 // still fully offered over successive rounds.
 func (s *Site) buildDigest() ([]protocol.OutcomeRec, map[string]uint64) {
-	ae := s.c.cfg.AntiEntropy
 	known := s.store.OutcomesSnapshot()
 	tids := make([]string, 0, len(known))
 	for tid := range known {
 		tids = append(tids, string(tid))
 	}
 	sort.Strings(tids)
-	tids = rotateWindow(tids, ae.MaxOutcomes, s.aeRound)
+	tids = rotateWindow(tids, aeMaxOutcomes, s.aeRound)
 	outs := make([]protocol.OutcomeRec, 0, len(tids))
 	for _, tid := range tids {
 		outs = append(outs, protocol.OutcomeRec{TID: txn.ID(tid), Committed: known[txn.ID(tid)]})
@@ -128,7 +133,7 @@ func (s *Site) buildDigest() ([]protocol.OutcomeRec, map[string]uint64) {
 		}
 	}
 	logicals := sortedKeys(byLogical)
-	logicals = rotateWindow(logicals, ae.MaxItems, s.aeRound)
+	logicals = rotateWindow(logicals, aeMaxItems, s.aeRound)
 	vers := make(map[string]uint64, len(logicals))
 	for _, logical := range logicals {
 		vers[logical] = byLogical[logical]
@@ -157,7 +162,6 @@ func rotateWindow(list []string, max, round int) []string {
 func (s *Site) onAEDigest(msg protocol.Message) {
 	s.learnOutcomes(msg.Outcomes)
 
-	ae := s.c.cfg.AntiEntropy
 	offered := make(map[txn.ID]bool, len(msg.Outcomes))
 	for _, rec := range msg.Outcomes {
 		offered[rec.TID] = true
@@ -170,7 +174,7 @@ func (s *Site) onAEDigest(msg protocol.Message) {
 		}
 	}
 	sort.Strings(missing)
-	missing = rotateWindow(missing, ae.MaxOutcomes, s.aeRound)
+	missing = rotateWindow(missing, aeMaxOutcomes, s.aeRound)
 	outs := make([]protocol.OutcomeRec, 0, len(missing))
 	for _, tid := range missing {
 		outs = append(outs, protocol.OutcomeRec{TID: txn.ID(tid), Committed: known[txn.ID(tid)]})
@@ -186,11 +190,11 @@ func (s *Site) onAEDigest(msg protocol.Message) {
 			continue
 		}
 		if mine > theirs {
-			if _, certain := val.IsCertain(); certain && len(vals) < ae.MaxItems {
+			if _, certain := val.IsCertain(); certain && len(vals) < aeMaxItems {
 				vers[logical] = mine
 				vals[logical] = val
 			}
-		} else if mine < theirs && len(wants) < ae.MaxItems {
+		} else if mine < theirs && len(wants) < aeMaxItems {
 			wants = append(wants, logical)
 		}
 	}
@@ -250,7 +254,6 @@ func (s *Site) learnOutcomes(recs []protocol.OutcomeRec) {
 			continue
 		}
 		s.c.aeOutcomesLearned.Inc()
-		s.c.trace("%s gossip-learned outcome of %s: commit=%v", s.id, rec.TID, rec.Committed)
 		s.resolveOutcome(rec.TID, rec.Committed)
 	}
 }
@@ -284,15 +287,12 @@ func (s *Site) applyReplicaValues(msg protocol.Message) {
 				continue
 			}
 			if err := s.put(phys, val); err != nil {
-				s.c.trace("%s gossip copy %s: %v", s.id, phys, err)
 				continue
 			}
 			if _, err := s.store.SetVersion(phys, ver); err != nil {
-				s.c.trace("%s gossip version %s: %v", s.id, phys, err)
 				continue
 			}
 			s.c.aeItemsCopied.Inc()
-			s.c.trace("%s gossip-converged %s to version %d", s.id, phys, ver)
 		}
 	}
 }

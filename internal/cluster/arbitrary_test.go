@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/txn"
 )
@@ -64,7 +66,7 @@ func TestArbitraryPolicyDecidesLocally(t *testing.T) {
 // applying half a transfer.  (Guesses are a deterministic hash, so we
 // find a disagreeing TID and assert the violation it implies.)
 func TestArbitraryPolicyCanViolateAtomicity(t *testing.T) {
-	_, tid := runArbitraryTrial(t)
+	c, tid := runArbitraryTrial(t)
 	// Search the deterministic guess function over the TID space this
 	// cluster generates: disagreement must exist and be common.
 	agree, disagree := 0, 0
@@ -81,6 +83,27 @@ func TestArbitraryPolicyCanViolateAtomicity(t *testing.T) {
 	}
 	if agree == 0 {
 		t.Fatal("guesses always disagree — hash is degenerate")
+	}
+
+	// The trial never tells a guessing site the real outcome: the
+	// coordinator stays down and a guess arms no inquiry, so nothing is
+	// counted.  Told the opposite of its guess, B counts the conflict,
+	// and check 8 stays silent — this policy breaks atomicity by design.
+	conflicts := func() int64 {
+		return c.Metrics().Snapshot().Counter("txn.outcome.conflicts", metrics.L("site", "B"))
+	}
+	if n := conflicts(); n != 0 {
+		t.Fatalf("trial counted %d conflicts before any outcome was reported", n)
+	}
+	site := c.sites["B"]
+	site.do(func() { site.resolveOutcome(tid, !arbitraryChoice("B", tid)) })
+	if n := conflicts(); n != 1 {
+		t.Errorf("txn.outcome.conflicts{site=B} = %d, want 1", n)
+	}
+	for _, v := range c.CheckInvariants() {
+		if strings.Contains(v, "told both outcomes") {
+			t.Errorf("check 8 ran under PolicyArbitrary: %s", v)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/replica"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/vclock"
@@ -46,10 +45,6 @@ type Cluster struct {
 	cfg Config
 	clk vclock.Clock
 	fab transport.Transport
-	// tracing short-circuits per-message trace calls: with the default
-	// Nop tracer, hot paths must not pay the variadic boxing of a whole
-	// Message per send/receive just to discard it.
-	tracing bool
 	// wall is set in node mode only; Close stops it.
 	wall *vclock.Wall
 	// deliver is how transport deliveries enqueue at a site: the
@@ -123,10 +118,9 @@ func newCluster(cfg Config) (*Cluster, error) {
 	}
 	cfg.fillDefaults()
 	c := &Cluster{
-		cfg:     cfg,
-		tracing: tracingEnabled(cfg.Tracer),
-		sites:   map[protocol.SiteID]*Site{},
-		order:   append([]protocol.SiteID{}, cfg.Sites...),
+		cfg:   cfg,
+		sites: map[protocol.SiteID]*Site{},
+		order: append([]protocol.SiteID{}, cfg.Sites...),
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -204,7 +198,7 @@ func (c *Cluster) openSite(id protocol.SiteID) (*Site, error) {
 			// Durable mode: WAL frames route through the group-commit
 			// stage and each site event waits for its records before its
 			// outputs leave the site.
-			glog = storage.NewGroupLog(flog, c.cfg.GroupCommitWindow)
+			glog = storage.NewGroupLog(flog)
 			store.SetWALSink(glog)
 			c.glogs = append(c.glogs, glog)
 		}
@@ -227,21 +221,15 @@ func (c *Cluster) Close() {
 		c.wall.Stop()
 	}
 	if c.fab != nil {
-		if err := c.fab.Close(); err != nil {
-			c.trace("close transport: %v", err)
-		}
+		_ = c.fab.Close()
 	}
 	// Drain group-commit stages before closing the files under them.
 	for _, g := range c.glogs {
-		if err := g.Close(); err != nil {
-			c.trace("close group log: %v", err)
-		}
+		_ = g.Close()
 	}
 	c.glogs = nil
 	for _, log := range c.logs {
-		if err := log.Close(); err != nil {
-			c.trace("close %s: %v", log.Path(), err)
-		}
+		_ = log.Close()
 	}
 	c.logs = nil
 }
@@ -580,18 +568,4 @@ func (c *Cluster) NetStats() network.Stats {
 		return network.Stats{}
 	}
 	return c.net.Stats()
-}
-
-// tracingEnabled reports whether t is a real tracer (fillDefaults
-// installs trace.Nop when the caller left Tracer nil).
-func tracingEnabled(t trace.Tracer) bool {
-	_, nop := t.(trace.Nop)
-	return !nop
-}
-
-func (c *Cluster) trace(format string, args ...any) {
-	if !c.tracing {
-		return
-	}
-	c.cfg.Tracer.Event(format, args...)
 }

@@ -213,8 +213,8 @@ func TestCoordinatorCrashInstallsPolyvalues(t *testing.T) {
 	// presumes abort, and every polyvalue reduces to the no-transfer
 	// branch.
 	c.Restart("A")
-	// The inquiry loop backs off up to RetryBackoffMax (8x the retry
-	// interval, with jitter), so give recovery a couple of full backoff
+	// The inquiry loop backs off up to 8x the retry interval (with
+	// jitter), so give recovery a couple of full backoff
 	// periods to drain.
 	c.RunFor(15 * time.Second)
 	if len(c.PolyItems()) != 0 {

@@ -91,25 +91,6 @@ type ReplicationConfig struct {
 	R int
 }
 
-// AntiEntropyConfig tunes the gossip plane that runs alongside quorum
-// replication: each site periodically exchanges compact digests of
-// known transaction outcomes and hosted replica versions with a random
-// peer, pulling missing outcomes (reducing stranded polyvalues) and
-// fresher replica values with no coordinator involvement.
-type AntiEntropyConfig struct {
-	// Interval paces gossip rounds per site (default 1s, simulated).
-	Interval time.Duration
-	// Fanout is how many peers each round contacts (default 1).
-	Fanout int
-	// MaxOutcomes caps the transaction outcomes per digest (default 64;
-	// the window rotates across rounds so every outcome is eventually
-	// offered).
-	MaxOutcomes int
-	// MaxItems caps the logical-item versions per digest (default 128,
-	// same rotation).
-	MaxItems int
-}
-
 // Config parameterizes a cluster.
 type Config struct {
 	// Sites lists the site identifiers; at least one.
@@ -131,11 +112,6 @@ type Config struct {
 	// RetryInterval paces outcome-request retries from in-doubt sites.
 	// Default 500ms (simulated).
 	RetryInterval time.Duration
-	// RetryBackoffMax caps the exponential backoff applied to outcome
-	// inquiries and coordinator decision retransmissions: retry N waits
-	// about RetryInterval·2^(N-1) (±50% jitter), never more than this.
-	// Default 8×RetryInterval.
-	RetryBackoffMax time.Duration
 	// OutcomeTTL is how long an outcome record is at least retained after
 	// every participant has acknowledged it (coordinator side) or after
 	// local dependencies are cleared (participant side), before being
@@ -157,11 +133,6 @@ type Config struct {
 	// replicates it across an acceptor group with Paxos Commit, making
 	// the decision reachable after coordinator loss.
 	DecisionPlane DecisionPlane
-	// PaxosAcceptors sizes the PlanePaxos acceptor group (2F+1; even
-	// values are rounded down to the next odd).  The group is the
-	// sorted-membership prefix, so every site derives the same set.  0
-	// means min(5, len(Sites)) rounded down to odd.
-	PaxosAcceptors int
 	// AdmissionLimit caps in-flight coordinated transactions per site;
 	// over the cap, SubmitProgram sheds with ErrOverload (counted as
 	// site.admission.shed) instead of queueing without bound.  0 or
@@ -185,8 +156,6 @@ type Config struct {
 	// the same degradation as MaxPolyBudget.  0 or negative means
 	// unlimited.
 	MaxDepBudget int
-	// Tracer receives protocol events; nil means no tracing.
-	Tracer trace.Tracer
 	// Spans, when set, receives structured per-transaction spans from
 	// every site of this cluster: coordinator phases, participant
 	// compute/wait/blocked intervals, polyvalue installs and reductions,
@@ -204,18 +173,6 @@ type Config struct {
 	// Placement maps an item to its owning site; nil means FNV-hash over
 	// Sites.  Must be deterministic.
 	Placement func(item string) protocol.SiteID
-	// DisableReadOnlyOpt turns off the read-only participant
-	// optimization: by default a participant holding only read items
-	// votes ready-read-only, releases immediately, and is excluded from
-	// the decision round.
-	DisableReadOnlyOpt bool
-	// DisableOnePhaseOpt turns off the §2.1 "lock avoidance"
-	// optimization: by default a transaction whose items all live on the
-	// coordinating site commits locally in one step — no prepare/ready
-	// round, no in-doubt window, no messages at all.
-	DisableOnePhaseOpt bool
-	// MaxAlternatives caps polytransaction fan-out (0 = package default).
-	MaxAlternatives int
 	// DataDir, when set, backs every site's store with a file WAL
 	// (<DataDir>/<site>.wal).  A cluster re-created over the same
 	// directory recovers each site's durable state — including in-doubt
@@ -228,9 +185,6 @@ type Config struct {
 	// replica-aware placement (each logical item's replicas on distinct
 	// sites) is installed automatically.
 	Replication *ReplicationConfig
-	// AntiEntropy tunes the gossip plane; only active with Replication.
-	// Nil means defaults.
-	AntiEntropy *AntiEntropyConfig
 	// Suspected, when set, steers anti-entropy peer selection away from
 	// sites the failure detector currently suspects — gossip rounds are
 	// not wasted on peers whose messages a breaker would drop anyway.
@@ -247,11 +201,6 @@ type Config struct {
 	// cost per event falls as load rises.  Simulated clusters (New)
 	// ignore it: simulated time does not pass during an fsync.
 	SyncWAL bool
-	// GroupCommitWindow adds a fixed accumulation delay before each
-	// group-commit flush (larger batches, higher latency).  Zero — the
-	// default — flushes as soon as the flusher is free, which still
-	// groups every frame that arrived during the previous fsync.
-	GroupCommitWindow time.Duration
 	// DiskFS, with DataDir set, is the filesystem the site's WAL lives
 	// on.  Nil means the real filesystem (storage.OSFS); tests and
 	// torture harnesses pass a *storage.FaultFS to inject fsync
@@ -273,40 +222,14 @@ func (c *Config) fillDefaults() {
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 500 * time.Millisecond
 	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 8 * c.RetryInterval
-	}
 	if c.OutcomeTTL == 0 {
 		c.OutcomeTTL = 5 * time.Second
 	}
 	if c.CheckpointBytes == 0 {
 		c.CheckpointBytes = 256 << 10
 	}
-	if c.Tracer == nil {
-		c.Tracer = trace.Nop{}
-	}
 	if c.DecisionPlane == "" {
 		c.DecisionPlane = PlaneWAL
-	}
-	if c.Replication != nil {
-		// Copy before defaulting so the caller's struct is not mutated.
-		ae := AntiEntropyConfig{}
-		if c.AntiEntropy != nil {
-			ae = *c.AntiEntropy
-		}
-		if ae.Interval <= 0 {
-			ae.Interval = time.Second
-		}
-		if ae.Fanout <= 0 {
-			ae.Fanout = 1
-		}
-		if ae.MaxOutcomes <= 0 {
-			ae.MaxOutcomes = 64
-		}
-		if ae.MaxItems <= 0 {
-			ae.MaxItems = 128
-		}
-		c.AntiEntropy = &ae
 	}
 }
 

@@ -110,7 +110,6 @@ func (s *Site) maybeCrash(point CrashPoint, tid txn.ID) bool {
 		return false
 	}
 	delete(s.armed, point)
-	s.c.trace("%s CRASH at %s of %s", s.id, point, tid)
 	s.crash()
 	return true
 }
@@ -133,7 +132,6 @@ func (s *Site) walWrite(tid txn.ID, write func() error) (crashed bool, err error
 		// crash point: treat as the crash it models.  The torn fragment
 		// self-repairs (truncate on next write / recovery), so this is
 		// an ordinary crash, not a durability panic.
-		s.c.trace("%s torn WAL write for %s: %v", s.id, tid, err)
 		s.crash()
 		return true, err
 	}

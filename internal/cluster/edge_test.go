@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/polyvalue"
 	"repro/internal/value"
 )
@@ -80,7 +82,8 @@ func TestDuplicateCompleteIsIdempotent(t *testing.T) {
 }
 
 // TestConflictingOutcomeIgnored: a (buggy or byzantine-ish) conflicting
-// outcome report must not overwrite a recorded decision.
+// outcome report must not overwrite a recorded decision, and is counted
+// and reported as the atomicity break it is.
 func TestConflictingOutcomeIgnored(t *testing.T) {
 	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "bx", 5)
@@ -91,6 +94,12 @@ func TestConflictingOutcomeIgnored(t *testing.T) {
 	c.RunFor(time.Second)
 	if got := readInt(t, c, "bx"); got != 6 {
 		t.Errorf("conflicting outcome corrupted state: bx = %d", got)
+	}
+	if n := c.Metrics().Snapshot().Counter("txn.outcome.conflicts", metrics.L("site", "B")); n != 1 {
+		t.Errorf("txn.outcome.conflicts{site=B} = %d, want 1", n)
+	}
+	if v := c.CheckInvariants(); len(v) != 1 || !strings.Contains(v[0], "site B: told both outcomes") {
+		t.Errorf("violations = %q, want one conflict at B", v)
 	}
 }
 

@@ -340,13 +340,9 @@ func (s *Site) send(msg protocol.Message) { s.sendDep(msg, depAll) }
 
 // sendDep stages a message that externalizes nothing this site logged
 // beyond WAL position dep, so it may leave as soon as dep is durable
-// (dep 0: at once).  The trace line is emitted at staging time, under
-// stateMu, so the trace ring needs no extra synchronization.
+// (dep 0: at once).
 func (s *Site) sendDep(msg protocol.Message, dep uint64) {
 	msg.From = s.id
-	if s.c.tracing {
-		s.c.trace("%s send %s", s.id, msg)
-	}
 	s.stage(effect{kind: fxSend, msg: msg}, dep)
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
 	"repro/internal/replica"
@@ -28,7 +29,12 @@ import (
 //     already knows (it should have been resolved and cleared);
 //  4. no locks are held (quiescence);
 //  5. under the polyvalue policy, no prepared entries remain
-//     (quiescence: every in-doubt window was converted or settled).
+//     (quiescence: every in-doubt window was converted or settled);
+//  6. under PlanePaxos, no acceptor state remains (every registered
+//     decision settled and was garbage-collected);
+//  8. outside PolicyArbitrary, no site was told both outcomes of one
+//     transaction (txn.outcome.conflicts{site} is zero) — the atomicity
+//     the paper promises.  PolicyArbitrary breaks it by design.
 //
 // Under quorum replication one cross-site check is added:
 //
@@ -37,6 +43,10 @@ import (
 //     drained; a W-of-K commit left no permanently stale copy).
 func (c *Cluster) CheckInvariants() []string {
 	var violations []string
+	var snap metrics.Snapshot
+	if c.cfg.Policy != PolicyArbitrary {
+		snap = c.reg.Snapshot()
+	}
 	for _, id := range c.order {
 		site := c.sites[id]
 		if site == nil {
@@ -100,6 +110,12 @@ func (c *Cluster) CheckInvariants() []string {
 							fmt.Sprintf("site %s: undecided paxos state for %s at quiescence", id, tid))
 					}
 				}
+			}
+			// 8: no conflicting outcome reports (snap is empty under
+			// PolicyArbitrary).
+			if n := snap.Counter("txn.outcome.conflicts", metrics.L("site", string(id))); n != 0 {
+				violations = append(violations,
+					fmt.Sprintf("site %s: told both outcomes of a transaction %d times", id, n))
 			}
 		})
 	}

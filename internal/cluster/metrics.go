@@ -25,6 +25,9 @@ import (
 //	                                   retries (backoff-paced)
 //	txn.deadline.exceeded{role=}     — end-to-end deadline expiries seen
 //	                                   by coordinators / participants
+//	txn.outcome.conflicts{site}      — outcome reports contradicting the
+//	                                   outcome on record (an atomicity
+//	                                   break; registered on first use)
 //	txn.degraded.blocking            — in-doubt transactions that held
 //	                                   their locks (blocking 2PC) because
 //	                                   the polyvalue budget was exhausted

@@ -14,7 +14,7 @@ import (
 // TestStatsViewMatchesRegistry: the legacy Stats struct is a view over
 // the registry-backed counters — the two must always agree.
 func TestStatsViewMatchesRegistry(t *testing.T) {
-	c, _ := tracedCluster(t)
+	c := newTestCluster(t, PolicyPolyvalue)
 	if err := c.Load("bx", polyvalue.Simple(value.Int(1))); err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +46,9 @@ func TestStatsViewMatchesRegistry(t *testing.T) {
 // TestPolyvalueLifecycleMetrics: a coordinator crash installs polyvalues
 // (population rises), repair reduces them (population returns to zero and
 // every install/reduce pair lands in the lifetime histogram), and the
-// trace carries correlatable per-item events.
+// span log records the install and the reduction.
 func TestPolyvalueLifecycleMetrics(t *testing.T) {
-	c, ring := tracedCluster(t)
+	c, spans := newSpanCluster(t, PolicyPolyvalue, nil)
 	if err := c.Load("bx", polyvalue.Simple(value.Int(1))); err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +63,8 @@ func TestPolyvalueLifecycleMetrics(t *testing.T) {
 	if pop := mid.Counter("poly.population"); pop == 0 {
 		t.Error("population gauge should be nonzero while uncertain")
 	}
-	if got := int64(ring.Count("poly-install")); got != mid.Counter("poly.installs") {
-		t.Errorf("trace poly-install events = %d, counter = %d", got, mid.Counter("poly.installs"))
+	if got := int64(kinds(spans.Spans())["poly.install"]); got != mid.Counter("poly.installs") {
+		t.Errorf("poly.install spans = %d, counter = %d", got, mid.Counter("poly.installs"))
 	}
 
 	c.Restart("A")
@@ -83,8 +83,8 @@ func TestPolyvalueLifecycleMetrics(t *testing.T) {
 	if lt.Min <= 0 {
 		t.Errorf("lifetime min = %g, want > 0 (install and reduction are separated by repair)", lt.Min)
 	}
-	if got := int64(ring.Count("poly-reduce")); got == 0 {
-		t.Error("no poly-reduce trace events")
+	if kinds(spans.Spans())["poly.reduce"] == 0 {
+		t.Error("no poly.reduce spans")
 	}
 }
 
@@ -92,7 +92,7 @@ func TestPolyvalueLifecycleMetrics(t *testing.T) {
 // settle phase histograms; the wait phase records only on timeout or
 // outcome delivery, which a clean remote commit also exercises.
 func TestPhaseHistograms(t *testing.T) {
-	c, _ := tracedCluster(t)
+	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "ax", 1)
 	loadInt(t, c, "bx", 1)
 	// The write at B reads ax at A: a read round runs.
@@ -179,7 +179,7 @@ func TestSharedRegistryAggregates(t *testing.T) {
 // TestLatencyHistogramIsRegistrySeries: the legacy accessor and the
 // registry expose the same histogram.
 func TestLatencyHistogramIsRegistrySeries(t *testing.T) {
-	c, _ := tracedCluster(t)
+	c := newTestCluster(t, PolicyPolyvalue)
 	if err := c.Load("bx", polyvalue.Simple(value.Int(1))); err != nil {
 		t.Fatal(err)
 	}

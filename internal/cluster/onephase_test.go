@@ -4,9 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/network"
 	"repro/internal/polyvalue"
-	"repro/internal/protocol"
 	"repro/internal/value"
 )
 
@@ -96,30 +94,5 @@ func TestOnePhaseOverPolyvaluedItem(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("dependency of ay on T9 not recorded: %v", items)
-	}
-}
-
-func TestOnePhaseDisabled(t *testing.T) {
-	c, err := New(Config{
-		Sites:              []protocol.SiteID{"A", "B"},
-		Net:                network.Config{Latency: 5 * time.Millisecond},
-		Placement:          func(string) protocol.SiteID { return "A" },
-		DisableOnePhaseOpt: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if err := c.Load("x", polyvalue.Simple(value.Int(1))); err != nil {
-		t.Fatal(err)
-	}
-	before := c.NetStats().Sent
-	h, _ := c.Submit("A", "x = 2")
-	c.RunFor(time.Second)
-	if h.Status() != StatusCommitted {
-		t.Fatalf("status = %v (%s)", h.Status(), h.Reason())
-	}
-	if c.NetStats().Sent == before {
-		t.Error("disabled one-phase still skipped the protocol")
 	}
 }

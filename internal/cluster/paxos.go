@@ -79,7 +79,7 @@ func (s *Site) paxosPlane() bool { return s.c.cfg.DecisionPlane == PlanePaxos }
 // paxosAcceptors returns the acceptor group — a pure function of the
 // membership, so every site computes the same set.
 func (s *Site) paxosAcceptors() []protocol.SiteID {
-	return consensus.Acceptors(s.c.order, s.c.cfg.PaxosAcceptors)
+	return consensus.Acceptors(s.c.order, 0)
 }
 
 func (s *Site) paxosQuorum() int { return consensus.Quorum(len(s.paxosAcceptors())) }
@@ -212,7 +212,6 @@ func (s *Site) paxosTakeover(tid txn.ID, pl *paxosLead) {
 	ld, msgs := consensus.NewTakeover(tid, s.id, s.paxosAcceptors(), ballot, pl.seed)
 	pl.ld = ld
 	s.c.paxosTakeovers.Inc()
-	s.c.trace("%s paxos takeover of %s at ballot %d (attempt %d)", s.id, tid, ballot, pl.attempt)
 	if s.spansOn() {
 		s.pointSpan(spanPaxosTakeover, tid, pl.span, map[string]string{
 			"ballot": strconv.FormatUint(uint64(ballot), 10),
@@ -486,7 +485,6 @@ func (s *Site) paxosDecided(tid txn.ID, pl *paxosLead) {
 	if crashed {
 		return
 	}
-	s.c.trace("%s paxos takeover decided %s: commit=%v", s.id, tid, committed)
 	s.paxosAnnounce(tid, committed)
 	if coord := pl.ld.Coordinator(); coord != "" && coord != s.id {
 		s.send(protocol.Message{Kind: protocol.MsgPaxosDecision, TID: tid, To: coord, Committed: committed})
@@ -567,7 +565,7 @@ func (s *Site) paxosAnnounce(tid txn.ID, committed bool) {
 // any leader of our own.
 func (s *Site) onPaxosDecision(msg protocol.Message) {
 	if prev, known := s.store.Outcome(msg.TID); known && prev != msg.Committed {
-		s.c.trace("%s CONFLICTING paxos decision for %s: had %v, got %v", s.id, msg.TID, prev, msg.Committed)
+		s.noteConflict()
 		return
 	}
 	if pl, ok := s.plead[msg.TID]; ok {

@@ -319,7 +319,7 @@ func (s *Site) sendQuorumPrepares(ctx *coordCtx) {
 	for _, site := range ctx.participants {
 		items := writeOwner[site]
 		sort.Strings(items)
-		roOpt := len(items) == 0 && !s.c.cfg.DisableReadOnlyOpt
+		roOpt := len(items) == 0
 		var vals map[string]polyvalue.Poly
 		var vers map[string]uint64
 		if !roOpt {

@@ -4,42 +4,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/network"
 	"repro/internal/polyvalue"
-	"repro/internal/protocol"
 	"repro/internal/value"
 )
-
-// countMsgs runs fn against a fresh cluster and returns how many
-// messages the network carried.
-func newROCluster(t *testing.T, disable bool) *Cluster {
-	t.Helper()
-	c, err := New(Config{
-		Sites: []protocol.SiteID{"A", "B", "C"},
-		Net:   network.Config{Latency: 10 * time.Millisecond},
-		Placement: func(item string) protocol.SiteID {
-			switch item[0] {
-			case 'a':
-				return "A"
-			case 'b':
-				return "B"
-			default:
-				return "C"
-			}
-		},
-		DisableReadOnlyOpt: disable,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
 
 // TestReadOnlyParticipantCommits: a transaction with a read-only
 // participant commits correctly under the optimization.
 func TestReadOnlyParticipantCommits(t *testing.T) {
-	c := newROCluster(t, false)
+	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "bsrc", 500)
 	h, _ := c.Submit("A", "cflag = bsrc >= 100") // B is read-only
 	c.RunFor(time.Second)
@@ -51,31 +23,11 @@ func TestReadOnlyParticipantCommits(t *testing.T) {
 	}
 }
 
-// TestReadOnlyOptSavesMessages: the optimization strictly reduces
-// message count for the same transaction.
-func TestReadOnlyOptSavesMessages(t *testing.T) {
-	run := func(disable bool) int64 {
-		c := newROCluster(t, disable)
-		loadInt(t, c, "bsrc", 500)
-		h, _ := c.Submit("A", "cflag = bsrc >= 100")
-		c.RunFor(30 * time.Second) // include ack/GC traffic
-		if h.Status() != StatusCommitted {
-			t.Fatalf("status = %v", h.Status())
-		}
-		return c.NetStats().Sent
-	}
-	with := run(false)
-	without := run(true)
-	if with >= without {
-		t.Errorf("optimization did not save messages: %d vs %d", with, without)
-	}
-}
-
 // TestReadOnlyParticipantFreedEarly: the read-only site's items unlock
 // at ready time, before the coordinator even decides — a transaction
 // arriving in that window succeeds.
 func TestReadOnlyParticipantFreedEarly(t *testing.T) {
-	c := newROCluster(t, false)
+	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "bsrc", 500)
 	// Reads done at 20ms, C prepares at 30ms and is ready at 40ms, and
 	// only then is B prepared: it votes ready-read-only and releases at
@@ -95,26 +47,11 @@ func TestReadOnlyParticipantFreedEarly(t *testing.T) {
 	}
 }
 
-// TestReadOnlyDisabledStillCorrect: with the optimization off, the
-// read-only site runs the full protocol and everything still works.
-func TestReadOnlyDisabledStillCorrect(t *testing.T) {
-	c := newROCluster(t, true)
-	loadInt(t, c, "bsrc", 500)
-	h, _ := c.Submit("A", "cflag = bsrc >= 100")
-	c.RunFor(time.Second)
-	if h.Status() != StatusCommitted {
-		t.Fatalf("status = %v (%s)", h.Status(), h.Reason())
-	}
-	if v, ok := c.Read("cflag").IsCertain(); !ok || !v.Equal(value.Bool(true)) {
-		t.Errorf("cflag = %v", c.Read("cflag"))
-	}
-}
-
 // TestReadOnlyWithPolyvaluedInput: the optimization composes with §3.2 —
 // the read site ships a polyvalue, the write site composes alternatives,
 // and the read site still exits early.
 func TestReadOnlyWithPolyvaluedInput(t *testing.T) {
-	c := newROCluster(t, false)
+	c := newTestCluster(t, PolicyPolyvalue)
 	if err := c.Load("bsrc", polyvalue.Uncertain("T9",
 		polyvalue.Simple(value.Int(500)), polyvalue.Simple(value.Int(450)))); err != nil {
 		t.Fatal(err)

@@ -315,9 +315,6 @@ func (s *Site) close() { s.once.Do(func() { close(s.quit) }) }
 
 // handle dispatches one delivered message.
 func (s *Site) handle(msg protocol.Message) {
-	if s.c.tracing {
-		s.c.trace("%s recv %s", s.id, msg)
-	}
 	switch msg.Kind {
 	case protocol.MsgReadReq:
 		s.onReadReq(msg)
@@ -370,11 +367,8 @@ func (s *Site) handle(msg protocol.Message) {
 		s.onReadRelease(msg)
 	}
 	if cb := s.c.cfg.CheckpointBytes; cb > 0 && s.store.WALSize() > max(cb, 2*s.walFloor) {
-		if n, err := s.store.Checkpoint(); err != nil {
-			s.c.trace("%s checkpoint failed: %v", s.id, err)
-		} else {
+		if n, err := s.store.Checkpoint(); err == nil {
 			s.walFloor = n
-			s.c.trace("%s checkpointed WAL to %d bytes", s.id, n)
 		}
 	}
 }
@@ -420,7 +414,7 @@ func (s *Site) beginTxn(t txn.T, h *Handle) {
 
 	// §2.1 lock avoidance: a transaction entirely local to this site
 	// needs no atomic-update coordination at all — commit in one step.
-	if !s.c.cfg.DisableOnePhaseOpt && len(ctx.participants) == 1 && ctx.participants[0] == s.id {
+	if len(ctx.participants) == 1 && ctx.participants[0] == s.id {
 		s.onePhaseCommit(ctx, h)
 		return
 	}
@@ -509,7 +503,7 @@ func (s *Site) onePhaseCommit(ctx *coordCtx, h *Handle) {
 		return
 	}
 	defer s.releaseLocks(ctx.tid)
-	ex := &polytxn.Executor{MaxAlternatives: s.c.cfg.MaxAlternatives}
+	ex := &polytxn.Executor{}
 	res, err := ex.Execute(ctx.t, s.store.Get)
 	if err != nil {
 		s.c.aborted.Inc()
@@ -528,7 +522,6 @@ func (s *Site) onePhaseCommit(ctx *coordCtx, h *Handle) {
 		if _, certain := p.IsCertain(); !certain {
 			s.c.polyInstalls.Inc()
 			s.c.polyForks.Inc()
-			s.c.trace("%s poly-install %s item=%s", s.id, ctx.tid, item)
 			for _, dep := range p.DependsOn() {
 				_ = s.store.AddDepItem(dep, item)
 			}
@@ -538,7 +531,6 @@ func (s *Site) onePhaseCommit(ctx *coordCtx, h *Handle) {
 	s.c.committed.Inc()
 	s.decideHandle(h, StatusCommitted, "")
 	s.recordTxnRoot(ctx, StatusCommitted, "", true)
-	s.c.trace("%s one-phase commit of %s", s.id, ctx.tid)
 }
 
 // beginQuery starts a read-only query.  A non-zero certainBy deadline
@@ -618,7 +610,7 @@ func (s *Site) onReadRep(msg protocol.Message) {
 // completing (§3.4: "withhold those outputs until the uncertainty is
 // resolved").
 func (s *Site) finishQuery(ctx *coordCtx) {
-	ex := &polytxn.Executor{MaxAlternatives: s.c.cfg.MaxAlternatives}
+	ex := &polytxn.Executor{}
 	p, err := ex.EvalQuery(ctx.qnode, func(item string) polyvalue.Poly {
 		if v, ok := ctx.values[item]; ok {
 			return v
@@ -673,7 +665,6 @@ func (s *Site) onTxnDeadline(tid txn.ID) {
 		return
 	}
 	s.c.deadlineCoord.Inc()
-	s.c.trace("%s deadline exceeded on %s: aborting", s.id, tid)
 	s.decide(ctx, false, reasonDeadline)
 }
 
@@ -742,7 +733,7 @@ func (s *Site) sendPrepares(ctx *coordCtx) {
 				ctx.later = append(ctx.later, sink)
 			}
 		})
-	} else if !s.c.cfg.DisableReadOnlyOpt {
+	} else {
 		for _, site := range ctx.participants {
 			if _, writes := ctx.writeOwner[site]; !writes {
 				ctx.later = append(ctx.later, site)
@@ -798,7 +789,7 @@ func (s *Site) prepare(ctx *coordCtx, sites []protocol.SiteID) {
 		items := ctx.writeOwner[site]
 		// Read-only participants (no local writes) compute nothing, so
 		// they need no values and receive no forwarded polyvalues.
-		roOpt := len(items) == 0 && !s.c.cfg.DisableReadOnlyOpt
+		roOpt := len(items) == 0
 		var vals map[string]polyvalue.Poly
 		if !roOpt && len(ctx.values) > 0 {
 			vals = copyValues(ctx.values)
@@ -1063,7 +1054,6 @@ func (s *Site) onLockTimeout(tid txn.ID) {
 	if !ok || ctx.machine.State() != protocol.StateIdle {
 		return
 	}
-	s.c.trace("%s abandon read locks of %s (no prepare)", s.id, tid)
 	s.releaseLocks(tid)
 	delete(s.parts, tid)
 }
@@ -1078,7 +1068,6 @@ func (s *Site) onReadRelease(msg protocol.Message) {
 	if !ok || ctx.machine.State() != protocol.StateIdle {
 		return
 	}
-	s.c.trace("%s release read locks of %s (not in quorum)", s.id, msg.TID)
 	s.cancel(ctx.lockTimer)
 	s.releaseLocks(msg.TID)
 	delete(s.parts, msg.TID)
@@ -1161,7 +1150,7 @@ func (s *Site) onPrepare(msg protocol.Message) {
 			return
 		}
 	}
-	if len(msg.Items) == 0 && !s.c.cfg.DisableReadOnlyOpt {
+	if len(msg.Items) == 0 {
 		// Read-only participant: the reads were served (and held stable)
 		// since the read phase; vote ready-read-only, release, and leave
 		// the protocol — no wait phase, no decision message needed.
@@ -1223,7 +1212,7 @@ func (s *Site) onPrepare(msg protocol.Message) {
 	// the local store for what it lacks, then keep the local share.
 	// Previous values come from the local store (the items are locked,
 	// hence stable).
-	ex := &polytxn.Executor{MaxAlternatives: s.c.cfg.MaxAlternatives}
+	ex := &polytxn.Executor{}
 	res, err := ex.Execute(t, func(item string) polyvalue.Poly {
 		if v, ok := msg.Values[item]; ok {
 			return v
@@ -1327,7 +1316,6 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 	}
 	if ctx.deadline > 0 && now >= ctx.deadline {
 		s.c.deadlinePart.Inc()
-		s.c.trace("%s deadline expired in wait phase of %s", s.id, tid)
 	}
 	// enterBlocked switches the accountant from cause=lock to the given
 	// blocking cause: the ordinary hold so far is flushed, and a fresh
@@ -1342,7 +1330,6 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 		ctx.blocked = true
 		enterBlocked(causeInDoubt)
 		waitSpan("blocked")
-		s.c.trace("%s BLOCKED on %s (holding %d locks)", s.id, tid, len(ctx.locked))
 		s.armOutcomeRetry(tid, ctx.coordinator)
 		return
 	}
@@ -1352,7 +1339,6 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 		// atomicity violation the A3 ablation measures.
 		guess := arbitraryChoice(s.id, tid)
 		waitSpan("arbitrary")
-		s.c.trace("%s ARBITRARY decision for %s: commit=%v", s.id, tid, guess)
 		s.onOutcomeMsg(tid, guess)
 		return
 	}
@@ -1369,8 +1355,6 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 			s.c.degradedTxns.Inc()
 			enterBlocked(causeDegraded)
 			waitSpan("blocked-degraded")
-			s.c.trace("%s DEGRADED to blocking on %s (budget exhausted, holding %d locks)",
-				s.id, tid, len(ctx.locked))
 			s.armOutcomeRetry(tid, ctx.coordinator)
 			return
 		}
@@ -1379,7 +1363,6 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 		return
 	}
 	waitSpan("polyvalue")
-	s.c.trace("%s wait timeout on %s: installing polyvalues", s.id, tid)
 	// Durably swap the prepared entry for an await entry: a crash from
 	// here on must still know to ask ctx.coordinator for the outcome.
 	_ = s.store.SetAwait(tid, string(ctx.coordinator))
@@ -1400,14 +1383,12 @@ func (s *Site) installPolyvalues(tid txn.ID, writes, previous map[string]polyval
 	for _, item := range sortedKeys(writes) {
 		p := polyvalue.Uncertain(tid, writes[item], previous[item])
 		if err := s.put(item, p); err != nil {
-			s.c.trace("%s put %s: %v", s.id, item, err)
 			continue
 		}
 		if _, certain := p.IsCertain(); certain {
 			continue // new equals old: no uncertainty introduced
 		}
 		s.c.polyInstalls.Inc()
-		s.c.trace("%s poly-install %s item=%s", s.id, tid, item)
 		for _, dep := range p.DependsOn() {
 			_ = s.store.AddDepItem(dep, item)
 		}
@@ -1427,10 +1408,8 @@ func (s *Site) updateBudget() {
 	poly, deps := s.store.PolyCount(), s.store.DepCount()
 	switch s.budget.Update(poly, deps) {
 	case 1:
-		s.c.trace("%s budget exhausted (poly=%d deps=%d): degrading to blocking 2PC", s.id, poly, deps)
 		s.pointSpan(spanDegrade, "", 0, budgetAttrs(poly, deps))
 	case -1:
-		s.c.trace("%s budget freed (poly=%d deps=%d): restoring polyvalue mode", s.id, poly, deps)
 		s.pointSpan(spanRestore, "", 0, budgetAttrs(poly, deps))
 	}
 }
@@ -1479,7 +1458,6 @@ func (s *Site) onOutcomeMsg(tid txn.ID, committed bool) {
 		for _, item := range sortedKeys(ctx.writes) {
 			p := ctx.writes[item]
 			if err := s.put(item, p); err != nil {
-				s.c.trace("%s put %s: %v", s.id, item, err)
 				continue
 			}
 			// A polytransaction's committed result may itself be a
@@ -1487,7 +1465,6 @@ func (s *Site) onOutcomeMsg(tid txn.ID, committed bool) {
 			if _, certain := p.IsCertain(); !certain {
 				s.c.polyInstalls.Inc()
 				s.c.polyForks.Inc()
-				s.c.trace("%s poly-install %s item=%s", s.id, tid, item)
 				for _, dep := range p.DependsOn() {
 					_ = s.store.AddDepItem(dep, item)
 				}
@@ -1611,10 +1588,8 @@ func (s *Site) armOutcomeRetryN(tid txn.ID, coordinator protocol.SiteID, attempt
 			return
 		}
 		if err := s.store.SetOutcome(tid, false); err != nil {
-			s.c.trace("%s self presumed-abort log error for %s: %v", s.id, tid, err)
 			return
 		}
-		s.c.trace("%s self presumed abort for %s", s.id, tid)
 		s.resolveOutcome(tid, false)
 		return
 	}
@@ -1653,7 +1628,6 @@ func (s *Site) armDecisionResend(tid txn.ID, committed bool, attempt int) {
 			kind = protocol.MsgComplete
 		}
 		for _, site := range sortedKeys(waiting) {
-			s.c.trace("%s resend %s of %s to %s (attempt %d)", s.id, kind, tid, site, attempt)
 			s.send(protocol.Message{Kind: kind, TID: tid, To: site, Committed: committed})
 			s.c.decisionResends.Inc()
 		}
@@ -1662,12 +1636,13 @@ func (s *Site) armDecisionResend(tid txn.ID, committed bool, attempt int) {
 }
 
 // retryBackoff returns the delay before retry number attempt (1-based):
-// capped exponential backoff with ±50% jitter, mirroring the TCP
+// exponential backoff from RetryInterval, capped at 8×RetryInterval,
+// with ±50% jitter, mirroring the TCP
 // reconnect policy.  The jitter is a hash of (site, tid, attempt)
 // rather than a PRNG draw, so simulated runs stay deterministic.
 func (s *Site) retryBackoff(tid txn.ID, attempt int) vclock.Time {
 	d := s.c.cfg.RetryInterval
-	limit := s.c.cfg.RetryBackoffMax
+	limit := 8 * d
 	for i := 1; i < attempt && d < limit; i++ {
 		d *= 2
 	}
@@ -1714,11 +1689,18 @@ func (s *Site) onOutcomeReq(msg protocol.Message) {
 		return
 	}
 	if err := s.store.SetOutcome(msg.TID, false); err != nil {
-		s.c.trace("%s presumed-abort log error for %s: %v", s.id, msg.TID, err)
 		return
 	}
-	s.c.trace("%s presumed abort for %s", s.id, msg.TID)
 	s.send(protocol.Message{Kind: protocol.MsgOutcomeInfo, TID: msg.TID, To: msg.From, Committed: false})
+}
+
+// noteConflict counts an outcome report that contradicts the outcome on
+// record: this site was told both outcomes of one transaction, an
+// atomicity break that check 8 of CheckInvariants reports.  The series
+// is registered on first use, so runs without a conflict export nothing
+// new.
+func (s *Site) noteConflict() {
+	s.c.reg.Counter("txn.outcome.conflicts", metrics.L("site", string(s.id))).Inc()
 }
 
 // resolveOutcome records a learned outcome, settles any blocked or
@@ -1726,7 +1708,7 @@ func (s *Site) onOutcomeReq(msg protocol.Message) {
 // propagates the news to listed sites (§3.3).
 func (s *Site) resolveOutcome(tid txn.ID, committed bool) {
 	if prev, known := s.store.Outcome(tid); known && prev != committed {
-		s.c.trace("%s CONFLICTING outcome for %s: had %v, got %v", s.id, tid, prev, committed)
+		s.noteConflict()
 		return
 	}
 	_ = s.store.SetOutcome(tid, committed)
@@ -1802,11 +1784,9 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 		}
 		reduced := p.Resolve(tid, committed)
 		if err := s.put(item, reduced); err != nil {
-			s.c.trace("%s reduce %s: %v", s.id, item, err)
 			continue
 		}
 		s.c.polyReductions.Inc()
-		s.c.trace("%s poly-reduce %s item=%s", s.id, tid, item)
 		reducedItems = append(reducedItems, item)
 	}
 	if s.spansOn() && len(reducedItems) > 0 {
@@ -1886,20 +1866,16 @@ func (s *Site) armSweep() {
 // O(due entries): the slice is compacted only once the head passes its
 // middle.
 func (s *Site) sweepOutcomes() {
-	now, forgot := s.c.clk.Now(), 0
+	now := s.c.clk.Now()
 	for ; s.expHead < len(s.expiries) && s.expiries[s.expHead].at <= now; s.expHead++ {
 		tid := s.expiries[s.expHead].tid
 		if _, coordinating := s.acks[tid]; coordinating || s.store.HasDeps(tid) {
 			continue
 		}
 		s.store.ForgetOutcome(tid)
-		forgot++
 	}
 	if s.expHead > len(s.expiries)/2 {
 		s.expiries, s.expHead = slices.Delete(s.expiries, 0, s.expHead), 0
-	}
-	if forgot > 0 {
-		s.c.trace("%s forgot %d outcome records", s.id, forgot)
 	}
 	s.armSweep()
 }
@@ -1981,7 +1957,6 @@ func (s *Site) crash() {
 	s.decidedAt = map[txn.ID]vclock.Time{}
 	s.lockAt = map[string]vclock.Time{}
 	s.spanOf = map[txn.ID]trace.SpanID{}
-	s.c.trace("%s crashed", s.id)
 }
 
 // durabilityPanic is the fsyncgate discipline's teeth: a write or fsync
@@ -1998,11 +1973,6 @@ func (s *Site) durabilityPanic(tid txn.ID, err error) {
 	}
 	s.durLost = true
 	s.durPanics.Inc()
-	if tid != "" {
-		s.c.trace("%s DURABILITY PANIC for %s: %v", s.id, tid, err)
-	} else {
-		s.c.trace("%s DURABILITY PANIC: %v", s.id, err)
-	}
 	if !s.down {
 		s.crash()
 	}
@@ -2020,7 +1990,6 @@ func (s *Site) restart() {
 		// The in-memory store may have run ahead of the disk when the
 		// log died; restarting it would resurrect unsynced state.  Only
 		// a node rebuild (re-reading the on-disk bytes) recovers.
-		s.c.trace("%s restart refused: durability lost, rebuild required", s.id)
 		return
 	}
 	s.setDown(false)
@@ -2045,13 +2014,11 @@ func (s *Site) restart() {
 // await entries resume their outcome-request loops.  Called on site
 // restart and, for file-backed clusters, at process start.
 func (s *Site) recoverDurableState() {
-	s.c.trace("%s recovering with %d prepared txns", s.id, len(s.store.PreparedTxns()))
 	for _, prep := range s.store.PreparedTxns() {
 		coord := protocol.SiteID(prep.Coordinator)
 		if s.c.cfg.Policy == PolicyArbitrary {
 			guess := arbitraryChoice(s.id, prep.TID)
 			s.c.inDoubt.Inc()
-			s.c.trace("%s ARBITRARY recovery decision for %s: commit=%v", s.id, prep.TID, guess)
 			if guess {
 				for _, item := range sortedKeys(prep.Writes) {
 					_ = s.put(item, prep.Writes[item])
@@ -2072,7 +2039,6 @@ func (s *Site) recoverDurableState() {
 			s.updateBudget()
 			if s.budget.Degraded() || s.budget.OverPolyWith(s.store.PolyCount()+len(prep.Writes)) {
 				s.c.degradedTxns.Inc()
-				s.c.trace("%s DEGRADED recovery of %s: re-locking instead of installing", s.id, prep.TID)
 				s.recoverBlocking(prep, coord, causeDegraded)
 				continue
 			}

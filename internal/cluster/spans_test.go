@@ -117,7 +117,8 @@ func TestSpansCommittedTransfer(t *testing.T) {
 
 // TestSpansCoordinatorCrash pins the paper's headline scenario in span
 // form: the coordinator dies before deciding, participants install
-// polyvalues (poly.install), and recovery reduces them (poly.reduce).
+// polyvalues (poly.install), and recovery presumes abort and reduces
+// them to the abort branch (poly.reduce outcome=abort).
 // The handle stays pending, so no root span is ever recorded — exactly
 // why the harness audits completeness only for decided transactions.
 func TestSpansCoordinatorCrash(t *testing.T) {
@@ -129,6 +130,9 @@ func TestSpansCoordinatorCrash(t *testing.T) {
 	c.RunFor(2 * time.Second)
 	if h.Status() != StatusPending {
 		t.Fatalf("status = %v", h.Status())
+	}
+	if info, err := c.SiteInfo("A"); err != nil || !info.Down {
+		t.Fatalf("coordinator did not crash at before-decision: %+v, %v", info, err)
 	}
 	k := kinds(spans.Spans())
 	if k["poly.install"] != 2 {
@@ -144,11 +148,19 @@ func TestSpansCoordinatorCrash(t *testing.T) {
 	if k["poly.reduce"] == 0 {
 		t.Error("no poly.reduce span after recovery")
 	}
+	// The restarted coordinator has no decision on record: it presumes
+	// abort, logs it, and every reduction takes the abort branch.
+	if committed, known := c.Store("A").Outcome(h.TID); !known || committed {
+		t.Errorf("coordinator outcome = %v (known %v), want presumed abort", committed, known)
+	}
 	// The wait spans must say how the participants resolved.
 	var sawPolyResolution bool
 	for _, sp := range spans.ByTID(string(h.TID)) {
 		if sp.Kind == "part.wait" && sp.Attrs["resolution"] == "polyvalue" {
 			sawPolyResolution = true
+		}
+		if sp.Kind == "poly.reduce" && sp.Attrs["outcome"] != "abort" {
+			t.Errorf("poly.reduce at %s took outcome %q, want abort", sp.Site, sp.Attrs["outcome"])
 		}
 	}
 	if !sawPolyResolution {

@@ -3,115 +3,78 @@ package cluster
 import (
 	"testing"
 	"time"
-
-	"repro/internal/network"
-	"repro/internal/polyvalue"
-	"repro/internal/protocol"
-	"repro/internal/trace"
-	"repro/internal/value"
 )
 
-// tracedCluster builds a 3-site cluster with an attached trace ring.
-func tracedCluster(t *testing.T) (*Cluster, *trace.Ring) {
-	t.Helper()
-	ring := trace.NewRing(10000)
-	c, err := New(Config{
-		Sites:  []protocol.SiteID{"A", "B", "C"},
-		Net:    network.Config{Latency: 10 * time.Millisecond},
-		Tracer: ring,
-		Placement: func(item string) protocol.SiteID {
-			switch item[0] {
-			case 'a':
-				return "A"
-			case 'b':
-				return "B"
-			default:
-				return "C"
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c, ring
-}
-
-// TestTraceShowsFigure1CommitPath: the protocol trace for a clean commit
-// whose write at B reads an item at A contains the Figure 1 message
-// sequence in order: read-req → read-rep → prepare → ready → complete.
-func TestTraceShowsFigure1CommitPath(t *testing.T) {
-	c, ring := tracedCluster(t)
-	for item, v := range map[string]int64{"ax": 1, "bx": 1} {
-		if err := c.Load(item, polyvalue.Simple(value.Int(v))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h, _ := c.Submit("A", "bx = bx + ax")
-	c.RunFor(time.Second)
-	if h.Status() != StatusCommitted {
-		t.Fatal("setup failed")
-	}
-	for _, step := range []string{
-		"A send read-req A->B",
-		"B send read-rep B->A",
-		"A send prepare A->B",
-		"B send ready B->A",
-		"A send complete A->B",
-	} {
-		if !ring.Contains(step) {
-			t.Errorf("trace missing %q\n%s", step, ring.String())
-		}
-	}
-}
-
 // TestTraceShowsOneRoundCommitPath: a write that reads only items at its
-// own site skips the read round: prepare → ready → complete, and no
-// read request at all.
+// own site skips the read round: prepare → ready → complete on the wire,
+// no read request at all, and no read phase in the span tree.
 func TestTraceShowsOneRoundCommitPath(t *testing.T) {
-	c, ring := tracedCluster(t)
-	if err := c.Load("bx", polyvalue.Simple(value.Int(1))); err != nil {
-		t.Fatal(err)
-	}
+	c, spans := newSpanCluster(t, PolicyPolyvalue, nil)
+	loadInt(t, c, "bx", 1)
 	h, _ := c.Submit("A", "bx = bx + 1")
 	c.RunFor(time.Second)
 	if h.Status() != StatusCommitted || readInt(t, c, "bx") != 2 {
 		t.Fatalf("status %v, bx %v", h.Status(), c.Read("bx"))
 	}
-	for _, step := range []string{
-		"A send prepare A->B",
-		"B send ready B->A",
-		"A send complete A->B",
-	} {
-		if !ring.Contains(step) {
-			t.Errorf("trace missing %q\n%s", step, ring.String())
+	st := c.NetStats()
+	for _, kind := range []string{"prepare", "ready", "complete"} {
+		if st.SentByType[kind] != 1 {
+			t.Errorf("sent{type=%s} = %d, want 1\n%s", kind, st.SentByType[kind], st.Format())
 		}
 	}
-	if ring.Contains("read-req") {
-		t.Errorf("one-round commit sent a read request:\n%s", ring.String())
+	if n := st.SentByType["read-req"]; n != 0 {
+		t.Errorf("one-round commit sent %d read requests\n%s", n, st.Format())
+	}
+	k := kinds(spans.ByTID(string(h.TID)))
+	if k["phase.read"] != 0 || k["phase.prepare"] != 1 {
+		t.Errorf("span kinds %v, want a prepare phase and no read phase", k)
 	}
 }
 
 // TestTraceShowsPolyvalueInstallOnTimeout: the wait-timeout path appears
-// in the trace exactly as Figure 1's timeout edge prescribes.
+// in the span log exactly as Figure 1's timeout edge prescribes: the
+// coordinator crashes before deciding, the participant's wait ends in a
+// polyvalue install, and recovery presumes abort and reduces it.
 func TestTraceShowsPolyvalueInstallOnTimeout(t *testing.T) {
-	c, ring := tracedCluster(t)
-	if err := c.Load("bx", polyvalue.Simple(value.Int(1))); err != nil {
-		t.Fatal(err)
-	}
+	c, spans := newSpanCluster(t, PolicyPolyvalue, nil)
+	loadInt(t, c, "bx", 1)
 	c.ArmCrashBeforeDecision("A")
-	_, _ = c.Submit("A", "bx = bx + 1")
+	h, _ := c.Submit("A", "bx = bx + 1")
 	c.RunFor(2 * time.Second)
-	if !ring.Contains("CRASH at before-decision") {
-		t.Error("failpoint crash not traced")
+	if info, err := c.SiteInfo("A"); err != nil || !info.Down {
+		t.Fatalf("failpoint crash at before-decision did not happen: %+v, %v", info, err)
 	}
-	if !ring.Contains("wait timeout") || !ring.Contains("installing polyvalues") {
-		t.Errorf("timeout path not traced:\n%s", ring.String())
+	var timedOut bool
+	k := map[string]int{}
+	for _, sp := range spans.ByTID(string(h.TID)) {
+		k[sp.Kind]++
+		if sp.Kind == "part.wait" && sp.Attrs["resolution"] == "polyvalue" {
+			timedOut = true
+		}
 	}
+	if !timedOut || k["poly.install"] != 1 {
+		t.Errorf("timeout path not traced: polyvalue wait %v, poly.install spans %d (%v)", timedOut, k["poly.install"], k)
+	}
+
 	// Recovery path: presumed abort and reduction.
 	c.Restart("A")
 	c.RunFor(10 * time.Second)
-	if !ring.Contains("presumed abort") {
-		t.Error("presumed abort not traced")
+	if committed, known := c.Store("A").Outcome(h.TID); !known || committed {
+		t.Errorf("coordinator outcome = %v (known %v), want presumed abort", committed, known)
+	}
+	var reduced bool
+	for _, sp := range spans.ByTID(string(h.TID)) {
+		if sp.Kind == "poly.reduce" {
+			reduced = true
+			if sp.Attrs["outcome"] != "abort" {
+				t.Errorf("poly.reduce at %s took outcome %q, want abort", sp.Site, sp.Attrs["outcome"])
+			}
+		}
+	}
+	if !reduced {
+		t.Error("no poly.reduce span after recovery")
+	}
+	if got := readInt(t, c, "bx"); got != 1 {
+		t.Errorf("bx = %d after presumed abort, want 1", got)
 	}
 }

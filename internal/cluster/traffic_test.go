@@ -26,9 +26,11 @@ import (
 // site reads only its own: it is prepared first, sends the coordinator
 // that value, and the credit site is prepared with it — a chain, with no
 // read round.  An unguarded transfer needs no value at all: 8 and 7
-// messages, and 4 for the single participant.  A program with a
-// read-only participant keeps the read round, 2 read-req and 2 read-rep,
-// and that participant gets no decision and sends no ack.
+// messages, and 4 for the single participant, which reads only its own
+// items and so skips the read round.  A program with a read-only
+// participant keeps the read round, 2 read-req and 2 read-rep, and that
+// participant gets no decision and sends no ack — Figure 1's sequence,
+// whether or not the coordinator hosts the read.
 //
 // Gray & Lamport's two-phase commit costs 3N−1 = 5 (3N−3 = 3 with the
 // coordinator co-located): there the initiating participant's
@@ -46,6 +48,7 @@ func TestTransferMessageCounts(t *testing.T) {
 		guarded   = "a1 = a1 - 5 if a1 >= 5; b1 = b1 + 5 if a1 >= 5"
 		oneSite   = "a1 = a1 - 5 if a1 >= 5; a2 = a2 + 5 if a1 >= 5"
 		readOnly  = "b1 = b1 + 5 if a1 >= 5"
+		figure1   = "b1 = b1 + a1"
 	)
 	for _, tc := range []struct {
 		name    string
@@ -62,6 +65,8 @@ func TestTransferMessageCounts(t *testing.T) {
 		{"guarded, coordinator hosts neither", guarded, "C", map[string]int64{
 			"read-rep": 1, "prepare": 2, "ready": 2, "complete": 2, "outcome-ack": 2}},
 		{"read-only participant", readOnly, "C", map[string]int64{
+			"read-req": 2, "read-rep": 2, "prepare": 2, "ready": 2, "complete": 1, "outcome-ack": 1}},
+		{"figure 1, coordinator hosts the read", figure1, "A", map[string]int64{
 			"read-req": 2, "read-rep": 2, "prepare": 2, "ready": 2, "complete": 1, "outcome-ack": 1}},
 		{"guarded, single participant", oneSite, "C", map[string]int64{
 			"prepare": 1, "ready": 1, "complete": 1, "outcome-ack": 1}},

@@ -25,7 +25,7 @@ import (
 // REPL is one interactive session over a cluster it owns.
 type REPL struct {
 	c       *cluster.Cluster
-	ring    *trace.Ring
+	spans   *trace.SpanLog
 	out     io.Writer
 	handles map[string]*cluster.Handle
 	queries map[string]*cluster.QueryHandle
@@ -44,19 +44,18 @@ func New(sites int, policy cluster.Policy, seed int64, out io.Writer) (*REPL, er
 	for i := range ids {
 		ids[i] = protocol.SiteID(fmt.Sprintf("site%d", i))
 	}
-	ring := trace.NewRing(5000)
+	spans := trace.NewSpanLog(5000)
 	c, err := cluster.New(cluster.Config{
 		Sites:  ids,
 		Net:    network.Config{Latency: 10 * time.Millisecond, Seed: seed},
 		Policy: policy,
-		Tracer: ring,
+		Spans:  spans,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ring.Clock = c.Now
 	return &REPL{
-		c: c, ring: ring, out: out,
+		c: c, spans: spans, out: out,
 		handles: map[string]*cluster.Handle{},
 		queries: map[string]*cluster.QueryHandle{},
 	}, nil
@@ -289,7 +288,7 @@ func (r *REPL) Execute(line string) error {
 			fmt.Fprintln(r.out, "VIOLATION:", v)
 		}
 	case "trace":
-		n := 20
+		n := 5
 		if len(args) == 1 {
 			parsed, err := strconv.Atoi(args[0])
 			if err != nil || parsed < 1 {
@@ -297,13 +296,11 @@ func (r *REPL) Execute(line string) error {
 			}
 			n = parsed
 		}
-		entries := r.ring.Entries()
-		if len(entries) > n {
-			entries = entries[len(entries)-n:]
+		tls := trace.BuildTimelines(r.spans.Spans())
+		if len(tls) > n {
+			tls = tls[len(tls)-n:]
 		}
-		for _, e := range entries {
-			fmt.Fprintln(r.out, e)
-		}
+		fmt.Fprint(r.out, trace.RenderTimelines(tls))
 	default:
 		return fmt.Errorf("unknown command %q (try help)", cmd)
 	}
@@ -334,7 +331,8 @@ func (r *REPL) printHelp() {
   crash/restart <site>         fail / repair a site
   armcrash <site>              crash at the site's next commit decision
   partition/heal <a> <b>       cut / restore a link; healall restores all
-  sites | stats | trace [n]    inspect the cluster
+  sites | stats                inspect the cluster
+  trace [n]                    span timelines of the last n transactions (default 5)
   check                        verify global invariants (quiescent cluster)
   quit
 `)

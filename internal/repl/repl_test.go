@@ -124,16 +124,22 @@ healall
 }
 
 func TestTraceAndHelp(t *testing.T) {
+	// y at site1 reads x at site0: a read round, then the commit rounds.
 	out := session(t, `
 load x 1
-submit site0 x = 2
+load y 1
+submit site1 y = x + y
 run 1s
 trace 5
 help
 `)
-	if !strings.Contains(out, "send") && !strings.Contains(out, "recv") &&
-		!strings.Contains(out, "one-phase") {
-		t.Errorf("trace empty: %s", out)
+	for _, want := range []string{
+		"txn t.T1 [committed]",
+		"phase.read", "locks", "part.compute", "part.wait", "phase.settle",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace missing %q:\n%s", want, out)
+		}
 	}
 	if !strings.Contains(out, "commands:") {
 		t.Errorf("help missing: %s", out)

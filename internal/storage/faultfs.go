@@ -306,14 +306,16 @@ func (f *FaultFS) stall(path string) {
 		if !r.stuck && f.rng.Float64() >= r.P {
 			continue
 		}
+		// Draw the delay before a one-shot rule is removed: r points into
+		// f.rules, which the removal shifts.
+		d = r.MinDelay
+		if r.MaxDelay > r.MinDelay {
+			d += time.Duration(f.rng.Int63n(int64(r.MaxDelay - r.MinDelay)))
+		}
 		if r.Sticky {
 			r.stuck = true
 		} else if r.Once {
 			f.rules = append(f.rules[:i], f.rules[i+1:]...)
-		}
-		d = r.MinDelay
-		if r.MaxDelay > r.MinDelay {
-			d += time.Duration(f.rng.Int63n(int64(r.MaxDelay - r.MinDelay)))
 		}
 		f.noteLocked(DiskSlow, path)
 		break

@@ -195,6 +195,27 @@ func TestFaultFSSlowDelays(t *testing.T) {
 	}
 }
 
+// TestFaultFSOnceSlowDelays: a one-shot slow rule stalls its one
+// operation by its own delay, even when another rule follows it in the
+// plan.
+func TestFaultFSOnceSlowDelays(t *testing.T) {
+	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 5})
+	ffs.SetRule(DiskRule{Kind: DiskSlow, P: 1, Once: true, MinDelay: 20 * time.Millisecond})
+	ffs.SetRule(DiskRule{Kind: DiskENOSPC, P: 0.001})
+	log, err := OpenFileLogFS(ffs, tmpLog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	start := time.Now()
+	if _, err := log.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 15*time.Millisecond {
+		t.Fatalf("one-shot slow rule did not stall: write took %s", d)
+	}
+}
+
 func TestFaultFSDeterministicWithSeed(t *testing.T) {
 	run := func() []string {
 		ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 42})

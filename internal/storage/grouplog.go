@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"sync"
-	"time"
 )
 
 // ErrGroupLogClosed is returned by GroupLog operations after Close.
@@ -14,8 +13,7 @@ var ErrGroupLogClosed = errors.New("storage: group log closed")
 // retires the whole buffer with a single file write + fsync.  Callers
 // that need durability wait on WaitSynced for their bytes to reach disk
 // instead of paying a private fsync — one disk sync is amortized over
-// every event that arrived during the previous sync (and, with a
-// non-zero window, over a short accumulation delay on top).
+// every event that arrived during the previous sync.
 //
 // Positions are byte offsets in enqueue order: Write assigns each frame
 // the range (Seq-len, Seq]; WaitSynced(seq) returns once at least seq
@@ -27,7 +25,6 @@ type GroupLog struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	f      *FileLog
-	window time.Duration
 	buf    []byte
 	enq    uint64 // bytes accepted into buf, total
 	synced uint64 // bytes durably on disk, total
@@ -42,19 +39,16 @@ type GroupLog struct {
 	batched uint64 // frames retired (Write calls)
 }
 
-// NewGroupLog starts a group-commit stage over f.  A zero window means
-// "flush as soon as the flusher is free": each fsync still covers every
-// frame that arrived while the previous fsync was in flight, which is
-// the classic self-clocking group commit.  A positive window adds a
-// fixed accumulation delay before each flush, trading latency for
-// larger groups.
-func NewGroupLog(f *FileLog, window time.Duration) *GroupLog {
+// NewGroupLog starts a group-commit stage over f.  The flusher flushes
+// as soon as it is free: each fsync covers every frame that arrived
+// while the previous fsync was in flight, which is the classic
+// self-clocking group commit.
+func NewGroupLog(f *FileLog) *GroupLog {
 	g := &GroupLog{
-		f:      f,
-		window: window,
-		kick:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-		idle:   make(chan struct{}),
+		f:    f,
+		kick: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+		idle: make(chan struct{}),
 	}
 	g.cond = sync.NewCond(&g.mu)
 	go g.flusher()
@@ -155,9 +149,8 @@ func (g *GroupLog) flush() {
 	g.mu.Unlock()
 }
 
-// flusher is the background group-commit loop: on each kick it
-// optionally sleeps the accumulation window, then retires the whole
-// buffer with one write+sync.  A frame written while a flush is in
+// flusher is the background group-commit loop: on each kick it retires
+// the whole buffer with one write+sync.  A frame written while a flush is in
 // flight re-arms the kick, so nothing waits for a later writer.
 func (g *GroupLog) flusher() {
 	defer close(g.idle)
@@ -168,15 +161,6 @@ func (g *GroupLog) flusher() {
 		case <-g.quit:
 			return
 		case <-g.kick:
-			if g.window > 0 {
-				timer := time.NewTimer(g.window)
-				select {
-				case <-timer.C:
-				case <-g.quit:
-					timer.Stop()
-					return
-				}
-			}
 			g.flush()
 		}
 	}

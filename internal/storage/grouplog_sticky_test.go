@@ -18,10 +18,11 @@ func TestGroupLogStickyFsyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// The window holds the flusher back long enough for every waiter to
-	// park on the one flush that is going to fail.
+	// A slow first disk operation holds the flusher back long enough for
+	// every waiter to park on the one flush that is going to fail.
+	ffs.SetRule(DiskRule{Kind: DiskSlow, P: 1, Once: true, MinDelay: 50 * time.Millisecond})
 	ffs.SetRule(DiskRule{Kind: DiskFsync, P: 1, Once: true})
-	g := NewGroupLog(f, 50*time.Millisecond)
+	g := NewGroupLog(f)
 	defer g.Close()
 
 	// Park several waiters on frames that will never sync.

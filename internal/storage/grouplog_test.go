@@ -20,7 +20,7 @@ func TestGroupLogConcurrentWaiters(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer f.Close()
-	g := NewGroupLog(f, 0)
+	g := NewGroupLog(f)
 
 	const workers = 8
 	const frames = 50
@@ -95,7 +95,7 @@ func TestGroupLogClose(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer f.Close()
-	g := NewGroupLog(f, 0)
+	g := NewGroupLog(f)
 	if _, err := g.Write([]byte("tail")); err != nil {
 		t.Fatalf("write: %v", err)
 	}

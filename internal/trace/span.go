@@ -1,3 +1,8 @@
+// Package trace records structured per-transaction spans for the
+// protocol and cluster runtimes and merges them into cross-site
+// timelines: the span log behind the REPL's trace command, the
+// telemetry endpoints, polytrace and the tests that assert on protocol
+// behaviour.
 package trace
 
 import (
@@ -16,8 +21,7 @@ type SpanID uint64
 
 // Span is one structured trace event: a named interval of a
 // transaction's life at one site, causally linked to its parent.  Spans
-// complement the line ring — the ring answers "what happened here, in
-// order", spans answer "what happened to transaction T, everywhere".
+// answer "what happened to transaction T, everywhere".
 //
 // Times are vclock instants (nanoseconds since the owning scheduler's
 // epoch): deterministic under simulation, wall-anchored in live runs.
@@ -33,8 +37,8 @@ type Span struct {
 	Attrs  map[string]string `json:"attrs,omitempty"`
 }
 
-// SpanLog is a bounded in-memory span recorder: a circular buffer like
-// Ring, but holding structured spans.  When full, each new span
+// SpanLog is a bounded in-memory span recorder: a circular buffer of
+// structured spans.  When full, each new span
 // overwrites the oldest and the dropped count grows — silent loss is
 // always queryable.  Safe for concurrent use.
 type SpanLog struct {

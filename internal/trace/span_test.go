@@ -111,32 +111,3 @@ func TestSpanLogInstrument(t *testing.T) {
 		t.Fatalf("trace.spans.retained = %d, want 2", v)
 	}
 }
-
-// TestRingConcurrentMixed interleaves writers with readers of every
-// query method; meaningful under -race.
-func TestRingConcurrentMixed(t *testing.T) {
-	r := NewRing(32)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				r.Event("g%d event %d", g, i)
-			}
-		}(g)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Entries()
-				r.Dropped()
-				r.Contains("event 5")
-				r.Count("g0")
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(r.Entries()) + r.Dropped(); got != 4*300 {
-		t.Fatalf("retained+dropped = %d, want 1200", got)
-	}
-}
