@@ -143,7 +143,7 @@ func RunExperiment(e Experiment) (ExperimentReport, error) { return harness.Run(
 // ---------------------------------------------------------------------
 
 // Transport is the message fabric a cluster site sends protocol
-// messages through: the simulated network (NewSimTransport) or real TCP
+// messages through: the simulated network NewCluster builds, or real TCP
 // sockets between processes (NewTCPTransport).
 type Transport = transport.Transport
 
@@ -154,10 +154,6 @@ type TCPTransport = transport.TCP
 
 // TCPTransportConfig parameterizes a TCP transport for one site.
 type TCPTransportConfig = transport.TCPConfig
-
-// TransportStats snapshots a TCP transport's counters, with a sorted
-// per-peer breakdown.
-type TransportStats = transport.TCPStats
 
 // NewTCPTransport opens the listener and starts per-peer writers.
 func NewTCPTransport(cfg TCPTransportConfig) (*TCPTransport, error) {

@@ -289,7 +289,7 @@ func main() {
 	if err != nil {
 		fatal("control listen %s: %v", *control, err)
 	}
-	srv := &server{self: self, node: node, fab: fab, inj: inj, disk: disk, spans: spans}
+	srv := &server{self: self, node: node, inj: inj, disk: disk, spans: spans}
 	if det, ok := fabric.(*guard.Detector); ok {
 		srv.det = det
 	}
@@ -321,7 +321,7 @@ func main() {
 		st := node.Stats()
 		fmt.Printf("polynode[%s] cluster: committed=%d aborted=%d in_doubt=%d poly_installs=%d poly_reductions=%d\n",
 			self, st.Committed, st.Aborted, st.InDoubt, st.PolyInstalls, st.PolyReductions)
-		fmt.Printf("polynode[%s] transport:\n%s", self, fab.Stats().Format())
+		fmt.Printf("polynode[%s] %s\n", self, transportTotals(reg))
 	}
 }
 
@@ -398,7 +398,6 @@ func parsePlacement(s string, peers map[protocol.SiteID]string) (func(string) pr
 type server struct {
 	self  protocol.SiteID
 	node  *cluster.Cluster
-	fab   *transport.TCP
 	inj   *fault.Injector
 	disk  *storage.FaultFS // nil unless -data was given
 	det   *guard.Detector  // nil unless -heartbeat was given
@@ -628,13 +627,21 @@ func (s *server) execute(line string) []string {
 			}
 			out = append(out, fmt.Sprintf("| detector suspects=%d [%s]", len(suspects), strings.Join(parts, " ")))
 		}
-		for _, l := range strings.Split(strings.TrimRight(s.fab.Stats().Format(), "\n"), "\n") {
-			out = append(out, "| "+l)
-		}
+		out = append(out, "| "+transportTotals(s.node.Metrics()))
 		return append(out, "OK")
 	default:
 		return []string{"ERR unknown command " + cmd}
 	}
+}
+
+// transportTotals sums the fabric's registry series over peers, message
+// types and reasons into one line.
+func transportTotals(reg *metrics.Registry) string {
+	snap := reg.Snapshot()
+	return fmt.Sprintf("transport: sent=%d delivered=%d dropped=%d reconnects=%d conn_errors=%d queue_dropped=%d decode_errors=%d",
+		snap.Total("network.sent"), snap.Total("network.delivered"), snap.Total("network.dropped"),
+		snap.Total("transport.reconnects"), snap.Total("transport.conn.errors"),
+		snap.Total("transport.queue.dropped"), snap.Total("transport.decode.errors"))
 }
 
 // formatPoly renders a value as "certain <v>" or "poly <p>".

@@ -33,7 +33,7 @@ func startServer(t *testing.T, cfg cluster.Config, peers map[protocol.SiteID]str
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Close)
-	return &server{self: "A", node: node, fab: fab, inj: inj}
+	return &server{self: "A", node: node, inj: inj}
 }
 
 // TestControlProtocol walks the control verbs on a one-site node; the

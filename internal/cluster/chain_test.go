@@ -26,10 +26,13 @@ func TestDuplicatedPrepareRunsOnce(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		c, err := New(Config{
 			Sites:     []protocol.SiteID{"A", "B", "C"},
-			Net:       network.Config{Latency: time.Millisecond, Jitter: 50 * time.Millisecond, DuplicateProb: 0.5, Seed: seed},
+			Net:       network.Config{Latency: time.Millisecond, Jitter: 50 * time.Millisecond, Seed: seed},
 			Placement: abcPlacement,
 		})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Faults().ApplyPlan("dup p=0.5"); err != nil {
 			t.Fatal(err)
 		}
 		loadInt(t, c, "bx", 100)
@@ -232,7 +235,7 @@ func TestChainLateValuesAbort(t *testing.T) {
 	if h.Status() != StatusAborted || h.Reason() != "ready timeout" {
 		t.Fatalf("transfer %v (%q), want aborted by the ready timeout", h.Status(), h.Reason())
 	}
-	if n := c.NetStats().SentByType["prepare"]; n != 1 {
+	if n := sent(c, "prepare"); n != 1 {
 		t.Errorf("%d prepares, want the source's only", n)
 	}
 	c.RunFor(10 * time.Second)
@@ -257,9 +260,8 @@ func TestChainSourceRefusal(t *testing.T) {
 	if h.Status() != StatusAborted || h.Reason() != "refused: lock conflict at A" {
 		t.Fatalf("%v (%q), want refused: lock conflict at A", h.Status(), h.Reason())
 	}
-	st := c.NetStats().SentByType
-	if st["prepare"] != 1 || st["read-rep"] != 1 {
-		t.Errorf("%d prepares and %d read replies, want 1 and the lock holder's 1", st["prepare"], st["read-rep"])
+	if prepares, reps := sent(c, "prepare"), sent(c, "read-rep"); prepares != 1 || reps != 1 {
+		t.Errorf("%d prepares and %d read replies, want 1 and the lock holder's 1", prepares, reps)
 	}
 	if info, _ := c.SiteInfo("B"); info.Locks != 0 || info.Prepared != 0 {
 		t.Errorf("B holds %d locks and %d prepared records, want none", info.Locks, info.Prepared)
@@ -319,9 +321,8 @@ func TestPaxosPlaneChain(t *testing.T) {
 			t.Fatalf("at %s: %v (%s)", coord, h.Status(), h.Reason())
 		}
 	}
-	st := c.NetStats().SentByType
-	if st["read-req"] != 0 || st["read-rep"] != 3 {
-		t.Errorf("%d read requests and %d read replies, want 0 and 3", st["read-req"], st["read-rep"])
+	if reqs, reps := sent(c, "read-req"), sent(c, "read-rep"); reqs != 0 || reps != 3 {
+		t.Errorf("%d read requests and %d read replies, want 0 and 3", reqs, reps)
 	}
 	if a, b := readInt(t, c, "a1"), readInt(t, c, "b1"); a != 700 || b != 1300 {
 		t.Errorf("a1=%d b1=%d, want 700/1300", a, b)

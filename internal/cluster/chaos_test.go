@@ -7,34 +7,35 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
 	"repro/internal/value"
 )
 
-// chaosCluster builds a 4-site cluster with a lossy, duplicating,
-// jittery network.
-func chaosCluster(t *testing.T, seed int64, net network.Config) *Cluster {
+// chaosCluster builds a 4-site cluster on a jittery network with the
+// given fault plan (lossy, duplicating).
+func chaosCluster(t *testing.T, seed int64, plan string) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		Sites: []protocol.SiteID{"s0", "s1", "s2", "s3"},
-		Net:   net,
+		Net:   network.Config{Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond, Seed: seed},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	if err := c.Faults().ApplyPlan(plan); err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 
 // TestDuplicateDeliveryIdempotent: with heavy message duplication every
 // protocol step must be idempotent — results identical to a clean run.
 func TestDuplicateDeliveryIdempotent(t *testing.T) {
-	c := chaosCluster(t, 1, network.Config{
-		Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond,
-		Seed: 1, DuplicateProb: 0.8,
-	})
+	c := chaosCluster(t, 1, "dup p=0.8")
 	for i := 0; i < 8; i++ {
 		if err := c.Load(fmt.Sprintf("item%d", i), polyvalue.Simple(value.Int(100))); err != nil {
 			t.Fatal(err)
@@ -52,7 +53,7 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 			t.Fatalf("txn %d under duplication: %v (%s)", i, h.Status(), h.Reason())
 		}
 	}
-	if c.NetStats().Duplicated == 0 {
+	if c.Faults().Counts()[fault.KindDup] == 0 {
 		t.Fatal("no duplicates injected — test is vacuous")
 	}
 	// Money conserved and every item certain.
@@ -75,10 +76,7 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 // outcome is eventually learned and the final state equals the serial
 // execution of exactly the committed transactions.
 func TestLossyNetworkStaysConsistent(t *testing.T) {
-	c := chaosCluster(t, 2, network.Config{
-		Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond,
-		Seed: 2, DropProb: 0.08, DuplicateProb: 0.1,
-	})
+	c := chaosCluster(t, 2, "drop p=0.08; dup p=0.1")
 	const items = 6
 	state := map[string]value.V{}
 	for i := 0; i < items; i++ {
@@ -114,8 +112,7 @@ func TestLossyNetworkStaysConsistent(t *testing.T) {
 	if polys := c.PolyItems(); len(polys) != 0 {
 		t.Fatalf("unresolved polyvalues with all sites alive: %v", polys)
 	}
-	st := c.NetStats()
-	if st.DroppedRandom == 0 {
+	if c.Faults().Counts()[fault.KindDrop] == 0 {
 		t.Fatal("no losses injected — test is vacuous")
 	}
 	// Serial oracle over committed transactions.
@@ -149,7 +146,7 @@ func TestLossyNetworkStaysConsistent(t *testing.T) {
 			t.Errorf("%s = %v, serial oracle says %v", name, got, state[name])
 		}
 	}
-	t.Logf("chaos run: %d/%d committed, net=%+v", committed, len(subs), st)
+	t.Logf("chaos run: %d/%d committed, faults=%v", committed, len(subs), c.Faults().Counts())
 	for _, v := range c.CheckInvariants() {
 		t.Errorf("invariant violation: %s", v)
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/expr"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/polyvalue"
@@ -38,8 +39,8 @@ type Stats struct {
 // this type: the deterministic simulation (New: discrete-event scheduler
 // plus simulated network) and the wall-clock node (NewNode: real time
 // plus a caller-supplied transport, typically TCP).  clk and fab are the
-// seams all protocol code schedules and sends through; sched and net are
-// the simulation concretions behind them and are nil in node mode.  The
+// seams all protocol code schedules and sends through; sched and faults
+// are the simulation concretions behind them and are nil in node mode.  The
 // sites run one event engine (engine.go) on both.
 type Cluster struct {
 	cfg Config
@@ -52,7 +53,7 @@ type Cluster struct {
 	// TCP read loops queue the message and move on.
 	deliver enqueueMode
 	sched   *vclock.Scheduler
-	net     *network.Network
+	faults  *fault.Injector
 	sites   map[protocol.SiteID]*Site
 	order   []protocol.SiteID
 	logs    []*storage.FileLog
@@ -150,10 +151,10 @@ func New(cfg Config) (*Cluster, error) {
 	cfg, reg := c.cfg, c.reg
 	c.sched = vclock.NewScheduler()
 	c.ids, c.qids = txn.NewIDGen("t"), txn.NewIDGen("q")
-	c.net = network.New(c.sched, cfg.Net)
-	c.net.Instrument(reg)
-	c.clk = c.sched
-	c.fab = transport.NewSim(c.net)
+	net := network.New(c.sched, cfg.Net)
+	net.Instrument(reg)
+	c.faults = fault.Wrap(net, fault.Config{Seed: cfg.Net.Seed, Metrics: reg, Clock: c.sched})
+	c.clk, c.fab = c.sched, c.faults
 	for _, id := range cfg.Sites {
 		s, err := c.openSite(id)
 		if err != nil {
@@ -450,22 +451,21 @@ func (c *Cluster) DurabilityLost(id protocol.SiteID) bool {
 	return lost
 }
 
-// Partition severs the link between two sites (simulation only).
-func (c *Cluster) Partition(a, b protocol.SiteID) { c.requireSim("Partition"); c.net.Partition(a, b) }
+// Partition severs the link between two sites in both directions,
+// including messages already in flight on it (simulation only).
+func (c *Cluster) Partition(a, b protocol.SiteID) { c.Faults().Partition(a, b, false, 0) }
 
 // Heal restores the link between two sites (simulation only).
-func (c *Cluster) Heal(a, b protocol.SiteID) { c.requireSim("Heal"); c.net.Heal(a, b) }
+func (c *Cluster) Heal(a, b protocol.SiteID) { c.Faults().HealLink(a, b) }
 
 // HealAll restores all links.  Crashed sites stay crashed until Restart;
 // only link cuts are healed here.
-func (c *Cluster) HealAll() {
-	c.requireSim("HealAll")
-	for i, a := range c.order {
-		for _, b := range c.order[i+1:] {
-			c.net.Heal(a, b)
-		}
-	}
-}
+func (c *Cluster) HealAll() { c.Faults().HealAll() }
+
+// Faults is the simulated fabric's fault injector (simulation only): the
+// same plan grammar, rules and counters polynode's FAULT verb drives
+// over TCP, timed on the scheduler and seeded from Net.Seed.
+func (c *Cluster) Faults() *fault.Injector { c.requireSim("Faults"); return c.faults }
 
 // Sites returns the site IDs in configuration order.
 func (c *Cluster) Sites() []protocol.SiteID {
@@ -560,12 +560,3 @@ func (c *Cluster) Stats() Stats {
 // LatencyHistogram exposes the committed-transaction latency
 // distribution (simulated seconds).
 func (c *Cluster) LatencyHistogram() *metrics.Histogram { return c.latency }
-
-// NetStats exposes the simulated network's counters (zero in node mode;
-// use the TCP transport's own Stats there).
-func (c *Cluster) NetStats() network.Stats {
-	if c.net == nil {
-		return network.Stats{}
-	}
-	return c.net.Stats()
-}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/condition"
+	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
@@ -35,6 +36,11 @@ func newTestCluster(t *testing.T, policy Policy) *Cluster {
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// sent reads network.sent{type=kind} from the cluster's registry.
+func sent(c *Cluster, kind string) int64 {
+	return c.Metrics().Snapshot().Counter("network.sent", metrics.L("type", kind))
 }
 
 func loadInt(t *testing.T, c *Cluster, item string, v int64) {
@@ -510,7 +516,7 @@ func TestStatsAndStringers(t *testing.T) {
 	if h.Status() != StatusCommitted {
 		t.Fatal("setup failed")
 	}
-	if c.NetStats().Delivered == 0 {
+	if c.Metrics().Snapshot().Total("network.delivered") == 0 {
 		t.Error("no network activity recorded")
 	}
 	if c.LatencyHistogram().Count() != 1 {

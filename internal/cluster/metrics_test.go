@@ -128,7 +128,7 @@ func TestReadPhaseCountsReadRounds(t *testing.T) {
 			t.Fatalf("%s: %v (%s)", program, h.Status(), h.Reason())
 		}
 	}
-	rounds := c.NetStats().SentByType["read-req"] / 2 // each reads at A and at B
+	rounds := sent(c, "read-req") / 2 // each reads at A and at B
 	p, _ := c.Metrics().Snapshot().Get("protocol.phase.seconds", metrics.L("phase", "read"))
 	if rounds != 2 || p.Count != rounds {
 		t.Errorf("read phase observed %d times over %d read rounds, want 2 and 2", p.Count, rounds)

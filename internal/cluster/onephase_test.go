@@ -15,13 +15,13 @@ func TestOnePhaseLocalCommit(t *testing.T) {
 	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "ax", 5)
 	loadInt(t, c, "ay", 1)
-	before := c.NetStats().Sent
+	before := c.Metrics().Snapshot().Total("network.sent")
 	h, _ := c.Submit("A", "ax = ax + ay; ay = ay * 2")
 	c.RunFor(time.Second)
 	if h.Status() != StatusCommitted {
 		t.Fatalf("status = %v (%s)", h.Status(), h.Reason())
 	}
-	if got := c.NetStats().Sent; got != before {
+	if got := c.Metrics().Snapshot().Total("network.sent"); got != before {
 		t.Errorf("one-phase commit sent %d messages", got-before)
 	}
 	if got := readInt(t, c, "ax"); got != 6 {

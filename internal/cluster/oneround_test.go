@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/protocol"
 )
@@ -70,7 +71,7 @@ func TestOneRoundPrepareMeetsHeldLock(t *testing.T) {
 	if h.Status() != StatusAborted || h.Reason() != "refused: lock conflict at B" {
 		t.Fatalf("%v (%q), want refused: lock conflict at B", h.Status(), h.Reason())
 	}
-	if n := c.NetStats().SentByType["read-req"]; n != 1 {
+	if n := sent(c, "read-req"); n != 1 {
 		t.Errorf("%d read requests, want only the lock holder's: the refusal must come from the prepare", n)
 	}
 	info, _ := c.SiteInfo("B")
@@ -99,7 +100,7 @@ func TestAbortOvertakesOneRoundPrepare(t *testing.T) {
 	if h.Status() != StatusAborted {
 		t.Fatalf("%v (%s), want aborted", h.Status(), h.Reason())
 	}
-	if n := c.NetStats().SentByType["refuse"]; n != 2 {
+	if n := sent(c, "refuse"); n != 2 {
 		t.Errorf("%d refusals, want 2: C's lock conflict and B's late prepare", n)
 	}
 	if info, _ := c.SiteInfo("B"); info.Locks != 0 || info.Prepared != 0 {
@@ -131,7 +132,7 @@ func TestOneRoundCoordinatorCrashBeforeDecision(t *testing.T) {
 	if !c.IsDown("A") || h.Status() != StatusPending {
 		t.Fatalf("coordinator down %v, handle %v: the failpoint did not fire", c.IsDown("A"), h.Status())
 	}
-	if n := c.NetStats().SentByType["read-req"]; n != 0 {
+	if n := sent(c, "read-req"); n != 0 {
 		t.Errorf("%d read requests, want none", n)
 	}
 	if polys := c.PolyItems(); len(polys) != 2 {
@@ -167,7 +168,7 @@ func TestPaxosPlaneOneRound(t *testing.T) {
 			t.Fatalf("%s: %v (%s)", program, h.Status(), h.Reason())
 		}
 	}
-	if n := c.NetStats().SentByType["read-req"]; n != 0 {
+	if n := sent(c, "read-req"); n != 0 {
 		t.Errorf("%d read requests, want none", n)
 	}
 	if b, d, x := readInt(t, c, "bsrc"), readInt(t, c, "bdst"), readInt(t, c, "cdst"); b != 50 || d != 40 || x != 10 {
@@ -192,13 +193,14 @@ func runOneRoundSoak(t *testing.T, seed int64, dup float64) {
 	sites := []protocol.SiteID{"A", "B", "C"}
 	c, err := New(Config{
 		Sites:     sites,
-		Net:       network.Config{Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond, DuplicateProb: dup, Seed: seed},
+		Net:       network.Config{Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond, Seed: seed},
 		Placement: abcPlacement,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.Faults().SetRule(fault.Rule{Kind: fault.KindDup, P: dup})
 	const perSite, start = 3, 100
 	var accounts []string
 	for _, p := range []string{"a", "b", "c"} {

@@ -16,14 +16,13 @@ func TestTraceShowsOneRoundCommitPath(t *testing.T) {
 	if h.Status() != StatusCommitted || readInt(t, c, "bx") != 2 {
 		t.Fatalf("status %v, bx %v", h.Status(), c.Read("bx"))
 	}
-	st := c.NetStats()
 	for _, kind := range []string{"prepare", "ready", "complete"} {
-		if st.SentByType[kind] != 1 {
-			t.Errorf("sent{type=%s} = %d, want 1\n%s", kind, st.SentByType[kind], st.Format())
+		if n := sent(c, kind); n != 1 {
+			t.Errorf("sent{type=%s} = %d, want 1", kind, n)
 		}
 	}
-	if n := st.SentByType["read-req"]; n != 0 {
-		t.Errorf("one-round commit sent %d read requests\n%s", n, st.Format())
+	if n := sent(c, "read-req"); n != 0 {
+		t.Errorf("one-round commit sent %d read requests", n)
 	}
 	k := kinds(spans.ByTID(string(h.TID)))
 	if k["phase.read"] != 0 || k["phase.prepare"] != 1 {

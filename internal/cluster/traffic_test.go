@@ -84,16 +84,16 @@ func TestTransferMessageCounts(t *testing.T) {
 			if h.Status() != StatusCommitted {
 				t.Fatalf("transfer %v, want committed", h.Status())
 			}
-			st := c.NetStats()
 			var total int64
 			for kind, n := range tc.want {
 				total += n
-				if got := st.SentByType[kind]; got != n {
+				if got := sent(c, kind); got != n {
 					t.Errorf("sent{type=%s} = %d, want %d", kind, got, n)
 				}
 			}
-			if st.Sent != total || st.Delivered != total {
-				t.Errorf("sent %d, delivered %d, want %d of each; by kind:\n%s", st.Sent, st.Delivered, total, st.Format())
+			snap := c.Metrics().Snapshot()
+			if s, d := snap.Total("network.sent"), snap.Total("network.delivered"); s != total || d != total {
+				t.Errorf("sent %d, delivered %d, want %d of each; by kind:\n%s", s, d, total, snap.Export())
 			}
 		})
 	}

@@ -1,16 +1,19 @@
-// Package fault is the fault-injection plane for the real cluster path.
-// An Injector wraps any transport.Transport and perturbs traffic
+// Package fault is the one fault model of both cluster runtimes.  An
+// Injector wraps any transport.Transport — the simulated network or TCP
+// — and perturbs traffic
 // according to a declarative, runtime-mutable plan: per-link
 // drop/duplicate/delay probabilities, payload corruption (flipping bytes
 // inside outgoing TCP frames so the receiver's CRC path has to reject
 // and resync), one-way and full partitions with scheduled heal times,
-// and connection resets.  Everything is driven by one seeded PRNG, so a
-// run with a fixed seed and a fixed schedule of Apply calls perturbs
-// the same messages the same way.
+// and connection resets.  Everything is driven by one seeded PRNG and
+// timed on the configured clock, so on the simulator's scheduler a run
+// with a fixed seed and a fixed schedule of Apply calls perturbs the
+// same messages the same way at the same instants.
 //
 // The injector sits ABOVE the wire: a message it drops never reaches
-// the inner transport (and is counted as network.dropped{reason=fault},
-// mirroring the simulated fabric's loss accounting), while corruption
+// the inner transport (and is counted as
+// network.dropped{reason=fault.<kind>}), a cut link also drops what is
+// already in flight on it when it arrives, while corruption
 // is applied BELOW the codec via the TCP transport's frame tap, so the
 // bytes on the socket are damaged but the sender's view of the message
 // is not.  Transports without a frame tap (the simulated fabric)
@@ -29,6 +32,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
 // Kinds of probabilistic rules.
@@ -101,6 +105,9 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Logf, when set, receives one line per injected fault.
 	Logf func(format string, args ...any)
+	// Clock times delayed copies and scheduled heals (nil: wall time).
+	// The simulated cluster passes its scheduler.
+	Clock vclock.Clock
 }
 
 // dirLink is one DIRECTED edge; a full partition stores both directions.
@@ -113,14 +120,14 @@ type dirLink struct {
 type Injector struct {
 	inner transport.Transport
 	cfg   Config
+	clk   vclock.Clock
 
 	mu      sync.Mutex
 	rng     *rand.Rand
 	rules   []Rule
-	blocked map[dirLink]time.Time // heal deadline; zero Time = until healed
+	blocked map[dirLink]vclock.Time // heal deadline; 0 = until healed
 	counts  map[string]int64
-	timers  map[uint64]*time.Timer
-	nextID  uint64
+	timers  map[vclock.TimerID]bool // pending delayed copies
 	closed  bool
 
 	tapper   FrameTapper
@@ -134,10 +141,14 @@ func Wrap(inner transport.Transport, cfg Config) *Injector {
 	in := &Injector{
 		inner:   inner,
 		cfg:     cfg,
+		clk:     cfg.Clock,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		blocked: map[dirLink]time.Time{},
+		blocked: map[dirLink]vclock.Time{},
 		counts:  map[string]int64{},
-		timers:  map[uint64]*time.Timer{},
+		timers:  map[vclock.TimerID]bool{},
+	}
+	if in.clk == nil {
+		in.clk = vclock.NewWall()
 	}
 	if tp, ok := inner.(FrameTapper); ok {
 		in.tapper = tp
@@ -148,10 +159,6 @@ func Wrap(inner transport.Transport, cfg Config) *Injector {
 	}
 	return in
 }
-
-// Inner returns the wrapped transport (for callers needing, e.g., the
-// TCP listener address).
-func (in *Injector) Inner() transport.Transport { return in.inner }
 
 // Send applies the fault plan to msg, then forwards the surviving
 // copies to the inner transport (possibly later, for delayed copies).
@@ -187,8 +194,8 @@ func (in *Injector) Send(msg protocol.Message) {
 		in.noteLocked(KindDup, msg)
 		copies = 2
 	}
-	delays := make([]time.Duration, copies)
-	for i := range delays {
+	var delays [2]time.Duration
+	for i := range delays[:copies] {
 		if d, ok := in.delayLocked(msg.From, msg.To); ok {
 			in.noteLocked(KindDelay, msg)
 			delays[i] = d
@@ -196,7 +203,7 @@ func (in *Injector) Send(msg protocol.Message) {
 	}
 	in.mu.Unlock()
 
-	for _, d := range delays {
+	for _, d := range delays[:copies] {
 		if d <= 0 {
 			in.inner.Send(msg)
 		} else {
@@ -208,27 +215,27 @@ func (in *Injector) Send(msg protocol.Message) {
 	}
 }
 
-// sendLater forwards msg after d.  Timers are tracked so Close can
-// cancel in-flight deliveries.
+// sendLater forwards msg after d on the injector's clock.  Timers are
+// tracked so Close can cancel in-flight deliveries.
 func (in *Injector) sendLater(d time.Duration, msg protocol.Message) {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	if in.closed {
-		in.mu.Unlock()
 		return
 	}
-	in.nextID++
-	id := in.nextID
-	in.timers[id] = time.AfterFunc(d, func() {
+	// The callback takes in.mu, so it cannot read id before the
+	// assignment below lands, even on a wall clock firing at once.
+	var id vclock.TimerID
+	id = in.clk.After(d, func() {
 		in.mu.Lock()
-		_, live := in.timers[id]
+		live := in.timers[id]
 		delete(in.timers, id)
-		live = live && !in.closed
 		in.mu.Unlock()
 		if live {
 			in.inner.Send(msg)
 		}
 	})
-	in.mu.Unlock()
+	in.timers[id] = true
 }
 
 // tapFrame is installed as the TCP frame tap: with corrupt-rule
@@ -255,14 +262,11 @@ func (in *Injector) tapFrame(to protocol.SiteID, frame []byte) []byte {
 
 func (in *Injector) blockedLocked(from, to protocol.SiteID) bool {
 	heal, ok := in.blocked[dirLink{from, to}]
-	if !ok {
-		return false
-	}
-	if !heal.IsZero() && time.Now().After(heal) {
+	if ok && heal != 0 && in.clk.Now() >= heal {
 		delete(in.blocked, dirLink{from, to})
 		return false
 	}
-	return true
+	return ok
 }
 
 func (in *Injector) hitLocked(kind string, from, to protocol.SiteID) bool {
@@ -342,12 +346,12 @@ func (in *Injector) SetRule(r Rule) {
 // healing automatically after heal if heal > 0, otherwise until
 // HealLink/HealAll.
 func (in *Injector) Partition(a, b protocol.SiteID, oneWay bool, heal time.Duration) {
-	var deadline time.Time
-	if heal > 0 {
-		deadline = time.Now().Add(heal)
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	var deadline vclock.Time
+	if heal > 0 {
+		deadline = in.clk.Now() + heal
+	}
 	in.blocked[dirLink{a, b}] = deadline
 	if !oneWay {
 		in.blocked[dirLink{b, a}] = deadline
@@ -366,7 +370,7 @@ func (in *Injector) HealLink(a, b protocol.SiteID) {
 func (in *Injector) HealAll() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.blocked = map[dirLink]time.Time{}
+	in.blocked = map[dirLink]vclock.Time{}
 }
 
 // Clear removes every rule and partition: the plan becomes a no-op.
@@ -374,7 +378,7 @@ func (in *Injector) Clear() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.rules = nil
-	in.blocked = map[dirLink]time.Time{}
+	in.blocked = map[dirLink]vclock.Time{}
 }
 
 // Reseed restarts the PRNG from seed (for reproducing a schedule
@@ -400,16 +404,18 @@ func (in *Injector) Counts() map[string]int64 {
 func (in *Injector) Status() string {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	links := make([]dirLink, 0, len(in.blocked))
+	for l := range in.blocked {
+		if in.blockedLocked(l.from, l.to) { // prunes a healed link
+			links = append(links, l)
+		}
+	}
 	var b strings.Builder
-	if len(in.rules) == 0 && len(in.blocked) == 0 {
+	if len(in.rules) == 0 && len(links) == 0 {
 		b.WriteString("no active faults\n")
 	}
 	for _, r := range in.rules {
 		fmt.Fprintf(&b, "rule %s\n", r)
-	}
-	links := make([]dirLink, 0, len(in.blocked))
-	for l := range in.blocked {
-		links = append(links, l)
 	}
 	sort.Slice(links, func(i, j int) bool {
 		if links[i].from != links[j].from {
@@ -419,10 +425,10 @@ func (in *Injector) Status() string {
 	})
 	for _, l := range links {
 		heal := in.blocked[l]
-		if heal.IsZero() {
+		if heal == 0 {
 			fmt.Fprintf(&b, "partition %s->%s\n", l.from, l.to)
 		} else {
-			fmt.Fprintf(&b, "partition %s->%s heal_in=%s\n", l.from, l.to, time.Until(heal).Round(time.Millisecond))
+			fmt.Fprintf(&b, "partition %s->%s heal_in=%s\n", l.from, l.to, (heal - in.clk.Now()).Round(time.Millisecond))
 		}
 	}
 	kinds := make([]string, 0, len(in.counts))
@@ -436,11 +442,23 @@ func (in *Injector) Status() string {
 	return b.String()
 }
 
-// --- pass-through Transport surface -----------------------------------
+// --- Transport surface ------------------------------------------------
 
-// Register passes through to the inner transport.
+// Register installs h behind the partition check Send applies, so a
+// link cut while a message is in flight on it drops the message on
+// arrival.
 func (in *Injector) Register(site protocol.SiteID, h transport.Handler) {
-	in.inner.Register(site, h)
+	in.inner.Register(site, func(msg protocol.Message) {
+		in.mu.Lock()
+		cut := in.blockedLocked(msg.From, msg.To)
+		if cut {
+			in.noteLocked("partition", msg)
+		}
+		in.mu.Unlock()
+		if !cut {
+			h(msg)
+		}
+	})
 }
 
 // SetDown passes through to the inner transport.
@@ -462,10 +480,10 @@ func (in *Injector) Close() error {
 		return nil
 	}
 	in.closed = true
-	for id, t := range in.timers {
-		t.Stop()
-		delete(in.timers, id)
+	for id := range in.timers {
+		in.clk.Cancel(id)
 	}
+	in.timers = nil
 	in.mu.Unlock()
 	return in.inner.Close()
 }

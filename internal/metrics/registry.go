@@ -251,6 +251,17 @@ func (s Snapshot) Counter(name string, labels ...Label) int64 {
 	return p.Value
 }
 
+// Total sums a counter or gauge over all its label sets (0 when absent).
+func (s Snapshot) Total(name string) int64 {
+	var n int64
+	for _, p := range s.Points {
+		if p.Name == name {
+			n += p.Value
+		}
+	}
+	return n
+}
+
 // Diff returns the change from earlier to s: counter values and histogram
 // count/sum become window deltas; gauges keep their later reading; the
 // histogram extremes and quantiles are copied from s (they are cumulative

@@ -179,6 +179,22 @@ func TestSnapshotGetMissing(t *testing.T) {
 	}
 }
 
+func TestSnapshotTotal(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("net.sent", L("type", "a")).Add(2)
+	r.Counter("net.sent", L("type", "b")).Add(3)
+	r.Counter("net.sent").Add(1)
+	r.Counter("net.sent.bytes").Add(100) // a longer name is another series
+	r.Gauge("queue", L("peer", "x")).Set(4)
+	r.Gauge("queue", L("peer", "y")).Set(5)
+	snap := r.Snapshot()
+	for name, want := range map[string]int64{"net.sent": 6, "queue": 9, "nope": 0} {
+		if got := snap.Total(name); got != want {
+			t.Errorf("Total(%q) = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestHistogramReservoirBounded: far more observations than the cap keeps
 // exact count/sum/extremes while bounding retained samples.
 func TestHistogramReservoirBounded(t *testing.T) {

@@ -1,19 +1,19 @@
 // Package network simulates the message fabric among sites: point-to-
-// point delivery with configurable latency and jitter, site down states,
-// and link partitions.  Delivery is scheduled on a vclock.Scheduler, so
-// every protocol run is deterministic given a seed.
+// point delivery with configurable latency and seeded jitter, and site
+// down states.  Delivery is scheduled on a vclock.Scheduler, so every
+// protocol run is deterministic given a seed.  *Network is the
+// simulated runtime's transport.Transport.
 //
 // This stands in for the paper's (unspecified) inter-site communication
 // substrate.  The failure model is the paper's: "a failure disrupts
-// communication among sites during an update" — realized here as crashed
-// sites (drop everything) and severed links (drop both directions).
+// communication among sites during an update".  A crashed site is the
+// network's own (it drops everything to and from the site); loss,
+// duplication, delay and severed links come from a fault.Injector
+// wrapped around the network, the same fault model the TCP fabric uses.
 package network
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,55 +22,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// Handler receives delivered messages at a site.  It is an alias (not a
-// defined type) so *Network structurally satisfies transport.Transport's
-// Register signature.
-type Handler = func(msg protocol.Message)
-
-// Stats counts network activity, for benchmarks and the cluster's
-// metrics output.
-type Stats struct {
-	Sent      int64
-	Delivered int64
-	// DroppedDown counts messages dropped because an endpoint was down
-	// at send or delivery time.
-	DroppedDown int64
-	// DroppedPartition counts messages dropped by a severed link.
-	DroppedPartition int64
-	// DroppedRandom counts messages lost to the configured DropProb.
-	DroppedRandom int64
-	// Duplicated counts extra deliveries injected by DuplicateProb.
-	Duplicated int64
-	// SentByType and DeliveredByType break the totals down by message
-	// kind (keys are MsgKind.String()).  Snapshots deep-copy the maps;
-	// render them with Format, which iterates in sorted order so
-	// same-seed exports stay byte-identical.
-	SentByType      map[string]int64
-	DeliveredByType map[string]int64
-}
-
-// Format renders the counters as stable text: fixed field order, and
-// per-type breakdowns in sorted key order.
-func (s Stats) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "sent=%d delivered=%d dropped_down=%d dropped_partition=%d dropped_random=%d duplicated=%d\n",
-		s.Sent, s.Delivered, s.DroppedDown, s.DroppedPartition, s.DroppedRandom, s.Duplicated)
-	for _, kv := range []struct {
-		name string
-		m    map[string]int64
-	}{{"sent", s.SentByType}, {"delivered", s.DeliveredByType}} {
-		keys := make([]string, 0, len(kv.m))
-		for k := range kv.m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s{type=%s}=%d\n", kv.name, k, kv.m[k])
-		}
-	}
-	return b.String()
-}
-
 // Network is the simulated fabric.  Safe for concurrent use; in the
 // deterministic cluster runtime all calls are serialized anyway.
 type Network struct {
@@ -78,28 +29,13 @@ type Network struct {
 	sched    *vclock.Scheduler
 	latency  time.Duration
 	jitter   time.Duration
-	dropP    float64
-	dupP     float64
 	rng      *rand.Rand
-	handlers map[protocol.SiteID]Handler
+	handlers map[protocol.SiteID]func(protocol.Message)
 	down     map[protocol.SiteID]bool
-	cut      map[linkKey]bool
-	stats    Stats
 	// reg, when set via Instrument, receives per-message-type series:
 	// network.sent/delivered (type label), network.dropped (reason
-	// label), network.duplicated, and the network.delay.seconds
-	// distribution by type.
+	// label), and the network.delay.seconds distribution by type.
 	reg *metrics.Registry
-}
-
-// linkKey is an unordered site pair.
-type linkKey struct{ a, b protocol.SiteID }
-
-func link(a, b protocol.SiteID) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{a, b}
 }
 
 // Config parameterizes a Network.
@@ -109,16 +45,8 @@ type Config struct {
 	Latency time.Duration
 	// Jitter adds a uniform random extra delay in [0, Jitter).
 	Jitter time.Duration
-	// Seed drives the jitter/chaos RNG; runs with equal seeds are
-	// identical.
+	// Seed drives the jitter RNG; runs with equal seeds are identical.
 	Seed int64
-	// DropProb randomly drops each message with this probability
-	// (lossy-link chaos testing).
-	DropProb float64
-	// DuplicateProb delivers each message a second time with this
-	// probability (at an independently jittered instant), exercising the
-	// protocol's idempotency.
-	DuplicateProb float64
 }
 
 // New builds a network delivering on the given scheduler.
@@ -130,17 +58,14 @@ func New(sched *vclock.Scheduler, cfg Config) *Network {
 		sched:    sched,
 		latency:  cfg.Latency,
 		jitter:   cfg.Jitter,
-		dropP:    cfg.DropProb,
-		dupP:     cfg.DuplicateProb,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		handlers: map[protocol.SiteID]Handler{},
+		handlers: map[protocol.SiteID]func(protocol.Message){},
 		down:     map[protocol.SiteID]bool{},
-		cut:      map[linkKey]bool{},
 	}
 }
 
 // Instrument attaches a metrics registry; all subsequent activity is
-// recorded as network.* series in addition to the Stats counters.
+// recorded as network.* series.
 func (n *Network) Instrument(reg *metrics.Registry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -157,84 +82,44 @@ func (n *Network) count(name string, labels ...metrics.Label) {
 
 // Register installs the delivery handler for a site.  Re-registering
 // replaces the handler (a restarted site re-registers).
-func (n *Network) Register(site protocol.SiteID, h Handler) {
+func (n *Network) Register(site protocol.SiteID, h func(protocol.Message)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.handlers[site] = h
 }
 
-// Send schedules delivery of msg.  Messages to/from down sites and over
-// severed links are silently dropped (counted in Stats) — the sender
-// learns nothing, exactly like a lost datagram.
+// Send schedules delivery of msg.  Messages to or from down sites are
+// silently dropped (and counted) — the sender learns nothing, exactly
+// like a lost datagram.
 func (n *Network) Send(msg protocol.Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	kind := metrics.L("type", msg.Kind.String())
-	n.stats.Sent++
-	if n.stats.SentByType == nil {
-		n.stats.SentByType = map[string]int64{}
-	}
-	n.stats.SentByType[msg.Kind.String()]++
 	n.count("network.sent", kind)
 	if n.down[msg.From] || n.down[msg.To] {
-		n.stats.DroppedDown++
 		n.count("network.dropped", metrics.L("reason", "down"))
 		return
 	}
-	if n.cut[link(msg.From, msg.To)] {
-		n.stats.DroppedPartition++
-		n.count("network.dropped", metrics.L("reason", "partition"))
-		return
-	}
-	if n.dropP > 0 && n.rng.Float64() < n.dropP {
-		n.stats.DroppedRandom++
-		n.count("network.dropped", metrics.L("reason", "random"))
-		return
-	}
-	d := n.delay()
-	if n.reg != nil {
-		n.reg.Histogram("network.delay.seconds", kind).Observe(d.Seconds())
-	}
-	n.sched.After(d, func() { n.deliver(msg) })
-	if n.dupP > 0 && n.rng.Float64() < n.dupP {
-		n.stats.Duplicated++
-		n.count("network.duplicated", kind)
-		n.sched.After(n.delay(), func() { n.deliver(msg) })
-	}
-}
-
-// delay computes one delivery's latency.  Callers hold n.mu.
-func (n *Network) delay() time.Duration {
 	d := n.latency
 	if n.jitter > 0 {
 		d += time.Duration(n.rng.Int63n(int64(n.jitter)))
 	}
-	return d
+	if n.reg != nil {
+		n.reg.Histogram("network.delay.seconds", kind).Observe(d.Seconds())
+	}
+	n.sched.After(d, func() { n.deliver(msg) })
 }
 
-// deliver runs at the scheduled instant and re-checks failure state: a
-// site that crashed, or a link that was cut, while the message was in
-// flight still loses the message.
+// deliver runs at the scheduled instant and re-checks the destination: a
+// site that crashed while the message was in flight still loses it.
 func (n *Network) deliver(msg protocol.Message) {
 	n.mu.Lock()
 	if n.down[msg.To] {
-		n.stats.DroppedDown++
 		n.count("network.dropped", metrics.L("reason", "down"))
 		n.mu.Unlock()
 		return
 	}
-	if n.cut[link(msg.From, msg.To)] {
-		n.stats.DroppedPartition++
-		n.count("network.dropped", metrics.L("reason", "partition"))
-		n.mu.Unlock()
-		return
-	}
 	h := n.handlers[msg.To]
-	n.stats.Delivered++
-	if n.stats.DeliveredByType == nil {
-		n.stats.DeliveredByType = map[string]int64{}
-	}
-	n.stats.DeliveredByType[msg.Kind.String()]++
 	n.count("network.delivered", metrics.L("type", msg.Kind.String()))
 	n.mu.Unlock()
 	if h != nil {
@@ -258,59 +143,6 @@ func (n *Network) IsDown(site protocol.SiteID) bool {
 	return n.down[site]
 }
 
-// Partition severs the link between two sites (both directions).
-func (n *Network) Partition(a, b protocol.SiteID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cut[link(a, b)] = true
-}
-
-// Heal restores the link between two sites.
-func (n *Network) Heal(a, b protocol.SiteID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.cut, link(a, b))
-}
-
-// HealAll restores every link and brings every site up.
-func (n *Network) HealAll() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cut = map[linkKey]bool{}
-	n.down = map[protocol.SiteID]bool{}
-}
-
-// Stats returns a snapshot of the counters.  The per-type maps are
-// deep-copied so the snapshot is stable.
-func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := n.stats
-	st.SentByType = copyCounts(n.stats.SentByType)
-	st.DeliveredByType = copyCounts(n.stats.DeliveredByType)
-	return st
-}
-
-func copyCounts(m map[string]int64) map[string]int64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// String summarizes the failure state, for traces.
-func (n *Network) String() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	downCount := 0
-	for _, d := range n.down {
-		if d {
-			downCount++
-		}
-	}
-	return fmt.Sprintf("network{down:%d cuts:%d sent:%d delivered:%d}", downCount, len(n.cut), n.stats.Sent, n.stats.Delivered)
-}
+// Close implements transport.Transport; the simulated network holds no
+// resources.
+func (n *Network) Close() error { return nil }

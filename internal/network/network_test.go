@@ -4,14 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/vclock"
 )
 
 func setup(cfg Config) (*vclock.Scheduler, *Network) {
 	s := vclock.NewScheduler()
-	return s, New(s, cfg)
+	n := New(s, cfg)
+	n.Instrument(metrics.NewRegistry())
+	return s, n
 }
+
+// total sums one network.* series over its labels.
+func total(n *Network, name string) int64 { return n.reg.Snapshot().Total(name) }
 
 func TestDelivery(t *testing.T) {
 	sched, n := setup(Config{Latency: 5 * time.Millisecond})
@@ -28,9 +34,8 @@ func TestDelivery(t *testing.T) {
 	if sched.Now() != 5*time.Millisecond {
 		t.Errorf("delivery time = %v", sched.Now())
 	}
-	st := n.Stats()
-	if st.Sent != 1 || st.Delivered != 1 {
-		t.Errorf("stats = %+v", st)
+	if sent, delivered := total(n, "network.sent"), total(n, "network.delivered"); sent != 1 || delivered != 1 {
+		t.Errorf("sent=%d delivered=%d, want 1 and 1", sent, delivered)
 	}
 }
 
@@ -38,10 +43,10 @@ func TestUnregisteredTargetDropsQuietly(t *testing.T) {
 	sched, n := setup(Config{})
 	n.Send(protocol.Message{From: "a", To: "nowhere"})
 	sched.Drain(0) // must not panic
-	if n.Stats().Delivered != 1 {
+	if got := total(n, "network.delivered"); got != 1 {
 		// Delivery is counted even with no handler; the message reached
 		// the (silent) site.
-		t.Errorf("stats = %+v", n.Stats())
+		t.Errorf("delivered = %d, want 1", got)
 	}
 }
 
@@ -55,8 +60,8 @@ func TestDownSiteDropsAtSend(t *testing.T) {
 	}
 	n.Send(protocol.Message{From: "a", To: "b"})
 	sched.Drain(0)
-	if delivered != 0 || n.Stats().DroppedDown != 1 {
-		t.Errorf("delivered=%d stats=%+v", delivered, n.Stats())
+	if down := n.reg.Snapshot().Counter("network.dropped", metrics.L("reason", "down")); delivered != 0 || down != 1 {
+		t.Errorf("delivered=%d dropped{down}=%d", delivered, down)
 	}
 	// Sender down drops too.
 	n.SetDown("b", false)
@@ -79,54 +84,8 @@ func TestCrashWhileInFlight(t *testing.T) {
 	if delivered != 0 {
 		t.Error("message delivered to site that crashed mid-flight")
 	}
-	if n.Stats().DroppedDown != 1 {
-		t.Errorf("stats = %+v", n.Stats())
-	}
-}
-
-func TestPartitionAndHeal(t *testing.T) {
-	sched, n := setup(Config{})
-	delivered := 0
-	n.Register("b", func(protocol.Message) { delivered++ })
-	n.Partition("a", "b")
-	n.Send(protocol.Message{From: "a", To: "b"})
-	// Partition is symmetric regardless of argument order.
-	n.Send(protocol.Message{From: "b", To: "a"})
-	sched.Drain(0)
-	if delivered != 0 || n.Stats().DroppedPartition != 2 {
-		t.Errorf("delivered=%d stats=%+v", delivered, n.Stats())
-	}
-	n.Heal("b", "a") // reversed order heals the same link
-	n.Send(protocol.Message{From: "a", To: "b"})
-	sched.Drain(0)
-	if delivered != 1 {
-		t.Errorf("post-heal delivered = %d", delivered)
-	}
-}
-
-func TestPartitionWhileInFlight(t *testing.T) {
-	sched, n := setup(Config{Latency: 10 * time.Millisecond})
-	delivered := 0
-	n.Register("b", func(protocol.Message) { delivered++ })
-	n.Send(protocol.Message{From: "a", To: "b"})
-	sched.After(time.Millisecond, func() { n.Partition("a", "b") })
-	sched.Drain(0)
-	if delivered != 0 {
-		t.Error("message crossed a link cut while in flight")
-	}
-}
-
-func TestHealAll(t *testing.T) {
-	sched, n := setup(Config{})
-	delivered := 0
-	n.Register("b", func(protocol.Message) { delivered++ })
-	n.SetDown("b", true)
-	n.Partition("a", "b")
-	n.HealAll()
-	n.Send(protocol.Message{From: "a", To: "b"})
-	sched.Drain(0)
-	if delivered != 1 {
-		t.Errorf("post-HealAll delivered = %d", delivered)
+	if down := n.reg.Snapshot().Counter("network.dropped", metrics.L("reason", "down")); down != 1 {
+		t.Errorf("dropped{down} = %d, want 1", down)
 	}
 }
 
@@ -169,47 +128,5 @@ func TestDefaultLatency(t *testing.T) {
 	sched.Drain(0)
 	if sched.Now() != 10*time.Millisecond {
 		t.Errorf("default latency = %v", sched.Now())
-	}
-}
-
-func TestDropAndDuplicateProbabilities(t *testing.T) {
-	sched, n := setup(Config{Latency: time.Millisecond, Seed: 3, DropProb: 0.3, DuplicateProb: 0.3})
-	delivered := 0
-	n.Register("b", func(protocol.Message) { delivered++ })
-	const sent = 1000
-	for i := 0; i < sent; i++ {
-		n.Send(protocol.Message{From: "a", To: "b"})
-	}
-	sched.Drain(0)
-	st := n.Stats()
-	if st.DroppedRandom < 200 || st.DroppedRandom > 400 {
-		t.Errorf("DroppedRandom = %d, want ≈ 300", st.DroppedRandom)
-	}
-	if st.Duplicated < 200 || st.Duplicated > 400 {
-		t.Errorf("Duplicated = %d, want ≈ 300", st.Duplicated)
-	}
-	// Every surviving send is delivered once, plus one per duplicate.
-	want := sent - int(st.DroppedRandom) + int(st.Duplicated)
-	if delivered != want {
-		t.Errorf("delivered = %d, want %d", delivered, want)
-	}
-	// Deterministic for the seed.
-	sched2, n2 := setup(Config{Latency: time.Millisecond, Seed: 3, DropProb: 0.3, DuplicateProb: 0.3})
-	n2.Register("b", func(protocol.Message) {})
-	for i := 0; i < sent; i++ {
-		n2.Send(protocol.Message{From: "a", To: "b"})
-	}
-	sched2.Drain(0)
-	if n2.Stats().DroppedRandom != st.DroppedRandom || n2.Stats().Duplicated != st.Duplicated {
-		t.Error("chaos not deterministic for seed")
-	}
-}
-
-func TestStringSummary(t *testing.T) {
-	_, n := setup(Config{})
-	n.SetDown("x", true)
-	n.Partition("a", "b")
-	if s := n.String(); s == "" {
-		t.Error("empty String")
 	}
 }

@@ -275,9 +275,9 @@ func (r *REPL) Execute(line string) error {
 		st := r.c.Stats()
 		fmt.Fprintf(r.out, "committed=%d aborted=%d indoubt=%d polyInstalls=%d polyReductions=%d refused=%d\n",
 			st.Committed, st.Aborted, st.InDoubt, st.PolyInstalls, st.PolyReductions, st.Refused)
-		ns := r.c.NetStats()
-		fmt.Fprintf(r.out, "net: sent=%d delivered=%d droppedDown=%d droppedPartition=%d\n",
-			ns.Sent, ns.Delivered, ns.DroppedDown, ns.DroppedPartition)
+		ns := r.c.Metrics().Snapshot()
+		fmt.Fprintf(r.out, "net: sent=%d delivered=%d dropped=%d\n",
+			ns.Total("network.sent"), ns.Total("network.delivered"), ns.Total("network.dropped"))
 	case "check":
 		violations := r.c.CheckInvariants()
 		if len(violations) == 0 {

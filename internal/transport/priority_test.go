@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/txn"
 )
@@ -12,20 +13,22 @@ import (
 // drains the queues, so Send's routing and same-class eviction can be
 // observed deterministically.
 func newQueueOnlyTCP(depth int) (*TCP, *peer) {
+	reg := metrics.NewRegistry()
 	p := &peer{
 		id: "B", addr: "127.0.0.1:1",
-		out:  make(chan protocol.Message, depth),
-		crit: make(chan protocol.Message, depth),
+		out:          make(chan protocol.Message, depth),
+		crit:         make(chan protocol.Message, depth),
+		queueDropped: reg.Counter("transport.queue.dropped", metrics.L("peer", "B")),
 	}
 	t := &TCP{
-		cfg:      TCPConfig{Self: "A", QueueDepth: depth},
+		cfg:      TCPConfig{Self: "A", QueueDepth: depth, Metrics: reg},
+		series:   newTCPSeries(reg),
 		peers:    map[protocol.SiteID]*peer{"B": p},
 		handlers: map[protocol.SiteID]Handler{},
 		bhandler: map[protocol.SiteID]BatchHandler{},
 		down:     map[protocol.SiteID]bool{},
 		quit:     make(chan struct{}),
 	}
-	t.stats.ByPeer = map[protocol.SiteID]PeerStats{}
 	return t, p
 }
 
@@ -82,12 +85,8 @@ func TestPriorityQueueEvictionIsPerClass(t *testing.T) {
 		})
 	}
 
-	st := tr.Stats()
-	if st.QueueDropped != 4 {
-		t.Errorf("QueueDropped = %d, want 4 (3 bulk + 1 crit)", st.QueueDropped)
-	}
-	if st.CritDropped != 1 {
-		t.Errorf("CritDropped = %d, want 1", st.CritDropped)
+	if got := p.queueDropped.Value(); got != 4 {
+		t.Errorf("transport.queue.dropped = %d, want 4 (3 bulk + 1 crit)", got)
 	}
 
 	bulk := drainQueue(p.out)

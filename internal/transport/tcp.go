@@ -7,8 +7,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -50,9 +48,11 @@ type TCPConfig struct {
 	// Seed drives backoff jitter (runs with equal seeds draw the same
 	// jitter sequence).
 	Seed int64
-	// Metrics, when set, receives network.sent/delivered/dropped (same
-	// series as the simulated fabric) plus transport.reconnects and
-	// transport.conn.errors, labelled by peer.
+	// Metrics, when set, receives every counter the transport keeps:
+	// network.sent/delivered/dropped (same series as the simulated
+	// fabric), transport.reconnects, transport.conn.errors and
+	// transport.queue.dropped labelled by peer, transport.batch.* and
+	// transport.decode.errors.
 	Metrics *metrics.Registry
 	// Logf, when set, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
@@ -89,50 +89,6 @@ func (c *TCPConfig) fillDefaults() {
 	if c.Listen == "" {
 		c.Listen = c.Peers[c.Self]
 	}
-}
-
-// PeerStats counts one peer link's activity.
-type PeerStats struct {
-	// Sent counts frames written to the peer (one frame may carry a
-	// whole batch of messages); Dropped counts messages abandoned
-	// (dead link, backoff window, full queue).
-	Sent, Dropped int64
-	// Reconnects counts successful dials after a previous connection
-	// existed; ConnErrors counts failed dials and broken writes.
-	Reconnects, ConnErrors int64
-}
-
-// TCPStats snapshots a TCP transport's counters.
-type TCPStats struct {
-	Sent, Delivered, Dropped int64
-	Reconnects, ConnErrors   int64
-	// QueueDropped counts frames evicted from a full per-peer queue
-	// (oldest-first, within the frame's own priority class);
-	// CritDropped is the subset evicted from the critical
-	// (decision/outcome) queue.  DecodeErrors counts inbound frames
-	// rejected by the wire codec (CRC mismatch, unknown format, malformed
-	// payload) without killing the connection.
-	QueueDropped, CritDropped, DecodeErrors int64
-	ByPeer                                  map[protocol.SiteID]PeerStats
-}
-
-// Format renders the counters as stable text, iterating the per-peer
-// breakdown in sorted site order so same-run exports are byte-identical.
-func (s TCPStats) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "sent=%d delivered=%d dropped=%d reconnects=%d conn_errors=%d queue_dropped=%d decode_errors=%d\n",
-		s.Sent, s.Delivered, s.Dropped, s.Reconnects, s.ConnErrors, s.QueueDropped, s.DecodeErrors)
-	peers := make([]protocol.SiteID, 0, len(s.ByPeer))
-	for id := range s.ByPeer {
-		peers = append(peers, id)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	for _, id := range peers {
-		ps := s.ByPeer[id]
-		fmt.Fprintf(&b, "peer{site=%s} sent=%d dropped=%d reconnects=%d conn_errors=%d\n",
-			id, ps.Sent, ps.Dropped, ps.Reconnects, ps.ConnErrors)
-	}
-	return b.String()
 }
 
 // peer is one outgoing link.  conn and backoff state are owned by the
@@ -178,7 +134,7 @@ const msgKindSlots = 16
 
 // batchFlushReasons enumerates the reasons fillBatch returns, the label
 // values of transport.batch.flushes.
-var batchFlushReasons = []string{"count", "size", "drain", "delay"}
+var batchFlushReasons = []string{"count", "size", "drain"}
 
 // tcpSeries caches the transport's hot-path metric handles.  Per-message
 // accounting runs on every send and delivery, so it must be a pointer
@@ -231,7 +187,6 @@ type TCP struct {
 	down     map[protocol.SiteID]bool
 	conns    map[net.Conn]bool // accepted connections, for Close
 	closed   bool
-	stats    TCPStats
 	tap      func(to protocol.SiteID, frame []byte) []byte
 
 	wg   sync.WaitGroup
@@ -275,7 +230,6 @@ func newTCPWithListener(cfg TCPConfig, ln net.Listener) *TCP {
 		quit:     make(chan struct{}),
 	}
 	t.series = newTCPSeries(cfg.Metrics)
-	t.stats.ByPeer = map[protocol.SiteID]PeerStats{}
 	for id, addr := range cfg.Peers {
 		if id == cfg.Self {
 			continue
@@ -382,10 +336,8 @@ func (t *TCP) Send(msg protocol.Message) {
 		t.mu.Unlock()
 		return
 	}
-	t.stats.Sent++
 	t.countKind(t.series.sent[:], "network.sent", msg.Kind)
 	if t.down[msg.From] || t.down[msg.To] {
-		t.stats.Dropped++
 		t.countDrop("down")
 		t.mu.Unlock()
 		return
@@ -396,13 +348,13 @@ func (t *TCP) Send(msg protocol.Message) {
 		select {
 		case t.lo <- msg:
 		default:
-			t.drop(msg.To, "backpressure")
+			t.countDrop("backpressure")
 		}
 		return
 	}
 	p, ok := t.peers[msg.To]
 	if !ok {
-		t.drop(msg.To, "unknown")
+		t.countDrop("unknown")
 		return
 	}
 	q := p.out
@@ -419,13 +371,13 @@ func (t *TCP) Send(msg protocol.Message) {
 		// floods can never push out a decision or outcome message.
 		select {
 		case <-q:
-			t.queueDrop(p, q == p.crit)
+			t.queueDrop(p)
 		default:
 		}
 		select {
 		case q <- msg:
 		default:
-			t.drop(msg.To, "backpressure")
+			t.countDrop("backpressure")
 		}
 	}
 }
@@ -461,18 +413,6 @@ func (t *TCP) Close() error {
 	t.mu.Unlock()
 	t.wg.Wait()
 	return err
-}
-
-// Stats snapshots the counters (per-peer map deep-copied).
-func (t *TCP) Stats() TCPStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.stats
-	st.ByPeer = make(map[protocol.SiteID]PeerStats, len(t.stats.ByPeer))
-	for id, ps := range t.stats.ByPeer {
-		st.ByPeer[id] = ps
-	}
-	return st
 }
 
 // ---------------------------------------------------------------------
@@ -517,12 +457,12 @@ func (t *TCP) writer(p *peer) {
 // window.
 func (t *TCP) writeBatch(p *peer, msg protocol.Message) {
 	if p.conn == nil && !t.dial(p) {
-		t.dropPeer(p, "conn")
+		t.countDrop("conn")
 		return
 	}
 	p.batch.Reset()
 	p.batch.Add(msg)
-	reason := t.fillBatch(p, msg.Kind)
+	reason := t.fillBatch(p)
 	n := p.batch.Count()
 	p.buf = p.batch.AppendFrame(p.buf[:0])
 	frame := p.buf
@@ -541,42 +481,20 @@ func (t *TCP) writeBatch(p *peer, msg protocol.Message) {
 		t.connError(p)
 		// The whole batch rode one frame; account every message lost.
 		for i := 0; i < n; i++ {
-			t.dropPeer(p, "conn")
+			t.countDrop("conn")
 		}
 		return
 	}
-	t.mu.Lock()
-	ps := t.stats.ByPeer[p.id]
-	ps.Sent++
-	t.stats.ByPeer[p.id] = ps
-	t.mu.Unlock()
 	t.observeBatch(n, reason)
 }
 
-// entryLinger bounds how long a frame holding nothing but read requests
-// waits for company before it is written.  It buys no throughput; it is
-// the last of four per-hop waits, left in because the benchmark's noise
-// check refused the writer without it (DESIGN.md §9, ROADMAP 4(c)).
-const entryLinger = 100 * time.Microsecond
-
 // fillBatch drains what is already queued into p.batch, critical class
 // first, and returns why it stopped: "count" (BatchMax reached), "size"
-// (BatchBytes reached), "drain" (both queues empty) or "delay" (the
-// entry linger ran out).  Batching is self-clocking: whatever arrives
-// while the writer is inside conn.Write rides the next frame, so frames
-// grow with load and a message on an idle link costs a socket write,
-// not a timer tick.  The one exception is a frame made only of read
-// requests — a transaction's first hop, sent before the destination has
-// locked anything or voted, so the one place a wait lengthens no lock
-// and no in-doubt window there: it lingers up to entryLinger, once per
-// frame, and goes the moment any other kind joins it.
-func (t *TCP) fillBatch(p *peer, first protocol.MsgKind) string {
-	entryOnly := first == protocol.MsgReadReq
-	add := func(m protocol.Message) {
-		p.batch.Add(m)
-		entryOnly = entryOnly && m.Kind == protocol.MsgReadReq
-	}
-	var expired <-chan time.Time
+// (BatchBytes reached) or "drain" (both queues empty).  Batching is
+// self-clocking: whatever arrives while the writer is inside conn.Write
+// rides the next frame, so frames grow with load and a message on an
+// idle link costs a socket write, not a timer tick.
+func (t *TCP) fillBatch(p *peer) string {
 	for {
 		if p.batch.Count() >= t.cfg.BatchMax {
 			return "count"
@@ -586,33 +504,15 @@ func (t *TCP) fillBatch(p *peer, first protocol.MsgKind) string {
 		}
 		select {
 		case m := <-p.crit:
-			add(m)
+			p.batch.Add(m)
 			continue
 		default:
 		}
 		select {
 		case m := <-p.out:
-			add(m)
-			continue
+			p.batch.Add(m)
 		default:
-		}
-		if !entryOnly {
 			return "drain"
-		}
-		if expired == nil {
-			timer := time.NewTimer(entryLinger)
-			defer timer.Stop()
-			expired = timer.C
-		}
-		select {
-		case <-t.quit:
-			return "drain"
-		case m := <-p.crit:
-			add(m)
-		case m := <-p.out:
-			add(m)
-		case <-expired:
-			return "delay"
 		}
 	}
 }
@@ -656,12 +556,6 @@ func (t *TCP) dial(p *peer) bool {
 	p.backoff = t.cfg.BackoffMin
 	p.nextDial = time.Time{}
 	if p.everUp {
-		t.mu.Lock()
-		t.stats.Reconnects++
-		ps := t.stats.ByPeer[p.id]
-		ps.Reconnects++
-		t.stats.ByPeer[p.id] = ps
-		t.mu.Unlock()
 		if p.reconnects != nil {
 			p.reconnects.Inc()
 		}
@@ -747,14 +641,12 @@ func (t *TCP) deliverRun(run []protocol.Message) {
 	bh := t.bhandler[to]
 	h := t.handlers[to]
 	if bh == nil && h == nil {
-		t.stats.Dropped += int64(len(run))
 		t.mu.Unlock()
 		for range run {
 			t.countDrop("unknown")
 		}
 		return
 	}
-	t.stats.Delivered += int64(len(run))
 	t.mu.Unlock()
 	for _, m := range run {
 		t.countKind(t.series.delivered[:], "network.delivered", m.Kind)
@@ -791,12 +683,10 @@ func (t *TCP) deliver(msg protocol.Message) {
 	}
 	h := t.handlers[msg.To]
 	if h == nil {
-		t.stats.Dropped++
 		t.countDrop("unknown")
 		t.mu.Unlock()
 		return
 	}
-	t.stats.Delivered++
 	t.countKind(t.series.delivered[:], "network.delivered", msg.Kind)
 	t.mu.Unlock()
 	h(msg)
@@ -837,31 +727,8 @@ func (t *TCP) countDrop(reason string) {
 	}
 }
 
-func (t *TCP) drop(to protocol.SiteID, reason string) {
-	t.mu.Lock()
-	t.stats.Dropped++
-	if p, ok := t.stats.ByPeer[to]; ok || t.peers[to] != nil {
-		p.Dropped++
-		t.stats.ByPeer[to] = p
-	}
-	t.mu.Unlock()
-	t.countDrop(reason)
-}
-
-func (t *TCP) dropPeer(p *peer, reason string) { t.drop(p.id, reason) }
-
 // queueDrop accounts one frame evicted from a full per-peer queue.
-func (t *TCP) queueDrop(p *peer, crit bool) {
-	t.mu.Lock()
-	t.stats.Dropped++
-	t.stats.QueueDropped++
-	if crit {
-		t.stats.CritDropped++
-	}
-	ps := t.stats.ByPeer[p.id]
-	ps.Dropped++
-	t.stats.ByPeer[p.id] = ps
-	t.mu.Unlock()
+func (t *TCP) queueDrop(p *peer) {
 	if p.queueDropped != nil {
 		p.queueDropped.Inc()
 	}
@@ -870,9 +737,6 @@ func (t *TCP) queueDrop(p *peer, crit bool) {
 
 // decodeError accounts one inbound frame the wire codec rejected.
 func (t *TCP) decodeError(err error) {
-	t.mu.Lock()
-	t.stats.DecodeErrors++
-	t.mu.Unlock()
 	if t.series.decodeErr != nil {
 		t.series.decodeErr.Inc()
 	}
@@ -880,12 +744,6 @@ func (t *TCP) decodeError(err error) {
 }
 
 func (t *TCP) connError(p *peer) {
-	t.mu.Lock()
-	t.stats.ConnErrors++
-	ps := t.stats.ByPeer[p.id]
-	ps.ConnErrors++
-	t.stats.ByPeer[p.id] = ps
-	t.mu.Unlock()
 	if p.connErrors != nil {
 		p.connErrors.Inc()
 	}

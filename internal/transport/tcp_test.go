@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -218,7 +217,8 @@ func TestTCPOrderPreservedPerPeer(t *testing.T) {
 }
 
 func TestTCPSetDownDrops(t *testing.T) {
-	trs := newTCPs(t, "A", "B")
+	reg := metrics.NewRegistry()
+	trs := newTCPsConfig(t, TCPConfig{Metrics: reg}, "A", "B")
 	var atB collector
 	trs["B"].Register("B", atB.handle)
 
@@ -228,9 +228,8 @@ func TestTCPSetDownDrops(t *testing.T) {
 	if !trs["A"].IsDown("B") {
 		t.Fatal("IsDown(B) = false after SetDown")
 	}
-	st := trs["A"].Stats()
-	if st.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", st.Dropped)
+	if got := reg.Snapshot().Total("network.dropped"); got != 1 {
+		t.Fatalf("network.dropped = %d, want 1", got)
 	}
 	trs["A"].SetDown("B", false)
 
@@ -274,12 +273,13 @@ func TestTCPReconnect(t *testing.T) {
 
 	// Drive sends until A notices the dead link (broken write or failed
 	// dial) and records at least one connection error.
+	connErrors := reg.Counter("transport.conn.errors", metrics.L("peer", "B"))
 	deadline := time.Now().Add(5 * time.Second)
-	for a.Stats().ConnErrors == 0 && time.Now().Before(deadline) {
+	for connErrors.Value() == 0 && time.Now().Before(deadline) {
 		a.Send(protocol.Message{Kind: protocol.MsgOutcomeAck, TID: "probe", From: "A", To: "B"})
 		time.Sleep(5 * time.Millisecond)
 	}
-	if a.Stats().ConnErrors == 0 {
+	if connErrors.Value() == 0 {
 		t.Fatal("sender never observed the dead peer")
 	}
 
@@ -300,13 +300,6 @@ func TestTCPReconnect(t *testing.T) {
 	}
 	if atB2.count() == 0 {
 		t.Fatal("no delivery after peer restart")
-	}
-	st := a.Stats()
-	if st.Reconnects == 0 {
-		t.Errorf("reconnects = 0 after peer restart; stats:\n%s", st.Format())
-	}
-	if st.ByPeer["B"].Reconnects == 0 {
-		t.Errorf("per-peer reconnects = 0; stats:\n%s", st.Format())
 	}
 	if reg.Counter("transport.reconnects", metrics.L("peer", "B")).Value() == 0 {
 		t.Error("transport.reconnects metric not incremented")
@@ -343,10 +336,10 @@ func TestTCPBatchCoalescing(t *testing.T) {
 	}
 	// The first write dials first, so the burst queues behind it and
 	// must coalesce into far fewer frames than messages.
-	if frames := a.Stats().ByPeer["B"].Sent; frames >= n {
+	h := reg.Histogram("transport.batch.size")
+	if frames := h.Count(); frames >= n {
 		t.Errorf("sent %d frames for %d messages — no coalescing", frames, n)
 	}
-	h := reg.Histogram("transport.batch.size")
 	if h.Count() == 0 || h.Max() <= 1 {
 		t.Errorf("batch.size histogram: count=%d max=%v, want multi-message batches", h.Count(), h.Max())
 	}
@@ -361,10 +354,11 @@ func TestTCPBatchCoalescing(t *testing.T) {
 
 // TestTCPBatchingDisabled: BatchMax=1 writes one frame per message.
 func TestTCPBatchingDisabled(t *testing.T) {
+	reg := metrics.NewRegistry()
 	lnA, _ := net.Listen("tcp", "127.0.0.1:0")
 	lnB, _ := net.Listen("tcp", "127.0.0.1:0")
 	peers := map[protocol.SiteID]string{"A": lnA.Addr().String(), "B": lnB.Addr().String()}
-	a := NewTCPWithListener(TCPConfig{Self: "A", Peers: peers, Seed: 1, BatchMax: 1}, lnA)
+	a := NewTCPWithListener(TCPConfig{Self: "A", Peers: peers, Seed: 1, BatchMax: 1, Metrics: reg}, lnA)
 	defer a.Close()
 	b := NewTCPWithListener(TCPConfig{Self: "B", Peers: peers, Seed: 2}, lnB)
 	defer b.Close()
@@ -377,13 +371,14 @@ func TestTCPBatchingDisabled(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	atB.waitFor(t, n, 10*time.Second)
-	if frames := a.Stats().ByPeer["B"].Sent; frames != n {
+	a.Close() // the writer has exited: every frame is recorded
+	if frames := reg.Histogram("transport.batch.size").Count(); frames != n {
 		t.Errorf("sent %d frames for %d messages with batching disabled", frames, n)
 	}
 }
 
-// TestTCPSelfClockingBatch: the writer does not wait for traffic (read
-// requests apart, and none are sent here), yet whatever queued while it was inside one write rides the next frame
+// TestTCPSelfClockingBatch: the writer does not wait for traffic, yet
+// whatever queued while it was inside one write rides the next frame
 // whole — critical class first — up to BatchMax.  The writer is parked
 // in a gated frame tap, so the queue contents at each flush are exact.
 func TestTCPSelfClockingBatch(t *testing.T) {
@@ -462,9 +457,8 @@ func TestTCPSelfClockingBatch(t *testing.T) {
 
 // TestTCPIdleLinkFlushesAtOnce: a message sent on an established link
 // with nothing else queued is a frame of its own, flushed because the
-// queue drained — no timer stands between it and the socket.  Only a
-// lone read request is counted under "delay": it waited out the entry
-// linger.
+// queue drained — no timer stands between it and the socket, whatever
+// its kind.
 func TestTCPIdleLinkFlushesAtOnce(t *testing.T) {
 	reg := metrics.NewRegistry()
 	trs := newTCPsConfig(t, TCPConfig{Metrics: reg}, "A", "B")
@@ -492,78 +486,11 @@ func TestTCPIdleLinkFlushesAtOnce(t *testing.T) {
 	}
 	a.Close() // the writer has exited: every flush is recorded
 
-	if frames := a.Stats().ByPeer["B"].Sent; frames != int64(len(kinds)) {
-		t.Errorf("wrote %d frames for %d lone messages", frames, len(kinds))
-	}
-	flushes := func(reason string) int64 {
-		return reg.Counter("transport.batch.flushes", metrics.L("reason", reason)).Value()
-	}
-	if got, want := flushes("drain"), int64(len(kinds)-1); got != want {
-		t.Errorf(`flushes{reason="drain"} = %d, want %d (every lone message but the read request)`, got, want)
-	}
-	if got := flushes("delay"); got != 1 {
-		t.Errorf(`flushes{reason="delay"} = %d, want 1 (the read request)`, got)
+	if got, want := reg.Counter("transport.batch.flushes", metrics.L("reason", "drain")).Value(), int64(len(kinds)); got != want {
+		t.Errorf(`flushes{reason="drain"} = %d, want %d (every lone message)`, got, want)
 	}
 	if h := reg.Histogram("transport.batch.size"); h.Count() != len(kinds) || h.Max() != 1 {
 		t.Errorf("batch.size: count=%d max=%v, want %d samples of 1", h.Count(), h.Max(), len(kinds))
-	}
-}
-
-// TestTCPEntryLingerOnlyForReadRequests: a frame lingers only while it
-// holds nothing but read requests; one message of any other kind in it
-// and it leaves when the queues drain.
-func TestTCPEntryLingerOnlyForReadRequests(t *testing.T) {
-	reg := metrics.NewRegistry()
-	trs := newTCPsConfig(t, TCPConfig{Metrics: reg}, "A", "B")
-	a := trs["A"]
-	trs["B"].Register("B", func(protocol.Message) {})
-	gate := gateWrites(t, a)
-	send := func(k protocol.MsgKind, id string) {
-		a.Send(protocol.Message{Kind: k, TID: txn.ID(id), From: "A", To: "B"})
-	}
-
-	send(protocol.MsgReady, "first")
-	gate.parked(t)
-	send(protocol.MsgReadReq, "r1")
-	send(protocol.MsgReadReq, "r2")
-	gate.pass()
-	if got := gate.parked(t); len(got) != 2 {
-		t.Fatalf("frame of read requests carries %d messages, want 2", len(got))
-	}
-	send(protocol.MsgReadReq, "r3")
-	send(protocol.MsgReady, "vote")
-	gate.pass()
-	if got := gate.parked(t); len(got) != 2 {
-		t.Fatalf("mixed frame carries %d messages, want 2", len(got))
-	}
-	gate.pass()
-	// One more frame at the tap: the three before it are recorded.
-	send(protocol.MsgReady, "last")
-	gate.parked(t)
-
-	for reason, want := range map[string]int64{"drain": 2, "delay": 1, "count": 0} {
-		if got := reg.Counter("transport.batch.flushes", metrics.L("reason", reason)).Value(); got != want {
-			t.Errorf("flushes{reason=%q} = %d, want %d", reason, got, want)
-		}
-	}
-}
-
-func TestTCPStatsFormatSorted(t *testing.T) {
-	st := TCPStats{
-		Sent: 3, Delivered: 2, Dropped: 1,
-		ByPeer: map[protocol.SiteID]PeerStats{
-			"C": {Sent: 1}, "A": {Sent: 2}, "B": {Dropped: 1},
-		},
-	}
-	out := st.Format()
-	ia, ib, ic := strings.Index(out, "site=A"), strings.Index(out, "site=B"), strings.Index(out, "site=C")
-	if ia < 0 || ib < 0 || ic < 0 || !(ia < ib && ib < ic) {
-		t.Fatalf("peers not in sorted order:\n%s", out)
-	}
-	for i := 0; i < 10; i++ {
-		if st.Format() != out {
-			t.Fatal("Format not deterministic")
-		}
 	}
 }
 
@@ -585,12 +512,11 @@ func TestTCPCloseIsIdempotentAndQuiet(t *testing.T) {
 	trs["A"].Send(protocol.Message{Kind: protocol.MsgOutcomeAck, TID: "late", From: "A", To: "B"})
 }
 
-// TestSimTransport checks the simulated-network adapter satisfies the
-// same contract over the deterministic scheduler.
+// TestSimTransport checks the simulated network satisfies the same
+// contract over the deterministic scheduler.
 func TestSimTransport(t *testing.T) {
 	sched := vclock.NewScheduler()
-	sim := NewSim(network.New(sched, network.Config{Seed: 7}))
-	var fab Transport = sim
+	var fab Transport = network.New(sched, network.Config{Seed: 7})
 
 	var atB collector
 	fab.Register("B", atB.handle)

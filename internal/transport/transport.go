@@ -1,29 +1,28 @@
 // Package transport abstracts the message fabric a cluster site sends
 // and receives protocol messages through.  Two implementations exist:
 //
-//   - Sim adapts the deterministic in-process simulated network
-//     (internal/network) — the default for tests, benchmarks and the
-//     single-process cluster runtime;
+//   - *network.Network, the deterministic in-process simulated network
+//     — the default for tests, benchmarks and the single-process
+//     cluster runtime;
 //   - TCP carries messages between real OS processes over loopback or a
 //     LAN, using the internal/wire binary codec, so a cluster can run as
 //     N independent polynode processes (cmd/polynode).
 //
 // Both deliver with lost-datagram semantics: Send never blocks on a slow
 // or dead peer, and a message that cannot be delivered is dropped and
-// counted.  The commit protocol is built to tolerate exactly that (§3.3
-// retries outcome propagation until acknowledged), which is what lets
-// one protocol core drive both fabrics unchanged.
+// counted in the metrics registry.  The commit protocol is built to
+// tolerate exactly that (§3.3 retries outcome propagation until
+// acknowledged), which is what lets one protocol core drive both fabrics
+// unchanged.  Injected loss, duplication, delay and partitions come from
+// a fault.Injector wrapped around either one.
 package transport
 
-import (
-	"repro/internal/network"
-	"repro/internal/protocol"
-)
+import "repro/internal/protocol"
 
-// Handler receives delivered messages at a site.  Alias of
-// network.Handler: the same handler functions register against either
-// fabric.
-type Handler = network.Handler
+// Handler receives delivered messages at a site.  It is an alias (not a
+// defined type) so *network.Network's Register, which takes the same
+// func type, satisfies Transport.
+type Handler = func(msg protocol.Message)
 
 // BatchHandler receives every message of one decoded frame addressed to
 // the same site in a single call.  Ownership of the slice transfers to
@@ -59,20 +58,3 @@ type Transport interface {
 	// connections, and waits for I/O goroutines to exit.
 	Close() error
 }
-
-// Sim adapts the simulated network to the Transport interface.
-// *network.Network already has Send/Register/SetDown/IsDown with
-// matching signatures; only Close is added (the simulated fabric holds
-// no resources).
-type Sim struct {
-	*network.Network
-}
-
-// NewSim wraps a simulated network as a Transport.
-func NewSim(n *network.Network) Sim { return Sim{Network: n} }
-
-// Close implements Transport; the simulated network has nothing to
-// release.
-func (Sim) Close() error { return nil }
-
-var _ Transport = Sim{}
