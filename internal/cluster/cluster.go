@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/fault"
@@ -60,6 +61,10 @@ type Cluster struct {
 	glogs   []*storage.GroupLog
 	ids     *txn.IDGen
 	qids    *txn.IDGen
+	// stamps is the last item change stamp minted (see Site.stampOf).
+	// One counter serves every site and outlives Restart, so a site never
+	// reissues a stamp; node mode starts it at the boot epoch.
+	stamps atomic.Uint64
 
 	// reg is the metrics registry every layer reports into; the named
 	// fields below cache the hot-path instruments (see metrics.go for the

@@ -19,9 +19,8 @@ type CrashPoint string
 
 const (
 	// CrashBeforePrepare fires on the coordinator after all reads
-	// arrive, before any prepare message is sent: participants hold
-	// read locks with no transaction coming, and recover via the lock
-	// timeout.
+	// arrive, before any prepare message is sent: reads leave no state,
+	// so no participant holds anything.
 	CrashBeforePrepare CrashPoint = "before-prepare"
 	// CrashBeforeReady fires on a participant after its prepared record
 	// is durably logged but before the ready message leaves: the

@@ -44,9 +44,8 @@ func TestArmCrashValidation(t *testing.T) {
 }
 
 // TestCrashBeforePrepare: the coordinator dies after collecting reads,
-// before any prepare leaves.  Participants hold read locks with no
-// transaction coming and recover via the lock timeout; nothing was ever
-// at risk of committing.
+// before any prepare leaves.  Reads leave no state, so no participant
+// holds anything; nothing was ever at risk of committing.
 func TestCrashBeforePrepare(t *testing.T) {
 	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "bsrc", 100)

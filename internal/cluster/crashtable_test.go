@@ -157,18 +157,17 @@ func (f *slowPrepare) Send(msg protocol.Message) {
 	f.Transport.Send(msg)
 }
 
-// TestLatePrepareAfterLockLapse: a prepare that arrives after the lock
-// timeout abandoned the transaction's read locks must be refused.  The
-// coordinator computed from a snapshot those locks no longer protect; a
-// second transaction has updated the item in between, and preparing from
-// the snapshot would overwrite that update (a lost update: 30 units
-// minted from nothing).
+// TestLatePrepareAfterLockLapse: a prepare that arrives after another
+// transaction installed an item the read round read must be refused.
+// The coordinator computed from a snapshot that is no longer current;
+// preparing from it would overwrite the second transaction's update (a
+// lost update: 30 units minted from nothing).  The read took no lock,
+// so the stamp B served with it is what catches this.
 func TestLatePrepareAfterLockLapse(t *testing.T) {
 	c, err := New(Config{
-		Sites:       []protocol.SiteID{"A", "B", "C"},
-		Net:         network.Config{Latency: 10 * time.Millisecond, Seed: 1},
-		LockTimeout: 50 * time.Millisecond,
-		Placement:   abcPlacement,
+		Sites:     []protocol.SiteID{"A", "B", "C"},
+		Net:       network.Config{Latency: 10 * time.Millisecond, Seed: 1},
+		Placement: abcPlacement,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +176,9 @@ func TestLatePrepareAfterLockLapse(t *testing.T) {
 	loadInt(t, c, "adst", 0)
 	loadInt(t, c, "bsrc", 100)
 	loadInt(t, c, "cdst", 0)
-	// T1 read-locks bsrc at B at 10ms and reads 100 (each share reads the
-	// other site's item, so the read round runs); its prepare to B is
-	// held from 20ms until 120ms, past B's lock timeout at 60ms.
+	// T1 reads bsrc = 100 at B at 10ms (each share reads the other site's
+	// item, so the read round runs); its prepare to B is held from 20ms
+	// until 120ms.
 	slow := &slowPrepare{Transport: c.fab, c: c, to: "B", by: 100 * time.Millisecond}
 	c.fab = slow
 	h1, _ := c.Submit("A", "bsrc = bsrc - 40 if cdst >= 0; cdst = cdst + 40 if bsrc >= 40")
@@ -194,8 +193,8 @@ func TestLatePrepareAfterLockLapse(t *testing.T) {
 	if h2 == nil || h2.Status() != StatusCommitted {
 		t.Fatalf("T2 should commit in the gap, got %+v", h2)
 	}
-	if h1.Status() != StatusAborted || h1.Reason() != "refused: read lock lapsed at B" {
-		t.Fatalf("T1 = %v (%q), want refused: read lock lapsed at B", h1.Status(), h1.Reason())
+	if h1.Status() != StatusAborted || h1.Reason() != "refused: stale read at B" {
+		t.Fatalf("T1 = %v (%q), want refused: stale read at B", h1.Status(), h1.Reason())
 	}
 	a, b, cc := readInt(t, c, "adst"), readInt(t, c, "bsrc"), readInt(t, c, "cdst")
 	if a != 30 || b != 70 || cc != 0 {
@@ -210,10 +209,10 @@ func TestLatePrepareAfterLockLapse(t *testing.T) {
 }
 
 // TestAbortOvertakesReadReq: the TCP writer sends an abort ahead of bulk
-// traffic, so when a coordinator's other participant refuses at once the
-// abort can reach a site before the read request it chases.  The late
-// read request must lock nothing: nobody is left to release it, and the
-// item would refuse every transaction until the lock timeout.
+// traffic, so the abort can reach a site before the read request it
+// chases.  A read takes no lock and keeps no state, so the late request
+// is served and leaves nothing behind: no lock, no participant, nothing
+// that could refuse the next transaction on the item.
 func TestAbortOvertakesReadReq(t *testing.T) {
 	c := newTestCluster(t, PolicyPolyvalue)
 	loadInt(t, c, "bsrc", 100)
@@ -222,12 +221,13 @@ func TestAbortOvertakesReadReq(t *testing.T) {
 	c.fab.Send(protocol.Message{Kind: protocol.MsgAbort, TID: tid, From: "A", To: "B"})
 	c.RunFor(20 * time.Millisecond)
 	c.fab.Send(protocol.Message{Kind: protocol.MsgReadReq, TID: tid, From: "A", To: "B",
-		Items: []string{"bsrc"}, Lock: true, Coordinator: "A"})
-	// Well short of LockTimeout (250 ms): the lock is never taken, not
-	// timed out.
+		Items: []string{"bsrc"}, Update: true, Coordinator: "A"})
 	c.RunFor(20 * time.Millisecond)
-	if info, _ := c.SiteInfo("B"); info.Locks != 0 {
-		t.Fatalf("B holds %d locks for a transaction it knows aborted", info.Locks)
+	b := c.sites["B"]
+	var locks, parts int
+	b.do(func() { locks, parts = len(b.locks), len(b.parts) })
+	if locks != 0 || parts != 0 {
+		t.Fatalf("B holds %d locks and %d participant contexts after a read", locks, parts)
 	}
 	h, _ := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
 	c.RunFor(100 * time.Millisecond)
@@ -240,7 +240,7 @@ func TestAbortOvertakesReadReq(t *testing.T) {
 }
 
 // TestAbortOvertakesPrepare: the same overtaking, one phase later.  A
-// blind write reads nothing at B, so no read lock lapsed and nothing but
+// blind write reads nothing at B, so no stamp is stale and nothing but
 // the known abort can stop B from locking and preparing a transaction
 // that is already dead — and holding the item until the wait timeout.
 func TestAbortOvertakesPrepare(t *testing.T) {

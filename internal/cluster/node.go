@@ -49,10 +49,16 @@ func NewNode(cfg Config, self protocol.SiteID, fab transport.Transport) (*Cluste
 	// transaction could be answered with the old one's fate.  Durable
 	// nodes therefore salt the prefix with a boot epoch; volatile nodes
 	// lose every record with the process, so their plain prefix stands.
+	// Item change stamps must not recur either (a read served before a
+	// restart must fail validation after it), on volatile nodes too: they
+	// count up from the same epoch, in nanoseconds, which no earlier
+	// incarnation's count can have reached.
+	epoch := time.Now().UnixNano()
 	prefix := string(self) + ".t"
 	if cfg.DataDir != "" {
-		prefix += strconv.FormatInt(time.Now().UnixNano(), 36)
+		prefix += strconv.FormatInt(epoch, 36)
 	}
+	c.stamps.Store(uint64(epoch))
 	c.wall = vclock.NewWall()
 	c.clk, c.fab, c.deliver = c.wall, fab, async
 	c.ids, c.qids = txn.NewIDGen(prefix), txn.NewIDGen(string(self)+".q")

@@ -79,9 +79,9 @@ func TestNodeQuorumCommit(t *testing.T) {
 		}
 	}
 
-	// Several sequential transfers: each one probes (and read-locks) all
-	// three replicas of both accounts, so any lock residue from txn N
-	// aborts txn N+1.
+	// Several sequential transfers: each one probes all three replicas
+	// of both accounts and locks the ones it prepares, so any lock residue
+	// from txn N aborts txn N+1.
 	want := int64(100)
 	for i := 0; i < 5; i++ {
 		hd, err := h.nodes["A"].Submit("A", transferSrc(10))

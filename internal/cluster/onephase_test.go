@@ -41,7 +41,7 @@ func TestOnePhaseLockConflict(t *testing.T) {
 	loadInt(t, c, "by", 5)
 	// A slow distributed transaction holds ax...
 	h1, _ := c.Submit("C", "ax = ax + by")
-	c.RunFor(15 * time.Millisecond) // read locks taken at A by now
+	c.RunFor(35 * time.Millisecond) // A locked ax at its prepare by now
 	// ...so a local one-phase transaction on ax refuses immediately.
 	h2, _ := c.Submit("A", "ax = 0")
 	c.RunFor(2 * time.Second)

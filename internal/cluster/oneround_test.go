@@ -17,12 +17,12 @@ import (
 // coordinator prepares at once; each participant locks its own items,
 // reads them from its store and computes the statements it hosts.
 
-// holdLock takes item's lock at its site for a transaction that never
-// prepares, as a coordinator that died after its read request would
-// leave it: held until the lock timeout (250 ms).
+// holdLock takes item's lock at its site for another transaction, which
+// holds it for 250 ms, as a participant waiting on its coordinator does.
 func holdLock(c *Cluster, site protocol.SiteID, item string) {
-	c.fab.Send(protocol.Message{Kind: protocol.MsgReadReq, TID: "t-holder", From: "A", To: site,
-		Items: []string{item}, Lock: true, Coordinator: "A"})
+	s := c.sites[site]
+	s.do(func() { s.lockAll("t-holder", []string{item}) })
+	c.sched.After(250*time.Millisecond, func() { s.do(func() { s.releaseLocks("t-holder") }) })
 }
 
 // TestOneRoundNeedsNoAllocation: the coordinator's test for skipping the
@@ -71,8 +71,8 @@ func TestOneRoundPrepareMeetsHeldLock(t *testing.T) {
 	if h.Status() != StatusAborted || h.Reason() != "refused: lock conflict at B" {
 		t.Fatalf("%v (%q), want refused: lock conflict at B", h.Status(), h.Reason())
 	}
-	if n := sent(c, "read-req"); n != 1 {
-		t.Errorf("%d read requests, want only the lock holder's: the refusal must come from the prepare", n)
+	if n := sent(c, "read-req"); n != 0 {
+		t.Errorf("%d read requests, want none: the refusal must come from the prepare", n)
 	}
 	info, _ := c.SiteInfo("B")
 	if info.Locks != 1 || info.Prepared != 0 {
@@ -112,7 +112,7 @@ func TestAbortOvertakesOneRoundPrepare(t *testing.T) {
 	if h2.Status() != StatusCommitted || readInt(t, c, "bx") != 90 {
 		t.Fatalf("next debit of bx: %v (%s), bx %v", h2.Status(), h2.Reason(), c.Read("bx"))
 	}
-	c.RunFor(time.Second) // past the holder's lock timeout
+	c.RunFor(time.Second) // past the holder's release
 	if v := c.CheckInvariants(); len(v) != 0 {
 		t.Errorf("invariant violations: %v", v)
 	}

@@ -135,7 +135,7 @@ func (n *tapNet) queryID(from protocol.SiteID, item string) (txn.ID, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, m := range n.sent {
-		if m.From == from && m.Kind == protocol.MsgReadReq && !m.Lock && len(m.Items) == 1 && m.Items[0] == item {
+		if m.From == from && m.Kind == protocol.MsgReadReq && !m.Update && len(m.Items) == 1 && m.Items[0] == item {
 			return m.TID, true
 		}
 	}
@@ -402,7 +402,7 @@ func gateHeadOfLine(t *testing.T, lanes int) {
 // gateFrameParksPerMessage: one frame, two messages.  The first must
 // wait for the disk — an abort for a transaction B has never seen logs
 // its outcome, and the outcome-ack depends on that record.  The second
-// depends on nothing unsynced — a locking read of an item B loaded
+// depends on nothing unsynced — an update's read of an item B loaded
 // before the gate shut — so its reply leaves at once instead of behind
 // its frame-mate.
 func gateFrameParksPerMessage(t *testing.T, lanes int) {
@@ -413,7 +413,7 @@ func gateFrameParksPerMessage(t *testing.T, lanes int) {
 	r.nodes["B"].sites["B"].onMessageBatch([]protocol.Message{
 		{Kind: protocol.MsgAbort, TID: aborted, From: "A", To: "B"},
 		{Kind: protocol.MsgReadReq, TID: reader, From: "A", To: "B",
-			Items: []string{"bquiet"}, Coordinator: "A", Lock: true},
+			Items: []string{"bquiet"}, Coordinator: "A", Update: true},
 	})
 	r.eventually("the read-rep leaves B with its gate shut", func() bool {
 		return r.net.left("B", protocol.MsgReadRep, reader) == 1

@@ -121,12 +121,9 @@ const (
 	// names).
 	MsgAntiEntropyUpdate
 
-	// MsgReadRelease tells a probed site the coordinator assembled its
-	// quorum without it: drop the transaction's read locks if they are
-	// still idle (never prepared), otherwise ignore.  Unlike MsgAbort it
-	// never records an outcome, so it is safe to send to sites whose
-	// probe may have been lost — a stale or misdelivered release is a
-	// no-op.
+	// MsgReadRelease is retired: reads take no locks, so there is
+	// nothing to release and no site sends it.  The kind keeps its number
+	// for code that counts messages by kind.
 	MsgReadRelease
 )
 
@@ -181,8 +178,6 @@ func (k MsgKind) String() string {
 		return "anti-entropy-reply"
 	case MsgAntiEntropyUpdate:
 		return "anti-entropy-update"
-	case MsgReadRelease:
-		return "read-release"
 	default:
 		return fmt.Sprintf("msg(%d)", uint8(k))
 	}
@@ -200,8 +195,9 @@ type Message struct {
 	// participant holds (its share of the write set).
 	Items []string
 	// MsgReadReq: whether the read is on behalf of an update transaction
-	// and must lock the items (false for §3.4 read-only queries).
-	Lock bool
+	// (false for §3.4 read-only queries): the reply then carries stamps,
+	// and any polyvalue it returns makes the requester a holder (§3.3).
+	Update bool
 	// MsgReadRep and MsgPrepare: item values (current values for
 	// read-rep; remote read values for prepare).
 	Values map[string]polyvalue.Poly
@@ -212,20 +208,26 @@ type Message struct {
 	Coordinator SiteID
 	// MsgRefuse: human-readable reason, for tracing.
 	Reason string
-	// MsgReady: the participant held only read items and has already
-	// released them (the classic read-only 2PC optimization); it needs no
-	// complete/abort and must not be waited on for outcome acks.
+	// MsgReady: the participant holds only read items, found them current
+	// and keeps nothing (the classic read-only 2PC optimization); it needs
+	// no complete/abort and must not be waited on for outcome acks.
 	ReadOnly bool
 	// MsgOutcomeInfo: the outcome.
 	Committed bool
-	// MsgReadReq and MsgPrepare: the transaction's remaining time budget
-	// as of the send, zero when no deadline is set.  Remaining time
+	// MsgPrepare: the transaction's remaining time budget as of the
+	// send, zero when no deadline is set.  Remaining time
 	// rather than an absolute instant, because wall clocks of separate
 	// processes share no epoch; the receiver re-anchors it against its
 	// own clock.  Expired work is aborted (coordinator) or resolved per
 	// policy (participant) instead of camping on locks.
 	Deadline time.Duration
-	// MsgReadReq and MsgPrepare: the coordinator's root span ID for this
+	// MsgReadRep to an update and MsgPrepare: item change stamps.  A read
+	// reply maps each served item to its stamp, which every install at
+	// the site changes; a prepare carries the stamps of the recipient's
+	// items that the coordinator read, and the recipient refuses unless
+	// each is still current.
+	Stamps map[string]uint64
+	// MsgPrepare: the coordinator's root span ID for this
 	// transaction, so participant-side spans parent into the same causal
 	// tree.  Zero when span tracing is off — the common case — and then
 	// absent from the wire encoding entirely (internal/wire writes an

@@ -35,10 +35,10 @@ func reseal(frame []byte) {
 
 // TestEveryFieldEveryKind: on every message kind, each optional section
 // — deadline, trace context, gossip (outcomes and versions), Paxos
-// (ballot, participants, instance state) — survives a frame round trip
-// whether or not the others are present, re-encodes byte-identically,
-// and a presence bit that disagrees with its section (or an unknown
-// flag bit) is rejected.
+// (ballot, participants, instance state), stamps — survives a frame
+// round trip whether or not the others are present, re-encodes
+// byte-identically, and a presence bit that disagrees with its section
+// is rejected.
 func TestEveryFieldEveryKind(t *testing.T) {
 	poly := polyvalue.Uncertain("T7",
 		polyvalue.Simple(value.Int(150)), polyvalue.Simple(value.Int(100)))
@@ -61,12 +61,13 @@ func TestEveryFieldEveryKind(t *testing.T) {
 				{Instance: "C", Ballot: 4, Vote: protocol.VoteAborted},
 			}
 		}},
+		{"stamps", 1 << 7, func(m *protocol.Message) { m.Stamps = map[string]uint64{"x": 1 << 40, "y": 9} }},
 	}
-	for k := protocol.MsgReadReq; k <= protocol.MsgReadRelease; k++ {
+	for k := protocol.MsgReadReq; k <= protocol.MsgAntiEntropyUpdate; k++ {
 		for mask := 0; mask < 1<<len(sections); mask++ {
 			m := protocol.Message{
 				Kind: k, TID: "t1", From: "A", To: "B",
-				Items: []string{"x", "y"}, Lock: true, ReadOnly: true, Committed: true,
+				Items: []string{"x", "y"}, Update: true, ReadOnly: true, Committed: true,
 				Program: "x = x - 1; y = y + 1", Coordinator: "A", Reason: "why",
 				Values: map[string]polyvalue.Poly{"x": polyvalue.Simple(value.Int(5)), "y": poly},
 			}

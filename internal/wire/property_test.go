@@ -32,7 +32,7 @@ var kinds = []protocol.MsgKind{
 	protocol.MsgPaxosAccept, protocol.MsgPaxosAccepted, protocol.MsgPaxosReject,
 	protocol.MsgPaxosDecision,
 	protocol.MsgAntiEntropyDigest, protocol.MsgAntiEntropyReply,
-	protocol.MsgAntiEntropyUpdate, protocol.MsgReadRelease,
+	protocol.MsgAntiEntropyUpdate,
 }
 
 func randString(r *rand.Rand, max int) string {
@@ -82,7 +82,7 @@ func (randMessage) Generate(r *rand.Rand, _ int) reflect.Value {
 		TID:         txn.ID(randString(r, 16)),
 		From:        protocol.SiteID(randString(r, 8)),
 		To:          protocol.SiteID(randString(r, 8)),
-		Lock:        r.Intn(2) == 0,
+		Update:      r.Intn(2) == 0,
 		ReadOnly:    r.Intn(2) == 0,
 		Committed:   r.Intn(2) == 0,
 		Program:     randString(r, 64),
@@ -141,6 +141,14 @@ func (randMessage) Generate(r *rand.Rand, _ int) reflect.Value {
 					TID:       txn.ID(randString(r, 10)),
 					Committed: r.Intn(2) == 0,
 				}
+			}
+		}
+	}
+	if r.Intn(3) == 0 {
+		if n := r.Intn(4); n > 0 {
+			m.Stamps = make(map[string]uint64, n)
+			for i := 0; i < n; i++ {
+				m.Stamps[fmt.Sprintf("%s%d", randString(r, 6), i)] = uint64(r.Int63())
 			}
 		}
 	}

@@ -33,10 +33,12 @@ func TestVersionSelection(t *testing.T) {
 		{"ballot", protocol.Message{Kind: protocol.MsgPaxosReject, Ballot: 3}, hasPaxos},
 		{"participants on a plain kind", protocol.Message{Kind: protocol.MsgComplete,
 			Participants: []protocol.SiteID{"A"}}, hasPaxos},
-		{"everything", protocol.Message{Kind: protocol.MsgPaxosAccept, Lock: true,
+		{"stamps on a read reply", protocol.Message{Kind: protocol.MsgReadRep,
+			Stamps: map[string]uint64{"x": 1}}, hasStamps},
+		{"everything", protocol.Message{Kind: protocol.MsgPaxosAccept, Update: true,
 			Deadline: time.Second, TraceCtx: 7, Versions: map[string]uint64{"x": 1},
-			PaxosState: []protocol.PaxosInst{{Instance: "B"}}},
-			flagLock | hasDeadline | hasTrace | hasGossip | hasPaxos},
+			PaxosState: []protocol.PaxosInst{{Instance: "B"}}, Stamps: map[string]uint64{"x": 2}},
+			flagUpdate | hasDeadline | hasTrace | hasGossip | hasPaxos | hasStamps},
 	}
 	for _, c := range cases {
 		c.m.TID, c.m.From, c.m.To = "t", "A", "B"
@@ -122,7 +124,7 @@ func TestTraceVersionMalformed(t *testing.T) {
 // a stream, keeps its trace context.
 func TestDecodePayloadTraceVersion(t *testing.T) {
 	m := protocol.Message{Kind: protocol.MsgReadReq, TID: "t", From: "A", To: "B",
-		Items: []string{"x"}, Lock: true, TraceCtx: 42}
+		Items: []string{"x"}, Update: true, TraceCtx: 42}
 	if got := readOne(t, EncodeFrame(m)); got.TraceCtx != 42 || !messagesEqual(m, got) {
 		t.Fatalf("got %+v", got)
 	}

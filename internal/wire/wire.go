@@ -18,8 +18,8 @@
 //
 //	1 byte   message kind
 //	str      TID, From, To           (uvarint length + bytes each)
-//	1 byte   flags: bit0 Lock, bit1 ReadOnly, bit2 Committed, and
-//	         bits 3–6 mark which optional sections follow
+//	1 byte   flags: bit0 Update, bit1 ReadOnly, bit2 Committed, and
+//	         bits 3–7 mark which optional sections follow
 //	uvarint  item count; per item: str
 //	str      Program, Coordinator, Reason
 //	bit 3    deadline: uvarint remaining time budget, nanoseconds
@@ -33,6 +33,8 @@
 //	                   uvarint instance count; per instance: str site,
 //	                     uvarint ballot, 1 byte vote (0 none, 1 prepared,
 //	                     2 aborted)
+//	bit 7    stamps:   uvarint count; per entry, sorted by item:
+//	                     str item, uvarint stamp
 //	uvarint  value count; per entry, sorted by item name:
 //	           str   item
 //	           poly  polyvalue.AppendBinary encoding
@@ -40,8 +42,8 @@
 // The canonical rule: on every kind, a section is written if and only
 // if it is non-empty — a positive deadline, a nonzero trace context, at
 // least one outcome or version, a nonzero ballot or at least one
-// participant or instance.  The decoder rejects a presence bit over an
-// empty section and any unknown flag bit, and map entries are written in
+// participant or instance, at least one stamp.  The decoder rejects a presence bit over an
+// empty section, and map entries are written in
 // sorted order, so equal messages produce identical bytes and re-encoding
 // a decoded frame reproduces it exactly.
 //
@@ -104,21 +106,22 @@ var (
 // Message flag bits: three booleans, then one presence bit per optional
 // section.
 const (
-	flagLock      = 1 << 0
+	flagUpdate    = 1 << 0
 	flagReadOnly  = 1 << 1
 	flagCommitted = 1 << 2
 	hasDeadline   = 1 << 3
 	hasTrace      = 1 << 4
 	hasGossip     = 1 << 5
 	hasPaxos      = 1 << 6
+	hasStamps     = 1 << 7
 )
 
 // flagsOf returns m's flags byte: its booleans plus the presence bit of
 // each non-empty optional section.
 func flagsOf(m protocol.Message) byte {
 	var f byte
-	if m.Lock {
-		f |= flagLock
+	if m.Update {
+		f |= flagUpdate
 	}
 	if m.ReadOnly {
 		f |= flagReadOnly
@@ -137,6 +140,9 @@ func flagsOf(m protocol.Message) byte {
 	}
 	if m.Ballot != 0 || len(m.Participants) > 0 || len(m.PaxosState) > 0 {
 		f |= hasPaxos
+	}
+	if len(m.Stamps) > 0 {
+		f |= hasStamps
 	}
 	return f
 }
@@ -191,6 +197,13 @@ func appendMessage(dst []byte, m protocol.Message) []byte {
 			dst = append(dst, byte(inst.Vote))
 		}
 	}
+	if flags&hasStamps != 0 {
+		dst = binary.AppendUvarint(dst, uint64(len(m.Stamps)))
+		for _, item := range sortedKeys(m.Stamps) {
+			dst = appendString(dst, item)
+			dst = binary.AppendUvarint(dst, m.Stamps[item])
+		}
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(m.Values)))
 	for _, item := range sortedKeys(m.Values) {
 		dst = appendString(dst, item)
@@ -208,7 +221,7 @@ func decodeMessage(buf []byte) (protocol.Message, error) {
 	m.From = protocol.SiteID(d.str("from"))
 	m.To = protocol.SiteID(d.str("to"))
 	flags := d.byte("flags")
-	m.Lock = flags&flagLock != 0
+	m.Update = flags&flagUpdate != 0
 	m.ReadOnly = flags&flagReadOnly != 0
 	m.Committed = flags&flagCommitted != 0
 	if n := d.count("item count"); n > 0 {
@@ -267,6 +280,15 @@ func decodeMessage(buf []byte) (protocol.Message, error) {
 				inst.Vote = protocol.Vote(d.byte("vote"))
 				d.check(inst.Vote <= protocol.VoteAborted, "vote")
 				m.PaxosState = append(m.PaxosState, inst)
+			}
+		}
+	}
+	if flags&hasStamps != 0 {
+		if n := d.count("stamp count"); n > 0 {
+			m.Stamps = make(map[string]uint64, n)
+			for i := 0; i < n && d.err == nil; i++ {
+				item := d.str("stamp item")
+				m.Stamps[item] = d.uvarint("stamp")
 			}
 		}
 	}

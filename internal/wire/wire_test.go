@@ -26,7 +26,7 @@ func goldenMessages() []protocol.Message {
 	return []protocol.Message{
 		{},
 		{Kind: protocol.MsgReadReq, TID: "t1", From: "A", To: "B",
-			Items: []string{"acct0", "acct1"}, Lock: true, Coordinator: "A"},
+			Items: []string{"acct0", "acct1"}, Update: true, Coordinator: "A"},
 		{Kind: protocol.MsgReadRep, TID: "t1", From: "B", To: "A",
 			Values: map[string]polyvalue.Poly{
 				"acct0": polyvalue.Simple(value.Int(100)),
@@ -52,7 +52,7 @@ func goldenMessages() []protocol.Message {
 		{Kind: protocol.MsgOutcomeAck, TID: "t3", From: "C", To: "A"},
 		// Deadline-carrying traffic.
 		{Kind: protocol.MsgReadReq, TID: "t4", From: "A", To: "B",
-			Items: []string{"acct0"}, Lock: true, Coordinator: "A",
+			Items: []string{"acct0"}, Update: true, Coordinator: "A",
 			Deadline: 250 * 1e6},
 		// Trace-context-carrying traffic, with and without a deadline
 		// riding along.
@@ -60,7 +60,7 @@ func goldenMessages() []protocol.Message {
 			Items: []string{"acct2"}, Program: "acct2 = acct2 + 1",
 			Coordinator: "A", Deadline: 500 * 1e6, TraceCtx: 0x7e57_0001},
 		{Kind: protocol.MsgReadReq, TID: "t5", From: "A", To: "B",
-			Items: []string{"acct1"}, Lock: true, Coordinator: "A",
+			Items: []string{"acct1"}, Update: true, Coordinator: "A",
 			TraceCtx: 1},
 		// The Paxos Commit decision plane, every kind.
 		{Kind: protocol.MsgPaxosBegin, TID: "t6", From: "A", To: "D",
@@ -138,7 +138,7 @@ func goldenMessages() []protocol.Message {
 // the same message on the wire.
 func messagesEqual(a, b protocol.Message) bool {
 	if a.Kind != b.Kind || a.TID != b.TID || a.From != b.From || a.To != b.To ||
-		a.Lock != b.Lock || a.ReadOnly != b.ReadOnly || a.Committed != b.Committed ||
+		a.Update != b.Update || a.ReadOnly != b.ReadOnly || a.Committed != b.Committed ||
 		a.Program != b.Program || a.Coordinator != b.Coordinator || a.Reason != b.Reason ||
 		a.Deadline != b.Deadline || a.TraceCtx != b.TraceCtx || a.Ballot != b.Ballot {
 		return false
@@ -189,6 +189,14 @@ func messagesEqual(a, b protocol.Message) bool {
 	}
 	for k, v := range a.Versions {
 		if w, ok := b.Versions[k]; !ok || v != w {
+			return false
+		}
+	}
+	if len(a.Stamps) != len(b.Stamps) {
+		return false
+	}
+	for k, v := range a.Stamps {
+		if w, ok := b.Stamps[k]; !ok || v != w {
 			return false
 		}
 	}
