@@ -283,7 +283,7 @@ func (s *Site) applyReplicaValues(msg protocol.Message) {
 			if _, certain := local.IsCertain(); !certain {
 				continue // reduction owns polyvalued replicas
 			}
-			if ver <= s.store.EffectiveVersion(phys) {
+			if ver <= s.store.EffectiveVersion(phys, "") {
 				continue
 			}
 			if err := s.put(phys, val); err != nil {

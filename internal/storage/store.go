@@ -700,14 +700,15 @@ func (s *Store) Version(item string) uint64 {
 }
 
 // EffectiveVersion returns the maximum of the item's committed version
-// and any version a prepared transaction would install — the version a
-// quorum read must see so concurrent writers allocate distinct numbers.
-func (s *Store) EffectiveVersion(item string) uint64 {
+// and any version a prepared transaction other than except would install
+// — the version a quorum read must see so concurrent writers allocate
+// distinct numbers.
+func (s *Store) EffectiveVersion(item string, except txn.ID) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v := s.versions[item]
-	for _, pend := range s.pendVers {
-		if pv, ok := pend[item]; ok && pv > v {
+	for tid, pend := range s.pendVers {
+		if pv, ok := pend[item]; ok && pv > v && tid != except {
 			v = pv
 		}
 	}

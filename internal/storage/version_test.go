@@ -18,7 +18,7 @@ func TestVersionPendingAndSettle(t *testing.T) {
 	if v := s.Version("bal_r0"); v != 0 {
 		t.Errorf("pending leaked into committed version: %d", v)
 	}
-	if v := s.EffectiveVersion("bal_r0"); v != 3 {
+	if v := s.EffectiveVersion("bal_r0", ""); v != 3 {
 		t.Errorf("effective version = %d, want 3", v)
 	}
 	if err := s.SettleVersions("T1", true); err != nil {
@@ -27,7 +27,7 @@ func TestVersionPendingAndSettle(t *testing.T) {
 	if v := s.Version("bal_r0"); v != 3 {
 		t.Errorf("committed version = %d, want 3", v)
 	}
-	if v := s.EffectiveVersion("bal_r1"); v != 3 {
+	if v := s.EffectiveVersion("bal_r1", ""); v != 3 {
 		t.Errorf("effective after settle = %d, want 3", v)
 	}
 
@@ -35,13 +35,13 @@ func TestVersionPendingAndSettle(t *testing.T) {
 	if err := s.SetVerPending("T2", map[string]uint64{"bal_r0": 4}); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.EffectiveVersion("bal_r0"); v != 4 {
+	if v := s.EffectiveVersion("bal_r0", ""); v != 4 {
 		t.Errorf("effective with pending = %d, want 4", v)
 	}
 	if err := s.SettleVersions("T2", false); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.EffectiveVersion("bal_r0"); v != 3 {
+	if v := s.EffectiveVersion("bal_r0", ""); v != 3 {
 		t.Errorf("effective after abort = %d, want 3", v)
 	}
 	// Settling an unknown transaction is a no-op.
@@ -96,7 +96,7 @@ func TestVersionRecovery(t *testing.T) {
 		if v := r.Version("seats_r2"); v != 2 {
 			t.Errorf("%s: seats_r2 version = %d, want 2", label, v)
 		}
-		if v := r.EffectiveVersion("bal_r0"); v != 8 {
+		if v := r.EffectiveVersion("bal_r0", ""); v != 8 {
 			t.Errorf("%s: bal_r0 effective = %d, want 8 (T1 still pending)", label, v)
 		}
 		// T1's pending entry must still settle after recovery.
