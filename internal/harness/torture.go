@@ -151,8 +151,14 @@ func Torture(cfg TortureConfig) (TortureReport, error) {
 		a := rng.Intn(cfg.Items)
 		b := (a + 1 + rng.Intn(cfg.Items-1)) % cfg.Items
 		amt := 1 + rng.Intn(20)
-		src := fmt.Sprintf("acct%d = acct%d - %d if acct%d >= %d; acct%d = acct%d + %d if acct%d >= %d",
-			a, a, amt, a, amt, b, b, amt, a, amt)
+		guard := fmt.Sprintf("acct%d >= %d", a, amt)
+		if i%2 == 1 {
+			// Each share reads the other's item, so neither site is a
+			// source and the transfer runs the read round.
+			guard += fmt.Sprintf(" && acct%d >= 0", b)
+		}
+		src := fmt.Sprintf("acct%d = acct%d - %d if %s; acct%d = acct%d + %d if %s",
+			a, a, amt, guard, b, b, amt, guard)
 		h, err := c.Submit(coord, src)
 		if err != nil {
 			return TortureReport{}, err
