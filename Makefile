@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench bench-procs bench-procs-smoke ab golden loc tables fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
+.PHONY: check lint vet build test race bench bench-procs bench-procs-smoke ab golden loc tables examples fuzz-smoke cluster-demo chaos chaos-smoke chaos-demo diskchaos diskchaos-smoke frontier overload overload-smoke telemetry-smoke consensus consensus-smoke georep georep-smoke
 
 check: lint vet build race ## everything CI runs
 
@@ -73,6 +73,13 @@ loc:
 
 tables:
 	$(GO) run ./cmd/polytables
+
+# Run every examples/* program, failing on the first non-zero exit (a
+# panic included).  Each is a seeded simulation that ends in seconds.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d || { echo "$$d failed"; exit 1; }; \
+	done
 
 # Short fuzzing passes over every wire-format decoder and the program
 # parser (one -fuzz run per target; go test only accepts a single fuzz

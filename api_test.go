@@ -200,28 +200,40 @@ func TestFacadeReplication(t *testing.T) {
 	if ReplicaName("bal", 2) != "bal_r2" {
 		t.Error("ReplicaName wrong")
 	}
-	logical, i, ok := ReplicaLogical("bal_r2")
-	if !ok || logical != "bal" || i != 2 {
-		t.Errorf("ReplicaLogical = %q,%d,%v", logical, i, ok)
-	}
-	p, err := ParseProgram("bal = bal - 1")
+	c, err := NewCluster(ClusterConfig{
+		Sites:       []SiteID{"a", "b", "c", "d"},
+		Replication: &ReplicationConfig{K: 3, W: 3, R: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ReplicateProgram(p, 2, 0)
-	if err != nil {
+	defer c.Close()
+	if err := c.LoadReplicated("bal", Simple(Int(100))); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.WriteSet()) != 2 {
-		t.Errorf("replicated write set = %v", r.WriteSet())
-	}
-	src, err := ReplicateExpr("bal", 1)
-	if err != nil || src != "bal_r1" {
-		t.Errorf("ReplicateExpr = %q, %v", src, err)
-	}
-	place := ReplicaPlacement([]SiteID{"a", "b", "c"})
-	if place(ReplicaName("x", 0)) == place(ReplicaName("x", 1)) {
+	if c.Placement(ReplicaName("bal", 0)) == c.Placement(ReplicaName("bal", 1)) {
 		t.Error("replicas co-located")
+	}
+	h, err := c.Submit("a", "bal = bal - 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(time.Second)
+	if h.Status() != StatusCommitted {
+		t.Fatalf("replicated write: %v (%s)", h.Status(), h.Reason())
+	}
+	for i := 0; i < 3; i++ {
+		if got := c.Read(ReplicaName("bal", i)); !got.Equal(Simple(Int(99))) {
+			t.Errorf("replica %d = %v, want 99", i, got)
+		}
+	}
+	q, err := c.Query("b", "bal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(time.Second)
+	if p, qerr, done := q.Result(); !done || qerr != nil || !p.Equal(Simple(Int(99))) {
+		t.Errorf("replicated read: %v done=%v err=%v", p, done, qerr)
 	}
 }
 

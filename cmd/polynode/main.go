@@ -47,10 +47,11 @@
 // the peer failure detector with its circuit breaker.
 //
 // Quorum replication is opt-in the same way: -replicas K spreads every
-// logical item across K physical replicas (hash-placed like any other
-// item) with -write-quorum/-read-quorum controlling W and R (W+R > K
+// logical item across K physical replicas (hash-placed on distinct
+// sites) with -write-quorum/-read-quorum controlling W and R (W+R > K
 // enforced; defaults: majority W, R = K+1-W).  All processes must pass
-// identical replication flags.  LOAD then installs the replicas the
+// identical replication flags; -place, whose pins name physical items,
+// is refused with it.  LOAD then installs the replicas the
 // receiving process hosts — send the same LOAD to every node — and the
 // anti-entropy gossip plane keeps replicas converging across failures;
 // when -heartbeat is set, gossip peer selection skips suspected peers.
@@ -76,7 +77,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"os"
 	"os/signal"
@@ -92,6 +92,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
+	"repro/internal/replica"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -190,7 +191,7 @@ func main() {
 			fatal("-faults: %v", err)
 		}
 	}
-	placement, err := parsePlacement(*place, peers)
+	placement, err := parsePlacement(*place, peers, *replicas)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -351,12 +352,15 @@ func parsePeers(s string) (map[protocol.SiteID]string, error) {
 }
 
 // parsePlacement builds a placement override from "item=site,..." pins;
-// nil (cluster default FNV hashing) when s is empty.  Pinned items fall
-// back to hashing if they name an unknown site — but that is rejected
-// here, at flag-parse time.
-func parsePlacement(s string, peers map[protocol.SiteID]string) (func(string) protocol.SiteID, error) {
+// nil (the cluster default, replica.Placement) when s is empty.  Pins
+// name physical items, while under -replicas programs name logical
+// ones, so the two flags are refused together here, at flag-parse time.
+func parsePlacement(s string, peers map[protocol.SiteID]string, replicas int) (func(string) protocol.SiteID, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
+	}
+	if replicas > 0 {
+		return nil, fmt.Errorf("-place cannot be combined with -replicas: pins name physical items, replicated programs name logical ones")
 	}
 	pins := map[string]protocol.SiteID{}
 	for _, part := range strings.Split(s, ",") {
@@ -374,20 +378,19 @@ func parsePlacement(s string, peers map[protocol.SiteID]string) (func(string) pr
 		}
 		pins[item] = id
 	}
-	// Deterministic fallback identical to the cluster default: FNV over
-	// the sorted membership.
+	// Unpinned items fall back to the cluster default over the sorted
+	// membership, which every process computes alike.
 	sites := make([]protocol.SiteID, 0, len(peers))
 	for id := range peers {
 		sites = append(sites, id)
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	fallback := replica.Placement(sites)
 	return func(item string) protocol.SiteID {
 		if id, ok := pins[item]; ok {
 			return id
 		}
-		h := fnv.New32a()
-		h.Write([]byte(item))
-		return sites[int(h.Sum32())%len(sites)]
+		return fallback(item)
 	}, nil
 }
 

@@ -101,7 +101,7 @@ func TestControlProtocol(t *testing.T) {
 // polybench retries on exactly this text.
 func TestSubmitShed(t *testing.T) {
 	peers := map[protocol.SiteID]string{"A": "127.0.0.1:0", "B": "127.0.0.1:1"}
-	place, err := parsePlacement("near=A,far=B", peers)
+	place, err := parsePlacement("near=A,far=B", peers, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,18 @@ func TestParseErrors(t *testing.T) {
 		t.Fatalf("parsePeers: %v %v", peers, err)
 	}
 	for _, bad := range []string{"x", "x=", "=A", "x=C"} {
-		if _, err := parsePlacement(bad, peers); err == nil {
+		if _, err := parsePlacement(bad, peers, 0); err == nil {
 			t.Errorf("parsePlacement(%q) accepted", bad)
 		}
 	}
-	if place, err := parsePlacement("", peers); place != nil || err != nil {
+	if place, err := parsePlacement("", peers, 3); place != nil || err != nil {
 		t.Errorf("empty -place: %v", err)
 	}
-	place, err := parsePlacement("x=B", peers)
+	// Pins name physical items; under -replicas programs name logical ones.
+	if _, err := parsePlacement("x=B", peers, 3); err == nil || !strings.Contains(err.Error(), "-replicas") {
+		t.Errorf("-place with -replicas: %v", err)
+	}
+	place, err := parsePlacement("x=B", peers, 0)
 	if err != nil || place("x") != "B" {
 		t.Fatalf("parsePlacement: %v", err)
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"sync/atomic"
 
@@ -119,7 +118,7 @@ func newCluster(cfg Config) (*Cluster, error) {
 	if err := validReplication(&cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Replication != nil && cfg.Placement == nil {
+	if cfg.Placement == nil {
 		cfg.Placement = replica.Placement(append([]protocol.SiteID{}, cfg.Sites...))
 	}
 	cfg.fillDefaults()
@@ -241,14 +240,7 @@ func (c *Cluster) Close() {
 }
 
 // Placement returns the owning site for an item.
-func (c *Cluster) Placement(item string) protocol.SiteID {
-	if c.cfg.Placement != nil {
-		return c.cfg.Placement(item)
-	}
-	h := fnv.New32a()
-	h.Write([]byte(item))
-	return c.order[int(h.Sum32())%len(c.order)]
-}
+func (c *Cluster) Placement(item string) protocol.SiteID { return c.cfg.Placement(item) }
 
 // Now returns the cluster clock's current time (simulated in the
 // scheduler runtime, wall-relative in node mode).

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -548,6 +549,14 @@ func TestDefaultPlacementDeterministic(t *testing.T) {
 	defer c.Close()
 	if c.Placement("item42") != c.Placement("item42") {
 		t.Error("placement not deterministic")
+	}
+	// A name outside the replica namespace hashes with FNV-1a over Sites.
+	for _, item := range []string{"item42", "acct0", "acct63", "x_r", "x_rb"} {
+		h := fnv.New32a()
+		h.Write([]byte(item))
+		if got, want := c.Placement(item), c.Sites()[int(h.Sum32())%3]; got != want {
+			t.Errorf("Placement(%q) = %s, want %s", item, got, want)
+		}
 	}
 	// All sites receive some share over many items.
 	counts := map[protocol.SiteID]int{}

@@ -165,8 +165,9 @@ type Config struct {
 	// clusters to aggregate, or leave nil for a private registry
 	// (retrievable via Cluster.Metrics).
 	Metrics *metrics.Registry
-	// Placement maps an item to its owning site; nil means FNV-hash over
-	// Sites.  Must be deterministic.
+	// Placement maps an item to its owning site; nil means
+	// replica.Placement over Sites: FNV-hash, with each logical item's
+	// replicas on distinct sites.  Must be deterministic.
 	Placement func(item string) protocol.SiteID
 	// DataDir, when set, backs every site's store with a file WAL
 	// (<DataDir>/<site>.wal).  A cluster re-created over the same
@@ -176,9 +177,7 @@ type Config struct {
 	DataDir string
 	// Replication, when set, turns on quorum replication over logical
 	// item names (see ReplicationConfig).  Nil (the default) keeps the
-	// classic single-copy protocol.  When set and Placement is nil, the
-	// replica-aware placement (each logical item's replicas on distinct
-	// sites) is installed automatically.
+	// classic single-copy protocol.
 	Replication *ReplicationConfig
 	// Suspected, when set, steers anti-entropy peer selection away from
 	// sites the failure detector currently suspects — gossip rounds are

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -236,37 +237,117 @@ func TestQuorumCommitDuringPartition(t *testing.T) {
 	}
 }
 
-// TestWriteAllBlocksDuringPartition: the same partition with W=K=3
-// cannot assemble its write set — the transaction aborts instead of
-// committing (the availability gap quorum replication closes).
+// TestWriteAllBlocksDuringPartition: with W = K = 3 a write cannot
+// assemble its write set while one replica's site is cut off or down —
+// the transaction aborts instead of committing (the availability gap
+// quorum replication closes) — while an R = 1 read still answers, with
+// no failover by the client.  Once the site is back, writes commit and
+// the replicas converge.
 func TestWriteAllBlocksDuringPartition(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  func(c *Cluster, victim protocol.SiteID)
+		mend func(c *Cluster, victim protocol.SiteID)
+	}{
+		{"partition", func(c *Cluster, victim protocol.SiteID) {
+			for _, id := range c.Sites() {
+				if id != victim {
+					c.Partition(victim, id)
+				}
+			}
+		}, func(c *Cluster, _ protocol.SiteID) { c.HealAll() }},
+		{"crash", (*Cluster).Crash, (*Cluster).Restart},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newQuorumCluster(t, func(cfg *Config) {
+				cfg.Replication = &ReplicationConfig{K: 3, W: 3, R: 1}
+			})
+			if err := c.LoadReplicated("bal", polyvalue.Simple(value.Int(100))); err != nil {
+				t.Fatal(err)
+			}
+			owners := replica.Sites(c.Placement, "bal", 3)
+			victim := owners[0]
+			coord := protocol.SiteID("")
+			for _, id := range c.Sites() {
+				if id != victim {
+					coord = id
+					break
+				}
+			}
+			tc.cut(c, victim)
+			qh, err := c.Query(coord, "bal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.Submit(coord, "bal = bal - 25")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(2 * time.Second)
+			if p, qerr, done := qh.Result(); !done || qerr != nil || !p.Equal(polyvalue.Simple(value.Int(100))) {
+				t.Errorf("read with replica 0's site cut off: %v done=%v err=%v", p, done, qerr)
+			}
+			if h.Status() != StatusAborted {
+				t.Fatalf("write-all with replica 0's site cut off: %v, want abort", h.Status())
+			}
+			tc.mend(c, victim)
+			c.RunFor(5 * time.Second)
+			h, err = c.Submit(coord, "bal = bal - 25")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(2 * time.Second)
+			if h.Status() != StatusCommitted {
+				t.Fatalf("write-all after repair: %v (%s)", h.Status(), h.Reason())
+			}
+			vals, vers := replicaVals(c, "bal")
+			for i := range vals {
+				if !vals[i].Equal(polyvalue.Simple(value.Int(75))) || vers[i] != 2 {
+					t.Errorf("replica %d = %v v%d, want 75 v2", i, vals[i], vers[i])
+				}
+			}
+		})
+	}
+}
+
+// TestQuorumInDoubtReplicasAgree: a write-all interrupted at the
+// critical moment leaves the same polyvalue on every replica — the
+// replicated item is in doubt coherently — and the coordinator's
+// restart reduces them all to the same value.
+func TestQuorumInDoubtReplicasAgree(t *testing.T) {
 	c := newQuorumCluster(t, func(cfg *Config) {
 		cfg.Replication = &ReplicationConfig{K: 3, W: 3, R: 1}
 	})
 	if err := c.LoadReplicated("bal", polyvalue.Simple(value.Int(100))); err != nil {
 		t.Fatal(err)
 	}
+	// A coordinator hosting no replica, crashed once every ready is in.
 	owners := replica.Sites(c.Placement, "bal", 3)
-	victim := owners[2]
 	coord := protocol.SiteID("")
 	for _, id := range c.Sites() {
-		if id != victim {
+		if !slices.Contains(owners, id) {
 			coord = id
 			break
 		}
 	}
-	for _, id := range c.Sites() {
-		if id != victim {
-			c.Partition(victim, id)
-		}
-	}
-	h, err := c.Submit(coord, "bal = bal - 25")
-	if err != nil {
+	c.ArmCrashBeforeDecision(coord)
+	if _, err := c.Submit(coord, "bal = bal - 10"); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(2 * time.Second)
-	if h.Status() != StatusAborted {
-		t.Fatalf("write-all during partition: %v, want abort", h.Status())
+	vals, _ := replicaVals(c, "bal")
+	for i := range vals {
+		if _, certain := vals[i].IsCertain(); certain || !vals[i].Equal(vals[0]) {
+			t.Fatalf("replica %d = %v, want the polyvalue every replica holds (%v)", i, vals[i], vals[0])
+		}
+	}
+	c.Restart(coord)
+	c.RunFor(10 * time.Second)
+	vals, _ = replicaVals(c, "bal")
+	for i := range vals {
+		if !vals[i].Equal(polyvalue.Simple(value.Int(100))) {
+			t.Errorf("replica %d after repair = %v, want 100", i, vals[i])
+		}
 	}
 }
 
@@ -354,9 +435,16 @@ func TestQuorumRejectsReplicaNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qh, err := c.Query("A", "bal_r0 + 1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.RunFor(time.Second)
-	if h.Status() != StatusAborted || !strings.Contains(h.Reason(), "replica") {
+	if h.Status() != StatusAborted || !strings.Contains(h.Reason(), "replica namespace") {
 		t.Fatalf("status = %v (%s), want replica-namespace abort", h.Status(), h.Reason())
+	}
+	if _, qerr, done := qh.Result(); !done || qerr == nil || !strings.Contains(qerr.Error(), "replica namespace") {
+		t.Fatalf("query done=%v err=%v, want the replica-namespace error", done, qerr)
 	}
 }
 

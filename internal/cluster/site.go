@@ -389,10 +389,6 @@ func (s *Site) beginTxn(t txn.T, h *Handle) {
 		s.c.aborted.Inc()
 		return
 	}
-	if s.c.cfg.Replication != nil {
-		s.beginQuorumTxn(t, h)
-		return
-	}
 	ctx := &coordCtx{
 		tid: t.ID, t: t, handle: h,
 		readWait: map[protocol.SiteID]bool{},
@@ -405,22 +401,27 @@ func (s *Site) beginTxn(t txn.T, h *Handle) {
 	if s.spansOn() {
 		ctx.span = s.c.cfg.Spans.NextID()
 	}
-	// Participants: every site holding an accessed item.
-	siteItems := map[protocol.SiteID][]string{}
-	for _, item := range t.Items() {
-		owner := s.c.Placement(item)
-		siteItems[owner] = append(siteItems[owner], item)
-	}
-	for site := range siteItems {
-		ctx.participants = append(ctx.participants, site)
-	}
-	sort.Slice(ctx.participants, func(i, j int) bool { return ctx.participants[i] < ctx.participants[j] })
-
-	// §2.1 lock avoidance: a transaction entirely local to this site
-	// needs no atomic-update coordination at all — commit in one step.
-	if len(ctx.participants) == 1 && ctx.participants[0] == s.id {
-		s.onePhaseCommit(ctx, h)
-		return
+	reads, chained := t.ReadSet(), false
+	if rep := s.c.cfg.Replication; rep != nil {
+		// The participants are the probed sites that answer (see plan).
+		q, probes, err := newQuorum(rep, t.Items(), t.WriteSet())
+		if err != nil {
+			s.c.aborted.Inc()
+			s.decideHandle(h, StatusAborted, err.Error())
+			s.recordTxnRoot(ctx, StatusAborted, err.Error(), true)
+			return
+		}
+		ctx.quorum, reads = q, probes
+	} else {
+		// Participants: every site holding an accessed item.
+		ctx.participants = sortedKeys(s.owners(t.Items()))
+		// §2.1 lock avoidance: a transaction entirely local to this site
+		// needs no atomic-update coordination at all — commit in one step.
+		if len(ctx.participants) == 1 && ctx.participants[0] == s.id {
+			s.onePhaseCommit(ctx, h)
+			return
+		}
+		chained = s.chained(t.Program, nil)
 	}
 	s.coords[t.ID] = ctx
 	if ctx.deadline > 0 {
@@ -430,26 +431,38 @@ func (s *Site) beginTxn(t txn.T, h *Handle) {
 	// No read round when every site that needs another site's values (a
 	// sink) reads them only from sites that can prepare first (sources):
 	// see sendPrepares.
-	if s.chained(t.Program, nil) {
+	if chained {
 		s.sendPrepares(ctx)
 		return
 	}
 	// Read phase: request the read-set values and their stamps, which the
 	// prepares carry back for validation.  Nothing is locked.
 	ctx.stamps = map[string]uint64{}
-	readOwner := map[protocol.SiteID][]string{}
-	for _, item := range t.ReadSet() {
+	s.sendReads(ctx, reads, true)
+}
+
+// owners groups items by the site they are placed at.
+func (s *Site) owners(items []string) map[protocol.SiteID][]string {
+	out := map[protocol.SiteID][]string{}
+	for _, item := range items {
 		owner := s.c.Placement(item)
-		readOwner[owner] = append(readOwner[owner], item)
+		out[owner] = append(out[owner], item)
 	}
-	for _, site := range sortedKeys(readOwner) {
-		items := readOwner[site]
+	return out
+}
+
+// sendReads requests items from their owners, with their stamps for an
+// update, and arms the read timer.
+func (s *Site) sendReads(ctx *coordCtx, items []string, update bool) {
+	owners := s.owners(items)
+	for _, site := range sortedKeys(owners) {
+		items := owners[site]
 		ctx.readWait[site] = true
 		sort.Strings(items)
 		// Item names out of the client's program: nothing logged here.
 		s.sendDep(protocol.Message{
-			Kind: protocol.MsgReadReq, TID: t.ID, To: site,
-			Items: items, Update: true, Coordinator: s.id,
+			Kind: protocol.MsgReadReq, TID: ctx.tid, To: site,
+			Items: items, Update: update, Coordinator: s.id,
 		}, 0)
 	}
 	ctx.readTimer = s.after(s.c.cfg.ReadyTimeout, func() { s.onReadTimeout(ctx.tid) })
@@ -545,35 +558,26 @@ func (s *Site) beginQuery(qid txn.ID, node expr.Node, qh *QueryHandle, certainBy
 		s.completeQuery(qh, polyvalue.Poly{}, errSiteDown)
 		return
 	}
-	if s.c.cfg.Replication != nil {
-		s.beginQuorumQuery(qid, node, qh, certainBy)
-		return
-	}
 	ctx := &coordCtx{
 		tid: qid, isQuery: true, qh: qh, qnode: node, qCertainBy: certainBy,
 		readWait: map[protocol.SiteID]bool{},
 		values:   map[string]polyvalue.Poly{},
 	}
-	readOwner := map[protocol.SiteID][]string{}
-	for _, item := range expr.Vars(node) {
-		owner := s.c.Placement(item)
-		readOwner[owner] = append(readOwner[owner], item)
+	reads := expr.Vars(node)
+	if rep := s.c.cfg.Replication; rep != nil {
+		q, probes, err := newQuorum(rep, reads, nil)
+		if err != nil {
+			s.completeQuery(qh, polyvalue.Poly{}, err)
+			return
+		}
+		ctx.quorum, reads = q, probes
 	}
 	s.coords[qid] = ctx
-	if len(readOwner) == 0 {
+	if len(reads) == 0 {
 		s.finishQuery(ctx)
 		return
 	}
-	for _, site := range sortedKeys(readOwner) {
-		items := readOwner[site]
-		ctx.readWait[site] = true
-		sort.Strings(items)
-		s.sendDep(protocol.Message{
-			Kind: protocol.MsgReadReq, TID: qid, To: site,
-			Items: items, Coordinator: s.id,
-		}, 0) // item names out of the query, as in beginTxn
-	}
-	ctx.readTimer = s.after(s.c.cfg.ReadyTimeout, func() { s.onReadTimeout(qid) })
+	s.sendReads(ctx, reads, false)
 }
 
 // onReadRep collects read values; when complete, queries evaluate and
@@ -584,23 +588,27 @@ func (s *Site) onReadRep(msg protocol.Message) {
 	if !ok || ctx.prepared && len(ctx.later) == 0 || !ctx.readWait[msg.From] {
 		return // late or duplicate
 	}
-	if ctx.quorum != nil {
-		s.onQuorumReadRep(ctx, msg)
-		return
-	}
 	delete(ctx.readWait, msg.From)
-	maps.Copy(ctx.values, msg.Values)
 	if ctx.stamps != nil { // a read round asked for them
 		maps.Copy(ctx.stamps, msg.Stamps)
 	}
-	if ctx.prepared {
-		if laterDue(ctx) {
-			s.prepareLater(ctx)
+	if q := ctx.quorum; q != nil {
+		// Done once every item has its quorum.
+		if q.fold(msg, ctx.values); !q.satisfied() {
+			return
 		}
-		return
-	}
-	if len(ctx.readWait) > 0 {
-		return
+	} else {
+		maps.Copy(ctx.values, msg.Values)
+		if ctx.prepared {
+			if laterDue(ctx) {
+				s.prepareLater(ctx)
+			}
+			return
+		}
+		// Done once every site has answered.
+		if len(ctx.readWait) > 0 {
+			return
+		}
 	}
 	s.cancel(ctx.readTimer)
 	if ctx.isQuery {
@@ -691,9 +699,9 @@ func (s *Site) onReadTimeout(tid txn.ID) {
 
 // sendPrepares starts the commit round and sends the first of up to two
 // waves of prepares.  In a chain it goes to the sources, with no values;
-// their replies bring what the sinks read.  After a read round it goes to
-// the writers, as the read-only sites validate their reads and keep
-// nothing.
+// their replies bring what the sinks read.  After a read round, a quorum
+// probe included, it goes to the writers, as the read-only sites validate
+// their reads and keep nothing.
 func (s *Site) sendPrepares(ctx *coordCtx) {
 	// Failpoint: reads collected (if there was a read round), no prepare
 	// sent — no participant holds anything yet.
@@ -716,6 +724,14 @@ func (s *Site) sendPrepares(ctx *coordCtx) {
 				Parent: ctx.span, Start: ctx.startAt, End: ctx.prepareAt})
 		}
 	}
+	// Under replication the prepare runs the program rewritten onto the
+	// winning replicas; a single copy runs it as written.
+	if ctx.quorum != nil {
+		if err := s.plan(ctx); err != nil {
+			s.decide(ctx, false, "replica rewrite: "+err.Error())
+			return
+		}
+	}
 	ctx.machine = protocol.NewCoordinator(ctx.tid, ctx.participants)
 	ctx.machine.Instrument(s.c.reg)
 	if s.paxosPlane() {
@@ -726,11 +742,7 @@ func (s *Site) sendPrepares(ctx *coordCtx) {
 		s.paxosBegin(ctx)
 	}
 	ctx.readOnly = map[protocol.SiteID]bool{}
-	ctx.writeOwner = map[protocol.SiteID][]string{}
-	for _, item := range ctx.t.WriteSet() {
-		owner := s.c.Placement(item)
-		ctx.writeOwner[owner] = append(ctx.writeOwner[owner], item)
-	}
+	ctx.writeOwner = s.owners(ctx.t.WriteSet())
 	if ctx.readTimer == nil {
 		s.chained(ctx.t.Program, func(item string, sink protocol.SiteID) {
 			ctx.readWait[s.c.Placement(item)] = true
@@ -792,9 +804,6 @@ func (s *Site) prepare(ctx *coordCtx, sites []protocol.SiteID) {
 	}
 
 	program := ctx.t.Program.String()
-	if ctx.quorum != nil {
-		program = ctx.quorum.program
-	}
 	for _, site := range sites {
 		items := ctx.writeOwner[site]
 		// Read-only participants (no local writes) compute nothing, so

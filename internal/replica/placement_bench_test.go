@@ -6,10 +6,9 @@ import (
 	"repro/internal/protocol"
 )
 
-// BenchmarkPlacement guards the hot-path cost of replica placement: the
-// logical-name FNV hash is computed inline (no hasher allocation) and
-// memoized, so steady-state lookups are a cache hit plus a modulo.
-// Before this, every lookup allocated a fnv.New32a hasher.
+// BenchmarkPlacement guards the hot-path cost of placement, the cluster
+// default: the FNV hash of the logical name is computed inline, with no
+// hasher and no allocation.
 func BenchmarkPlacement(b *testing.B) {
 	sites := []protocol.SiteID{"s0", "s1", "s2", "s3", "s4"}
 	place := Placement(sites)
@@ -19,25 +18,9 @@ func BenchmarkPlacement(b *testing.B) {
 			items = append(items, Name("acct"+string(rune('a'+i%26))+string(rune('a'+i/26)), r))
 		}
 	}
-	// Warm the memo so the loop measures the steady state.
-	for _, it := range items {
-		place(it)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		place(items[i%len(items)])
-	}
-}
-
-// BenchmarkPlacementCold measures first-touch lookups (memo miss): still
-// allocation-light because the hash itself is inline.
-func BenchmarkPlacementCold(b *testing.B) {
-	sites := []protocol.SiteID{"s0", "s1", "s2", "s3", "s4"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		place := Placement(sites)
-		place("acct")
 	}
 }

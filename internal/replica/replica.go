@@ -3,22 +3,16 @@
 // individual items, one for each site."
 //
 // A logical item x replicated k ways becomes physical items x_r0 …
-// x_r{k-1}, placed on distinct sites.  Two rewrite strategies exist:
-//
-//   - Rewrite: the classic write-all / read-one form.  Every write
-//     updates all k replicas atomically (they are just k items in one
-//     transaction, so the polyvalue machinery applies unchanged) and
-//     every read targets one chosen replica.  Reads survive any k-1
-//     site failures; writes survive none.
-//
-//   - RewritePlan: the quorum form used by the cluster runtime when
-//     Config.Replication is set.  The coordinator probes all k replicas,
-//     picks the newest replica (by version) for each read and any W
-//     responsive replicas for each write, and rewrites against that
-//     plan — so writes survive k−W site failures and reads survive k−R,
-//     with W+R > k guaranteeing every read quorum overlaps every write
-//     quorum.  Replicas left out of a write quorum are caught up by the
-//     cluster's anti-entropy plane, not by the transaction.
+// x_r{k-1}, placed on distinct sites by Placement.  The cluster runtime
+// replicates by quorum when Config.Replication is set: the coordinator
+// probes all k replicas, picks the newest replica (by version) for each
+// read and any W responsive replicas for each write, and compiles the
+// transaction against that plan with RewritePlan — so writes survive
+// k−W site failures and reads survive k−R, with W+R > k guaranteeing
+// every read quorum overlaps every write quorum.  Write-all / read-one
+// is the case W = k, R = 1.  Replicas left out of a write quorum are
+// caught up by the cluster's anti-entropy plane, not by the
+// transaction.
 //
 // Polyvalues and replication compose: an interrupted write leaves
 // polyvalues on the written replicas, and each reduces independently
@@ -27,10 +21,8 @@ package replica
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/protocol"
@@ -64,8 +56,8 @@ func Logical(physical string) (logical string, i int, ok bool) {
 // a user item named "audit_r3" is indistinguishable from replica 3 of
 // "audit", so Name/Logical would not round-trip and placement, version
 // digests and anti-entropy value copies would all attribute it to the
-// wrong logical item.  Every rewrite entry point calls this on every
-// logical name it touches.
+// wrong logical item.  RewritePlan and the cluster's quorum coordinator
+// call this on every logical name they touch.
 func CheckName(logical string) error {
 	if l, i, ok := Logical(logical); ok {
 		return fmt.Errorf("replica: logical item %q collides with the replica namespace (parses as replica %d of %q); rename it or drop the %s<digits> suffix", logical, i, l, Marker)
@@ -81,41 +73,6 @@ func checkProgramNames(p expr.Program) error {
 		}
 	}
 	return nil
-}
-
-// Rewrite compiles a logical-item program into a physical write-all /
-// read-one program: every read references replica readFrom, every
-// written item is assigned at all k replicas.  Statement guards are
-// rewritten like other reads.  Logical names that collide with the
-// replica namespace (see CheckName) are rejected.
-func Rewrite(p expr.Program, k, readFrom int) (expr.Program, error) {
-	if k < 1 {
-		return expr.Program{}, fmt.Errorf("replica: k must be ≥ 1, got %d", k)
-	}
-	if readFrom < 0 || readFrom >= k {
-		return expr.Program{}, fmt.Errorf("replica: readFrom %d out of range [0,%d)", readFrom, k)
-	}
-	if err := checkProgramNames(p); err != nil {
-		return expr.Program{}, err
-	}
-	var sb strings.Builder
-	for si, stmt := range p.Stmts {
-		rhs := rewriteNode(stmt.Expr, readFrom)
-		var guard string
-		if stmt.Guard != nil {
-			guard = " if " + rewriteNode(stmt.Guard, readFrom)
-		}
-		for i := 0; i < k; i++ {
-			if si > 0 || i > 0 {
-				sb.WriteString("; ")
-			}
-			sb.WriteString(Name(stmt.Target, i))
-			sb.WriteString(" = ")
-			sb.WriteString(rhs)
-			sb.WriteString(guard)
-		}
-	}
-	return expr.Parse(sb.String())
 }
 
 // Plan assigns chosen replicas per logical item for a quorum rewrite:
@@ -171,64 +128,6 @@ func RewritePlan(p expr.Program, plan Plan) (expr.Program, error) {
 	return expr.Parse(sb.String())
 }
 
-// RewriteExpr compiles a logical read-only expression to read from the
-// given replica.
-func RewriteExpr(src string, readFrom int) (string, error) {
-	node, err := expr.ParseExpr(src)
-	if err != nil {
-		return "", err
-	}
-	if err := checkNodeNames(node); err != nil {
-		return "", err
-	}
-	return rewriteNode(node, readFrom), nil
-}
-
-// checkNodeNames validates every item reference in an expression tree.
-func checkNodeNames(n expr.Node) error {
-	switch x := n.(type) {
-	case expr.Ref:
-		return CheckName(x.Name)
-	case expr.Unary:
-		return checkNodeNames(x.X)
-	case expr.Binary:
-		if err := checkNodeNames(x.L); err != nil {
-			return err
-		}
-		return checkNodeNames(x.R)
-	case expr.Call:
-		for _, a := range x.Args {
-			if err := checkNodeNames(a); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// rewriteNode renders a node with every item reference redirected to the
-// chosen replica.
-func rewriteNode(n expr.Node, readFrom int) string {
-	switch x := n.(type) {
-	case expr.Lit:
-		return x.String()
-	case expr.Ref:
-		return Name(x.Name, readFrom)
-	case expr.Unary:
-		return x.Op + "(" + rewriteNode(x.X, readFrom) + ")"
-	case expr.Binary:
-		return "(" + rewriteNode(x.L, readFrom) + " " + x.Op + " " + rewriteNode(x.R, readFrom) + ")"
-	case expr.Call:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = rewriteNode(a, readFrom)
-		}
-		return x.Fn + "(" + strings.Join(args, ", ") + ")"
-	default:
-		return n.String()
-	}
-}
-
 // rewritePlanNode renders a node with each item reference redirected to
 // its plan-chosen read replica.
 func rewritePlanNode(n expr.Node, reads map[string]int) string {
@@ -253,7 +152,7 @@ func rewritePlanNode(n expr.Node, reads map[string]int) string {
 }
 
 // fnv32a hashes a string with FNV-1a without allocating a hasher — the
-// placement hot path calls this once per logical name.
+// placement hot path calls this on every lookup.
 func fnv32a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -265,28 +164,16 @@ func fnv32a(s string) uint32 {
 
 // Placement returns an item→site mapping that puts each logical item's
 // replicas on distinct sites (replica i on sites[(h+i) mod n]) and
-// hashes non-replica items normally.  Use it as cluster.Config.Placement.
-//
-// The logical-name hash is computed once and memoized (placement sits on
-// the per-message hot path: every read probe, prepare fan-out and
-// anti-entropy value copy resolves owners through it).  The cache grows
-// with the live item universe and is safe for concurrent use.
+// hashes non-replica items over sites.  It is the cluster's default
+// placement.
 func Placement(sites []protocol.SiteID) func(string) protocol.SiteID {
-	var cache sync.Map // logical name → uint32 hash
 	n := len(sites)
 	return func(item string) protocol.SiteID {
 		logical, i, ok := Logical(item)
 		if !ok {
 			logical, i = item, 0
 		}
-		var h uint32
-		if v, ok := cache.Load(logical); ok {
-			h = v.(uint32)
-		} else {
-			h = fnv32a(logical)
-			cache.Store(logical, h)
-		}
-		return sites[(int(h)+i)%n]
+		return sites[(int(fnv32a(logical))+i)%n]
 	}
 }
 
@@ -297,24 +184,5 @@ func Sites(place func(string) protocol.SiteID, logical string, k int) []protocol
 	for i := 0; i < k; i++ {
 		out = append(out, place(Name(logical, i)))
 	}
-	return out
-}
-
-// SortedLogicals extracts the sorted set of logical names from a list of
-// items that may mix replica and plain names.
-func SortedLogicals(items []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, it := range items {
-		l, _, ok := Logical(it)
-		if !ok {
-			l = it
-		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

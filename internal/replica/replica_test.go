@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -31,22 +30,14 @@ func TestNameLogicalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRewriteValidation(t *testing.T) {
-	p := expr.MustParse("x = x + 1")
-	if _, err := Rewrite(p, 0, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := Rewrite(p, 2, 2); err == nil {
-		t.Error("readFrom out of range accepted")
-	}
-	if _, err := Rewrite(p, 2, -1); err == nil {
-		t.Error("negative readFrom accepted")
-	}
-}
-
+// TestRewriteWriteAllReadOne: write-all / read-one is the plan that
+// reads one replica and writes every one, the quorum case W = K, R = 1.
 func TestRewriteWriteAllReadOne(t *testing.T) {
 	p := expr.MustParse("bal = bal - 50 if bal >= 50")
-	r, err := Rewrite(p, 3, 1)
+	r, err := RewritePlan(p, Plan{
+		Reads:  map[string]int{"bal": 1},
+		Writes: map[string][]int{"bal": {0, 1, 2}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +65,10 @@ func TestRewriteWriteAllReadOne(t *testing.T) {
 
 func TestRewriteMultiStatementAndCalls(t *testing.T) {
 	p := expr.MustParse("a = min(a, b) + abs(-c); b = 2 * (a + 1)")
-	r, err := Rewrite(p, 2, 0)
+	r, err := RewritePlan(p, Plan{
+		Reads:  map[string]int{"a": 0, "b": 0, "c": 0},
+		Writes: map[string][]int{"a": {0, 1}, "b": {0, 1}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +88,6 @@ func TestRewriteMultiStatementAndCalls(t *testing.T) {
 		if !out[Name("a", i)].Equal(value.Int(5)) || !out[Name("b", i)].Equal(value.Int(12)) {
 			t.Errorf("replica %d: a=%v b=%v", i, out[Name("a", i)], out[Name("b", i)])
 		}
-	}
-}
-
-func TestRewriteExpr(t *testing.T) {
-	s, err := RewriteExpr("cap - seats", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "cap_r2") || !strings.Contains(s, "seats_r2") {
-		t.Errorf("RewriteExpr = %q", s)
-	}
-	if _, err := RewriteExpr("bad &&", 0); err == nil {
-		t.Error("bad expression accepted")
 	}
 }
 

@@ -1,8 +1,7 @@
 package polyvalues
 
 import (
-	"repro/internal/expr"
-	"repro/internal/protocol"
+	"repro/internal/cluster"
 	"repro/internal/replica"
 )
 
@@ -11,31 +10,13 @@ import (
 // viewed as a set of individual items, one for each site")
 // ---------------------------------------------------------------------
 
+// ReplicationConfig turns on quorum replication as
+// ClusterConfig.Replication: each logical item has K replicas on
+// distinct sites, a write installs on W of them and a read hears from
+// R.  Programs and queries name logical items; Cluster.LoadReplicated
+// loads every replica.  W = K, R = 1 is write-all / read-one.
+type ReplicationConfig = cluster.ReplicationConfig
+
 // ReplicaName returns the physical name of a logical item's i-th
-// replica.
+// replica, the name Cluster.Read and Cluster.Placement take.
 func ReplicaName(logical string, i int) string { return replica.Name(logical, i) }
-
-// ReplicaLogical splits a physical replica name back into its logical
-// item and index.
-func ReplicaLogical(physical string) (logical string, i int, ok bool) {
-	return replica.Logical(physical)
-}
-
-// ReplicateProgram rewrites a logical-item transaction into a write-all /
-// read-one transaction over k replicas, reading from replica readFrom.
-func ReplicateProgram(p Program, k, readFrom int) (Program, error) {
-	return replica.Rewrite(expr.Program(p), k, readFrom)
-}
-
-// ReplicateExpr rewrites a logical read-only expression to read from the
-// given replica.
-func ReplicateExpr(src string, readFrom int) (string, error) {
-	return replica.RewriteExpr(src, readFrom)
-}
-
-// ReplicaPlacement returns a cluster Placement that puts each logical
-// item's replicas on distinct sites.
-func ReplicaPlacement(sites []SiteID) func(string) SiteID {
-	inner := replica.Placement(sites)
-	return func(item string) protocol.SiteID { return inner(item) }
-}
