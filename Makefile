@@ -81,9 +81,9 @@ examples:
 		echo "== $$d"; $(GO) run ./$$d || { echo "$$d failed"; exit 1; }; \
 	done
 
-# Short fuzzing passes over every wire-format decoder and the program
-# parser (one -fuzz run per target; go test only accepts a single fuzz
-# target at a time).
+# Short fuzzing passes over every wire-format decoder, the program
+# parser and the fault-plan grammar (one -fuzz run per target; go test
+# only accepts a single fuzz target at a time).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMessageDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzPaxosDecode -fuzztime=10s ./internal/wire
@@ -93,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRecover -fuzztime=10s ./internal/storage
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBinary -fuzztime=10s ./internal/polyvalue
 	$(GO) test -run=^$$ -fuzz=FuzzParseProgram -fuzztime=10s ./internal/expr
+	$(GO) test -run=^$$ -fuzz=FuzzApplyPlan -fuzztime=10s ./internal/fault
 
 # Full crash-recovery torture: seeded faults (drops, dup, delay,
 # corruption, partitions, resets), crash points, and kill+restart cycles

@@ -25,7 +25,7 @@
 //	                     status, clear (see internal/fault plan grammar)
 //	DISKFAULT <cmd>      drive the disk-fault plane under the WAL:
 //	                     fsync/torn/enospc/readflip/slow rules, seed,
-//	                     status, clear (see internal/storage plan
+//	                     status, clear (the same internal/fault plan
 //	                     grammar; needs -data)
 //	SPANS                dump the structured span log as one JSON line
 //	                     (pipe site dumps into polytrace; needs -spans)
@@ -126,7 +126,7 @@ func main() {
 		spansCap = flag.Int("spans", 0, "retain this many structured transaction spans (enables span tracing and the /trace endpoints; 0: disabled)")
 		callAddr = flag.String("call", "", "client mode: send the remaining arguments as one command to this control address")
 		fsync    = flag.Bool("fsync", false, "with -data: make every site event durable before its outputs leave the site (each event waits for the group commit covering its WAL records)")
-		diskFlts = flag.String("disk-faults", "", "initial disk-fault plan for the WAL filesystem, ';'-separated storage commands (e.g. 'fsync p=0.01 once; slow p=0.2 min=1ms max=10ms'); needs -data")
+		diskFlts = flag.String("disk-faults", "", "initial disk-fault plan for the WAL filesystem, ';'-separated disk-fault commands (e.g. 'fsync p=0.01 once; slow p=0.2 min=1ms max=10ms'); needs -data")
 		diskSd   = flag.Int64("disk-fault-seed", 1, "PRNG seed for the disk-fault injector (same seed, same fault decisions)")
 		batchMax = flag.Int("batch-max", 0, "messages per transport frame cap (0: transport default; 1: frames of one, the unbatched ablation)")
 	)
@@ -228,9 +228,9 @@ func main() {
 	// The disk-fault plane sits under the WAL the same way the fault
 	// injector sits under the wire: with no rules it forwards untouched.
 	// It only exists with -data (there is no disk path without a WAL).
-	var disk *storage.FaultFS
+	var disk *fault.Disk
 	if *dataDir != "" {
-		disk = storage.NewFaultFS(storage.OSFS, storage.FaultFSConfig{
+		disk = fault.NewDisk(storage.OSFS, fault.DiskConfig{
 			Seed:    *diskSd,
 			Metrics: reg,
 			Logf: func(format string, args ...any) {
@@ -274,12 +274,6 @@ func main() {
 			r = *replicas + 1 - w
 		}
 		cfg.Replication = &cluster.ReplicationConfig{K: *replicas, W: w, R: r}
-	}
-	if det != nil {
-		// Detector-informed gossip: anti-entropy rounds skip peers the
-		// failure detector currently suspects, spending each round on a
-		// peer likely to answer.
-		cfg.Suspected = det.Suspected
 	}
 	node, err := cluster.NewNode(cfg, self, fabric)
 	if err != nil {
@@ -402,9 +396,9 @@ type server struct {
 	self  protocol.SiteID
 	node  *cluster.Cluster
 	inj   *fault.Injector
-	disk  *storage.FaultFS // nil unless -data was given
-	det   *guard.Detector  // nil unless -heartbeat was given
-	spans *trace.SpanLog   // nil unless -spans was given
+	disk  *fault.Disk     // nil unless -data was given
+	det   *guard.Detector // nil unless -heartbeat was given
+	spans *trace.SpanLog  // nil unless -spans was given
 }
 
 // health feeds the /healthz app section; it also refreshes the trace
@@ -574,34 +568,12 @@ func (s *server) execute(line string) []string {
 		}
 		return append(out, "OK")
 	case "FAULT":
-		if rest == "" {
-			return []string{"ERR usage: FAULT <cmd> (drop|dup|delay|corrupt|reset|partition|heal|seed|status|clear)"}
-		}
-		msg, err := s.inj.Apply(rest)
-		if err != nil {
-			return []string{"ERR " + err.Error()}
-		}
-		var out []string
-		for _, l := range strings.Split(strings.TrimRight(msg, "\n"), "\n") {
-			out = append(out, "| "+l)
-		}
-		return append(out, "OK")
+		return planReply(s.inj.Apply, rest, "FAULT <cmd> (drop|dup|delay|corrupt|reset|partition|heal|seed|status|clear)")
 	case "DISKFAULT":
 		if s.disk == nil {
 			return []string{"ERR disk-fault plane disabled (start with -data)"}
 		}
-		if rest == "" {
-			return []string{"ERR usage: DISKFAULT <cmd> (fsync|torn|enospc|readflip|slow|seed|status|clear)"}
-		}
-		msg, err := s.disk.Apply(rest)
-		if err != nil {
-			return []string{"ERR " + err.Error()}
-		}
-		var out []string
-		for _, l := range strings.Split(strings.TrimRight(msg, "\n"), "\n") {
-			out = append(out, "| "+l)
-		}
-		return append(out, "OK")
+		return planReply(s.disk.Apply, rest, "DISKFAULT <cmd> (fsync|torn|enospc|readflip|slow|seed|status|clear)")
 	case "SPANS":
 		if s.spans == nil {
 			return []string{"ERR span tracing disabled (start with -spans N)"}
@@ -635,6 +607,23 @@ func (s *server) execute(line string) []string {
 	default:
 		return []string{"ERR unknown command " + cmd}
 	}
+}
+
+// planReply runs one FAULT or DISKFAULT command and frames the plane's
+// reply: each line as "| line", then OK.
+func planReply(apply func(string) (string, error), cmd, usage string) []string {
+	if cmd == "" {
+		return []string{"ERR usage: " + usage}
+	}
+	msg, err := apply(cmd)
+	if err != nil {
+		return []string{"ERR " + err.Error()}
+	}
+	var out []string
+	for _, l := range strings.Split(strings.TrimRight(msg, "\n"), "\n") {
+		out = append(out, "| "+l)
+	}
+	return append(out, "OK")
 }
 
 // transportTotals sums the fabric's registry series over peers, message

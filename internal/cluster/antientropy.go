@@ -75,16 +75,13 @@ func (s *Site) gossipRound() {
 }
 
 // gossipPeers picks aeFanout peers for this round, deterministically from
-// (site, round), skipping self and — when the Suspected hook is wired —
-// peers the failure detector currently distrusts (a breaker would drop
+// (site, round), skipping self and peers the transport's failure
+// detector currently suspects (see peerSuspected: a breaker would drop
 // the messages anyway; spend the round on someone reachable).
 func (s *Site) gossipPeers() []protocol.SiteID {
 	var candidates []protocol.SiteID
 	for _, id := range s.c.order {
-		if id == s.id {
-			continue
-		}
-		if sus := s.c.cfg.Suspected; sus != nil && sus(id) {
+		if id == s.id || s.peerSuspected(id) {
 			continue
 		}
 		candidates = append(candidates, id)

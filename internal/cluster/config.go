@@ -179,11 +179,6 @@ type Config struct {
 	// item names (see ReplicationConfig).  Nil (the default) keeps the
 	// classic single-copy protocol.
 	Replication *ReplicationConfig
-	// Suspected, when set, steers anti-entropy peer selection away from
-	// sites the failure detector currently suspects — gossip rounds are
-	// not wasted on peers whose messages a breaker would drop anyway.
-	// Must be safe for concurrent use.
-	Suspected func(protocol.SiteID) bool
 	// Lanes is accepted and ignored: every site runs one event queue
 	// (see engine.go).  Deprecated; it goes once nothing sets it.
 	Lanes int
@@ -197,7 +192,7 @@ type Config struct {
 	SyncWAL bool
 	// DiskFS, with DataDir set, is the filesystem the site's WAL lives
 	// on.  Nil means the real filesystem (storage.OSFS); tests and
-	// torture harnesses pass a *storage.FaultFS to inject fsync
+	// torture harnesses pass a *fault.Disk to inject fsync
 	// failures, torn writes, ENOSPC, read corruption and slow-disk
 	// delays underneath the durability path.
 	DiskFS storage.FS

@@ -127,7 +127,7 @@ func (s *Site) walWrite(tid txn.ID, write func() error) (crashed bool, err error
 	}
 	if err != nil && storage.IsTornWrite(err) {
 		// A tear armed directly on the FileLog (node-mode kill -9
-		// emulation) or injected by a FaultFS torn rule, without the
+		// emulation) or injected by a fault.Disk torn rule, without the
 		// crash point: treat as the crash it models.  The torn fragment
 		// self-repairs (truncate on next write / recovery), so this is
 		// an ordinary crash, not a durability panic.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
@@ -14,13 +15,13 @@ import (
 )
 
 // durHarness is a 3-site TCP node cluster running durable WAL mode
-// (SyncWAL) with a per-site storage.FaultFS underneath every log.
+// (SyncWAL) with a per-site fault.Disk underneath every log.
 type durHarness struct {
 	t     *testing.T
 	dir   string
 	peers map[protocol.SiteID]string
 	nodes map[protocol.SiteID]*Cluster
-	disks map[protocol.SiteID]*storage.FaultFS
+	disks map[protocol.SiteID]*fault.Disk
 }
 
 func newDurHarness(t *testing.T) *durHarness {
@@ -30,7 +31,7 @@ func newDurHarness(t *testing.T) *durHarness {
 		dir:   t.TempDir(),
 		peers: map[protocol.SiteID]string{},
 		nodes: map[protocol.SiteID]*Cluster{},
-		disks: map[protocol.SiteID]*storage.FaultFS{},
+		disks: map[protocol.SiteID]*fault.Disk{},
 	}
 	lns := map[protocol.SiteID]net.Listener{}
 	for _, id := range nodeSites {
@@ -42,7 +43,7 @@ func newDurHarness(t *testing.T) *durHarness {
 		h.peers[id] = ln.Addr().String()
 		// The injector persists across node rebuilds, like the disk it
 		// models.
-		h.disks[id] = storage.NewFaultFS(storage.OSFS, storage.FaultFSConfig{Seed: int64(len(id))})
+		h.disks[id] = fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: int64(len(id))})
 	}
 	for _, id := range nodeSites {
 		h.start(id, lns[id])
@@ -135,7 +136,7 @@ func TestFsyncFailureDurabilityPanic(t *testing.T) {
 	}
 
 	// B's disk dies: every fsync fails from here on.
-	h.disks["B"].SetRule(storage.DiskRule{Kind: storage.DiskFsync, P: 1, Sticky: true})
+	h.disks["B"].SetRule(fault.Rule{Kind: fault.DiskFsync, P: 1, Sticky: true})
 
 	// The next transfer's prepare at B cannot become durable.  B must
 	// take a durability panic instead of sending ready, and the

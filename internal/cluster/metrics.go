@@ -62,7 +62,7 @@ import (
 //	                                   latent corruption, quarantined
 //	                                   when persistent)
 //	storage.fault.injected{kind}     — disk faults injected by a
-//	                                   configured storage.FaultFS
+//	                                   configured fault.Disk
 //	                                   (fsync | torn | enospc |
 //	                                   readflip | slow)
 //	item.blocked.seconds{site,cause}  — the blocking accountant: how long

@@ -503,3 +503,42 @@ func TestProbeLeavesLockHoldersVersionOut(t *testing.T) {
 		t.Errorf("probe of the unlocked replica reports version %d, want the pending 2", v)
 	}
 }
+
+// suspectingFabric is a fabric whose failure detector suspects one peer.
+type suspectingFabric struct {
+	transport.Transport
+	suspect protocol.SiteID
+}
+
+func (f suspectingFabric) Suspected(id protocol.SiteID) bool { return id == f.suspect }
+
+// TestGossipSkipsSuspectedPeers: gossip asks the node's fabric which
+// peers are suspected, as Paxos takeover does, and spends no round on
+// one.
+func TestGossipSkipsSuspectedPeers(t *testing.T) {
+	c := newQuorumCluster(t, nil)
+	s := c.sites["A"]
+	picks := func() map[protocol.SiteID]int {
+		seen := map[protocol.SiteID]int{}
+		for round := 0; round < 64; round++ {
+			s.aeRound = round
+			for _, id := range s.gossipPeers() {
+				seen[id]++
+			}
+		}
+		return seen
+	}
+	if seen := picks(); seen["B"] == 0 {
+		t.Fatalf("B never picked with no detector: %v", seen)
+	}
+	c.fab = suspectingFabric{Transport: c.fab, suspect: "B"}
+	seen := picks()
+	if seen["B"] != 0 {
+		t.Fatalf("suspected B picked %d times", seen["B"])
+	}
+	for _, id := range []protocol.SiteID{"C", "D", "E"} {
+		if seen[id] == 0 {
+			t.Fatalf("unsuspected %s never picked: %v", id, seen)
+		}
+	}
+}

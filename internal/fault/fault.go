@@ -1,13 +1,15 @@
-// Package fault is the one fault model of both cluster runtimes.  An
-// Injector wraps any transport.Transport — the simulated network or TCP
-// — and perturbs traffic
-// according to a declarative, runtime-mutable plan: per-link
-// drop/duplicate/delay probabilities, payload corruption (flipping bytes
-// inside outgoing TCP frames so the receiver's CRC path has to reject
-// and resync), one-way and full partitions with scheduled heal times,
-// and connection resets.  Everything is driven by one seeded PRNG and
-// timed on the configured clock, so on the simulator's scheduler a run
-// with a fixed seed and a fixed schedule of Apply calls perturbs the
+// Package fault is the one fault model of both cluster runtimes, over
+// the network and under the disk.  Both planes keep the same kind of
+// state — a seeded PRNG, rules in insertion order, per-kind counts —
+// and speak one plan grammar (plan.go), each adding only its own verbs.
+//
+// An Injector wraps any transport.Transport — the simulated network or
+// TCP — and perturbs traffic: per-link drop/duplicate/delay
+// probabilities, payload corruption (flipping bytes inside outgoing TCP
+// frames so the receiver's CRC path has to reject and resync), one-way
+// and full partitions with scheduled heal times, and connection resets.
+// It is timed on the configured clock, so on the simulator's scheduler a
+// run with a fixed seed and a fixed schedule of Apply calls perturbs the
 // same messages the same way at the same instants.
 //
 // The injector sits ABOVE the wire: a message it drops never reaches
@@ -19,14 +21,15 @@
 // is not.  Transports without a frame tap (the simulated fabric)
 // degrade corruption to a drop — the observable effect a CRC reject
 // has anyway.
+//
+// A Disk (disk.go) wraps a storage.FS the same way and fails, tears,
+// fills, corrupts or stalls the operations the WAL makes.
 package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -35,7 +38,7 @@ import (
 	"repro/internal/vclock"
 )
 
-// Kinds of probabilistic rules.
+// Kinds of network rules.
 const (
 	KindDrop    = "drop"
 	KindDup     = "dup"
@@ -46,36 +49,6 @@ const (
 
 // Wildcard matches any site in a Rule's From/To position.
 const Wildcard = "*"
-
-// Rule is one probabilistic fault: with probability P, apply Kind to
-// messages flowing From → To.  Either endpoint may be Wildcard.  Delay
-// rules hold the message for a uniform duration in [MinDelay, MaxDelay]
-// before forwarding (which also reorders it past anything sent later).
-type Rule struct {
-	Kind     string
-	From, To protocol.SiteID
-	P        float64
-	MinDelay time.Duration
-	MaxDelay time.Duration
-}
-
-func (r Rule) matches(from, to protocol.SiteID) bool {
-	if r.From != Wildcard && r.From != from {
-		return false
-	}
-	if r.To != Wildcard && r.To != to {
-		return false
-	}
-	return true
-}
-
-func (r Rule) String() string {
-	s := fmt.Sprintf("%s from=%s to=%s p=%g", r.Kind, r.From, r.To, r.P)
-	if r.Kind == KindDelay {
-		s += fmt.Sprintf(" min=%s max=%s", r.MinDelay, r.MaxDelay)
-	}
-	return s
-}
 
 // FrameTapper is the optional transport surface corruption rules need:
 // a hook observing (and mutating) each encoded frame just before it is
@@ -122,11 +95,8 @@ type Injector struct {
 	cfg   Config
 	clk   vclock.Clock
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	rules   []Rule
+	ruleTable
 	blocked map[dirLink]vclock.Time // heal deadline; 0 = until healed
-	counts  map[string]int64
 	timers  map[vclock.TimerID]bool // pending delayed copies
 	closed  bool
 
@@ -139,13 +109,12 @@ type Injector struct {
 // pass-through until a corrupt rule is added.
 func Wrap(inner transport.Transport, cfg Config) *Injector {
 	in := &Injector{
-		inner:   inner,
-		cfg:     cfg,
-		clk:     cfg.Clock,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		blocked: map[dirLink]vclock.Time{},
-		counts:  map[string]int64{},
-		timers:  map[vclock.TimerID]bool{},
+		inner:     inner,
+		cfg:       cfg,
+		clk:       cfg.Clock,
+		ruleTable: newRuleTable(cfg.Seed, cfg.Metrics, "transport.fault.injected"),
+		blocked:   map[dirLink]vclock.Time{},
+		timers:    map[vclock.TimerID]bool{},
 	}
 	if in.clk == nil {
 		in.clk = vclock.NewWall()
@@ -196,7 +165,7 @@ func (in *Injector) Send(msg protocol.Message) {
 	}
 	var delays [2]time.Duration
 	for i := range delays[:copies] {
-		if d, ok := in.delayLocked(msg.From, msg.To); ok {
+		if d, ok := in.drawLocked(KindDelay, msg.From, msg.To); ok {
 			in.noteLocked(KindDelay, msg)
 			delays[i] = d
 		}
@@ -269,27 +238,14 @@ func (in *Injector) blockedLocked(from, to protocol.SiteID) bool {
 	return ok
 }
 
-func (in *Injector) hitLocked(kind string, from, to protocol.SiteID) bool {
-	for _, r := range in.rules {
-		if r.Kind == kind && r.matches(from, to) && in.rng.Float64() < r.P {
-			return true
-		}
-	}
-	return false
+// drawLocked samples the kind rules of the from→to link.
+func (in *Injector) drawLocked(kind string, from, to protocol.SiteID) (time.Duration, bool) {
+	return in.draw(kind, func(r *Rule) bool { return r.onLink(from, to) })
 }
 
-func (in *Injector) delayLocked(from, to protocol.SiteID) (time.Duration, bool) {
-	for _, r := range in.rules {
-		if r.Kind != KindDelay || !r.matches(from, to) || in.rng.Float64() >= r.P {
-			continue
-		}
-		d := r.MinDelay
-		if r.MaxDelay > r.MinDelay {
-			d += time.Duration(in.rng.Int63n(int64(r.MaxDelay - r.MinDelay)))
-		}
-		return d, true
-	}
-	return 0, false
+func (in *Injector) hitLocked(kind string, from, to protocol.SiteID) bool {
+	_, hit := in.drawLocked(kind, from, to)
+	return hit
 }
 
 func (in *Injector) noteLocked(kind string, msg protocol.Message) {
@@ -298,11 +254,10 @@ func (in *Injector) noteLocked(kind string, msg protocol.Message) {
 }
 
 func (in *Injector) countLocked(kind string) {
-	in.counts[kind]++
-	if in.cfg.Metrics != nil {
-		in.cfg.Metrics.Counter("transport.fault.injected", metrics.L("kind", kind)).Inc()
-		switch kind {
-		case KindDrop, KindCorrupt, "partition":
+	in.count(kind)
+	switch kind {
+	case KindDrop, KindCorrupt, "partition":
+		if in.cfg.Metrics != nil {
 			in.cfg.Metrics.Counter("network.dropped", metrics.L("reason", "fault."+kind)).Inc()
 		}
 	}
@@ -317,7 +272,8 @@ func (in *Injector) logf(format string, args ...any) {
 // --- plan mutation ----------------------------------------------------
 
 // SetRule installs r, replacing any existing rule with the same
-// (Kind, From, To).  P <= 0 removes the rule instead.
+// (Kind, From, To); an empty end is the wildcard.  P <= 0 removes the
+// rule instead.
 func (in *Injector) SetRule(r Rule) {
 	if r.From == "" {
 		r.From = Wildcard
@@ -325,21 +281,7 @@ func (in *Injector) SetRule(r Rule) {
 	if r.To == "" {
 		r.To = Wildcard
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i, old := range in.rules {
-		if old.Kind == r.Kind && old.From == r.From && old.To == r.To {
-			if r.P <= 0 {
-				in.rules = append(in.rules[:i], in.rules[i+1:]...)
-			} else {
-				in.rules[i] = r
-			}
-			return
-		}
-	}
-	if r.P > 0 {
-		in.rules = append(in.rules, r)
-	}
+	in.ruleTable.SetRule(r)
 }
 
 // Partition blocks the a→b direction (and b→a too unless oneWay),
@@ -381,25 +323,6 @@ func (in *Injector) Clear() {
 	in.blocked = map[dirLink]vclock.Time{}
 }
 
-// Reseed restarts the PRNG from seed (for reproducing a schedule
-// mid-session).
-func (in *Injector) Reseed(seed int64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.rng = rand.New(rand.NewSource(seed))
-}
-
-// Counts snapshots the per-kind injection counters.
-func (in *Injector) Counts() map[string]int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]int64, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
-}
-
 // Status renders the active plan and injection counts as stable text.
 func (in *Injector) Status() string {
 	in.mu.Lock()
@@ -414,9 +337,7 @@ func (in *Injector) Status() string {
 	if len(in.rules) == 0 && len(links) == 0 {
 		b.WriteString("no active faults\n")
 	}
-	for _, r := range in.rules {
-		fmt.Fprintf(&b, "rule %s\n", r)
-	}
+	in.writeRules(&b)
 	sort.Slice(links, func(i, j int) bool {
 		if links[i].from != links[j].from {
 			return links[i].from < links[j].from
@@ -431,14 +352,7 @@ func (in *Injector) Status() string {
 			fmt.Fprintf(&b, "partition %s->%s heal_in=%s\n", l.from, l.to, (heal - in.clk.Now()).Round(time.Millisecond))
 		}
 	}
-	kinds := make([]string, 0, len(in.counts))
-	for k := range in.counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "injected{kind=%s} %d\n", k, in.counts[k])
-	}
+	in.writeCounts(&b)
 	return b.String()
 }
 

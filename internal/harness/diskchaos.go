@@ -1,6 +1,6 @@
 // Disk-fault torture: RunDiskChaos drives the same multi-site TCP
 // cluster as RunChaos, but the weather hits the storage plane instead of
-// the network — every site's WAL lives on a storage.FaultFS injecting
+// the network — every site's WAL lives on a fault.Disk injecting
 // fsync failures, torn writes, ENOSPC and slow-disk delays, with
 // read-path bit-flips armed against recovery reads on kill cycles.  The
 // run asserts the fsyncgate discipline end to end: a site whose log

@@ -63,7 +63,7 @@ type scenario struct {
 
 	// net and disk are the network and disk plans, called before every
 	// transfer with the step index.  A site runs over a fault.Injector
-	// iff net is set, over a storage.FaultFS with SyncWAL (so injected
+	// iff net is set, over a fault.Disk with SyncWAL (so injected
 	// fsync failures have teeth) iff disk is set, and under a
 	// guard.Detector iff heartbeat is set.
 	net, disk func(r *run, step int) error
@@ -122,7 +122,7 @@ func (r *ScenarioReport) status() string {
 
 // site is one member of the fixture.  reg, spans and disk outlive an
 // incarnation — a restarted site keeps accumulating into the same
-// series and span log, and the FaultFS is the disk under the node, not
+// series and span log, and the fault.Disk is the disk under the node, not
 // part of it — so the audits see the whole history.  node is nil while
 // the site is killed.
 type site struct {
@@ -130,7 +130,7 @@ type site struct {
 	ln    net.Listener // bound at bring-up, consumed by the first start
 	reg   *metrics.Registry
 	spans *trace.SpanLog
-	disk  *storage.FaultFS
+	disk  *fault.Disk
 	node  *cluster.Cluster
 	inj   *fault.Injector
 }
@@ -231,7 +231,7 @@ func (r *run) boot() error {
 			s.spans = trace.NewSpanLogFor(string(id), sc.spanCap)
 		}
 		if sc.disk != nil {
-			s.disk = storage.NewFaultFS(storage.OSFS, storage.FaultFSConfig{
+			s.disk = fault.NewDisk(storage.OSFS, fault.DiskConfig{
 				Seed: sc.seed ^ int64(sum(id)), Metrics: s.reg, Logf: sc.faultLogf,
 			})
 		}

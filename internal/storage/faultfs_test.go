@@ -1,4 +1,4 @@
-package storage
+package storage_test
 
 import (
 	"errors"
@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/polyvalue"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/value"
 )
@@ -18,7 +20,7 @@ import (
 // recordFS wraps an FS and records SyncDir calls, for asserting the
 // rename-durability discipline (satellite: parent-dir fsync).
 type recordFS struct {
-	FS
+	storage.FS
 	mu       sync.Mutex
 	dirSyncs []string
 }
@@ -36,13 +38,13 @@ func tmpLog(t *testing.T) string {
 }
 
 func TestFaultFSFsyncOneShot(t *testing.T) {
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 1})
-	ffs.SetRule(DiskRule{Kind: DiskFsync, P: 1, Once: true})
-	log, err := OpenFileLogFS(ffs, tmpLog(t))
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 1})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskFsync, P: 1, Once: true})
+	log, err := storage.OpenFileLogFS(ffs, tmpLog(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Sync(); !IsInjected(err) {
+	if err := log.Sync(); !fault.IsInjected(err) {
 		t.Fatalf("want injected fsync failure, got %v", err)
 	}
 	// fsyncgate: the failure is sticky on the FileLog even though the
@@ -53,22 +55,22 @@ func TestFaultFSFsyncOneShot(t *testing.T) {
 	if _, err := log.Write([]byte("x")); err == nil {
 		t.Fatal("sticky error not reported on write after failed sync")
 	}
-	if got := ffs.Counts()[DiskFsync]; got != 1 {
+	if got := ffs.Counts()[fault.DiskFsync]; got != 1 {
 		t.Fatalf("injected count = %d, want 1 (one-shot rule)", got)
 	}
 }
 
 func TestFaultFSENOSPCAndStickyRule(t *testing.T) {
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 2})
-	ffs.SetRule(DiskRule{Kind: DiskENOSPC, P: 1, Sticky: true})
-	log, err := OpenFileLogFS(ffs, tmpLog(t))
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 2})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskENOSPC, P: 1, Sticky: true})
+	log, err := storage.OpenFileLogFS(ffs, tmpLog(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := log.Write([]byte("hello")); !IsInjected(err) {
+	if _, err := log.Write([]byte("hello")); !fault.IsInjected(err) {
 		t.Fatalf("want injected ENOSPC, got %v", err)
 	}
-	if got := ffs.Counts()[DiskENOSPC]; got != 1 {
+	if got := ffs.Counts()[fault.DiskENOSPC]; got != 1 {
 		t.Fatalf("injected count = %d, want 1", got)
 	}
 	// Sticky rule stays armed; sticky FileLog error fires first anyway.
@@ -79,22 +81,22 @@ func TestFaultFSENOSPCAndStickyRule(t *testing.T) {
 
 func TestFaultFSTornWriteRecoversAsTornTail(t *testing.T) {
 	path := tmpLog(t)
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 3})
-	s, log, _, err := OpenFileStoreFS(ffs, path)
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 3})
+	s, log, _, err := storage.OpenFileStoreFS(ffs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("a", polyvalue.Simple(value.Int(1))); err != nil {
 		t.Fatal(err)
 	}
-	ffs.SetRule(DiskRule{Kind: DiskTorn, P: 1, Once: true})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskTorn, P: 1, Once: true})
 	err = s.Put("b", polyvalue.Simple(value.Int(2)))
-	if !IsTornWrite(err) || !IsInjected(err) {
+	if !storage.IsTornWrite(err) || !fault.IsInjected(err) {
 		t.Fatalf("want injected torn write, got %v", err)
 	}
 	log.Close()
 	// Reopen: recovery must drop the torn fragment and keep "a".
-	s2, log2, stats, err := OpenFileStoreFS(NewFaultFS(OSFS, FaultFSConfig{Seed: 3}), path)
+	s2, log2, stats, err := storage.OpenFileStoreFS(fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 3}), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestFaultFSTornWriteRecoversAsTornTail(t *testing.T) {
 
 func TestFaultFSReadFlipTransientHealsOnReread(t *testing.T) {
 	path := tmpLog(t)
-	s, log, err := OpenFileStore(path)
+	s, log, err := storage.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +130,9 @@ func TestFaultFSReadFlipTransientHealsOnReread(t *testing.T) {
 	// One-shot read flip: the first read pass is damaged, the re-read
 	// comes back clean — recovery must trust the medium, not the first
 	// read, and must not truncate the file.
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 4})
-	ffs.SetRule(DiskRule{Kind: DiskReadFlip, P: 1, Once: true})
-	s2, log2, stats, err := OpenFileStoreFS(ffs, path)
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 4})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskReadFlip, P: 1, Once: true})
+	s2, log2, stats, err := storage.OpenFileStoreFS(ffs, path)
 	if err != nil {
 		t.Fatalf("transient read corruption must recover: %v", err)
 	}
@@ -149,7 +151,7 @@ func TestFaultFSReadFlipTransientHealsOnReread(t *testing.T) {
 
 func TestFaultFSPersistentCorruptionQuarantines(t *testing.T) {
 	path := tmpLog(t)
-	s, log, err := OpenFileStore(path)
+	s, log, err := storage.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +167,8 @@ func TestFaultFSPersistentCorruptionQuarantines(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, stats, err := OpenFileStoreFS(OSFS, path)
-	if !errors.Is(err, ErrCorruptRecord) {
+	_, _, stats, err := storage.OpenFileStoreFS(storage.OSFS, path)
+	if !errors.Is(err, storage.ErrCorruptRecord) {
 		t.Fatalf("persistent mid-stream corruption must refuse, got %v", err)
 	}
 	if stats.Quarantined == "" {
@@ -179,9 +181,9 @@ func TestFaultFSPersistentCorruptionQuarantines(t *testing.T) {
 }
 
 func TestFaultFSSlowDelays(t *testing.T) {
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 5})
-	ffs.SetRule(DiskRule{Kind: DiskSlow, P: 1, MinDelay: 20 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
-	log, err := OpenFileLogFS(ffs, tmpLog(t))
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 5})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskSlow, P: 1, MinDelay: 20 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
+	log, err := storage.OpenFileLogFS(ffs, tmpLog(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +201,10 @@ func TestFaultFSSlowDelays(t *testing.T) {
 // operation by its own delay, even when another rule follows it in the
 // plan.
 func TestFaultFSOnceSlowDelays(t *testing.T) {
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 5})
-	ffs.SetRule(DiskRule{Kind: DiskSlow, P: 1, Once: true, MinDelay: 20 * time.Millisecond})
-	ffs.SetRule(DiskRule{Kind: DiskENOSPC, P: 0.001})
-	log, err := OpenFileLogFS(ffs, tmpLog(t))
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 5})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskSlow, P: 1, Once: true, MinDelay: 20 * time.Millisecond})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskENOSPC, P: 0.001})
+	log, err := storage.OpenFileLogFS(ffs, tmpLog(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,17 +220,18 @@ func TestFaultFSOnceSlowDelays(t *testing.T) {
 
 func TestFaultFSDeterministicWithSeed(t *testing.T) {
 	run := func() []string {
-		ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 42})
-		ffs.SetRule(DiskRule{Kind: DiskFsync, P: 0.5})
-		log, err := OpenFileLogFS(ffs, tmpLog(t))
+		ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 42})
+		ffs.SetRule(fault.Rule{Kind: fault.DiskFsync, P: 0.5})
+		// The raw file has no sticky FileLog error: this probes the
+		// injector's PRNG stream, not the discipline.
+		f, err := ffs.OpenAppend(tmpLog(t))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer f.Close()
 		var outcomes []string
 		for i := 0; i < 20; i++ {
-			// A fresh log each iteration sidesteps sticky FileLog errors:
-			// this probes the injector's PRNG stream, not the discipline.
-			if err := log.f.Sync(); err != nil {
+			if err := f.Sync(); err != nil {
 				outcomes = append(outcomes, "fail")
 			} else {
 				outcomes = append(outcomes, "ok")
@@ -245,27 +248,27 @@ func TestFaultFSDeterministicWithSeed(t *testing.T) {
 }
 
 func TestFaultFSPathMatching(t *testing.T) {
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 6})
-	ffs.SetRule(DiskRule{Kind: DiskFsync, Path: "A.wal", P: 1})
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 6})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskFsync, Path: "A.wal", P: 1})
 	dir := t.TempDir()
-	la, err := OpenFileLogFS(ffs, filepath.Join(dir, "A.wal"))
+	la, err := storage.OpenFileLogFS(ffs, filepath.Join(dir, "A.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := OpenFileLogFS(ffs, filepath.Join(dir, "B.wal"))
+	lb, err := storage.OpenFileLogFS(ffs, filepath.Join(dir, "B.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := lb.Sync(); err != nil {
 		t.Fatalf("rule for A.wal hit B.wal: %v", err)
 	}
-	if err := la.Sync(); !IsInjected(err) {
+	if err := la.Sync(); !fault.IsInjected(err) {
 		t.Fatalf("rule for A.wal missed A.wal: %v", err)
 	}
 }
 
 func TestDiskPlanGrammar(t *testing.T) {
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 7})
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 7})
 	plan := `
 		# storm
 		fsync path=A.wal p=1 once
@@ -303,16 +306,16 @@ func TestDiskPlanGrammar(t *testing.T) {
 }
 
 func TestCheckpointFileSyncsParentDir(t *testing.T) {
-	rfs := &recordFS{FS: OSFS}
+	rfs := &recordFS{FS: storage.OSFS}
 	path := tmpLog(t)
-	s, log, _, err := OpenFileStoreFS(rfs, path)
+	s, log, _, err := storage.OpenFileStoreFS(rfs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("a", polyvalue.Simple(value.Int(1))); err != nil {
 		t.Fatal(err)
 	}
-	_, log2, err := CheckpointFile(s, log)
+	_, log2, err := storage.CheckpointFile(s, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,15 +334,15 @@ func TestFileLogTornPathReportsUnderlyingFailures(t *testing.T) {
 	// Satellite: the TearNext path used to swallow both the short-write
 	// error and the sync error.  Inject an fsync failure underneath an
 	// armed tear and require it to surface and stick.
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 8})
-	log, err := OpenFileLogFS(ffs, tmpLog(t))
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 8})
+	log, err := storage.OpenFileLogFS(ffs, tmpLog(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs.SetRule(DiskRule{Kind: DiskFsync, P: 1, Once: true})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskFsync, P: 1, Once: true})
 	log.TearNext()
 	_, err = log.Write([]byte("0123456789"))
-	if !IsTornWrite(err) {
+	if !storage.IsTornWrite(err) {
 		t.Fatalf("want torn write, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "injected disk fault") {

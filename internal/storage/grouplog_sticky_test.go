@@ -1,10 +1,13 @@
-package storage
+package storage_test
 
 import (
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
+	"repro/internal/storage"
 )
 
 // TestGroupLogStickyFsyncFailure pins the fsyncgate contract: after one
@@ -12,17 +15,17 @@ import (
 // fails, and no later wait reports clean — the group log is dead for the
 // rest of the incarnation, and recovery must come from disk.
 func TestGroupLogStickyFsyncFailure(t *testing.T) {
-	ffs := NewFaultFS(OSFS, FaultFSConfig{Seed: 11})
-	f, err := OpenFileLogFS(ffs, filepath.Join(t.TempDir(), "group.wal"))
+	ffs := fault.NewDisk(storage.OSFS, fault.DiskConfig{Seed: 11})
+	f, err := storage.OpenFileLogFS(ffs, filepath.Join(t.TempDir(), "group.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	// A slow first disk operation holds the flusher back long enough for
 	// every waiter to park on the one flush that is going to fail.
-	ffs.SetRule(DiskRule{Kind: DiskSlow, P: 1, Once: true, MinDelay: 50 * time.Millisecond})
-	ffs.SetRule(DiskRule{Kind: DiskFsync, P: 1, Once: true})
-	g := NewGroupLog(f)
+	ffs.SetRule(fault.Rule{Kind: fault.DiskSlow, P: 1, Once: true, MinDelay: 50 * time.Millisecond})
+	ffs.SetRule(fault.Rule{Kind: fault.DiskFsync, P: 1, Once: true})
+	g := storage.NewGroupLog(f)
 	defer g.Close()
 
 	// Park several waiters on frames that will never sync.
@@ -49,7 +52,7 @@ func TestGroupLogStickyFsyncFailure(t *testing.T) {
 		if err == nil {
 			t.Fatal("a parked waiter was released clean across a failed fsync")
 		}
-		if !IsInjected(err) {
+		if !fault.IsInjected(err) {
 			t.Fatalf("waiter error should carry the injected fault: %v", err)
 		}
 	}
