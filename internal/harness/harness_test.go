@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/network"
 	"repro/internal/workload"
 )
 
@@ -125,5 +127,37 @@ func TestReservationsWorkloadRuns(t *testing.T) {
 	}
 	if rep.FinalPolys != 0 {
 		t.Errorf("unresolved polyvalues: %d", rep.FinalPolys)
+	}
+}
+
+// TestRunDeterministicExport: a seeded run with crashes and restarts
+// exports the same metrics every time.  Anything a restart does in map
+// order (inquiries that draw network jitter, float sums of blocked time)
+// shows up here as a differing line.
+func TestRunDeterministicExport(t *testing.T) {
+	var first string
+	for run := 0; run < 4; run++ {
+		rep, err := Run(Experiment{
+			Sites: 5, Items: 64, Txns: 300,
+			Workload: workload.Bank, CrashEvery: 7, Seed: 3,
+			Net: network.Config{Latency: 10 * time.Millisecond, Jitter: 5 * time.Millisecond, Seed: 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rep.Metrics.Export()
+		if run == 0 {
+			first = got
+			continue
+		}
+		if got != first {
+			a, b := strings.Split(first, "\n"), strings.Split(got, "\n")
+			for i := range min(len(a), len(b)) {
+				if a[i] != b[i] {
+					t.Fatalf("run %d exports differently from run 0 at line %d:\n  %s\n  %s", run, i+1, a[i], b[i])
+				}
+			}
+			t.Fatalf("run %d exports %d lines, run 0 %d", run, len(b), len(a))
+		}
 	}
 }
