@@ -70,80 +70,24 @@ func main() {
 		*crashEvery = *nTxns / 5
 	}
 
-	sites := make([]polyvalues.SiteID, *nSites)
-	for i := range sites {
-		sites[i] = polyvalues.SiteID(fmt.Sprintf("site%d", i))
-	}
-	c, err := polyvalues.NewCluster(polyvalues.ClusterConfig{
-		Sites:  sites,
-		Net:    polyvalues.NetConfig{Latency: 10 * time.Millisecond, Jitter: 5 * time.Millisecond, Seed: *seed},
-		Policy: policy,
+	// Drive the failure workload: every k-th coordinator crashes at the
+	// critical moment, crashed sites restart after -repair-after.
+	rep, err := polyvalues.RunExperiment(polyvalues.Experiment{
+		Sites: *nSites, Items: *items, Txns: *nTxns,
+		Workload: kind, Policy: policy,
+		CrashEvery: *crashEvery, RepairAfter: *repairAfter,
+		Gap: *gap, SettleTime: *settle, Seed: *seed,
+		Net: polyvalues.NetConfig{Latency: 10 * time.Millisecond, Jitter: 5 * time.Millisecond, Seed: *seed},
 	})
 	if err != nil {
 		fail(err)
 	}
-	defer c.Close()
-
-	gen, err := polyvalues.NewWorkload(polyvalues.WorkloadConfig{Kind: kind, Items: *items, Seed: *seed})
-	if err != nil {
-		fail(err)
-	}
-	for item, p := range gen.InitialState() {
-		if err := c.Load(item, p); err != nil {
-			fail(err)
-		}
-	}
-
-	// Drive the failure workload: every k-th coordinator crashes at the
-	// critical moment, crashed sites restart after -repair-after.
-	repairAt := map[polyvalues.SiteID]time.Duration{}
-	for i := 0; i < *nTxns; i++ {
-		now := c.Now()
-		for _, s := range sites {
-			if c.IsDown(s) {
-				if _, scheduled := repairAt[s]; !scheduled {
-					repairAt[s] = now + *repairAfter
-				}
-			}
-		}
-		for s, at := range repairAt {
-			if at <= now {
-				c.Restart(s)
-				delete(repairAt, s)
-			}
-		}
-		coord := sites[i%len(sites)]
-		if c.IsDown(coord) {
-			for _, s := range sites {
-				if !c.IsDown(s) {
-					coord = s
-					break
-				}
-			}
-		}
-		if i > 0 && i%*crashEvery == 0 && !c.IsDown(coord) {
-			c.ArmCrashBeforeDecision(coord)
-		}
-		if _, err := c.Submit(coord, gen.Next()); err != nil {
-			fail(err)
-		}
-		c.RunFor(*gap)
-	}
-
-	preSettle := c.Metrics().Snapshot()
-	polysMid := len(c.PolyItems())
-	for _, s := range sites {
-		if c.IsDown(s) {
-			c.Restart(s)
-		}
-	}
-	c.RunFor(*settle)
-	snap := c.Metrics().Snapshot()
+	snap := rep.Metrics
 
 	fmt.Printf("polystat: %d sites, %s workload over %d items, policy %s, coordinator crash every %d txns\n",
 		*nSites, kind, *items, policy, *crashEvery)
 	fmt.Printf("simulated time: %v (settle %v); polyvalued items before settle: %d, after: %d\n\n",
-		c.Now(), *settle, polysMid, len(c.PolyItems()))
+		rep.SimulatedDuration, *settle, rep.Series[len(rep.Series)-1].Polys, rep.FinalPolys)
 
 	fmt.Println("transactions")
 	for _, name := range []string{"txn.submitted", "txn.committed", "txn.aborted", "txn.indoubt", "txn.refused"} {
@@ -204,7 +148,7 @@ func main() {
 
 	if *diff {
 		fmt.Println("\nsettle-window diff (what repair alone did):")
-		fmt.Print(snap.Diff(preSettle).Export())
+		fmt.Print(snap.Diff(rep.PreSettle).Export())
 	}
 	if *export {
 		fmt.Println("\nfull exposition:")

@@ -423,9 +423,10 @@ func (c *Cluster) Crash(id protocol.SiteID) {
 	site.do(func() { site.crash() })
 }
 
-// Restart brings a crashed site back: it recovers from its store, and —
-// under the polyvalue policy — converts any prepared-but-unresolved
-// transactions to polyvalues so processing can continue immediately.
+// Restart brings a crashed site back: it recovers from its store, and
+// each prepared-but-unresolved transaction resumes in its wait phase and
+// settles at once by the live wait-timeout rule — polyvalues under the
+// polyvalue policy, so processing can continue immediately.
 func (c *Cluster) Restart(id protocol.SiteID) {
 	site := c.sites[id]
 	site.do(func() { site.restart() })

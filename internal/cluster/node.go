@@ -26,6 +26,8 @@ import (
 //   - transaction IDs are prefixed with the site name (plus a boot
 //     epoch when a DataDir makes restarts possible), keeping them
 //     unique across coordinating processes and incarnations;
+//   - with a DataDir, the site recovers before it registers with fab,
+//     so no delivered message finds an in-doubt transaction unresumed;
 //   - the cluster owns fab and the wall clock: Close shuts both down.
 //
 // RunUntil/RunFor/Step and Partition/Heal are simulation-only and panic
@@ -72,17 +74,17 @@ func NewNode(cfg Config, self protocol.SiteID, fab transport.Transport) (*Cluste
 		// (a real process crash loses the in-memory store regardless).
 		s.store.SetVolatile()
 	}
+	// In-doubt transactions resume exactly as on a site restart.  A frame
+	// that arrives before the handlers are registered is dropped like one
+	// sent to a dead process; the §3.3 retries cover it.
+	if cfg.DataDir != "" {
+		c.dispatch(s, s.recoverDurableState, wait)
+	}
 	fab.Register(self, s.onMessage)
 	if br, ok := fab.(transport.BatchReceiver); ok {
 		// A whole decoded frame becomes one site event per queue it
 		// touches instead of one per message.
 		br.RegisterBatch(self, s.onMessageBatch)
-	}
-	// Recover durable state synchronously, before any network traffic can
-	// interleave: in-doubt transactions convert exactly as a site restart
-	// would, and their outcome-request loops start ticking on the wall.
-	if cfg.DataDir != "" {
-		c.dispatch(s, s.recoverDurableState, wait)
 	}
 	return c, nil
 }

@@ -528,23 +528,12 @@ func (s *Site) onePhaseCommit(ctx *coordCtx, h *Handle) {
 		s.recordTxnRoot(ctx, StatusAborted, "compute: "+err.Error(), true)
 		return
 	}
-	for _, item := range sortedKeys(res.Writes) {
-		p := res.Writes[item]
-		if err := s.put(item, p); err != nil {
-			s.c.aborted.Inc()
-			s.decideHandle(h, StatusAborted, "wal: "+err.Error())
-			s.recordTxnRoot(ctx, StatusAborted, "wal: "+err.Error(), true)
-			return
-		}
-		if _, certain := p.IsCertain(); !certain {
-			s.c.polyInstalls.Inc()
-			s.c.polyForks.Inc()
-			for _, dep := range p.DependsOn() {
-				_ = s.store.AddDepItem(dep, item)
-			}
-		}
+	if err := s.install(res.Writes); err != nil {
+		s.c.aborted.Inc()
+		s.decideHandle(h, StatusAborted, "wal: "+err.Error())
+		s.recordTxnRoot(ctx, StatusAborted, "wal: "+err.Error(), true)
+		return
 	}
-	s.reduceKnownDeps()
 	s.c.committed.Inc()
 	s.decideHandle(h, StatusCommitted, "")
 	s.recordTxnRoot(ctx, StatusCommitted, "", true)
@@ -1275,7 +1264,8 @@ func (s *Site) onPrepare(msg protocol.Message) {
 
 // onWaitTimeout fires when neither complete nor abort arrived promptly:
 // the §3.1 moment that separates the polyvalue mechanism from blocking
-// 2PC.
+// 2PC.  It is the one in-doubt rule: a restarted site resumes each
+// prepared transaction in its wait phase and settles it here at once.
 func (s *Site) onWaitTimeout(tid txn.ID) {
 	ctx, ok := s.parts[tid]
 	if !ok || ctx.machine.State() != protocol.StateWait {
@@ -1283,13 +1273,17 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 	}
 	now := s.c.clk.Now()
 	s.c.inDoubt.Inc()
-	s.c.phaseWait.Observe((now - ctx.readyAt).Seconds())
+	// A resumed participant has no wait to observe: its earlier
+	// incarnation's ready time died with it.
 	waitStart := ctx.readyAt
+	if waitStart > 0 {
+		s.c.phaseWait.Observe((now - waitStart).Seconds())
+	}
 	// Zero readyAt so a later outcome delivery (blocking resume, arbitrary
 	// self-decision) does not observe this wait a second time.
 	ctx.readyAt = 0
 	waitSpan := func(resolution string) {
-		if !s.spansOn() {
+		if !s.spansOn() || waitStart == 0 {
 			return
 		}
 		s.recordSpan(trace.Span{Kind: spanPartWait, TID: string(tid),
@@ -1299,20 +1293,20 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 	if ctx.deadline > 0 && now >= ctx.deadline {
 		s.c.deadlinePart.Inc()
 	}
-	// enterBlocked switches the accountant from cause=lock to the given
-	// blocking cause: the ordinary hold so far is flushed, and a fresh
-	// interval opens attributed to the in-doubt camp.
-	enterBlocked := func(cause string) {
-		s.flushBlocked(ctx.locked, causeLock, true)
-		ctx.blockedAt = now
-		ctx.blockCause = cause
+	// camp holds every lock until the outcome is known.  The accountant's
+	// ordinary hold so far closes under cause=lock (a resumed participant
+	// has none open), and a fresh interval opens under the blocking cause.
+	camp := func(cause, resolution string) {
+		ctx.blocked = true
+		s.flushBlocked(ctx.locked, causeLock, false)
+		s.stampLocks(ctx.locked)
+		ctx.blockedAt, ctx.blockCause = now, cause
+		waitSpan(resolution)
+		s.armOutcomeRetry(tid, ctx.coordinator)
 	}
 	if s.c.cfg.Policy == PolicyBlocking {
 		// Baseline: hold everything until the outcome is known.
-		ctx.blocked = true
-		enterBlocked(causeInDoubt)
-		waitSpan("blocked")
-		s.armOutcomeRetry(tid, ctx.coordinator)
+		camp(causeInDoubt, "blocked")
 		return
 	}
 	if s.c.cfg.Policy == PolicyArbitrary {
@@ -1333,11 +1327,8 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 			// locks, install nothing, and wait for the outcome.  Memory
 			// stays bounded at the cost of availability on exactly the
 			// items this transaction touches.
-			ctx.blocked = true
 			s.c.degradedTxns.Inc()
-			enterBlocked(causeDegraded)
-			waitSpan("blocked-degraded")
-			s.armOutcomeRetry(tid, ctx.coordinator)
+			camp(causeDegraded, "blocked-degraded")
 			return
 		}
 	}
@@ -1357,6 +1348,28 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 	s.releaseLocks(tid)
 	delete(s.parts, tid)
 	s.armOutcomeRetry(tid, ctx.coordinator)
+}
+
+// install puts a committed write set in item order.  A polytransaction's
+// result may itself be a polyvalue depending on other transactions, so
+// every uncertain one gets its §3.3 dependency-table rows.  It stops at
+// the first WAL error.
+func (s *Site) install(writes map[string]polyvalue.Poly) error {
+	for _, item := range sortedKeys(writes) {
+		p := writes[item]
+		if err := s.put(item, p); err != nil {
+			return err
+		}
+		if _, certain := p.IsCertain(); !certain {
+			s.c.polyInstalls.Inc()
+			s.c.polyForks.Inc()
+			for _, dep := range p.DependsOn() {
+				_ = s.store.AddDepItem(dep, item)
+			}
+		}
+	}
+	s.reduceKnownDeps()
+	return nil
 }
 
 // installPolyvalues writes {<new, T>, <old, !T>} for every updated item
@@ -1437,22 +1450,7 @@ func (s *Site) onOutcomeMsg(tid txn.ID, committed bool) {
 		}
 	}
 	if act == protocol.ActInstall {
-		for _, item := range sortedKeys(ctx.writes) {
-			p := ctx.writes[item]
-			if err := s.put(item, p); err != nil {
-				continue
-			}
-			// A polytransaction's committed result may itself be a
-			// polyvalue depending on other transactions: track it.
-			if _, certain := p.IsCertain(); !certain {
-				s.c.polyInstalls.Inc()
-				s.c.polyForks.Inc()
-				for _, dep := range p.DependsOn() {
-					_ = s.store.AddDepItem(dep, item)
-				}
-			}
-		}
-		s.reduceKnownDeps()
+		_ = s.install(ctx.writes)
 	}
 	_ = s.store.ClearPrepared(tid)
 	_ = s.store.SetOutcome(tid, committed)
@@ -1665,9 +1663,9 @@ func (s *Site) noteConflict() {
 	s.c.reg.Counter("txn.outcome.conflicts", metrics.L("site", string(s.id))).Inc()
 }
 
-// resolveOutcome records a learned outcome, settles any blocked or
-// recovered participant state, reduces dependent polyvalues, and
-// propagates the news to listed sites (§3.3).
+// resolveOutcome records a learned outcome, wakes a participant camping
+// on its locks, reduces dependent polyvalues, and propagates the news to
+// listed sites (§3.3).
 func (s *Site) resolveOutcome(tid txn.ID, committed bool) {
 	if prev, known := s.store.Outcome(tid); known && prev != committed {
 		s.noteConflict()
@@ -1701,18 +1699,6 @@ func (s *Site) resolveOutcome(tid txn.ID, committed bool) {
 		}
 		s.onOutcomeMsg(tid, committed)
 		return
-	}
-	// A prepared entry without a live context (recovered site under the
-	// blocking policy, or lost complete): settle it now.
-	if prep, ok := s.store.GetPrepared(tid); ok {
-		if _, live := s.parts[tid]; !live {
-			if committed {
-				for _, item := range sortedKeys(prep.Writes) {
-					_ = s.put(item, prep.Writes[item])
-				}
-			}
-			_ = s.store.ClearPrepared(tid)
-		}
 	}
 	s.reduceDependents(tid, committed)
 }
@@ -1852,7 +1838,8 @@ func (s *Site) crash() {
 		s.downAt = s.c.clk.Now()
 	}
 	s.setDown(true)
-	for tid, ctx := range s.parts {
+	for _, tid := range sortedKeys(s.parts) {
+		ctx := s.parts[tid]
 		s.cancel(ctx.waitTimer)
 		// Close the blocking accountant's open intervals under the cause
 		// each participant was holding for; the locks themselves are
@@ -1939,10 +1926,10 @@ func (s *Site) durabilityPanic(tid txn.ID, err error) {
 	}
 }
 
-// restart recovers from the durable store.  Under the polyvalue policy,
-// prepared-but-unresolved transactions become polyvalues immediately so
-// the site is fully available; under the blocking policy their items are
-// re-locked until the outcome is learned.
+// restart recovers from the durable store: each prepared-but-unresolved
+// transaction resumes in its wait phase and the live wait-timeout rule
+// settles it at once (polyvalues, a camp on its locks, or a guess, as a
+// live site would).
 func (s *Site) restart() {
 	if !s.down {
 		return
@@ -1972,68 +1959,33 @@ func (s *Site) restart() {
 	}
 }
 
-// recoverDurableState settles whatever the durable store says was in
-// flight: prepared entries become polyvalues (or re-locked items, or
-// arbitrary guesses, per policy), known outcomes reduce dependents, and
-// await entries resume their outcome-request loops.  Called on site
+// recoverDurableState resumes whatever the durable store says was in
+// flight: each prepared entry becomes a participant waiting in doubt,
+// which onWaitTimeout settles at once; known outcomes reduce dependents,
+// and await entries resume their outcome-request loops.  Called on site
 // restart and, for file-backed clusters, at process start.
 func (s *Site) recoverDurableState() {
 	for _, prep := range s.store.PreparedTxns() {
-		coord := protocol.SiteID(prep.Coordinator)
-		if s.c.cfg.Policy == PolicyArbitrary {
-			guess := arbitraryChoice(s.id, prep.TID)
-			s.c.inDoubt.Inc()
-			if guess {
-				for _, item := range sortedKeys(prep.Writes) {
-					_ = s.put(item, prep.Writes[item])
-				}
-			}
-			_ = s.store.ClearPrepared(prep.TID)
-			continue
-		}
-		if s.c.cfg.Policy == PolicyBlocking {
-			s.recoverBlocking(prep, coord, causeInDoubt)
-			continue
-		}
-		if s.budget.Enabled() {
-			// The budget gate applies during recovery too: a site that
-			// degraded before the crash (or finds its recovered store at
-			// the cap) re-locks in-doubt work instead of installing more
-			// polyvalues.
-			s.updateBudget()
-			if s.budget.Degraded() || s.budget.OverPolyWith(s.store.PolyCount()+len(prep.Writes)) {
-				s.c.degradedTxns.Inc()
-				s.recoverBlocking(prep, coord, causeDegraded)
-				continue
-			}
-		}
-		s.c.inDoubt.Inc()
-		_ = s.store.SetAwait(prep.TID, prep.Coordinator)
-		s.installPolyvalues(prep.TID, prep.Writes, prep.Previous)
-		if s.spansOn() && len(prep.Writes) > 0 {
+		s.resume(prep)
+		if s.spansOn() {
 			s.pointSpan(spanRecover, prep.TID, 0,
-				map[string]string{"mode": "polyvalue", "items": joinItems(sortedKeys(prep.Writes))})
+				map[string]string{"items": joinItems(sortedKeys(prep.Writes))})
 		}
-		_ = s.store.ClearPrepared(prep.TID)
-		s.armOutcomeRetry(prep.TID, coord)
+		s.onWaitTimeout(prep.TID)
 	}
-	// Resume outcome propagation for any dependency entries that predate
-	// the crash: entries whose outcome we already know are reduced
-	// immediately.
-	for _, tid := range s.store.DepTIDs() {
-		if committed, known := s.store.Outcome(tid); known {
-			s.reduceDependents(tid, committed)
-		}
-	}
+	// Dependency entries that predate the crash and whose outcome is
+	// known are reduced now.
+	s.reduceKnownDeps()
 	// Resume the outcome-request loop for every transaction we installed
 	// polyvalues for and still lack an outcome on (the durable await
 	// table survives any number of crashes).
-	for tid, coord := range s.store.Awaits() {
+	awaits := s.store.Awaits()
+	for _, tid := range sortedKeys(awaits) {
 		if committed, known := s.store.Outcome(tid); known {
 			s.resolveOutcome(tid, committed)
 			continue
 		}
-		s.armOutcomeRetry(tid, protocol.SiteID(coord))
+		s.armOutcomeRetry(tid, protocol.SiteID(awaits[tid]))
 	}
 	if s.paxosPlane() {
 		s.paxosRecover()
@@ -2041,34 +1993,27 @@ func (s *Site) recoverDurableState() {
 	s.updateBudget()
 }
 
-// recoverBlocking settles one recovered in-doubt transaction the
-// blocking-2PC way: re-lock its write items and wait for the outcome.
-// Used by the blocking policy always (cause=indoubt), and by the
-// polyvalue policy when the budget is exhausted (cause=degraded); the
-// cause attributes the re-locked items' blocked time.
-func (s *Site) recoverBlocking(prep storage.Prepared, coord protocol.SiteID, cause string) {
-	ctx := s.part(prep.TID, coord)
-	// Walk the machine into the wait state it died in.
+// resume rebuilds a prepared transaction's participant as the crash left
+// it: in the wait phase, holding its write locks, with no lock timestamp
+// (the accountant's interval closed with the crash).  The machine walks
+// through prepare and computed before it is instrumented, because the
+// earlier incarnation counted those transitions.
+func (s *Site) resume(prep storage.Prepared) {
+	coord := protocol.SiteID(prep.Coordinator)
+	ctx := &partCtx{
+		tid: prep.TID, coordinator: coord,
+		machine: protocol.NewParticipant(prep.TID, coord),
+		writes:  prep.Writes, previous: prep.Previous,
+		locked: sortedKeys(prep.Writes),
+	}
 	_, _ = ctx.machine.Transition(protocol.EvPrepare)
 	_, _ = ctx.machine.Transition(protocol.EvComputed)
-	ctx.blocked = true
-	ctx.writes = prep.Writes
-	ctx.previous = prep.Previous
-	items := sortedKeys(prep.Writes)
-	for _, item := range items {
+	ctx.machine.Instrument(s.c.reg)
+	for _, item := range ctx.locked {
 		s.locks[item] = prep.TID
-		s.lockedBy[prep.TID] = append(s.lockedBy[prep.TID], item)
-		ctx.locked = append(ctx.locked, item)
 	}
-	s.stampLocks(items)
-	ctx.blockedAt = s.c.clk.Now()
-	ctx.blockCause = cause
-	if s.spansOn() && len(items) > 0 {
-		s.pointSpan(spanRecover, prep.TID, 0,
-			map[string]string{"mode": "blocking", "cause": cause, "items": joinItems(items)})
-	}
-	s.c.inDoubt.Inc()
-	s.armOutcomeRetry(prep.TID, coord)
+	s.lockedBy[prep.TID] = slices.Clone(ctx.locked)
+	s.parts[prep.TID] = ctx
 }
 
 // ---------------------------------------------------------------------

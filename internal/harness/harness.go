@@ -111,8 +111,10 @@ type Report struct {
 	// Stats snapshots the cluster counters.
 	Stats cluster.Stats
 	// Metrics is the full post-settle metrics snapshot (protocol phases,
-	// network message counts, polyvalue lifetimes, WAL activity).
-	Metrics metrics.Snapshot
+	// network message counts, polyvalue lifetimes, WAL activity), and
+	// PreSettle the one taken after the last submission, before repair:
+	// Metrics.Diff(PreSettle) is what repair and settle alone did.
+	Metrics, PreSettle metrics.Snapshot
 	// Series is the population time series (one sample per submission).
 	Series []Sample
 	// SimulatedDuration is the total simulated time.
@@ -232,6 +234,7 @@ func Run(e Experiment) (Report, error) {
 	rep.MeanPolys /= float64(e.Txns)
 
 	// Repair everything and settle.
+	rep.PreSettle = c.Metrics().Snapshot()
 	for _, s := range sites {
 		if c.IsDown(s) {
 			c.Restart(s)
