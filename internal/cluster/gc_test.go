@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -286,5 +287,58 @@ func TestWALAutoCheckpoint(t *testing.T) {
 	c.RunFor(time.Second)
 	if v, ok := c.Read("x").IsCertain(); !ok || !v.Equal(value.Int(300)) {
 		t.Errorf("x after checkpointed recovery = %v", c.Read("x"))
+	}
+}
+
+// TestDepEntryOutlivesItsSites: a dependency-table entry that still lists
+// an unreduced item survives the acknowledgement of its last site.  T1's
+// ready is cut on its way from B to A, so T1 aborts while xa at A is a
+// polyvalue on T1; T2 then forwards xa to B, listing B under T1 beside
+// xa.  A's own copy of T1's abort is lost, B acknowledges its copy, and
+// the entry must stay until xa is reduced (§3.3).
+func TestDepEntryOutlivesItsSites(t *testing.T) {
+	c, err := New(Config{
+		Sites:        []protocol.SiteID{"A", "B", "C"},
+		Net:          network.Config{Latency: 10 * time.Millisecond},
+		WaitTimeout:  50 * time.Millisecond,
+		ReadyTimeout: time.Second,
+		Placement: func(item string) protocol.SiteID {
+			return protocol.SiteID(strings.ToUpper(item[1:]))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	loadInt(t, c, "xa", 100)
+	loadInt(t, c, "yb", 100)
+	if err := c.Faults().ApplyPlan("partition a=B b=A oneway heal=200ms"); err != nil {
+		t.Fatal(err)
+	}
+	h1, err := c.Submit("A", "xa = xa - 1; yb = yb + 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(300 * time.Millisecond)
+	h2, err := c.Submit("A", "yb = yb + xa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(100 * time.Millisecond)
+	if h2.Status() != StatusCommitted {
+		t.Fatalf("T2 %v (%s), want committed", h2.Status(), h2.Reason())
+	}
+	if err := c.Faults().ApplyPlan("drop from=A to=A p=1 once"); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(10 * time.Second)
+	if h1.Status() != StatusAborted {
+		t.Fatalf("T1 %v (%s), want aborted", h1.Status(), h1.Reason())
+	}
+	if got := c.Read("xa"); !got.Equal(polyvalue.Simple(value.Int(100))) {
+		t.Errorf("xa = %s, want 100", got)
+	}
+	for _, v := range c.CheckInvariants() {
+		t.Error(v)
 	}
 }
