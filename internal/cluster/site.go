@@ -1705,7 +1705,8 @@ func (s *Site) resolveOutcome(tid txn.ID, committed bool) {
 
 // reduceDependents applies a known outcome to every dependent local
 // polyvalue, informs every site we sent dependent polyvalues to, and
-// deletes the dependency entry.
+// strikes the items from the dependency entry: what is left of it waits
+// for those sites' acknowledgements.
 func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 	rs, hadRetry := s.retry[tid]
 	if hadRetry {
@@ -1751,11 +1752,15 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 			To: protocol.SiteID(site), Committed: committed,
 		})
 	}
-	if len(sites) == 0 {
-		if len(items) > 0 {
-			_ = s.store.ClearDeps(tid)
+	if len(items) > 0 {
+		// The items are reduced; the entry lives on only while it lists
+		// a site still to acknowledge.
+		_ = s.store.ClearDeps(tid)
+		for _, site := range sites {
+			_ = s.store.AddDepSite(tid, site)
 		}
-	} else {
+	}
+	if len(sites) > 0 {
 		// Keep the entry until every listed site acknowledges; resend
 		// periodically (targets may be down right now).
 		if id, ok := s.notifyRetry[tid]; ok {

@@ -45,6 +45,11 @@ func TestHasDeps(t *testing.T) {
 	if len(items) != 1 || len(sitesLeft) != 1 || sitesLeft[0] != "s2" {
 		t.Errorf("Deps = %v, %v", items, sitesLeft)
 	}
+	// ...and its last site's removal too, while it still lists an item.
+	s.RemoveDepSite("T3", "s2")
+	if items, _ := s.Deps("T3"); len(items) != 1 {
+		t.Errorf("entry with an unreduced item deleted with its last site: items %v", items)
+	}
 }
 
 // TestDecodePayloadCorruption hits every record kind's truncation

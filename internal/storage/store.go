@@ -234,7 +234,7 @@ func (s *Store) apply(r Record, replaying bool) error {
 	case RecDepSiteDone:
 		if e, ok := s.deps[r.TID]; ok {
 			delete(e.Sites, r.Site)
-			if len(e.Sites) == 0 {
+			if len(e.Sites) == 0 && len(e.Items) == 0 {
 				delete(s.deps, r.TID)
 			}
 		}
@@ -479,8 +479,9 @@ func (s *Store) AddDepSite(tid txn.ID, site string) error {
 }
 
 // RemoveDepSite removes one acknowledged site from tid's dependency
-// entry; the entry is deleted when its last site is removed.  A no-op
-// when the entry or site is absent.
+// entry; the entry is deleted when that leaves it with neither sites nor
+// items (an entry lives while it lists an unreduced item or an
+// unacknowledged site).  A no-op when the entry or site is absent.
 func (s *Store) RemoveDepSite(tid txn.ID, site string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
