@@ -793,6 +793,7 @@ func (s *Site) prepare(ctx *coordCtx, sites []protocol.SiteID) {
 	}
 
 	program := ctx.t.Program.String()
+	forwarded := false
 	for _, site := range sites {
 		items := ctx.writeOwner[site]
 		// Read-only participants (no local writes) compute nothing, so
@@ -803,6 +804,7 @@ func (s *Site) prepare(ctx *coordCtx, sites []protocol.SiteID) {
 			for dep := range depTIDs {
 				if site != s.id {
 					_ = s.store.AddDepSite(dep, string(site))
+					forwarded = true
 				}
 			}
 		}
@@ -815,6 +817,20 @@ func (s *Site) prepare(ctx *coordCtx, sites []protocol.SiteID) {
 			Deadline: s.remainingDeadline(ctx),
 			TraceCtx: s.traceCtx(ctx),
 		}, 0)
+	}
+	if forwarded {
+		s.passOnKnown(depTIDs)
+	}
+}
+
+// passOnKnown reduces each forwarded dependency whose outcome this site
+// already knows.  The entry now lists a site that has not heard the
+// outcome, and no later event here would bring the news again (§3.3).
+func (s *Site) passOnKnown(deps map[txn.ID]bool) {
+	for _, dep := range sortedKeys(deps) {
+		if committed, known := s.store.Outcome(dep); known {
+			s.reduceDependents(dep, committed)
+		}
 	}
 }
 
@@ -1016,6 +1032,7 @@ func (s *Site) sendValues(tid txn.ID, to protocol.SiteID, items []string, forwar
 	if stamped {
 		stamps = make(map[string]uint64, len(items))
 	}
+	var forwarded map[txn.ID]bool
 	for _, item := range items {
 		p := s.store.Get(item)
 		values[item] = p
@@ -1031,6 +1048,10 @@ func (s *Site) sendValues(tid txn.ID, to protocol.SiteID, items []string, forwar
 			for _, dep := range p.DependsOn() {
 				if to != s.id {
 					_ = s.store.AddDepSite(dep, string(to))
+					if forwarded == nil {
+						forwarded = map[txn.ID]bool{}
+					}
+					forwarded[dep] = true
 				}
 			}
 		}
@@ -1039,6 +1060,7 @@ func (s *Site) sendValues(tid txn.ID, to protocol.SiteID, items []string, forwar
 		Kind: protocol.MsgReadRep, TID: tid, To: to, Values: values,
 		Versions: vers, Stamps: stamps,
 	}, s.installSeq(items)) // reveals item values, nothing else logged
+	s.passOnKnown(forwarded)
 }
 
 // onPrepare runs the compute phase for the local share of the write set.
