@@ -145,7 +145,7 @@ func TestRecoveryTakesTheLiveRule(t *testing.T) {
 		for _, p := range c.Metrics().Snapshot().Points {
 			switch p.Name {
 			case "txn.indoubt", "txn.degraded.blocking", "poly.installs", "poly.forks",
-				"protocol.participant.transitions":
+				"protocol.participant.transitions", "network.sent":
 				if p.Value != 0 {
 					out.counters[p.Key()] = p.Value
 				}
