@@ -1992,6 +1992,9 @@ func (s *Site) restart() {
 // and await entries resume their outcome-request loops.  Called on site
 // restart and, for file-backed clusters, at process start.
 func (s *Site) recoverDurableState() {
+	// The awaits the crash left: a resumed transaction that times out
+	// into polyvalues below arms its own outcome inquiry.
+	awaits := s.store.Awaits()
 	for _, prep := range s.store.PreparedTxns() {
 		s.resume(prep)
 		if s.spansOn() {
@@ -2006,7 +2009,6 @@ func (s *Site) recoverDurableState() {
 	// Resume the outcome-request loop for every transaction we installed
 	// polyvalues for and still lack an outcome on (the durable await
 	// table survives any number of crashes).
-	awaits := s.store.Awaits()
 	for _, tid := range sortedKeys(awaits) {
 		if committed, known := s.store.Outcome(tid); known {
 			s.resolveOutcome(tid, committed)
