@@ -25,7 +25,7 @@ git archive "$rev" | tar -x -C "$parent"
 
 # name|command, run from each side's root.
 outputs=(
-	"polyverify|go run ./cmd/polyverify -seeds 50"
+	"polyverify|go run ./cmd/polyverify -seeds 200 -v"
 	"polytables|go run ./cmd/polytables"
 	"outagedrill|go run ./examples/outagedrill"
 	"replicated|go run ./examples/replicated"
