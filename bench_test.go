@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/condition"
-	"repro/internal/harness"
 	"repro/internal/polytxn"
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
@@ -263,64 +262,37 @@ func BenchmarkAblationRelaxedConsistency(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterAvailabilityHarness runs the E3 experiment: the live
-// protocol under a crash schedule, reporting availability during failure
-// windows and the polyvalue population peak — the cluster-level
-// validation of the paper's availability claim (cf. the §4 analysis,
-// which this complements).
+// BenchmarkClusterAvailabilityHarness runs the E3 and E5 experiments:
+// the live protocol under a crash schedule, reporting availability
+// during failure windows and the polyvalue population peak — the
+// cluster-level validation of the paper's availability claim (cf. the §4
+// analysis, which this complements).  E3 is the crash-every=15 row; E5
+// is all three, availability under increasing failure frequency.
 func BenchmarkClusterAvailabilityHarness(b *testing.B) {
-	var poly, block ExperimentReport
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		poly, err = RunExperiment(Experiment{
-			Sites: 3, Items: 6, Txns: 60,
-			Workload: WorkloadBank, Policy: PolicyPolyvalue,
-			CrashEvery: 15, RepairAfter: time.Second,
-			Gap: 100 * time.Millisecond, Seed: int64(i),
+	for _, k := range []int{8, 15, 30} {
+		b.Run(fmt.Sprintf("crash-every=%d", k), func(b *testing.B) {
+			run := func(p Policy, seed int64) ExperimentReport {
+				rep, err := RunExperiment(Experiment{
+					Sites: 3, Items: 6, Txns: 60,
+					Workload: WorkloadBank, Policy: p,
+					CrashEvery: k, RepairAfter: time.Second,
+					Gap: 100 * time.Millisecond, Seed: seed,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return rep
+			}
+			var poly, block ExperimentReport
+			for i := 0; i < b.N; i++ {
+				poly, block = run(PolicyPolyvalue, int64(i)), run(PolicyBlocking, int64(i))
+			}
+			b.ReportMetric(poly.Availability(), "polyvalue_availability")
+			b.ReportMetric(block.Availability(), "blocking_availability")
+			b.ReportMetric(float64(poly.PeakPolys), "peak_polyvalues")
+			b.ReportMetric(float64(poly.FinalPolys), "final_polyvalues")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		block, err = RunExperiment(Experiment{
-			Sites: 3, Items: 6, Txns: 60,
-			Workload: WorkloadBank, Policy: PolicyBlocking,
-			CrashEvery: 15, RepairAfter: time.Second,
-			Gap: 100 * time.Millisecond, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
-	b.ReportMetric(poly.Availability(), "polyvalue_availability")
-	b.ReportMetric(block.Availability(), "blocking_availability")
-	b.ReportMetric(float64(poly.PeakPolys), "peak_polyvalues")
-	b.ReportMetric(float64(poly.FinalPolys), "final_polyvalues")
-}
-
-// BenchmarkAvailabilityCurve regenerates the E5 experiment: availability
-// under increasing failure frequency, polyvalue vs blocking.  Metrics
-// report the two policies' availability at the highest failure rate —
-// the regime where the paper's mechanism matters most.
-func BenchmarkAvailabilityCurve(b *testing.B) {
-	base := Experiment{
-		Sites: 3, Items: 6, Txns: 60,
-		Workload:    WorkloadBank,
-		RepairAfter: time.Second,
-		Gap:         100 * time.Millisecond,
-	}
-	var points []harness.CurvePoint
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base.Seed = int64(i)
-		var err error
-		points, err = harness.AvailabilityCurve(base, []int{8, 15, 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(points[0].Polyvalue, "polyvalue_at_high_failure_rate")
-	b.ReportMetric(points[0].Blocking, "blocking_at_high_failure_rate")
 }
 
 // BenchmarkBurstDecayTransient regenerates the E4 experiment: the §4.1

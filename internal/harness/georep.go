@@ -10,7 +10,6 @@ import (
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
 	"repro/internal/replica"
-	"repro/internal/value"
 )
 
 // GeoRepConfig parameterizes one geo-replication partition run: a
@@ -90,8 +89,8 @@ func (r *GeoRepReport) String() string {
 
 // georepRun carries one arm's live state.
 type georepRun struct {
+	*sim
 	cfg      GeoRepConfig
-	c        *cluster.Cluster
 	rng      *rand.Rand
 	report   *GeoRepReport
 	majority []protocol.SiteID
@@ -111,14 +110,6 @@ type georepRun struct {
 	strandCoord  protocol.SiteID
 }
 
-func (g *georepRun) logf(format string, args ...any) {
-	if g.cfg.Logf != nil {
-		g.cfg.Logf(format, args...)
-	}
-}
-
-func georepItem(i int) string { return fmt.Sprintf("acct%d", i) }
-
 // classify splits the account population by partition-time capability
 // and picks the stranding target: a logical with a single majority-side
 // owner, so a pre-partition commit coordinated from that owner must put
@@ -134,7 +125,7 @@ func (g *georepRun) classify() {
 		need = g.cfg.R
 	}
 	for _, logical := range g.logicals {
-		owners := replica.Sites(g.c.Placement, logical, g.cfg.K)
+		owners := replica.Sites(g.Placement, logical, g.cfg.K)
 		maj := 0
 		for _, id := range owners {
 			if inMajority[id] {
@@ -164,7 +155,7 @@ func (g *georepRun) transfers(n int, pool []string, coords []protocol.SiteID) (c
 	if len(pool) < 2 {
 		return 0, 0
 	}
-	var handles []*cluster.Handle
+	first := len(g.handles)
 	for i := 0; i < n; i++ {
 		src := pool[g.rng.Intn(len(pool))]
 		dst := pool[g.rng.Intn(len(pool))]
@@ -173,28 +164,19 @@ func (g *georepRun) transfers(n int, pool []string, coords []protocol.SiteID) (c
 		}
 		amt := 1 + g.rng.Intn(9)
 		coord := coords[g.rng.Intn(len(coords))]
-		h, err := g.c.Submit(coord, transferText(src, dst, amt))
-		if err != nil {
+		if _, err := g.submit(coord, transferText(src, dst, amt)); err != nil {
 			g.report.Violations = append(g.report.Violations,
 				fmt.Sprintf("submit via %s: %v", coord, err))
 			continue
 		}
-		handles = append(handles, h)
 		// Space submissions past the read timeout: a transfer doomed by
 		// an unreachable quorum holds probe locks on its reachable
 		// replicas until then, and overlapping it would collaterally
 		// abort healthy transfers.
-		g.c.RunFor(600 * time.Millisecond)
+		g.RunFor(600 * time.Millisecond)
 	}
-	g.c.RunFor(3 * time.Second)
-	for _, h := range handles {
-		switch h.Status() {
-		case cluster.StatusCommitted:
-			committed++
-		case cluster.StatusAborted:
-			aborted++
-		}
-	}
+	g.RunFor(3 * time.Second)
+	committed, aborted, _ = tally(g.handles[first:], nil)
 	return committed, aborted
 }
 
@@ -203,12 +185,12 @@ func (g *georepRun) transfers(n int, pool []string, coords []protocol.SiteID) (c
 func (g *georepRun) queries() {
 	for _, logical := range g.majReadable {
 		coord := g.majority[g.rng.Intn(len(g.majority))]
-		qh, err := g.c.Query(coord, logical)
+		qh, err := g.Query(coord, logical)
 		g.report.ReadsDuring++
 		if err != nil {
 			continue
 		}
-		g.c.RunFor(2 * time.Second)
+		g.RunFor(2 * time.Second)
 		p, qerr, done := qh.Result()
 		if qerr != nil || !done {
 			continue
@@ -256,35 +238,32 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 	if cfg.Settle <= 0 {
 		cfg.Settle = 60 * time.Second
 	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 
 	sites := []protocol.SiteID{"A", "B", "C", "D", "E"}
-	c, err := cluster.New(cluster.Config{
+	logicals, balances := bank(cfg.Items)
+	s, _, err := newSim(cluster.Config{
 		Sites:       sites,
 		Net:         network.Config{Latency: 10 * time.Millisecond, Seed: cfg.Seed},
 		Replication: &cluster.ReplicationConfig{K: cfg.K, W: cfg.W, R: cfg.R},
 		OutcomeTTL:  -1, // outcomes must outlive the partition for gossip
-	})
+	}, balances)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
+	defer s.Close()
 
 	g := &georepRun{
-		cfg: cfg, c: c,
+		sim: s, cfg: cfg, logicals: logicals,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		majority: sites[:3], minority: sites[3:],
 		report: &GeoRepReport{Seed: cfg.Seed, K: cfg.K, W: cfg.W, R: cfg.R,
 			BlockedItemSeconds: map[string]float64{}},
 	}
-	for i := 0; i < cfg.Items; i++ {
-		logical := georepItem(i)
-		g.logicals = append(g.logicals, logical)
-		if err := c.LoadReplicated(logical, polyvalue.Simple(value.Int(initialBalance))); err != nil {
-			return nil, fmt.Errorf("load %s: %w", logical, err)
-		}
-	}
 	g.classify()
-	g.logf("georep: seed=%d k=%d/%d/%d majority=%v writable=%d/%d readable=%d strand=%q",
+	g.cfg.Logf("georep: seed=%d k=%d/%d/%d majority=%v writable=%d/%d readable=%d strand=%q",
 		cfg.Seed, cfg.K, cfg.W, cfg.R, g.majority,
 		len(g.majWritable), cfg.Items, len(g.majReadable), g.strandTarget)
 
@@ -298,7 +277,6 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 	// the coordinator afterwards wipes its retransmission state: the
 	// outcome now exists only on the majority participants, reachable
 	// solely via gossip.
-	strandCoord := g.strandCoord
 	stranding := false
 	if g.strandTarget != "" && len(g.majWritable) > 0 {
 		dst := g.majWritable[0]
@@ -307,21 +285,21 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 		}
 		if dst != g.strandTarget {
 			txt := transferText(g.strandTarget, dst, 7)
-			h, err := c.Submit(strandCoord, txt)
+			h, err := s.submit(g.strandCoord, txt)
 			if err != nil {
 				return nil, fmt.Errorf("strand submit: %w", err)
 			}
 			// Probes+prepares+readies land by t≈40ms at 10ms latency; cut
 			// the cluster before the completes arrive at t≈50ms.
-			c.RunFor(45 * time.Millisecond)
+			s.RunFor(45 * time.Millisecond)
 			g.partition()
-			c.RunFor(2 * time.Second)
+			s.RunFor(2 * time.Second)
 			if h.Status() != cluster.StatusCommitted {
 				g.report.Violations = append(g.report.Violations,
 					fmt.Sprintf("stranding commit failed: %v (%s)", h.Status(), h.Reason()))
 			}
 			stranding = true
-			g.logf("georep: stranding transfer committed across the cut: %s", txt)
+			g.cfg.Logf("georep: stranding transfer committed across the cut: %s", txt)
 		}
 	}
 	if !stranding {
@@ -332,52 +310,47 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 	g.report.CommittedDuring, g.report.AbortedDuring =
 		g.transfers(cfg.Txns, g.logicals, g.majority)
 	g.queries()
-	c.RunFor(cfg.Partition)
+	s.RunFor(cfg.Partition)
 	for _, id := range g.minority {
-		g.report.Stranded += len(c.Store(id).PolyItems())
+		g.report.Stranded += len(s.Store(id).PolyItems())
 	}
 
 	// ----- phase 4: heal; gossip must finish the job ---------------------
 	if stranding {
-		c.Crash(strandCoord)
+		s.Crash(g.strandCoord)
 	}
-	c.HealAll()
-	healedAt := c.Now()
-	settled := false
-	for c.Now()-healedAt < cfg.Settle {
-		c.RunFor(time.Second)
-		if len(c.PolyItems()) == 0 && len(c.CheckInvariants()) == 0 {
-			settled = true
-			break
-		}
+	s.HealAll()
+	healedAt := s.Now()
+	s.RunFor(time.Second)
+	issues := settled(s.Cluster, sites...)
+	for len(issues) > 0 && s.Now()-healedAt < cfg.Settle {
+		s.RunFor(time.Second)
+		issues = settled(s.Cluster, sites...)
 	}
-	g.report.GossipSettle = c.Now() - healedAt
-	if !settled {
+	g.report.GossipSettle = s.Now() - healedAt
+	if len(issues) > 0 {
 		g.report.Violations = append(g.report.Violations,
-			fmt.Sprintf("gossip did not settle the healed cluster within %s: polys=%v invariants=%v",
-				cfg.Settle, c.PolyItems(), c.CheckInvariants()))
+			fmt.Sprintf("gossip did not settle the healed cluster within %s: %v", cfg.Settle, issues))
 	}
 
 	// ----- phase 5: coordinator restart + final load ---------------------
 	if stranding {
-		c.Restart(strandCoord)
-		c.RunFor(5 * time.Second)
+		s.repair()
+		s.RunFor(5 * time.Second)
 	}
 	g.report.CommittedAfter, _ = g.transfers(cfg.Txns, g.logicals, sites)
 
 	// ----- audits ---------------------------------------------------------
-	c.RunFor(10 * time.Second)
-	if v := c.CheckInvariants(); len(v) > 0 {
-		g.report.Violations = append(g.report.Violations, v...)
-	}
-	g.report.Violations = append(g.report.Violations, conservation(g.logicals,
-		func(logical string) (polyvalue.Poly, bool) {
-			phys := replica.Name(logical, 0)
-			return c.Store(c.Placement(phys)).Get(phys), true
-		}, int64(initialBalance*cfg.Items))...)
-	c.SyncBlockedAccounting()
-	collectBlockedSeconds(g.report.BlockedItemSeconds, c.Metrics())
-	for _, pt := range c.Metrics().Snapshot().Points {
+	s.RunFor(10 * time.Second)
+	g.report.Violations = append(g.report.Violations, settled(s.Cluster, sites...)...)
+	_, broken := conservation(g.logicals, func(logical string) (polyvalue.Poly, bool) {
+		phys := replica.Name(logical, 0)
+		return s.Store(s.Placement(phys)).Get(phys), true
+	}, int64(initialBalance*cfg.Items))
+	g.report.Violations = append(g.report.Violations, broken...)
+	s.SyncBlockedAccounting()
+	collectBlockedSeconds(g.report.BlockedItemSeconds, s.Metrics())
+	for _, pt := range s.Metrics().Snapshot().Points {
 		switch pt.Name {
 		case "antientropy.outcomes.learned":
 			g.report.GossipOutcomes = pt.Value
@@ -385,7 +358,7 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 			g.report.GossipCopies = pt.Value
 		}
 	}
-	g.logf("georep: %s", g.report)
+	g.cfg.Logf("georep: %s", g.report)
 	return g.report, nil
 }
 
@@ -393,7 +366,7 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 func (g *georepRun) partition() {
 	for _, a := range g.majority {
 		for _, b := range g.minority {
-			g.c.Partition(a, b)
+			g.Partition(a, b)
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/network"
+	"repro/internal/polyvalue"
 	"repro/internal/protocol"
-	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -106,6 +106,10 @@ type Report struct {
 	// ConservationOK reports the bank-workload invariant: total money
 	// unchanged (always true for other workloads).
 	ConservationOK bool
+	// Violations lists what the settle audit found after repair:
+	// unreduced polyvalues, dependency-table or await leftovers, and
+	// invariant breaks.  Empty on a healthy run.
+	Violations []string
 	// TotalBefore/TotalAfter carry the conservation sums for bank runs.
 	TotalBefore, TotalAfter int64
 	// Stats snapshots the cluster counters.
@@ -135,10 +139,6 @@ func Run(e Experiment) (Report, error) {
 	if err := e.fillDefaults(); err != nil {
 		return Report{}, err
 	}
-	sites := make([]protocol.SiteID, e.Sites)
-	for i := range sites {
-		sites[i] = protocol.SiteID(fmt.Sprintf("site%d", i))
-	}
 	net := e.Net
 	if net.Latency == 0 {
 		net.Latency = 10 * time.Millisecond
@@ -146,144 +146,80 @@ func Run(e Experiment) (Report, error) {
 	if net.Seed == 0 {
 		net.Seed = e.Seed
 	}
-	c, err := cluster.New(cluster.Config{Sites: sites, Net: net, Policy: e.Policy, Metrics: e.Metrics})
-	if err != nil {
-		return Report{}, err
-	}
-	defer c.Close()
-
 	gen, err := workload.New(workload.Config{Kind: e.Workload, Items: e.Items, Seed: e.Seed})
 	if err != nil {
 		return Report{}, err
 	}
-	var totalBefore int64
-	for item, p := range gen.InitialState() {
-		if err := c.Load(item, p); err != nil {
-			return Report{}, err
-		}
-		if v, ok := p.IsCertain(); ok {
-			if n, ok := value.AsInt(v); ok {
-				totalBefore += n
-			}
-		}
+	s, totalBefore, err := newSim(cluster.Config{Sites: siteIDs("site", e.Sites), Net: net,
+		Policy: e.Policy, Metrics: e.Metrics}, gen.InitialState())
+	if err != nil {
+		return Report{}, err
 	}
+	defer s.Close()
 
-	var rep Report
-	rep.TotalBefore = totalBefore
-	// repairAt schedules restarts for sites observed down; the failpoint
-	// fires at the next commit decision, so the harness watches actual
-	// down state rather than assuming when the crash happens.
+	rep := Report{TotalBefore: totalBefore}
+	// repairAt schedules a restart RepairAfter from when a site is first
+	// seen down: the failpoint fires at the next commit decision, so the
+	// harness watches actual down state rather than assuming when the
+	// crash happens.
 	repairAt := map[protocol.SiteID]time.Duration{}
-	handles := make([]*cluster.Handle, 0, e.Txns)
 	duringFailure := make([]bool, 0, e.Txns)
-
-	anyDown := func() bool {
-		for _, s := range sites {
-			if c.IsDown(s) {
-				return true
-			}
-		}
-		return false
-	}
-
 	for i := 0; i < e.Txns; i++ {
-		now := c.Now()
-		// Schedule repairs for newly observed crashes; apply due ones.
-		for _, s := range sites {
-			if c.IsDown(s) {
-				if _, scheduled := repairAt[s]; !scheduled {
-					repairAt[s] = now + e.RepairAfter
-				}
+		for _, id := range s.sites {
+			if at, seen := repairAt[id]; seen && at <= s.Now() {
+				s.Restart(id)
+				delete(repairAt, id)
+			} else if !seen && s.IsDown(id) {
+				repairAt[id] = s.Now() + e.RepairAfter
 			}
 		}
-		for s, at := range repairAt {
-			if at <= now {
-				c.Restart(s)
-				delete(repairAt, s)
-			}
+		// The i-th site coordinates; while it is down, clients retarget
+		// the first live site.
+		order := append([]protocol.SiteID{s.sites[i%len(s.sites)]}, s.sites...)
+		coord := s.live(func() (id protocol.SiteID) { id, order = order[0], order[1:]; return id })
+		if e.CrashEvery > 0 && i > 0 && i%e.CrashEvery == 0 && !s.IsDown(coord) {
+			s.ArmCrashBeforeDecision(coord)
 		}
-		coord := sites[i%len(sites)]
-		if c.IsDown(coord) {
-			// Pick a live coordinator instead (clients retarget).
-			for _, s := range sites {
-				if !c.IsDown(s) {
-					coord = s
-					break
-				}
-			}
-		}
-		if e.CrashEvery > 0 && i > 0 && i%e.CrashEvery == 0 && !c.IsDown(coord) {
-			c.ArmCrashBeforeDecision(coord)
-		}
-		failureWindow := anyDown()
-		h, err := c.Submit(coord, gen.Next())
-		if err != nil {
-			return Report{}, err
-		}
-		handles = append(handles, h)
-		duringFailure = append(duringFailure, failureWindow)
-		c.RunFor(e.Gap)
-
-		polys := len(c.PolyItems())
-		if polys > rep.PeakPolys {
-			rep.PeakPolys = polys
-		}
-		rep.MeanPolys += float64(polys)
-		rep.Series = append(rep.Series, Sample{At: c.Now(), Polys: polys, SiteDown: anyDown()})
-	}
-	rep.MeanPolys /= float64(e.Txns)
-
-	// Repair everything and settle.
-	rep.PreSettle = c.Metrics().Snapshot()
-	for _, s := range sites {
-		if c.IsDown(s) {
-			c.Restart(s)
-		}
-	}
-	c.RunFor(e.SettleTime)
-
-	for i, h := range handles {
-		switch h.Status() {
-		case cluster.StatusCommitted:
-			rep.Committed++
-			if duringFailure[i] {
-				rep.DuringFailureCommitted++
-			}
-		case cluster.StatusAborted:
-			rep.Aborted++
-		default:
-			rep.Pending++
-		}
+		duringFailure = append(duringFailure, s.down() > 0)
 		if duringFailure[i] {
 			rep.DuringFailure++
 		}
-	}
-	rep.FinalPolys = len(c.PolyItems())
-	rep.Stats = c.Stats()
-	rep.Metrics = c.Metrics().Snapshot()
-	rep.SimulatedDuration = c.Now()
+		if _, err := s.submit(coord, gen.Next()); err != nil {
+			return Report{}, err
+		}
+		s.RunFor(e.Gap)
 
-	// Conservation check (bank workload): money is neither created nor
+		polys := len(s.PolyItems())
+		rep.PeakPolys = max(rep.PeakPolys, polys)
+		rep.MeanPolys += float64(polys)
+		rep.Series = append(rep.Series, Sample{At: s.Now(), Polys: polys, SiteDown: s.down() > 0})
+	}
+	rep.MeanPolys /= float64(e.Txns)
+
+	rep.PreSettle = s.Metrics().Snapshot()
+	s.repair()
+	s.RunFor(e.SettleTime)
+
+	rep.Committed, rep.Aborted, rep.Pending = tally(s.handles, func(i int) {
+		if duringFailure[i] {
+			rep.DuringFailureCommitted++
+		}
+	})
+	rep.FinalPolys = len(s.PolyItems())
+	rep.Stats = s.Stats()
+	rep.Metrics = s.Metrics().Snapshot()
+	rep.SimulatedDuration = s.Now()
+	rep.Violations = settled(s.Cluster, s.sites...)
+
+	// Conservation (bank workload): money is neither created nor
 	// destroyed by any mix of commits, aborts and recoveries.
-	rep.ConservationOK = true
+	rep.ConservationOK, rep.TotalAfter = true, rep.TotalBefore
 	if e.Workload == workload.Bank {
-		var total int64
-		for i := 0; i < e.Items; i++ {
-			p := c.Read(gen.Item(i))
-			v, ok := p.IsCertain()
-			if !ok {
-				rep.ConservationOK = false
-				continue
-			}
-			n, _ := value.AsInt(v)
-			total += n
-		}
-		rep.TotalAfter = total
-		if total != totalBefore {
-			rep.ConservationOK = false
-		}
-	} else {
-		rep.TotalAfter = rep.TotalBefore
+		var broken []string
+		rep.TotalAfter, broken = conservation(s.items, func(item string) (polyvalue.Poly, bool) {
+			return s.Read(item), true
+		}, totalBefore)
+		rep.ConservationOK = len(broken) == 0
 	}
 	return rep, nil
 }

@@ -395,7 +395,10 @@ func runScenario(sc scenario, rep *ScenarioReport) (*run, error) {
 		return nil, err
 	}
 	rep.Violations = r.settle()
-	audits := []audit{(*run).auditConservation, (*run).tally, (*run).rollUp, (*run).auditSpans,
+	rep.Committed, rep.Aborted, rep.Pending = tally(r.handles, func(i int) {
+		r.committed = append(r.committed, string(r.handles[i].TID))
+	})
+	audits := []audit{(*run).auditConservation, (*run).rollUp, (*run).auditSpans,
 		(*run).auditLeaks, (*run).auditRecovery, (*run).auditFrontier}
 	for _, a := range append(audits, r.sc.audits...) {
 		rep.Violations = append(rep.Violations, a(r)...)
@@ -671,8 +674,8 @@ func (r *run) settle() []string {
 }
 
 // quiesce reports what still blocks quiescence — killed or crashed
-// sites, unreduced polyvalues, uncertain items, invariant violations,
-// the scenario's own condition — reviving crashed sites as a side
+// sites, whatever the settle audit finds at the running ones, the
+// scenario's own condition — reviving crashed sites as a side
 // effect: durability-lost incarnations rebuild from disk, ordinary
 // crash-point casualties restart in place.
 func (r *run) quiesce() []string {
@@ -691,17 +694,7 @@ func (r *run) quiesce() []string {
 			n.Restart(id)
 			issues = append(issues, fmt.Sprintf("site %s was down", id))
 		default:
-			if polys := n.PolyItems(); len(polys) > 0 {
-				issues = append(issues, fmt.Sprintf("site %s: unreduced polyvalues %v", id, polys))
-			}
-			issues = append(issues, n.CheckInvariants()...)
-		}
-	}
-	for i := 0; i < r.sc.items; i++ {
-		if p, ok := r.read(itemName(i)); ok {
-			if _, certain := p.IsCertain(); !certain {
-				issues = append(issues, fmt.Sprintf("item %s uncertain", itemName(i)))
-			}
+			issues = append(issues, settled(n, id)...)
 		}
 	}
 	if r.sc.quiet != nil {
@@ -722,9 +715,30 @@ func (r *run) read(item string) (polyvalue.Poly, bool) {
 
 // ----- generic audits -----------------------------------------------------
 
+// settled is the settle audit, §3.3's promise once failures heal: no
+// site holds an unreduced polyvalue, a dependency-table entry or an
+// await entry, and c's invariants hold.  sites are the sites c runs.
+func settled(c *cluster.Cluster, sites ...protocol.SiteID) []string {
+	var out []string
+	for _, id := range sites {
+		st := c.Store(id)
+		if polys := st.PolyItems(); len(polys) > 0 {
+			out = append(out, fmt.Sprintf("site %s: unreduced polyvalues %v", id, polys))
+		}
+		if tids := st.DepTIDs(); len(tids) > 0 {
+			out = append(out, fmt.Sprintf("site %s retains dependency entries %v", id, tids))
+		}
+		if aw := st.Awaits(); len(aw) > 0 {
+			out = append(out, fmt.Sprintf("site %s retains await entries %v", id, aw))
+		}
+	}
+	return append(out, c.CheckInvariants()...)
+}
+
 // conservation checks the bank invariant over items as read returns
-// them: every value certain, an integer, and the sum equal to want.
-func conservation(items []string, read func(string) (polyvalue.Poly, bool), want int64) []string {
+// them: every value certain, an integer, and the sum equal to want.  It
+// also returns the sum.
+func conservation(items []string, read func(string) (polyvalue.Poly, bool), want int64) (int64, []string) {
 	var out []string
 	var total int64
 	for _, item := range items {
@@ -748,7 +762,7 @@ func conservation(items []string, read func(string) (polyvalue.Poly, bool), want
 	if total != want {
 		out = append(out, fmt.Sprintf("conservation broken: total %d, want %d", total, want))
 	}
-	return out
+	return total, out
 }
 
 func (r *run) auditConservation() []string {
@@ -756,23 +770,8 @@ func (r *run) auditConservation() []string {
 	for i := range items {
 		items[i] = itemName(i)
 	}
-	return conservation(items, r.read, int64(initialBalance*len(items)))
-}
-
-// tally counts the handles' final statuses.  It cannot fail.
-func (r *run) tally() []string {
-	for _, h := range r.handles {
-		switch h.Status() {
-		case cluster.StatusCommitted:
-			r.rep.Committed++
-			r.committed = append(r.committed, string(h.TID))
-		case cluster.StatusAborted:
-			r.rep.Aborted++
-		default:
-			r.rep.Pending++
-		}
-	}
-	return nil
+	_, out := conservation(items, r.read, int64(initialBalance*len(items)))
+	return out
 }
 
 // rolledUp names, by prefix, the counters the report totals over sites.

@@ -76,78 +76,50 @@ func (r TortureReport) String() string {
 func Torture(cfg TortureConfig) (TortureReport, error) {
 	cfg.fillDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	sites := make([]protocol.SiteID, cfg.Sites)
-	for i := range sites {
-		sites[i] = protocol.SiteID(fmt.Sprintf("s%d", i))
-	}
-	c, err := cluster.New(cluster.Config{
-		Sites: sites,
+	_, balances := bank(cfg.Items)
+	s, _, err := newSim(cluster.Config{
+		Sites: siteIDs("s", cfg.Sites),
 		Net:   network.Config{Latency: 5 * time.Millisecond, Jitter: 2 * time.Millisecond, Seed: cfg.Seed},
-	})
+	}, balances)
 	if err != nil {
 		return TortureReport{}, err
 	}
-	defer c.Close()
-
-	state := map[string]value.V{}
-	for i := 0; i < cfg.Items; i++ {
-		name := fmt.Sprintf("acct%d", i)
-		state[name] = value.Int(100)
-		if err := c.Load(name, polyvalue.Simple(value.Int(100))); err != nil {
-			return TortureReport{}, err
-		}
-	}
+	defer s.Close()
+	draw := func() protocol.SiteID { return s.sites[rng.Intn(len(s.sites))] }
 
 	var rep TortureReport
-	type sub struct {
-		src string
-		h   *cluster.Handle
-	}
-	var subs []sub
+	var srcs []string
 	for i := 0; i < cfg.Txns; i++ {
 		switch rng.Intn(8) {
 		case 0:
-			s := sites[rng.Intn(len(sites))]
-			if !c.IsDown(s) {
-				c.ArmCrashBeforeDecision(s)
+			if id := draw(); !s.IsDown(id) {
+				s.ArmCrashBeforeDecision(id)
 				rep.CrashesInjected++
 			}
 		case 1:
-			s := sites[rng.Intn(len(sites))]
-			if !c.IsDown(s) {
-				c.Crash(s)
+			if id := draw(); !s.IsDown(id) {
+				s.Crash(id)
 				rep.CrashesInjected++
 			}
 		case 2:
-			a, b := sites[rng.Intn(len(sites))], sites[rng.Intn(len(sites))]
-			if a != b {
-				c.Partition(a, b)
+			if a, b := draw(), draw(); a != b {
+				s.Partition(a, b)
 				rep.CutsInjected++
 			}
 		case 3:
-			c.HealAll()
-			for _, s := range sites {
-				if c.IsDown(s) {
-					c.Restart(s)
+			s.HealAll()
+			for _, id := range s.sites {
+				if s.IsDown(id) {
+					s.Restart(id)
 					break
 				}
 			}
 		}
 		// Keep at least one site alive to coordinate.
-		allDown := true
-		for _, s := range sites {
-			if !c.IsDown(s) {
-				allDown = false
-				break
-			}
+		if s.down() == len(s.sites) {
+			s.Restart(draw())
 		}
-		if allDown {
-			c.Restart(sites[rng.Intn(len(sites))])
-		}
-		coord := sites[rng.Intn(len(sites))]
-		for c.IsDown(coord) {
-			coord = sites[rng.Intn(len(sites))]
-		}
+		coord := s.live(draw)
 		a := rng.Intn(cfg.Items)
 		b := (a + 1 + rng.Intn(cfg.Items-1)) % cfg.Items
 		amt := 1 + rng.Intn(20)
@@ -159,76 +131,41 @@ func Torture(cfg TortureConfig) (TortureReport, error) {
 		}
 		src := fmt.Sprintf("acct%d = acct%d - %d if %s; acct%d = acct%d + %d if %s",
 			a, a, amt, guard, b, b, amt, guard)
-		h, err := c.Submit(coord, src)
-		if err != nil {
+		if _, err := s.submit(coord, src); err != nil {
 			return TortureReport{}, err
 		}
-		subs = append(subs, sub{src: src, h: h})
-		c.RunFor(2 * time.Second)
+		srcs = append(srcs, src)
+		s.RunFor(2 * time.Second)
 	}
 
-	// Global repair and settle.
-	c.HealAll()
-	for _, s := range sites {
-		if c.IsDown(s) {
-			c.Restart(s)
-		}
-	}
-	c.RunFor(cfg.SettleTime)
+	s.repair()
+	s.RunFor(cfg.SettleTime)
 
-	// Audit.
-	if polys := c.PolyItems(); len(polys) != 0 {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("unresolved polyvalues after settle: %v", polys))
+	// The serial oracle: exactly the client-visible commits, in
+	// submission order.
+	state := map[string]value.V{}
+	for _, item := range s.items {
+		state[item] = value.Int(initialBalance)
 	}
-	for _, id := range sites {
-		if tids := c.Store(id).DepTIDs(); len(tids) != 0 {
+	rep.Violations = settled(s.Cluster, s.sites...)
+	rep.Committed, rep.Aborted, rep.Pending = tally(s.handles, func(i int) {
+		writes, err := expr.MustParse(srcs[i]).Eval(expr.MapEnv(state))
+		if err != nil {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("serial oracle: %v", err))
+		}
+		for k, v := range writes {
+			state[k] = v
+		}
+	})
+	for _, item := range s.items {
+		if got, ok := s.Read(item).IsCertain(); ok && !got.Equal(state[item]) {
 			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("site %s retains dependency entries %v", id, tids))
-		}
-		if aw := c.Store(id).Awaits(); len(aw) != 0 {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("site %s retains await entries %v", id, aw))
+				fmt.Sprintf("%s = %v, serial oracle says %v", item, got, state[item]))
 		}
 	}
-	for _, s := range subs {
-		switch s.h.Status() {
-		case cluster.StatusCommitted:
-			rep.Committed++
-			prog := expr.MustParse(s.src)
-			writes, err := prog.Eval(expr.MapEnv(state))
-			if err != nil {
-				return TortureReport{}, err
-			}
-			for k, v := range writes {
-				state[k] = v
-			}
-		case cluster.StatusAborted:
-			rep.Aborted++
-		default:
-			rep.Pending++
-		}
-	}
-	var total int64
-	for i := 0; i < cfg.Items; i++ {
-		name := fmt.Sprintf("acct%d", i)
-		got, ok := c.Read(name).IsCertain()
-		if !ok {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("%s uncertain after settle", name))
-			continue
-		}
-		if !got.Equal(state[name]) {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("%s = %v, serial oracle says %v", name, got, state[name]))
-		}
-		if n, ok := value.AsInt(got); ok {
-			total += n
-		}
-	}
-	if want := int64(cfg.Items) * 100; total != want {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("conservation broken: total %d, want %d", total, want))
-	}
-	rep.Violations = append(rep.Violations, c.CheckInvariants()...)
+	_, broken := conservation(s.items, func(item string) (polyvalue.Poly, bool) {
+		return s.Read(item), true
+	}, int64(initialBalance*cfg.Items))
+	rep.Violations = append(rep.Violations, broken...)
 	return rep, nil
 }
