@@ -17,7 +17,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/polyvalue"
 	"repro/internal/protocol"
 	"repro/internal/workload"
 )
@@ -216,9 +215,7 @@ func Run(e Experiment) (Report, error) {
 	rep.ConservationOK, rep.TotalAfter = true, rep.TotalBefore
 	if e.Workload == workload.Bank {
 		var broken []string
-		rep.TotalAfter, broken = conservation(s.items, func(item string) (polyvalue.Poly, bool) {
-			return s.Read(item), true
-		}, totalBefore)
+		rep.TotalAfter, broken = conservation(s.items, s.read, totalBefore)
 		rep.ConservationOK = len(broken) == 0
 	}
 	return rep, nil

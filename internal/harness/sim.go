@@ -103,6 +103,9 @@ func (s *sim) submit(coord protocol.SiteID, src string) (*cluster.Handle, error)
 	return h, err
 }
 
+// read returns an item's value at its owning site; it never fails.
+func (s *sim) read(item string) (polyvalue.Poly, bool) { return s.Read(item), true }
+
 // repair heals every link and restarts every down site.
 func (s *sim) repair() {
 	s.HealAll()

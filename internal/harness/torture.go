@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/expr"
 	"repro/internal/network"
-	"repro/internal/polyvalue"
 	"repro/internal/protocol"
 	"repro/internal/value"
 )
@@ -163,9 +162,7 @@ func Torture(cfg TortureConfig) (TortureReport, error) {
 				fmt.Sprintf("%s = %v, serial oracle says %v", item, got, state[item]))
 		}
 	}
-	_, broken := conservation(s.items, func(item string) (polyvalue.Poly, bool) {
-		return s.Read(item), true
-	}, int64(initialBalance*cfg.Items))
+	_, broken := conservation(s.items, s.read, int64(initialBalance*cfg.Items))
 	rep.Violations = append(rep.Violations, broken...)
 	return rep, nil
 }
