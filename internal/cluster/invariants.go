@@ -7,6 +7,7 @@ import (
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
 	"repro/internal/replica"
+	"repro/internal/txn"
 )
 
 // CheckInvariants validates the cluster's global well-formedness and
@@ -34,7 +35,11 @@ import (
 //     decision settled and was garbage-collected);
 //  8. outside PolicyArbitrary, no site was told both outcomes of one
 //     transaction (txn.outcome.conflicts{site} is zero) — the atomicity
-//     the paper promises.  PolicyArbitrary breaks it by design.
+//     the paper promises.  PolicyArbitrary breaks it by design;
+//  9. unless OutcomeTTL is negative (records kept forever), every
+//     outcome record at a live site is either queued to expire or named
+//     by a live dependency entry, whose emptying queues it (§3.3: the
+//     outcome is forgotten once every dependent site knows it).
 //
 // Under quorum replication one cross-site check is added:
 //
@@ -116,6 +121,20 @@ func (c *Cluster) CheckInvariants() []string {
 			if n := snap.Counter("txn.outcome.conflicts", metrics.L("site", string(id))); n != 0 {
 				violations = append(violations,
 					fmt.Sprintf("site %s: told both outcomes of a transaction %d times", id, n))
+			}
+			// 9: no outcome record outlives its last dependent.  A down
+			// site has no expiry queue; restart rebuilds it.
+			if c.cfg.OutcomeTTL >= 0 && !site.down {
+				queued := map[txn.ID]bool{}
+				for _, e := range site.expiries[site.expHead:] {
+					queued[e.tid] = true
+				}
+				for _, tid := range sortedKeys(st.OutcomesSnapshot()) {
+					if !queued[tid] && !st.HasDeps(tid) {
+						violations = append(violations,
+							fmt.Sprintf("site %s: outcome record for %s is neither queued to expire nor named by a dependency entry", id, tid))
+					}
+				}
 			}
 		})
 	}
