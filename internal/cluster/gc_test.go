@@ -103,9 +103,10 @@ func TestOutcomeGCDisabled(t *testing.T) {
 // heap holds the queue's one sweep entry and nothing else, and at most
 // one clock timer per site is pending.  The heap keeps the per-timer
 // crash rule — an entry due while its site is down is dropped, one due
-// after the restart runs — and so does the expiry queue: a record that
-// falls due while its site is down is kept, one that falls due after the
-// restart is forgotten.
+// after the restart runs.  The expiry queue does not: it is volatile,
+// and recovery queues every outcome record no dependency entry names, so
+// a record that fell due while its site was down is forgotten within
+// 17/16 × OutcomeTTL of the restart.
 func TestNoTimerOutlivesItsTransaction(t *testing.T) {
 	t.Run("sim", func(t *testing.T) {
 		c := newTestCluster(t, PolicyPolyvalue)
@@ -231,11 +232,12 @@ func TestNoTimerOutlivesItsTransaction(t *testing.T) {
 		c.RunFor(3 * time.Second)
 		c.Restart("B")
 		late := transfer("a3", "b3")
-		c.RunFor(10 * time.Second)
+		c.RunFor(c.cfg.OutcomeTTL*17/16 - time.Second)
 		b := c.Store("B")
-		if _, known := b.Outcome(downed.TID); !known {
-			t.Errorf("B forgot %s, which fell due while B was down", downed.TID)
+		if _, known := b.Outcome(downed.TID); known {
+			t.Errorf("B kept %s, which fell due while B was down, past 17/16 TTL of the restart", downed.TID)
 		}
+		c.RunFor(10*time.Second - c.cfg.OutcomeTTL*17/16 + time.Second)
 		if _, known := b.Outcome(queued.TID); known {
 			t.Errorf("B kept %s, which fell due after the restart", queued.TID)
 		}
@@ -243,6 +245,100 @@ func TestNoTimerOutlivesItsTransaction(t *testing.T) {
 			t.Errorf("B kept %s past its TTL", late.TID)
 		}
 	})
+}
+
+// TestCrashedCoordinatorForgetsOutcome: a coordinator that crashes
+// around its decision and restarts still forgets the transaction's
+// outcome record once every participant has it (§3.3), and so does
+// every participant.  The rows crash A after it logs the decision,
+// before it decides (its restarted self answers the participants'
+// inquiries by presumed abort), and after the completes have left but
+// before the acks are back.
+func TestCrashedCoordinatorForgetsOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		point CrashPoint // armed at A; "" crashes A at 35ms instead
+	}{
+		{"after-decision-log", CrashAfterDecisionLog},
+		{"before-decision", CrashBeforeDecision},
+		{"lost-acks", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, PolicyPolyvalue)
+			loadInt(t, c, "bsrc", 100)
+			loadInt(t, c, "cdst", 0)
+			if tc.point != "" {
+				if err := c.ArmCrash("A", tc.point); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h, err := c.Submit("A", "bsrc = bsrc - 40; cdst = cdst + 40")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.point == "" {
+				// Readies reach A at 20ms, the completes B and C at 30ms,
+				// their acks A at 40ms.
+				c.RunFor(35 * time.Millisecond)
+				c.Crash("A")
+				c.RunFor(965 * time.Millisecond)
+			} else {
+				c.RunFor(time.Second)
+			}
+			c.Restart("A")
+			c.RunFor(120 * time.Second)
+			for _, id := range c.Sites() {
+				if committed, known := c.Store(id).Outcome(h.TID); known {
+					t.Errorf("site %s still holds %s:%v", id, h.TID, committed)
+				}
+			}
+			if got := readInt(t, c, "bsrc") + readInt(t, c, "cdst"); got != 100 {
+				t.Errorf("bsrc + cdst = %d, want 100", got)
+			}
+			for _, v := range c.CheckInvariants() {
+				t.Error(v)
+			}
+		})
+	}
+}
+
+// TestForgottenOutcomeStaysForgotten: forgetting an outcome writes
+// nothing, so replaying the log after a process restart brings the
+// record back; recovery must queue it to expire again.
+func TestForgottenOutcomeStaysForgotten(t *testing.T) {
+	dir := t.TempDir()
+	c1 := newPersistentCluster(t, dir)
+	loadInt(t, c1, "ax", 100)
+	loadInt(t, c1, "bx", 0)
+	h, err := c1.Submit("A", "ax = ax - 30; bx = bx + 30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.RunFor(30 * time.Second)
+	if h.Status() != StatusCommitted {
+		t.Fatalf("status = %v (%s)", h.Status(), h.Reason())
+	}
+	for _, id := range c1.Sites() {
+		if _, known := c1.Store(id).Outcome(h.TID); known {
+			t.Fatalf("site %s holds %s before the restart", id, h.TID)
+		}
+	}
+	c1.Close()
+
+	c2 := newPersistentCluster(t, dir)
+	defer c2.Close()
+	c2.RunFor(60 * time.Second)
+	for _, id := range c2.Sites() {
+		if committed, known := c2.Store(id).Outcome(h.TID); known {
+			t.Errorf("site %s holds %s:%v again after the process restart", id, h.TID, committed)
+		}
+	}
+	if got := readInt(t, c2, "ax") + readInt(t, c2, "bx"); got != 100 {
+		t.Errorf("ax + bx = %d, want 100", got)
+	}
+	for _, v := range c2.CheckInvariants() {
+		t.Error(v)
+	}
 }
 
 // heapHolds reports how many entries a site's timer heap holds and
