@@ -107,25 +107,17 @@ type Site struct {
 	// undecided paxos instance state eventually drives the decision
 	// itself if no announce reaches it.
 	pwatch map[txn.ID]timerID
-	// ackRetry holds coordinator-side decision-retransmission timers:
-	// until every participant acknowledges a decided outcome, the
-	// complete/abort is resent with capped exponential backoff.
-	ackRetry map[txn.ID]timerID
-	// notifyRetry holds resend timers for §3.3 outcome notifications
-	// that have not been acknowledged by every listed site yet.
+	// notifyRetry holds each dependency entry's one resend timer: while
+	// the entry lists a site that has not acknowledged the outcome (a
+	// participant of a decision this site logged, or a site it sent a
+	// dependent polyvalue), the outcome is re-announced to it.
 	notifyRetry map[txn.ID]timerID
-	// acks tracks, per decided transaction this site coordinated, which
-	// participants have not yet acknowledged the outcome; once empty the
-	// outcome record is garbage-collected after OutcomeTTL (§3.3).
-	acks map[txn.ID]map[protocol.SiteID]bool
 	// expiries is the outcome-GC queue (see forgetLater), live from
 	// expHead on; expTimer is its one sweep timer, armed while the queue
-	// is non-empty.  downAt is when the site last went down: restart
-	// drops what fell due since, as a timer firing on a down site is.
+	// is non-empty.  Volatile: recovery rebuilds it from the store.
 	expiries []expiry
 	expHead  int
 	expTimer timerID
-	downAt   vclock.Time
 	// decidedAt timestamps coordinator decisions still awaiting their
 	// last outcome ack, for the settle-phase histogram.
 	decidedAt map[txn.ID]vclock.Time
@@ -286,9 +278,7 @@ func newSite(c *Cluster, id protocol.SiteID, store *storage.Store, flog *storage
 		retry:       map[txn.ID]retryState{},
 		plead:       map[txn.ID]*paxosLead{},
 		pwatch:      map[txn.ID]timerID{},
-		ackRetry:    map[txn.ID]timerID{},
 		notifyRetry: map[txn.ID]timerID{},
-		acks:        map[txn.ID]map[protocol.SiteID]bool{},
 		decidedAt:   map[txn.ID]vclock.Time{},
 		lockAt:      map[string]vclock.Time{},
 		spanOf:      map[txn.ID]trace.SpanID{},
@@ -335,18 +325,14 @@ func (s *Site) handle(msg protocol.Message) {
 		s.onReady(msg)
 	case protocol.MsgRefuse:
 		s.onRefuse(msg)
-	case protocol.MsgComplete, protocol.MsgAbort:
-		s.onOutcomeMsg(msg.TID, msg.Kind == protocol.MsgComplete)
+	case protocol.MsgComplete, protocol.MsgAbort, protocol.MsgOutcomeInfo:
+		// A decision, resend, §3.3 notification or inquiry answer: a
+		// participant still in its wait phase applies any of them.
+		s.onOutcomeMsg(msg.TID, msg.Kind == protocol.MsgComplete ||
+			msg.Kind == protocol.MsgOutcomeInfo && msg.Committed)
 		s.ackOutcome(msg)
 	case protocol.MsgOutcomeReq:
 		s.onOutcomeReq(msg)
-	case protocol.MsgOutcomeInfo:
-		s.resolveOutcome(msg.TID, msg.Committed)
-		// Acknowledge so the notifier can strike us from its dependency
-		// entry and stop resending (§3.3 delivery must be reliable).
-		if msg.From != s.id {
-			s.send(protocol.Message{Kind: protocol.MsgOutcomeAck, TID: msg.TID, To: msg.From})
-		}
 	case protocol.MsgOutcomeAck:
 		s.onOutcomeAck(msg)
 	case protocol.MsgPaxosBegin:
@@ -819,18 +805,7 @@ func (s *Site) prepare(ctx *coordCtx, sites []protocol.SiteID) {
 		}, 0)
 	}
 	if forwarded {
-		s.passOnKnown(depTIDs)
-	}
-}
-
-// passOnKnown reduces each forwarded dependency whose outcome this site
-// already knows.  The entry now lists a site that has not heard the
-// outcome, and no later event here would bring the news again (§3.3).
-func (s *Site) passOnKnown(deps map[txn.ID]bool) {
-	for _, dep := range sortedKeys(deps) {
-		if committed, known := s.store.Outcome(dep); known {
-			s.reduceDependents(dep, committed)
-		}
+		s.reduceKnown(sortedKeys(depTIDs))
 	}
 }
 
@@ -918,12 +893,22 @@ func (s *Site) finalizeDecision(ctx *coordCtx, committed bool, reason string) {
 	if committed && s.maybeCrash(CrashBeforeDecision, ctx.tid) {
 		return
 	}
+	// Only prepares leave state at a site: the participants are told,
+	// bar those that voted read-only and left.  The decision record
+	// lists them as its dependency entry's sites, struck as each
+	// acknowledges, so the record is forgotten once all have (§3.3).
+	var listed []string
+	for _, site := range ctx.participants {
+		if ctx.prepared && !ctx.readOnly[site] {
+			listed = append(listed, string(site))
+		}
+	}
 	// Durable decision before any complete/abort leaves the site: a
 	// crash after this point must answer outcome requests consistently.
 	// A log failure here is a durability panic inside walWrite: the site
 	// is gone before any complete/abort could leave it.
 	crashed, _ := s.walWrite(ctx.tid, func() error {
-		return s.store.SetOutcome(ctx.tid, committed)
+		return s.store.SetOutcome(ctx.tid, committed, listed...)
 	})
 	if crashed {
 		return
@@ -936,16 +921,6 @@ func (s *Site) finalizeDecision(ctx *coordCtx, committed bool, reason string) {
 	kind := protocol.MsgAbort
 	if committed {
 		kind = protocol.MsgComplete
-	}
-	// Only prepares leave state at a site: the participants are told,
-	// bar those that voted read-only and left.  Track their outcome
-	// acknowledgements so the record can be garbage-collected once
-	// everyone has settled (§3.3).
-	targets := make([]protocol.SiteID, 0, len(ctx.participants))
-	for _, site := range ctx.participants {
-		if ctx.prepared && !ctx.readOnly[site] {
-			targets = append(targets, site)
-		}
 	}
 	now := s.c.clk.Now()
 	if ctx.prepared {
@@ -970,24 +945,21 @@ func (s *Site) finalizeDecision(ctx *coordCtx, committed bool, reason string) {
 	}
 	s.decideHandle(ctx.handle, st, reason)
 	s.recordTxnRoot(ctx, st, reason, false)
-	if s.c.cfg.OutcomeTTL >= 0 && len(targets) > 0 {
-		waiting := make(map[protocol.SiteID]bool, len(targets))
-		for _, site := range targets {
-			waiting[site] = true
-		}
-		s.acks[ctx.tid] = waiting
+	if len(listed) == 0 {
+		s.forgetLater(ctx.tid)
+	} else {
 		s.decidedAt[ctx.tid] = now
 		if s.spansOn() {
 			s.spanOf[ctx.tid] = ctx.span
 		}
+		// A dropped complete/abort must not strand participants until
+		// their own inquiry loop fires: the entry's resend timer
+		// re-announces to those that have not acknowledged.
+		s.armNotify(ctx.tid, committed, 1)
 	}
-	for _, site := range targets {
-		s.send(protocol.Message{Kind: kind, TID: ctx.tid, To: site, Committed: committed})
+	for _, site := range listed {
+		s.send(protocol.Message{Kind: kind, TID: ctx.tid, To: protocol.SiteID(site), Committed: committed})
 	}
-	// A dropped complete/abort must not strand participants until their
-	// own inquiry loop fires: retransmit to unacked participants with
-	// capped exponential backoff.
-	s.armDecisionResend(ctx.tid, committed, 1)
 	if s.paxosPlane() && ctx.prepared {
 		// Teach the acceptor group the outcome so inquiries resolve
 		// there and instance state can be garbage-collected, and retire
@@ -1060,7 +1032,7 @@ func (s *Site) sendValues(tid txn.ID, to protocol.SiteID, items []string, forwar
 		Kind: protocol.MsgReadRep, TID: tid, To: to, Values: values,
 		Versions: vers, Stamps: stamps,
 	}, s.installSeq(items)) // reveals item values, nothing else logged
-	s.passOnKnown(forwarded)
+	s.reduceKnown(sortedKeys(forwarded))
 }
 
 // onPrepare runs the compute phase for the local share of the write set.
@@ -1377,6 +1349,7 @@ func (s *Site) onWaitTimeout(tid txn.ID) {
 // every uncertain one gets its §3.3 dependency-table rows.  It stops at
 // the first WAL error.
 func (s *Site) install(writes map[string]polyvalue.Poly) error {
+	var deps []txn.ID
 	for _, item := range sortedKeys(writes) {
 		p := writes[item]
 		if err := s.put(item, p); err != nil {
@@ -1387,16 +1360,18 @@ func (s *Site) install(writes map[string]polyvalue.Poly) error {
 			s.c.polyForks.Inc()
 			for _, dep := range p.DependsOn() {
 				_ = s.store.AddDepItem(dep, item)
+				deps = append(deps, dep)
 			}
 		}
 	}
-	s.reduceKnownDeps()
+	s.reduceKnown(deps)
 	return nil
 }
 
 // installPolyvalues writes {<new, T>, <old, !T>} for every updated item
 // and records the §3.3 dependency-table rows.
 func (s *Site) installPolyvalues(tid txn.ID, writes, previous map[string]polyvalue.Poly) {
+	var deps []txn.ID
 	for _, item := range sortedKeys(writes) {
 		p := polyvalue.Uncertain(tid, writes[item], previous[item])
 		if err := s.put(item, p); err != nil {
@@ -1408,9 +1383,10 @@ func (s *Site) installPolyvalues(tid txn.ID, writes, previous map[string]polyval
 		s.c.polyInstalls.Inc()
 		for _, dep := range p.DependsOn() {
 			_ = s.store.AddDepItem(dep, item)
+			deps = append(deps, dep)
 		}
 	}
-	s.reduceKnownDeps()
+	s.reduceKnown(deps)
 	s.updateBudget()
 }
 
@@ -1431,23 +1407,25 @@ func (s *Site) updateBudget() {
 	}
 }
 
-// reduceKnownDeps reduces any dependency whose outcome this site already
-// knows — outcome news can race ahead of a polyvalue install, and without
-// this check such a polyvalue would never be reduced.
-func (s *Site) reduceKnownDeps() {
-	for _, dep := range s.store.DepTIDs() {
+// reduceKnown reduces each of deps whose outcome this site already
+// knows.  Outcome news can race ahead of a polyvalue install or a
+// forward, and no later event here would bring it again (§3.3).
+func (s *Site) reduceKnown(deps []txn.ID) {
+	slices.Sort(deps)
+	for _, dep := range slices.Compact(deps) {
 		if committed, known := s.store.Outcome(dep); known {
 			s.reduceDependents(dep, committed)
 		}
 	}
 }
 
-// onOutcomeMsg handles a complete or abort message: if we are still a
-// live participant in the wait phase, act on it; otherwise fold it into
-// the general outcome-resolution path.
+// onOutcomeMsg handles an outcome message: if we are still a live
+// participant in the wait phase, act on it; otherwise, or while camping
+// on our locks, fold it into the general outcome-resolution path, which
+// wakes a camper and calls back here.
 func (s *Site) onOutcomeMsg(tid txn.ID, committed bool) {
 	ctx, ok := s.parts[tid]
-	if !ok || ctx.machine.State() != protocol.StateWait {
+	if !ok || ctx.machine.State() != protocol.StateWait || ctx.blocked {
 		s.resolveOutcome(tid, committed)
 		return
 	}
@@ -1481,50 +1459,40 @@ func (s *Site) onOutcomeMsg(tid txn.ID, committed bool) {
 	s.releaseLocks(tid)
 	delete(s.parts, tid)
 	// The outcome may also reduce older polyvalues we hold.  (The
-	// acknowledgement that lets the coordinator forget the record is sent
-	// by the message handler — every complete/abort is acked after
+	// acknowledgement that lets the sender forget the record is sent by
+	// the message handler — every outcome message is acked after
 	// processing, whatever state the participant was in.)
 	s.reduceDependents(tid, committed)
 }
 
-// ackOutcome acknowledges a processed complete/abort so the coordinator
-// can garbage-collect the outcome record (§3.3).
+// ackOutcome acknowledges a processed outcome message so its sender can
+// strike this site from the dependency entry and, once the entry is
+// empty, forget the record (§3.3).
 func (s *Site) ackOutcome(msg protocol.Message) {
 	if msg.From == s.id {
-		// Self-delivery: strike ourselves from our own ack set directly.
-		s.onOutcomeAck(protocol.Message{Kind: protocol.MsgOutcomeAck, TID: msg.TID, From: s.id})
+		s.onOutcomeAck(msg) // self-delivery: strike ourselves directly
 		return
 	}
 	s.send(protocol.Message{Kind: protocol.MsgOutcomeAck, TID: msg.TID, To: msg.From})
 }
 
-// onOutcomeAck collects acknowledgements: it strikes the sender from any
-// §3.3 dependency entry (notification delivered), and when the last
-// participant acks a transaction this site coordinated, the outcome
-// record is scheduled for deletion.
+// onOutcomeAck strikes the sender from tid's dependency entry with an
+// unforced record (a lost strike costs one resend after a restart).
+// When that empties the entry, its resend timer stops and the outcome
+// record is queued to expire.
 func (s *Site) onOutcomeAck(msg protocol.Message) {
-	_ = s.store.RemoveDepSite(msg.TID, string(msg.From))
-	if !s.store.HasDeps(msg.TID) {
-		if id, ok := s.notifyRetry[msg.TID]; ok {
-			s.cancel(id)
-			delete(s.notifyRetry, msg.TID)
-		}
-	}
-	waiting, ok := s.acks[msg.TID]
-	if !ok {
-		return
-	}
-	delete(waiting, msg.From)
-	if len(waiting) > 0 {
-		return
-	}
-	delete(s.acks, msg.TID)
-	if id, ok := s.ackRetry[msg.TID]; ok {
-		// Everyone has the outcome: stop retransmitting the decision.
-		s.cancel(id)
-		delete(s.ackRetry, msg.TID)
-	}
 	tid := msg.TID
+	if !s.store.HasDeps(tid) {
+		return // a duplicate: nothing is left to strike
+	}
+	_ = s.store.RemoveDepSite(tid, string(msg.From))
+	if s.store.HasDeps(tid) {
+		return
+	}
+	if id, ok := s.notifyRetry[tid]; ok {
+		s.cancel(id)
+		delete(s.notifyRetry, tid)
+	}
 	if t, ok := s.decidedAt[tid]; ok {
 		s.c.phaseSettle.Observe((s.c.clk.Now() - t).Seconds())
 		if root, traced := s.spanOf[tid]; traced {
@@ -1588,32 +1556,23 @@ func (s *Site) armOutcomeRetryN(tid txn.ID, coordinator protocol.SiteID, attempt
 	s.retry[tid] = retryState{timer: timer, coordinator: coordinator, attempt: attempt}
 }
 
-// armDecisionResend schedules retransmission of a decided outcome to
-// every participant that has not acknowledged it yet, paced by the same
-// capped-backoff policy as the inquiry loop.  The final ack cancels it
-// (onOutcomeAck); until then a dropped complete/abort is repaired from
-// the coordinator side instead of waiting out the participants' own
-// inquiry timeouts.
-func (s *Site) armDecisionResend(tid txn.ID, committed bool, attempt int) {
-	waiting, ok := s.acks[tid]
-	if !ok || len(waiting) == 0 {
-		return
-	}
-	s.ackRetry[tid] = s.after(s.retryBackoff(tid, attempt), func() {
-		delete(s.ackRetry, tid)
-		waiting, ok := s.acks[tid]
-		if !ok || len(waiting) == 0 {
-			return
-		}
-		kind := protocol.MsgAbort
-		if committed {
-			kind = protocol.MsgComplete
-		}
-		for _, site := range sortedKeys(waiting) {
-			s.send(protocol.Message{Kind: kind, TID: tid, To: site, Committed: committed})
+// armNotify arms tid's one resend timer: resend number attempt of the
+// outcome goes to every site the dependency entry still lists, paced by
+// the same capped-backoff policy as the inquiry loop.  The last ack
+// cancels it (onOutcomeAck); until then a dropped decision or
+// notification is repaired from this side instead of waiting out the
+// listed sites' own inquiry timeouts.
+func (s *Site) armNotify(tid txn.ID, committed bool, attempt int) {
+	s.notifyRetry[tid] = s.after(s.retryBackoff(tid, attempt), func() {
+		delete(s.notifyRetry, tid)
+		_, sites := s.store.Deps(tid)
+		for _, site := range sites {
+			s.send(protocol.Message{Kind: protocol.MsgOutcomeInfo, TID: tid, To: protocol.SiteID(site), Committed: committed})
 			s.c.decisionResends.Inc()
 		}
-		s.armDecisionResend(tid, committed, attempt+1)
+		if len(sites) > 0 {
+			s.armNotify(tid, committed, attempt+1)
+		}
 	})
 }
 
@@ -1642,7 +1601,8 @@ func (s *Site) retryBackoff(tid txn.ID, attempt int) vclock.Time {
 // onOutcomeReq answers from the durable outcome log; an unknown
 // transaction with no live coordinator context is presumed aborted (the
 // decision to commit is always logged before any complete is sent, so an
-// unlogged transaction cannot have committed).
+// unlogged transaction cannot have committed).  The presumed abort's
+// record lists the requester, whose ack lets it be forgotten.
 func (s *Site) onOutcomeReq(msg protocol.Message) {
 	if committed, known := s.store.Outcome(msg.TID); known {
 		s.send(protocol.Message{Kind: protocol.MsgOutcomeInfo, TID: msg.TID, To: msg.From, Committed: committed})
@@ -1670,10 +1630,10 @@ func (s *Site) onOutcomeReq(msg protocol.Message) {
 		}
 		return
 	}
-	if err := s.store.SetOutcome(msg.TID, false); err != nil {
+	if err := s.store.SetOutcome(msg.TID, false, string(msg.From)); err != nil {
 		return
 	}
-	s.send(protocol.Message{Kind: protocol.MsgOutcomeInfo, TID: msg.TID, To: msg.From, Committed: false})
+	s.resolveOutcome(msg.TID, false)
 }
 
 // noteConflict counts an outcome report that contradicts the outcome on
@@ -1726,9 +1686,11 @@ func (s *Site) resolveOutcome(tid txn.ID, committed bool) {
 }
 
 // reduceDependents applies a known outcome to every dependent local
-// polyvalue, informs every site we sent dependent polyvalues to, and
-// strikes the items from the dependency entry: what is left of it waits
-// for those sites' acknowledgements.
+// polyvalue and strikes the items from the dependency entry.  What is
+// left of it lists the sites that must still hear the outcome: they are
+// told unless the entry's resend timer already runs, and their
+// acknowledgements empty it.  An empty entry queues the record to
+// expire.
 func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 	rs, hadRetry := s.retry[tid]
 	if hadRetry {
@@ -1768,12 +1730,6 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 		s.pointSpan(spanPolyReduce, tid, 0,
 			map[string]string{"items": joinItems(reducedItems), "outcome": outcome})
 	}
-	for _, site := range sites {
-		s.send(protocol.Message{
-			Kind: protocol.MsgOutcomeInfo, TID: tid,
-			To: protocol.SiteID(site), Committed: committed,
-		})
-	}
 	if len(items) > 0 {
 		// The items are reduced; the entry lives on only while it lists
 		// a site still to acknowledge.
@@ -1782,24 +1738,17 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 			_ = s.store.AddDepSite(tid, site)
 		}
 	}
-	if len(sites) > 0 {
-		// Keep the entry until every listed site acknowledges; resend
-		// periodically (targets may be down right now).
-		if id, ok := s.notifyRetry[tid]; ok {
-			s.cancel(id)
-		}
-		s.notifyRetry[tid] = s.after(s.c.cfg.RetryInterval, func() {
-			delete(s.notifyRetry, tid)
-			if s.store.HasDeps(tid) {
-				s.reduceDependents(tid, committed)
-			}
-		})
-	}
-	// Participant-side outcome GC: once dependencies are cleared and we
-	// are not coordinating this transaction's ack collection, the record
-	// is only needed for duplicate suppression — forget it after the TTL.
-	if _, coordinating := s.acks[tid]; !coordinating {
+	if len(sites) == 0 {
+		// The record is only needed for duplicate suppression now.
 		s.forgetLater(tid)
+	} else if _, armed := s.notifyRetry[tid]; !armed {
+		for _, site := range sites {
+			s.send(protocol.Message{
+				Kind: protocol.MsgOutcomeInfo, TID: tid,
+				To: protocol.SiteID(site), Committed: committed,
+			})
+		}
+		s.armNotify(tid, committed, 1)
 	}
 	// Reductions free budget: a degraded site returns to polyvalue mode
 	// here once the population and dependency table shrink below cap.
@@ -1835,16 +1784,15 @@ func (s *Site) armSweep() {
 	s.expTimer = s.after(d, s.sweepOutcomes)
 }
 
-// sweepOutcomes forgets every due outcome record unless the coordinator
-// still awaits acks for it or §3.3 notifications for it are unacknowledged
-// — the final ack, or the notification resend, queues it again.  It costs
-// O(due entries): the slice is compacted only once the head passes its
-// middle.
+// sweepOutcomes forgets every due outcome record unless a dependency
+// entry names it again — the ack that empties the entry queues it anew.
+// It costs O(due entries): the slice is compacted only once the head
+// passes its middle.
 func (s *Site) sweepOutcomes() {
 	now := s.c.clk.Now()
 	for ; s.expHead < len(s.expiries) && s.expiries[s.expHead].at <= now; s.expHead++ {
 		tid := s.expiries[s.expHead].tid
-		if _, coordinating := s.acks[tid]; coordinating || s.store.HasDeps(tid) {
+		if s.store.HasDeps(tid) {
 			continue
 		}
 		s.store.ForgetOutcome(tid)
@@ -1861,9 +1809,6 @@ func (s *Site) sweepOutcomes() {
 
 // crash loses all volatile state; the store survives.
 func (s *Site) crash() {
-	if !s.down {
-		s.downAt = s.c.clk.Now()
-	}
 	s.setDown(true)
 	for _, tid := range sortedKeys(s.parts) {
 		ctx := s.parts[tid]
@@ -1911,14 +1856,12 @@ func (s *Site) crash() {
 	for _, id := range s.pwatch {
 		s.cancel(id)
 	}
-	for _, id := range s.ackRetry {
-		s.cancel(id)
-	}
 	for _, id := range s.notifyRetry {
 		s.cancel(id)
 	}
 	s.cancel(s.aeTimer)
 	s.cancel(s.expTimer)
+	s.expiries, s.expHead, s.expTimer = nil, 0, nil
 	s.locks = map[string]txn.ID{}
 	s.lockedBy = map[txn.ID][]string{}
 	s.parts = map[txn.ID]*partCtx{}
@@ -1926,9 +1869,7 @@ func (s *Site) crash() {
 	s.retry = map[txn.ID]retryState{}
 	s.plead = map[txn.ID]*paxosLead{}
 	s.pwatch = map[txn.ID]timerID{}
-	s.ackRetry = map[txn.ID]timerID{}
 	s.notifyRetry = map[txn.ID]timerID{}
-	s.acks = map[txn.ID]map[protocol.SiteID]bool{}
 	s.decidedAt = map[txn.ID]vclock.Time{}
 	s.lockAt = map[string]vclock.Time{}
 	s.spanOf = map[txn.ID]trace.SpanID{}
@@ -1971,15 +1912,6 @@ func (s *Site) restart() {
 	// Every item gets a stamp no earlier incarnation issued, so no read
 	// served before the crash validates after it.
 	s.stamps, s.boot = map[string]uint64{}, s.c.stamps.Add(1)
-	// The outcome-GC queue keeps the rule of a timer per record: an entry
-	// that fell due while the site was down is dropped, so its record is
-	// kept; entries due before the crash or after now stay queued.
-	now := s.c.clk.Now()
-	live := slices.DeleteFunc(s.expiries[s.expHead:], func(e expiry) bool {
-		return s.downAt <= e.at && e.at <= now
-	})
-	s.expiries = s.expiries[:s.expHead+len(live)]
-	s.armSweep()
 	s.recoverDurableState()
 	if s.c.cfg.Replication != nil && len(s.c.cfg.Sites) > 1 {
 		s.armGossip()
@@ -1988,10 +1920,19 @@ func (s *Site) restart() {
 
 // recoverDurableState resumes whatever the durable store says was in
 // flight: each prepared entry becomes a participant waiting in doubt,
-// which onWaitTimeout settles at once; known outcomes reduce dependents,
-// and await entries resume their outcome-request loops.  Called on site
-// restart and, for file-backed clusters, at process start.
+// which onWaitTimeout settles at once; known outcomes reduce dependents
+// and resume announcing to the sites their entries list, await entries
+// resume their outcome-request loops, and every other outcome record is
+// queued to expire.  Called on site restart and, for file-backed
+// clusters, at process start.
 func (s *Site) recoverDurableState() {
+	// The expiry queue is volatile; a record a dependency entry names is
+	// queued when the entry empties.
+	for _, tid := range sortedKeys(s.store.OutcomesSnapshot()) {
+		if !s.store.HasDeps(tid) {
+			s.forgetLater(tid)
+		}
+	}
 	// The awaits the crash left: a resumed transaction that times out
 	// into polyvalues below arms its own outcome inquiry.
 	awaits := s.store.Awaits()
@@ -2005,7 +1946,7 @@ func (s *Site) recoverDurableState() {
 	}
 	// Dependency entries that predate the crash and whose outcome is
 	// known are reduced now.
-	s.reduceKnownDeps()
+	s.reduceKnown(s.store.DepTIDs())
 	// Resume the outcome-request loop for every transaction we installed
 	// polyvalues for and still lack an outcome on (the durable await
 	// table survives any number of crashes).

@@ -8,7 +8,25 @@ import (
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/trace"
+	"repro/internal/txn"
 )
+
+// watchPresumedAbort runs c for d in 100ms steps and reports whether
+// site coord ever held tid as aborted, never as committed, and whether
+// it has forgotten tid again by the end: the requesters' acks retire a
+// presumed abort like any other outcome record (§3.3).
+func watchPresumedAbort(c *Cluster, coord protocol.SiteID, tid txn.ID, d time.Duration) (logged, forgotten bool) {
+	step := 100 * time.Millisecond
+	sawCommit := false
+	for ran := time.Duration(0); ran < d; ran += step {
+		c.RunFor(step)
+		committed, known := c.Store(coord).Outcome(tid)
+		logged = logged || known && !committed
+		sawCommit = sawCommit || known && committed
+	}
+	_, known := c.Store(coord).Outcome(tid)
+	return logged && !sawCommit, !known
+}
 
 // newSpanCluster builds the standard 3-site test cluster with structured
 // span tracing enabled, returning the harness-owned span log (which, as
@@ -143,15 +161,14 @@ func TestSpansCoordinatorCrash(t *testing.T) {
 	}
 
 	c.Restart("A")
-	c.RunFor(15 * time.Second)
+	// The restarted coordinator has no decision on record: it presumes
+	// abort, logs it, and every reduction takes the abort branch.
+	if logged, forgotten := watchPresumedAbort(c, "A", h.TID, 15*time.Second); !logged || !forgotten {
+		t.Errorf("coordinator logged presumed abort %v, forgot it by the end %v; want both", logged, forgotten)
+	}
 	k = kinds(spans.Spans())
 	if k["poly.reduce"] == 0 {
 		t.Error("no poly.reduce span after recovery")
-	}
-	// The restarted coordinator has no decision on record: it presumes
-	// abort, logs it, and every reduction takes the abort branch.
-	if committed, known := c.Store("A").Outcome(h.TID); !known || committed {
-		t.Errorf("coordinator outcome = %v (known %v), want presumed abort", committed, known)
 	}
 	// The wait spans must say how the participants resolved.
 	var sawPolyResolution bool

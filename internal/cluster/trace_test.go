@@ -57,9 +57,8 @@ func TestTraceShowsPolyvalueInstallOnTimeout(t *testing.T) {
 
 	// Recovery path: presumed abort and reduction.
 	c.Restart("A")
-	c.RunFor(10 * time.Second)
-	if committed, known := c.Store("A").Outcome(h.TID); !known || committed {
-		t.Errorf("coordinator outcome = %v (known %v), want presumed abort", committed, known)
+	if logged, forgotten := watchPresumedAbort(c, "A", h.TID, 10*time.Second); !logged || !forgotten {
+		t.Errorf("coordinator logged presumed abort %v, forgot it by the end %v; want both", logged, forgotten)
 	}
 	var reduced bool
 	for _, sp := range spans.ByTID(string(h.TID)) {

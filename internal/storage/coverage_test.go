@@ -64,6 +64,7 @@ func TestDecodePayloadCorruption(t *testing.T) {
 			Previous: map[string]polyvalue.Poly{"x": polyvalue.Simple(value.Int(0))}},
 		{Kind: RecResolved, TID: "T1"},
 		{Kind: RecOutcome, TID: "T1", Committed: true},
+		{Kind: RecOutcome, TID: "T1", Committed: true, Sites: []string{"s1", "s2"}},
 		{Kind: RecDepItem, TID: "T1", Item: "x"},
 		{Kind: RecDepSite, TID: "T1", Site: "s"},
 		{Kind: RecDepSiteDone, TID: "T1", Site: "s"},
@@ -93,6 +94,55 @@ func TestDecodePayloadCorruption(t *testing.T) {
 	}
 	if _, err := decodePayload([]byte{255}); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// TestDecisionRecordListsItsSites: a decision record lists the sites
+// that must still hear it as its dependency entry's sites, in one
+// record; replay and a checkpoint keep the list, each strike shortens
+// it, and a memo lists none.  A site count larger than the frame is
+// rejected before anything is allocated.
+func TestDecisionRecordListsItsSites(t *testing.T) {
+	s := NewStore()
+	if err := s.SetOutcome("T1", true, "s1", "s2"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := Replay(s.WALBytes(), func(Record) error { return nil }); err != nil || n != 1 {
+		t.Errorf("decision wrote %d records (%v), want 1", n, err)
+	}
+	s.SetOutcome("T2", false)
+	s.RemoveDepSite("T1", "s1")
+	r, err := Recover(s.WALBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, sites := r.Deps("T1"); len(sites) != 1 || sites[0] != "s2" {
+		t.Errorf("replayed sites = %v, want [s2]", sites)
+	}
+	if r.HasDeps("T2") {
+		t.Error("a memo listed sites")
+	}
+	if _, err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Recover(r.WALBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, sites := r2.Deps("T1"); len(sites) != 1 || sites[0] != "s2" {
+		t.Errorf("sites after checkpoint = %v, want [s2]", sites)
+	}
+	if c, known := r2.Outcome("T1"); !known || !c {
+		t.Errorf("outcome after checkpoint = %v (known %v)", c, known)
+	}
+	r2.RemoveDepSite("T1", "s2")
+	if r2.HasDeps("T1") {
+		t.Error("entry outlived its last strike")
+	}
+
+	payload := Record{Kind: RecOutcome, TID: "T1", Committed: true}.encodePayload()
+	if _, err := decodePayload(append(payload, 0xff, 0xff, 0x03)); err == nil {
+		t.Error("site count beyond the frame accepted")
 	}
 }
 

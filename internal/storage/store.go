@@ -227,6 +227,9 @@ func (s *Store) apply(r Record, replaying bool) error {
 		delete(s.prepared, r.TID)
 	case RecOutcome:
 		s.outcomes[r.TID] = r.Committed
+		for _, site := range r.Sites {
+			s.dep(r.TID).Sites[site] = true
+		}
 	case RecDepItem:
 		s.dep(r.TID).Items[r.Item] = true
 	case RecDepSite:
@@ -429,17 +432,22 @@ func (s *Store) PreparedTxns() []Prepared {
 	return out
 }
 
-// SetOutcome durably records a transaction's outcome.
-func (s *Store) SetOutcome(tid txn.ID, committed bool) error {
+// SetOutcome durably records a transaction's outcome, in one record,
+// and lists sites in its dependency entry as sites that must still hear
+// it (§3.3); RemoveDepSite strikes each one as it acknowledges.  A
+// repeated outcome writes nothing unless it lists sites.
+func (s *Store) SetOutcome(tid txn.ID, committed bool, sites ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.outcomes[tid]; ok {
 		if existing != committed {
 			return fmt.Errorf("storage: conflicting outcome for %s: had %v, got %v", tid, existing, committed)
 		}
-		return nil
+		if len(sites) == 0 {
+			return nil
+		}
 	}
-	return s.apply(Record{Kind: RecOutcome, TID: tid, Committed: committed}, false)
+	return s.apply(Record{Kind: RecOutcome, TID: tid, Committed: committed, Sites: sites}, false)
 }
 
 // Outcome returns a recorded outcome.
@@ -452,9 +460,9 @@ func (s *Store) Outcome(tid txn.ID) (committed, known bool) {
 
 // ForgetOutcome drops a recorded outcome (bounded-memory hygiene once no
 // polyvalue can depend on it anymore; §3.3's "any data structures used to
-// keep track of the transaction outcome should be quickly deleted").
-// Implemented as a dep-clear plus outcome tombstone via RecDepClear; the
-// outcome map entry is removed in memory only if present.
+// keep track of the transaction outcome should be quickly deleted").  It
+// writes nothing: the record stays in the log until a checkpoint, and a
+// replay brings it back, so a recovering site queues it to expire again.
 func (s *Store) ForgetOutcome(tid txn.ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

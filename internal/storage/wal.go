@@ -41,8 +41,11 @@ const (
 	// RecResolved clears a prepared entry (the transaction completed,
 	// aborted, or was converted to polyvalues here).
 	RecResolved
-	// RecOutcome durably records a commit/abort decision (coordinator
-	// role, and participant's memo of learned outcomes).
+	// RecOutcome durably records a commit/abort decision and lists the
+	// sites that must still hear it as its dependency entry's sites: a
+	// coordinator's prepared, non-read-only participants, or the
+	// requester of a presumed abort.  A participant's memo of a learned
+	// outcome lists none.
 	RecOutcome
 	// RecDepItem notes that a local item's polyvalue depends on a
 	// transaction's outcome.
@@ -118,7 +121,8 @@ type Record struct {
 	// RecPaxosAccept: the instance (participant) the vote is for.
 	Site string
 
-	// RecPaxosMeta: the participant set.
+	// RecPaxosMeta: the participant set.  RecOutcome: the sites that
+	// must still hear the outcome.
 	Sites []string
 	// RecPaxosPromise, RecPaxosAccept: the ballot.
 	Ballot uint32
@@ -170,6 +174,15 @@ func decodePolyMap(buf []byte) (map[string]polyvalue.Poly, int, error) {
 		m[k] = p
 	}
 	return m, off, nil
+}
+
+// appendStrings encodes a count and then each string.
+func appendStrings(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = appendString(dst, s)
+	}
+	return dst
 }
 
 // appendVerMap encodes a map of item → version deterministically
@@ -253,6 +266,9 @@ func (r Record) encodePayload() []byte {
 		} else {
 			buf = append(buf, 0)
 		}
+		if len(r.Sites) > 0 {
+			buf = appendStrings(buf, r.Sites)
+		}
 	case RecDepItem:
 		buf = appendString(buf, string(r.TID))
 		buf = appendString(buf, r.Item)
@@ -262,10 +278,7 @@ func (r Record) encodePayload() []byte {
 	case RecPaxosMeta:
 		buf = appendString(buf, string(r.TID))
 		buf = appendString(buf, r.Coordinator)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Sites)))
-		for _, s := range r.Sites {
-			buf = appendString(buf, s)
-		}
+		buf = appendStrings(buf, r.Sites)
 	case RecPaxosPromise:
 		buf = appendString(buf, string(r.TID))
 		buf = binary.AppendUvarint(buf, uint64(r.Ballot))
@@ -300,6 +313,24 @@ func decodePayload(buf []byte) (Record, error) {
 		s, n, err := decodeString(body[off:])
 		off += n
 		return s, err
+	}
+	// readStrs reads a count and then each string; the count is bounded
+	// by the bytes left, so a corrupt one cannot force a huge allocation.
+	readStrs := func() ([]string, error) {
+		n, w := binary.Uvarint(body[off:])
+		if w <= 0 || n > uint64(len(body)-off) {
+			return nil, fmt.Errorf("storage: truncated site count")
+		}
+		off += w
+		ss := make([]string, 0, n)
+		for i := uint64(0); i < n; i++ {
+			s, err := readStr()
+			if err != nil {
+				return nil, err
+			}
+			ss = append(ss, s)
+		}
+		return ss, nil
 	}
 	switch r.Kind {
 	case RecPut:
@@ -359,6 +390,13 @@ func decodePayload(buf []byte) (Record, error) {
 			return Record{}, fmt.Errorf("storage: truncated outcome")
 		}
 		r.Committed = body[off] == 1
+		off++
+		// A memo carries no site list.
+		if off < len(body) {
+			if r.Sites, err = readStrs(); err != nil {
+				return Record{}, err
+			}
+		}
 	case RecDepItem:
 		tid, err := readStr()
 		if err != nil {
@@ -389,18 +427,8 @@ func decodePayload(buf []byte) (Record, error) {
 			return Record{}, err
 		}
 		r.TID, r.Coordinator = txn.ID(tid), coord
-		n, w := binary.Uvarint(body[off:])
-		if w <= 0 || n > uint64(len(body)-off) {
-			return Record{}, fmt.Errorf("storage: truncated participant count")
-		}
-		off += w
-		r.Sites = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			s, err := readStr()
-			if err != nil {
-				return Record{}, err
-			}
-			r.Sites = append(r.Sites, s)
+		if r.Sites, err = readStrs(); err != nil {
+			return Record{}, err
 		}
 	case RecPaxosPromise:
 		tid, err := readStr()
