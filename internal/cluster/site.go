@@ -328,8 +328,7 @@ func (s *Site) handle(msg protocol.Message) {
 	case protocol.MsgComplete, protocol.MsgAbort, protocol.MsgOutcomeInfo:
 		// A decision, resend, §3.3 notification or inquiry answer: a
 		// participant still in its wait phase applies any of them.
-		s.onOutcomeMsg(msg.TID, msg.Kind == protocol.MsgComplete ||
-			msg.Kind == protocol.MsgOutcomeInfo && msg.Committed)
+		s.onOutcomeMsg(msg.TID, msg.Committed)
 		s.ackOutcome(msg)
 	case protocol.MsgOutcomeReq:
 		s.onOutcomeReq(msg)
@@ -1922,16 +1921,14 @@ func (s *Site) restart() {
 // flight: each prepared entry becomes a participant waiting in doubt,
 // which onWaitTimeout settles at once; known outcomes reduce dependents
 // and resume announcing to the sites their entries list, await entries
-// resume their outcome-request loops, and every other outcome record is
+// resume their outcome-request loops, and every outcome record is
 // queued to expire.  Called on site restart and, for file-backed
 // clusters, at process start.
 func (s *Site) recoverDurableState() {
-	// The expiry queue is volatile; a record a dependency entry names is
-	// queued when the entry empties.
+	// The expiry queue is volatile.  Its sweep skips a record that a
+	// dependency entry names; the ack that empties the entry queues it.
 	for _, tid := range sortedKeys(s.store.OutcomesSnapshot()) {
-		if !s.store.HasDeps(tid) {
-			s.forgetLater(tid)
-		}
+		s.forgetLater(tid)
 	}
 	// The awaits the crash left: a resumed transaction that times out
 	// into polyvalues below arms its own outcome inquiry.

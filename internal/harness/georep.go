@@ -317,9 +317,8 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 	}
 
 	// ----- phase 4: heal; gossip must finish the job ---------------------
-	// The crashed coordinator's decision record still lists the stranded
-	// participant, which only its restart (phase 5) can strike: this
-	// audit covers the running sites.
+	// Only the crashed coordinator's restart (phase 5) can strike the
+	// stranded participant from its decision record: audit the others.
 	up := sites
 	if stranding {
 		s.Crash(g.strandCoord)
