@@ -107,12 +107,12 @@ type Config struct {
 	// RetryInterval paces outcome-request retries from in-doubt sites.
 	// Default 500ms (simulated).
 	RetryInterval time.Duration
-	// OutcomeTTL is how long an outcome record is at least retained after
-	// every participant has acknowledged it (coordinator side) or after
-	// local dependencies are cleared (participant side), before being
-	// garbage-collected per §3.3; each site's one expiry sweep forgets it
-	// within OutcomeTTL/16 after that.  0 means the default 5s
-	// (simulated); negative disables GC entirely.
+	// OutcomeTTL is how long an outcome record is at least retained once
+	// its dependency entry is empty (every listed site has acknowledged
+	// it, and every local item is reduced), before being garbage-collected
+	// per §3.3; each site's one expiry sweep forgets it within
+	// OutcomeTTL/16 after that.  0 means the default 5s (simulated);
+	// negative disables GC entirely.
 	OutcomeTTL time.Duration
 	// CheckpointBytes triggers a WAL compaction whenever a site's log
 	// exceeds this size (and twice its post-compaction size, so stores

@@ -19,8 +19,8 @@ import (
 //	poly.population                  — live polyvalued-item gauge
 //	poly.lifetime.seconds            — install→reduction per item, the
 //	                                   paper's §4 figure-level quantity
-//	txn.decision.resends             — coordinator complete/abort
-//	                                   retransmissions to unacked sites
+//	txn.decision.resends             — outcome resends to sites a
+//	                                   dependency entry still lists
 //	txn.outcome.retries              — participant outcome-inquiry
 //	                                   retries (backoff-paced)
 //	txn.deadline.exceeded{role=}     — end-to-end deadline expiries seen
