@@ -1413,6 +1413,10 @@ func (s *Site) reduceKnown(deps []txn.ID) {
 	slices.Sort(deps)
 	for _, dep := range slices.Compact(deps) {
 		if committed, known := s.store.Outcome(dep); known {
+			// A site listed since the last announcement hears it now,
+			// not at the entry's next resend.
+			s.cancel(s.notifyRetry[dep])
+			delete(s.notifyRetry, dep)
 			s.reduceDependents(dep, committed)
 		}
 	}
@@ -1488,10 +1492,8 @@ func (s *Site) onOutcomeAck(msg protocol.Message) {
 	if s.store.HasDeps(tid) {
 		return
 	}
-	if id, ok := s.notifyRetry[tid]; ok {
-		s.cancel(id)
-		delete(s.notifyRetry, tid)
-	}
+	s.cancel(s.notifyRetry[tid])
+	delete(s.notifyRetry, tid)
 	if t, ok := s.decidedAt[tid]; ok {
 		s.c.phaseSettle.Observe((s.c.clk.Now() - t).Seconds())
 		if root, traced := s.spanOf[tid]; traced {

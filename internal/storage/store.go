@@ -432,10 +432,9 @@ func (s *Store) PreparedTxns() []Prepared {
 	return out
 }
 
-// SetOutcome durably records a transaction's outcome, in one record,
-// and lists sites in its dependency entry as sites that must still hear
-// it (§3.3); RemoveDepSite strikes each one as it acknowledges.  A
-// repeated outcome writes nothing unless it lists sites.
+// SetOutcome durably records a transaction's outcome in one record that
+// also lists sites as its dependency entry's sites that must still hear
+// it (§3.3).  A repeated outcome writes nothing unless it lists sites.
 func (s *Store) SetOutcome(tid txn.ID, committed bool, sites ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
