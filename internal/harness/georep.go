@@ -11,6 +11,7 @@ import (
 	"repro/internal/polyvalue"
 	"repro/internal/protocol"
 	"repro/internal/replica"
+	"repro/internal/txn"
 )
 
 // GeoRepConfig parameterizes one geo-replication partition run: a
@@ -279,6 +280,7 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 	// outcome now exists only on the majority participants, reachable
 	// solely via gossip.
 	stranding := false
+	var strandTID txn.ID
 	if g.strandTarget != "" && len(g.majWritable) > 0 {
 		dst := g.majWritable[0]
 		if dst == g.strandTarget && len(g.majWritable) > 1 {
@@ -299,7 +301,7 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 				g.report.Violations = append(g.report.Violations,
 					fmt.Sprintf("stranding commit failed: %v (%s)", h.Status(), h.Reason()))
 			}
-			stranding = true
+			stranding, strandTID = true, h.TID
 			g.cfg.Logf("georep: stranding transfer committed across the cut: %s", txt)
 		}
 	}
@@ -318,19 +320,30 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 
 	// ----- phase 4: heal; gossip must finish the job ---------------------
 	// Only the crashed coordinator's restart (phase 5) can strike the
-	// stranded participant from its decision record: audit the others.
-	up := sites
+	// stranded participant from its decision record, so that entry may
+	// stay while it lists sites and no items; everything else is audited.
+	var stranded string
 	if stranding {
 		s.Crash(g.strandCoord)
-		up = slices.DeleteFunc(slices.Clone(sites), func(id protocol.SiteID) bool { return id == g.strandCoord })
+		stranded = fmt.Sprintf("site %s retains dependency entries %v", g.strandCoord, []txn.ID{strandTID})
+	}
+	audit := func() []string {
+		issues := settled(s.Cluster, sites...)
+		if !stranding {
+			return issues
+		}
+		if items, _ := s.Store(g.strandCoord).Deps(strandTID); len(items) == 0 {
+			issues = slices.DeleteFunc(issues, func(issue string) bool { return issue == stranded })
+		}
+		return issues
 	}
 	s.HealAll()
 	healedAt := s.Now()
 	s.RunFor(time.Second)
-	issues := settled(s.Cluster, up...)
+	issues := audit()
 	for len(issues) > 0 && s.Now()-healedAt < cfg.Settle {
 		s.RunFor(time.Second)
-		issues = settled(s.Cluster, up...)
+		issues = audit()
 	}
 	g.report.GossipSettle = s.Now() - healedAt
 	if len(issues) > 0 {
