@@ -159,7 +159,8 @@ func (s *Site) exec(ev siteEvent, depth int, fx []effect) []effect {
 		var target uint64
 		if s.glog != nil {
 			// Output commit: the message waits for the frames it wrote
-			// itself, else for what its effects declared — for most of
+			// itself (unforced ones aside: they move no Seq), else for
+			// what its effects declared — for most of
 			// them (send) everything written so far, because they may
 			// externalize state an earlier, still unsynced message
 			// installed.  No frames and no dependency: nothing to wait

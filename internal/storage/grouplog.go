@@ -17,7 +17,9 @@ var ErrGroupLogClosed = errors.New("storage: group log closed")
 //
 // Positions are byte offsets in enqueue order: Write assigns each frame
 // the range (Seq-len, Seq]; WaitSynced(seq) returns once at least seq
-// bytes are durable.  Errors from the underlying file are sticky — once
+// bytes are durable.  A frame written with WriteUnforced starts no flush
+// and moves no Seq: it reaches the disk with the next flush a Write asks
+// for, and nothing waits for it.  Errors from the underlying file are sticky — once
 // a write or sync fails, every subsequent Write/WaitSynced
 // reports it, because the tail of the log after a failed batch has an
 // undefined on-disk state.
@@ -27,6 +29,7 @@ type GroupLog struct {
 	f      *FileLog
 	buf    []byte
 	enq    uint64 // bytes accepted into buf, total
+	due    uint64 // enq as of the last Write: what waiters need flushed
 	synced uint64 // bytes durably on disk, total
 	err    error  // sticky first failure
 	closed bool
@@ -55,10 +58,30 @@ func NewGroupLog(f *FileLog) *GroupLog {
 	return g
 }
 
-// Write buffers p and returns immediately; p is durable only after a
-// flush covers it.  Implements io.Writer so a GroupLog can serve as a
+// Write buffers p, asks for a flush and returns; p is durable only after
+// a flush covers it.  Implements io.Writer so a GroupLog can serve as a
 // WAL sink.
 func (g *GroupLog) Write(p []byte) (int, error) {
+	n, err := g.buffer(p)
+	if err != nil {
+		return n, err
+	}
+	g.mu.Lock()
+	g.due = g.enq
+	g.mu.Unlock()
+	select {
+	case g.kick <- struct{}{}:
+	default:
+	}
+	return n, nil
+}
+
+// WriteUnforced buffers p for the next flush a Write asks for, without
+// asking for one: the frame of a record whose loss in a crash costs only
+// a repeat of what it records.
+func (g *GroupLog) WriteUnforced(p []byte) (int, error) { return g.buffer(p) }
+
+func (g *GroupLog) buffer(p []byte) (int, error) {
 	g.mu.Lock()
 	if g.err != nil {
 		err := g.err
@@ -73,19 +96,16 @@ func (g *GroupLog) Write(p []byte) (int, error) {
 	g.enq += uint64(len(p))
 	g.batched++
 	g.mu.Unlock()
-	select {
-	case g.kick <- struct{}{}:
-	default:
-	}
 	return len(p), nil
 }
 
-// Seq returns the total bytes accepted so far — pass it to WaitSynced
-// to wait for everything enqueued up to this point.
+// Seq returns the position the last Write's frame ends at — pass it to
+// WaitSynced to wait for everything written up to this point, bar
+// unforced frames written since.
 func (g *GroupLog) Seq() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.enq
+	return g.due
 }
 
 // Synced returns the total bytes durably flushed so far.

@@ -116,3 +116,45 @@ func TestGroupLogClose(t *testing.T) {
 		t.Fatalf("second close: %v", err)
 	}
 }
+
+// TestGroupLogUnforcedRidesNextFlush: an unforced frame asks for no
+// flush and moves no Seq; the next Write's flush carries it to the file
+// ahead of that Write's own frame.
+func TestGroupLogUnforcedRidesNextFlush(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "group.wal")
+	f, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer f.Close()
+	g := NewGroupLog(f)
+	defer g.Close()
+
+	if _, err := g.Write([]byte("a;")); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WaitSynced(g.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteUnforced([]byte("b;")); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Seq(); got != 2 {
+		t.Fatalf("Seq after an unforced frame = %d, want 2", got)
+	}
+	if _, syncs := g.SyncBatches(); syncs != 1 {
+		t.Fatalf("syncs after an unforced frame = %d, want 1", syncs)
+	}
+	if _, err := g.Write([]byte("c;")); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WaitSynced(g.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	if frames, syncs := g.SyncBatches(); frames != 3 || syncs != 2 {
+		t.Fatalf("frames/syncs = %d/%d, want 3/2", frames, syncs)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "a;b;c;" {
+		t.Fatalf("file = %q (%v), want %q", got, err, "a;b;c;")
+	}
+}

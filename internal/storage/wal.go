@@ -535,7 +535,13 @@ func (w *WAL) Append(r Record) error {
 	frame = append(frame, payload...)
 	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 	if w.sink != nil {
-		if _, err := w.sink.Write(frame); err != nil {
+		write := w.sink.Write
+		if u, ok := w.sink.(interface{ WriteUnforced([]byte) (int, error) }); ok && r.Kind == RecDepSiteDone {
+			// A struck site is the one unforced record: a crash that
+			// loses it costs one resend and ack, so it starts no sync.
+			write = u.WriteUnforced
+		}
+		if _, err := write(frame); err != nil {
 			return fmt.Errorf("storage: wal sink: %w", err)
 		}
 	}
