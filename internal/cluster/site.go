@@ -1557,23 +1557,32 @@ func (s *Site) armOutcomeRetryN(tid txn.ID, coordinator protocol.SiteID, attempt
 	s.retry[tid] = retryState{timer: timer, coordinator: coordinator, attempt: attempt}
 }
 
-// armNotify arms tid's one resend timer: resend number attempt of the
-// outcome goes to every site the dependency entry still lists, paced by
-// the same capped-backoff policy as the inquiry loop.  The last ack
-// cancels it (onOutcomeAck); until then a dropped decision or
-// notification is repaired from this side instead of waiting out the
-// listed sites' own inquiry timeouts.
-func (s *Site) armNotify(tid txn.ID, committed bool, attempt int) {
-	s.notifyRetry[tid] = s.after(s.retryBackoff(tid, attempt), func() {
-		delete(s.notifyRetry, tid)
-		_, sites := s.store.Deps(tid)
-		for _, site := range sites {
-			s.send(protocol.Message{Kind: protocol.MsgOutcomeInfo, TID: tid, To: protocol.SiteID(site), Committed: committed})
+// announce sends tid's outcome to every site its dependency entry still
+// lists and, while any remain, arms the entry's resend timer.  Attempt 1
+// is the first announcement; later attempts are the timer's resends.
+func (s *Site) announce(tid txn.ID, committed bool, attempt int) {
+	_, sites := s.store.Deps(tid)
+	for _, site := range sites {
+		s.send(protocol.Message{Kind: protocol.MsgOutcomeInfo, TID: tid, To: protocol.SiteID(site), Committed: committed})
+		if attempt > 1 {
 			s.c.decisionResends.Inc()
 		}
-		if len(sites) > 0 {
-			s.armNotify(tid, committed, attempt+1)
-		}
+	}
+	if len(sites) > 0 {
+		s.armNotify(tid, committed, attempt)
+	}
+}
+
+// armNotify (re)arms tid's one resend timer: after the backoff of
+// attempt, the same capped policy as the inquiry loop, attempt+1 is
+// announced.  The last ack cancels it (onOutcomeAck); until then a
+// dropped decision or notification is repaired from this side instead
+// of waiting out the listed sites' own inquiry timeouts.
+func (s *Site) armNotify(tid txn.ID, committed bool, attempt int) {
+	s.cancel(s.notifyRetry[tid])
+	s.notifyRetry[tid] = s.after(s.retryBackoff(tid, attempt), func() {
+		delete(s.notifyRetry, tid)
+		s.announce(tid, committed, attempt+1)
 	})
 }
 
@@ -1743,13 +1752,7 @@ func (s *Site) reduceDependents(tid txn.ID, committed bool) {
 		// The record is only needed for duplicate suppression now.
 		s.forgetLater(tid)
 	} else if _, armed := s.notifyRetry[tid]; !armed {
-		for _, site := range sites {
-			s.send(protocol.Message{
-				Kind: protocol.MsgOutcomeInfo, TID: tid,
-				To: protocol.SiteID(site), Committed: committed,
-			})
-		}
-		s.armNotify(tid, committed, 1)
+		s.announce(tid, committed, 1)
 	}
 	// Reductions free budget: a degraded site returns to polyvalue mode
 	// here once the population and dependency table shrink below cap.
