@@ -320,22 +320,19 @@ func RunGeoRep(cfg GeoRepConfig) (*GeoRepReport, error) {
 
 	// ----- phase 4: heal; gossip must finish the job ---------------------
 	// Only the crashed coordinator's restart (phase 5) can strike the
-	// stranded participant from its decision record, so that entry may
-	// stay while it lists sites and no items; everything else is audited.
-	var stranded string
+	// stranded participant from its decision record: that entry may stay
+	// while it lists sites and no items; everything else is audited.
 	if stranding {
 		s.Crash(g.strandCoord)
-		stranded = fmt.Sprintf("site %s retains dependency entries %v", g.strandCoord, []txn.ID{strandTID})
 	}
 	audit := func() []string {
-		issues := settled(s.Cluster, sites...)
-		if !stranding {
-			return issues
-		}
-		if items, _ := s.Store(g.strandCoord).Deps(strandTID); len(items) == 0 {
-			issues = slices.DeleteFunc(issues, func(issue string) bool { return issue == stranded })
-		}
-		return issues
+		return slices.DeleteFunc(settled(s.Cluster, sites...), func(issue string) bool {
+			if !stranding {
+				return false
+			}
+			items, _ := s.Store(g.strandCoord).Deps(strandTID)
+			return len(items) == 0 && issue == fmt.Sprintf("site %s retains dependency entries %v", g.strandCoord, []txn.ID{strandTID})
+		})
 	}
 	s.HealAll()
 	healedAt := s.Now()

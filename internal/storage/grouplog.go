@@ -61,27 +61,14 @@ func NewGroupLog(f *FileLog) *GroupLog {
 // Write buffers p, asks for a flush and returns; p is durable only after
 // a flush covers it.  Implements io.Writer so a GroupLog can serve as a
 // WAL sink.
-func (g *GroupLog) Write(p []byte) (int, error) {
-	n, err := g.buffer(p)
-	if err != nil {
-		return n, err
-	}
-	g.mu.Lock()
-	g.due = g.enq
-	g.mu.Unlock()
-	select {
-	case g.kick <- struct{}{}:
-	default:
-	}
-	return n, nil
-}
+func (g *GroupLog) Write(p []byte) (int, error) { return g.write(p, true) }
 
 // WriteUnforced buffers p for the next flush a Write asks for, without
 // asking for one: the frame of a record whose loss in a crash costs only
 // a repeat of what it records.
-func (g *GroupLog) WriteUnforced(p []byte) (int, error) { return g.buffer(p) }
+func (g *GroupLog) WriteUnforced(p []byte) (int, error) { return g.write(p, false) }
 
-func (g *GroupLog) buffer(p []byte) (int, error) {
+func (g *GroupLog) write(p []byte, force bool) (int, error) {
 	g.mu.Lock()
 	if g.err != nil {
 		err := g.err
@@ -95,7 +82,16 @@ func (g *GroupLog) buffer(p []byte) (int, error) {
 	g.buf = append(g.buf, p...)
 	g.enq += uint64(len(p))
 	g.batched++
+	if force {
+		g.due = g.enq
+	}
 	g.mu.Unlock()
+	if force {
+		select {
+		case g.kick <- struct{}{}:
+		default:
+		}
+	}
 	return len(p), nil
 }
 

@@ -245,22 +245,20 @@ func decodeString(buf []byte) (string, int, error) {
 // encodePayload serializes the record body (without framing).
 func (r Record) encodePayload() []byte {
 	buf := []byte{byte(r.Kind)}
+	if r.Kind.hasTID() {
+		buf = appendString(buf, string(r.TID))
+	}
 	switch r.Kind {
 	case RecPut:
 		buf = appendString(buf, r.Item)
 		buf = r.Poly.AppendBinary(buf)
 	case RecPrepared:
-		buf = appendString(buf, string(r.TID))
 		buf = appendString(buf, r.Coordinator)
 		buf = appendPolyMap(buf, r.Writes)
 		buf = appendPolyMap(buf, r.Previous)
-	case RecResolved, RecDepClear, RecAwaitDone:
-		buf = appendString(buf, string(r.TID))
 	case RecAwait:
-		buf = appendString(buf, string(r.TID))
 		buf = appendString(buf, r.Coordinator)
 	case RecOutcome:
-		buf = appendString(buf, string(r.TID))
 		if r.Committed {
 			buf = append(buf, 1)
 		} else {
@@ -270,35 +268,31 @@ func (r Record) encodePayload() []byte {
 			buf = appendStrings(buf, r.Sites)
 		}
 	case RecDepItem:
-		buf = appendString(buf, string(r.TID))
 		buf = appendString(buf, r.Item)
 	case RecDepSite, RecDepSiteDone:
-		buf = appendString(buf, string(r.TID))
 		buf = appendString(buf, r.Site)
 	case RecPaxosMeta:
-		buf = appendString(buf, string(r.TID))
 		buf = appendString(buf, r.Coordinator)
 		buf = appendStrings(buf, r.Sites)
 	case RecPaxosPromise:
-		buf = appendString(buf, string(r.TID))
 		buf = binary.AppendUvarint(buf, uint64(r.Ballot))
 	case RecPaxosAccept:
-		buf = appendString(buf, string(r.TID))
 		buf = appendString(buf, r.Site)
 		buf = binary.AppendUvarint(buf, uint64(r.Ballot))
 		buf = append(buf, r.Vote)
-	case RecPaxosClear:
-		buf = appendString(buf, string(r.TID))
 	case RecVersion:
 		buf = appendString(buf, r.Item)
 		buf = binary.AppendUvarint(buf, r.Ver)
 	case RecVerPending:
-		buf = appendString(buf, string(r.TID))
 		buf = appendVerMap(buf, r.Vers)
-	case RecVerDone:
-		buf = appendString(buf, string(r.TID))
 	}
 	return buf
+}
+
+// hasTID reports whether a record of kind k opens with its transaction:
+// every kind but a put and a version does.
+func (k RecKind) hasTID() bool {
+	return k > RecPut && k <= RecVerDone && k != RecVersion
 }
 
 // decodePayload parses a record body.
@@ -332,6 +326,13 @@ func decodePayload(buf []byte) (Record, error) {
 		}
 		return ss, nil
 	}
+	if r.Kind.hasTID() {
+		tid, err := readStr()
+		if err != nil {
+			return Record{}, err
+		}
+		r.TID = txn.ID(tid)
+	}
 	switch r.Kind {
 	case RecPut:
 		item, err := readStr()
@@ -345,15 +346,11 @@ func decodePayload(buf []byte) (Record, error) {
 		}
 		r.Poly = p
 	case RecPrepared:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
 		coord, err := readStr()
 		if err != nil {
 			return Record{}, err
 		}
-		r.TID, r.Coordinator = txn.ID(tid), coord
+		r.Coordinator = coord
 		w, n, err := decodePolyMap(body[off:])
 		if err != nil {
 			return Record{}, err
@@ -364,28 +361,15 @@ func decodePayload(buf []byte) (Record, error) {
 			return Record{}, err
 		}
 		r.Writes, r.Previous = w, prev
-	case RecResolved, RecDepClear, RecAwaitDone:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
-		r.TID = txn.ID(tid)
+	case RecResolved, RecDepClear, RecAwaitDone, RecPaxosClear, RecVerDone:
+		// The transaction is the whole record.
 	case RecAwait:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
 		coord, err := readStr()
 		if err != nil {
 			return Record{}, err
 		}
-		r.TID, r.Coordinator = txn.ID(tid), coord
+		r.Coordinator = coord
 	case RecOutcome:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
-		r.TID = txn.ID(tid)
 		if off >= len(body) {
 			return Record{}, fmt.Errorf("storage: truncated outcome")
 		}
@@ -393,64 +377,45 @@ func decodePayload(buf []byte) (Record, error) {
 		off++
 		// A memo carries no site list.
 		if off < len(body) {
-			if r.Sites, err = readStrs(); err != nil {
+			sites, err := readStrs()
+			if err != nil {
 				return Record{}, err
 			}
+			r.Sites = sites
 		}
 	case RecDepItem:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
 		item, err := readStr()
 		if err != nil {
 			return Record{}, err
 		}
-		r.TID, r.Item = txn.ID(tid), item
+		r.Item = item
 	case RecDepSite, RecDepSiteDone:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
 		site, err := readStr()
 		if err != nil {
 			return Record{}, err
 		}
-		r.TID, r.Site = txn.ID(tid), site
+		r.Site = site
 	case RecPaxosMeta:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
 		coord, err := readStr()
 		if err != nil {
 			return Record{}, err
 		}
-		r.TID, r.Coordinator = txn.ID(tid), coord
+		r.Coordinator = coord
 		if r.Sites, err = readStrs(); err != nil {
 			return Record{}, err
 		}
 	case RecPaxosPromise:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
-		r.TID = txn.ID(tid)
 		b, w := binary.Uvarint(body[off:])
 		if w <= 0 || b > 0xffffffff {
 			return Record{}, fmt.Errorf("storage: bad promise ballot")
 		}
 		r.Ballot = uint32(b)
 	case RecPaxosAccept:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
 		site, err := readStr()
 		if err != nil {
 			return Record{}, err
 		}
-		r.TID, r.Site = txn.ID(tid), site
+		r.Site = site
 		b, w := binary.Uvarint(body[off:])
 		if w <= 0 || b > 0xffffffff {
 			return Record{}, fmt.Errorf("storage: bad accept ballot")
@@ -461,12 +426,6 @@ func decodePayload(buf []byte) (Record, error) {
 			return Record{}, fmt.Errorf("storage: truncated accept vote")
 		}
 		r.Vote = body[off]
-	case RecPaxosClear, RecVerDone:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
-		r.TID = txn.ID(tid)
 	case RecVersion:
 		item, err := readStr()
 		if err != nil {
@@ -479,11 +438,6 @@ func decodePayload(buf []byte) (Record, error) {
 		}
 		r.Ver = v
 	case RecVerPending:
-		tid, err := readStr()
-		if err != nil {
-			return Record{}, err
-		}
-		r.TID = txn.ID(tid)
 		m, _, err := decodeVerMap(body[off:])
 		if err != nil {
 			return Record{}, err
